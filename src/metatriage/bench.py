@@ -2,20 +2,22 @@
 nine-cell composition grid, and ranked-window robustness.
 
 Every experiment consumes raw records, derives all randomness from its
-seed, and produces a BenchReport that renders to byte-identical files.
-Cells and sweep points can run on a thread pool; results are merged in a
-fixed order so the thread count never changes output bytes.
+seed, and produces a BenchReport; `emit_report` renders it to
+byte-identical files through `reporting`. The four experiments share one
+scaffold: `_new_report` pins config, corpus digest and provenance,
+`_selection` chooses between a frozen column slice and a per-fold ranking,
+`_cross_validate` turns a failed run into a flag message, and `_completed`
+runs the cells or points on a thread pool and merges their results in
+task order, so the thread count never changes output bytes.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +30,9 @@ from .corpus import (
     compose_subset,
     corpus_digest,
 )
-from .errors import CompositionError, DegenerateLabelsError, MetatriageError
+from .errors import CompositionError, MetatriageError
 from .evaluate import (
+    EvalReport,
     PipelineConfig,
     SelectionSpec,
     cross_validate,
@@ -39,6 +42,10 @@ from .featurize import HashConfig, hash_column_names, static_feature_block
 from .learn import ForestParams, Hyperparams, LogisticParams
 
 DEFAULT_SWEEP_SIZES = (32, 64, 128, 256, 512, 1024, 2048)
+# Default hyperparameters of the experiments and of `cv`: a 60-tree forest,
+# and for the permission-only hash sweep, 300 logistic epochs.
+DEFAULT_HYPER = Hyperparams(forest=ForestParams(n_trees=60))
+SWEEP_HYPER = Hyperparams(logistic=LogisticParams(epochs=300))
 
 
 @dataclass(frozen=True)
@@ -69,17 +76,7 @@ class BenchReport:
     provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "columns": self.columns,
-            "rows": self.rows,
-            "curves": self.curves,
-            "ranking_table": self.ranking_table,
-            "reference": self.reference,
-            "flags": self.flags,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(obj: dict) -> "BenchReport":
@@ -137,6 +134,80 @@ def _map_ordered(tasks: Sequence, fn: Callable, threads: int) -> list:
 
 
 # ---------------------------------------------------------------------------
+# The shared experiment scaffold
+# ---------------------------------------------------------------------------
+
+
+def _new_report(
+    experiment: str,
+    config: dict,
+    seed: int,
+    records: Sequence[AppRecord],
+    columns: list[str],
+    flags: Sequence[str] = (),
+) -> BenchReport:
+    """An empty report whose provenance pins the config, seed and corpus."""
+    report = BenchReport(
+        experiment=experiment,
+        config=config,
+        columns=columns,
+        rows=[],
+        flags=list(flags),
+        provenance=_provenance(experiment, config, seed, corpus_digest(records)),
+    )
+    if config.get("frozen_ranking"):
+        report.flags.append("frozen-ranking: fixed feature order reused across folds")
+    return report
+
+
+def _selection(
+    ranking_method: str, frozen_ranking: Optional[Sequence[str]], **ranks
+) -> SelectionSpec:
+    """`top_k=k` or `window_start=s, window_width=w` (1-based ranks) of a
+    ranking refitted in each training fold, or of `frozen_ranking`."""
+    if not frozen_ranking:
+        return SelectionSpec(method=ranking_method, **ranks)
+    first = ranks.get("window_start", 1) - 1
+    width = ranks.get("top_k", ranks.get("window_width"))
+    return SelectionSpec(columns=tuple(frozen_ranking[first : first + width]))
+
+
+def _cross_validate(
+    label: str, dataset: LabeledDataset, model_kind: str, **kwargs
+) -> tuple[Optional[EvalReport], Optional[str]]:
+    """(cross_validate(dataset, model_kind, **kwargs), None), or (None, a
+    flag naming `label`) when that run fails."""
+    try:
+        return cross_validate(dataset, model_kind, **kwargs), None
+    except (MetatriageError, ValueError) as exc:
+        return None, f"{label} failed: {exc}"
+
+
+def _completed(
+    report: BenchReport, tasks: Sequence, fn: Callable, threads: int
+) -> Iterator[tuple]:
+    """Yield (task, outcome) in task order for every task that succeeded.
+
+    `fn` returns (outcome, error message); each error becomes a report flag,
+    in task order with whatever flags the caller adds per outcome.
+    """
+    for task, (outcome, error) in zip(tasks, _map_ordered(tasks, fn, threads)):
+        if error is None:
+            yield task, outcome
+        else:
+            report.flags.append(error)
+
+
+def _curve(name: str, kind: str, rows: list[dict], x: str, y: str = "mean_test_f1") -> dict:
+    return {
+        "name": name,
+        "kind": kind,
+        "x": [float(r[x]) for r in rows],
+        "y": [r[y] for r in rows],
+    }
+
+
+# ---------------------------------------------------------------------------
 # Experiment 1: hash-size sweep
 # ---------------------------------------------------------------------------
 
@@ -147,7 +218,7 @@ def hash_size_sweep(
     model_kind: str = "logistic",
     k: int = 5,
     seed: int = 0,
-    hyper: Optional[Hyperparams] = None,
+    hyper: Hyperparams = SWEEP_HYPER,
     threads: int = 1,
 ) -> BenchReport:
     """Cross-validated AUC of permission-hash features alone per bucket count.
@@ -158,8 +229,6 @@ def hash_size_sweep(
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
-    if hyper is None:
-        hyper = Hyperparams(logistic=LogisticParams(epochs=300))
     config = {
         "sizes": list(sizes),
         "model_kind": model_kind,
@@ -167,15 +236,11 @@ def hash_size_sweep(
         "seed": seed,
         "hyper": hyper.to_json(),
     }
-    digest = corpus_digest(dataset.records)
-    report = BenchReport(
-        experiment="hash-size-sweep",
-        config=config,
-        columns=["size", "pooled_auc", "mean_test_auc", "std_test_auc", "mean_test_f1"],
-        rows=[],
-        provenance=_provenance("hash-size-sweep", config, seed, digest),
+    report = _new_report(
+        "hash-size-sweep", config, seed, dataset.records,
+        ["size", "pooled_auc", "mean_test_auc", "std_test_auc", "mean_test_f1"],
+        flags=dataset.flags,
     )
-    report.flags.extend(dataset.flags)
 
     def run_point(size: int):
         hash_config = HashConfig(n_buckets=size, seed=0)
@@ -184,51 +249,38 @@ def hash_size_sweep(
             selection=SelectionSpec(columns=hash_column_names(hash_config)),
             hyper=hyper,
         )
-        try:
-            ev = cross_validate(
-                dataset, model_kind, k=k, seed=_derive_seed(seed, size), config=pipeline
-            )
-        except (MetatriageError, ValueError) as exc:
-            return size, None, f"size {size} failed: {exc}"
-        pooled_auc, roc_points = None, None
-        if ev.pooled_scores is not None:
-            roc = roc_and_auc(ev.pooled_scores, ev.pooled_labels)
-            pooled_auc = roc.auc
-            roc_points = _downsample_curve(roc.points)
-        return size, (ev, pooled_auc, roc_points), None
+        ev, error = _cross_validate(
+            f"size {size}", dataset, model_kind, k=k, seed=_derive_seed(seed, size),
+            config=pipeline,
+        )
+        if ev is None:
+            return None, error
+        if ev.pooled_scores is None:
+            return (ev, None), None
+        return (ev, roc_and_auc(ev.pooled_scores, ev.pooled_labels)), None
 
-    for size, outcome, error in _map_ordered(list(sizes), run_point, threads):
-        if error is not None:
-            report.flags.append(error)
-            continue
-        ev, pooled_auc, roc_points = outcome
+    for size, (ev, roc) in _completed(report, list(sizes), run_point, threads):
         report.rows.append(
             {
                 "size": size,
-                "pooled_auc": pooled_auc,
+                "pooled_auc": None if roc is None else roc.auc,
                 "mean_test_auc": ev.mean("test", "auc"),
                 "std_test_auc": ev.std("test", "auc"),
                 "mean_test_f1": ev.mean("test", "f1"),
             }
         )
-        if roc_points is not None:
+        if roc is not None:
+            points = _downsample_curve(roc.points)
             report.curves.append(
                 {
                     "name": f"ROC {size} buckets",
                     "kind": "roc",
-                    "x": [float(p) for p in roc_points[:, 0]],
-                    "y": [float(p) for p in roc_points[:, 1]],
+                    "x": [float(p) for p in points[:, 0]],
+                    "y": [float(p) for p in points[:, 1]],
                 }
             )
         report.flags.extend(f"size {size}: {f}" for f in ev.flags)
-    report.curves.append(
-        {
-            "name": "pooled AUC",
-            "kind": "auc-vs-size",
-            "x": [float(r["size"]) for r in report.rows],
-            "y": [r["pooled_auc"] for r in report.rows],
-        }
-    )
+    report.curves.append(_curve("pooled AUC", "auc-vs-size", report.rows, "size", "pooled_auc"))
     return report
 
 
@@ -244,7 +296,7 @@ def feature_count_curve(
     ranking_method: str = "mdni",
     k: int = 10,
     seed: int = 0,
-    hyper: Optional[Hyperparams] = None,
+    hyper: Hyperparams = DEFAULT_HYPER,
     hash_config: HashConfig = HashConfig(),
     frozen_ranking: Optional[Sequence[str]] = None,
     threads: int = 1,
@@ -257,8 +309,6 @@ def feature_count_curve(
     """
     if not ks:
         raise ValueError("ks must be non-empty")
-    if hyper is None:
-        hyper = Hyperparams(forest=ForestParams(n_trees=60))
     config = {
         "ks": list(ks),
         "model_kinds": list(model_kinds),
@@ -269,46 +319,24 @@ def feature_count_curve(
         "frozen_ranking": list(frozen_ranking) if frozen_ranking else None,
         "hyper": hyper.to_json(),
     }
-    digest = corpus_digest(dataset.records)
-    report = BenchReport(
-        experiment="feature-count-curve",
-        config=config,
-        columns=["model", "top_k", "mean_train_f1", "mean_test_f1", "std_test_f1"],
-        rows=[],
-        provenance=_provenance("feature-count-curve", config, seed, digest),
+    report = _new_report(
+        "feature-count-curve", config, seed, dataset.records,
+        ["model", "top_k", "mean_train_f1", "mean_test_f1", "std_test_f1"],
+        flags=dataset.flags,
     )
-    report.flags.extend(dataset.flags)
-    if frozen_ranking:
-        report.flags.append("frozen-ranking: fixed feature order reused across folds")
-
     static = static_feature_block(dataset.records, hash_config)
     tasks = [(m, top_k) for m in model_kinds for top_k in ks]
 
     def run_point(task):
         model_kind, top_k = task
-        if frozen_ranking:
-            spec = SelectionSpec(columns=tuple(frozen_ranking[:top_k]))
-        else:
-            spec = SelectionSpec(method=ranking_method, top_k=top_k)
+        spec = _selection(ranking_method, frozen_ranking, top_k=top_k)
         pipeline = PipelineConfig(hash_config=hash_config, selection=spec, hyper=hyper)
-        try:
-            ev = cross_validate(
-                dataset,
-                model_kind,
-                k=k,
-                seed=_derive_seed(seed, top_k),
-                config=pipeline,
-                static_block=static,
-            )
-        except (MetatriageError, ValueError) as exc:
-            return task, None, f"model {model_kind} top_k {top_k} failed: {exc}"
-        return task, ev, None
+        return _cross_validate(
+            f"model {model_kind} top_k {top_k}", dataset, model_kind, k=k,
+            seed=_derive_seed(seed, top_k), config=pipeline, static_block=static,
+        )
 
-    results = _map_ordered(tasks, run_point, threads)
-    for (model_kind, top_k), ev, error in results:
-        if error is not None:
-            report.flags.append(error)
-            continue
+    for (model_kind, top_k), ev in _completed(report, tasks, run_point, threads):
         report.rows.append(
             {
                 "model": model_kind,
@@ -320,14 +348,8 @@ def feature_count_curve(
         )
     for model_kind in model_kinds:
         rows = [r for r in report.rows if r["model"] == model_kind]
-        report.curves.append(
-            {
-                "name": reporting.MODEL_LABELS.get(model_kind, model_kind),
-                "kind": "f1-vs-k",
-                "x": [float(r["top_k"]) for r in rows],
-                "y": [r["mean_test_f1"] for r in rows],
-            }
-        )
+        label = reporting.MODEL_LABELS.get(model_kind, model_kind)
+        report.curves.append(_curve(label, "f1-vs-k", rows, "top_k"))
     return report
 
 
@@ -342,7 +364,7 @@ def grid_benchmark(
     top_k: int = 15,
     ranking_method: str = "mdni",
     k: int = 10,
-    hyper: Optional[Hyperparams] = None,
+    hyper: Hyperparams = DEFAULT_HYPER,
     hash_config: HashConfig = HashConfig(),
     frozen_ranking: Optional[Sequence[str]] = None,
     threads: int = 1,
@@ -355,8 +377,6 @@ def grid_benchmark(
     too small even after shrinking) are flagged and skipped while the rest
     of the grid proceeds.
     """
-    if hyper is None:
-        hyper = Hyperparams(forest=ForestParams(n_trees=60))
     corpus = list(corpus)
     config = {
         "malware_fractions": list(grid.malware_fractions),
@@ -373,30 +393,24 @@ def grid_benchmark(
         "leaky_reputation": leaky_reputation,
         "hyper": hyper.to_json(),
     }
-    digest = corpus_digest(corpus)
-    report = BenchReport(
-        experiment="benchmark-grid",
-        config=config,
-        columns=[
+    report = _new_report(
+        "benchmark-grid", config, grid.seed, corpus,
+        [
             "model", "malware_fraction", "threshold", "n_rows",
             "mean_train_precision", "mean_train_recall", "mean_train_f1",
             "mean_test_precision", "mean_test_recall", "mean_test_f1",
             "std_test_f1",
             "reference_train_f1", "reference_test_f1",
         ],
-        rows=[],
-        provenance=_provenance("benchmark-grid", config, grid.seed, digest),
     )
-    if frozen_ranking:
-        report.flags.append("frozen-ranking: fixed feature order reused across folds")
     if leaky_reputation:
         report.flags.append("leaky-reputation: tables fitted on full subsets")
-
-    if frozen_ranking:
-        spec = SelectionSpec(columns=tuple(frozen_ranking[:top_k]))
-    else:
-        spec = SelectionSpec(method=ranking_method, top_k=top_k)
-
+    pipeline = PipelineConfig(
+        hash_config=hash_config,
+        selection=_selection(ranking_method, frozen_ranking, top_k=top_k),
+        hyper=hyper,
+        leaky_reputation=leaky_reputation,
+    )
     cells = [
         (ci, fraction, threshold)
         for ci, (fraction, threshold) in enumerate(
@@ -406,6 +420,7 @@ def grid_benchmark(
 
     def run_cell(cell):
         ci, fraction, threshold = cell
+        where = f"cell ({fraction}, {threshold}-AV)"
         recipe = CompositionRecipe(
             malware_fraction=fraction,
             policy=DetectionLabelPolicy(threshold=threshold, ambiguous_handling=ambiguous_handling),
@@ -415,29 +430,16 @@ def grid_benchmark(
         try:
             subset = compose_subset(corpus, recipe)
         except CompositionError as exc:
-            return cell, None, f"cell ({fraction}, {threshold}-AV) infeasible: {exc}"
+            return None, f"{where} infeasible: {exc}"
         static = static_feature_block(subset.records, hash_config)
         cell_rows, cell_flags = [], list(subset.flags)
         for model_kind in grid.model_kinds:
-            pipeline = PipelineConfig(
-                hash_config=hash_config,
-                selection=spec,
-                hyper=hyper,
-                leaky_reputation=leaky_reputation,
+            ev, error = _cross_validate(
+                f"{where} {model_kind}", subset, model_kind, k=k,
+                seed=_derive_seed(grid.seed, ci, 1), config=pipeline, static_block=static,
             )
-            try:
-                ev = cross_validate(
-                    subset,
-                    model_kind,
-                    k=k,
-                    seed=_derive_seed(grid.seed, ci, 1),
-                    config=pipeline,
-                    static_block=static,
-                )
-            except (MetatriageError, ValueError) as exc:
-                cell_flags.append(
-                    f"cell ({fraction}, {threshold}-AV) {model_kind} failed: {exc}"
-                )
+            if ev is None:
+                cell_flags.append(error)
                 continue
             ref = reporting.GRID_REFERENCE.get((model_kind, fraction, threshold), {})
             ref_f1 = ref.get("f1", (None, None))
@@ -458,16 +460,10 @@ def grid_benchmark(
                     "reference_test_f1": ref_f1[1],
                 }
             )
-            cell_flags.extend(
-                f"cell ({fraction}, {threshold}-AV) {model_kind}: {f}" for f in ev.flags
-            )
-        return cell, (cell_rows, cell_flags), None
+            cell_flags.extend(f"{where} {model_kind}: {f}" for f in ev.flags)
+        return (cell_rows, cell_flags), None
 
-    for cell, outcome, error in _map_ordered(cells, run_cell, threads):
-        if error is not None:
-            report.flags.append(error)
-            continue
-        cell_rows, cell_flags = outcome
+    for _, (cell_rows, cell_flags) in _completed(report, cells, run_cell, threads):
         report.rows.extend(cell_rows)
         report.flags.extend(cell_flags)
 
@@ -493,6 +489,7 @@ def grid_benchmark(
                         }
                     )
     for model_kind in grid.model_kinds:
+        label = reporting.MODEL_LABELS.get(model_kind, model_kind)
         for threshold in grid.thresholds:
             rows = [
                 r
@@ -500,14 +497,8 @@ def grid_benchmark(
                 if r["model"] == model_kind and r["threshold"] == threshold
             ]
             if rows:
-                label = reporting.MODEL_LABELS.get(model_kind, model_kind)
                 report.curves.append(
-                    {
-                        "name": f"{label}, {threshold}-AV",
-                        "kind": "f1-vs-fraction",
-                        "x": [r["malware_fraction"] for r in rows],
-                        "y": [r["mean_test_f1"] for r in rows],
-                    }
+                    _curve(f"{label}, {threshold}-AV", "f1-vs-fraction", rows, "malware_fraction")
                 )
     return report
 
@@ -529,7 +520,7 @@ def robustness_windows(
     k: int = 10,
     seed: int = 0,
     ranking_method: str = "mdni",
-    hyper: Optional[Hyperparams] = None,
+    hyper: Hyperparams = DEFAULT_HYPER,
     hash_config: HashConfig = HashConfig(),
     frozen_ranking: Optional[Sequence[str]] = None,
     threads: int = 1,
@@ -540,8 +531,6 @@ def robustness_windows(
     Windows start at ranks 1, 1+step, ... (n_windows of them). One subset
     is composed per threshold and reused across that row's windows.
     """
-    if hyper is None:
-        hyper = Hyperparams(forest=ForestParams(n_trees=60))
     corpus = list(corpus)
     starts = [1 + step * i for i in range(n_windows)]
     config = {
@@ -559,20 +548,14 @@ def robustness_windows(
         "frozen_ranking": list(frozen_ranking) if frozen_ranking else None,
         "hyper": hyper.to_json(),
     }
-    digest = corpus_digest(corpus)
-    report = BenchReport(
-        experiment="robustness-windows",
-        config=config,
-        columns=[
+    report = _new_report(
+        "robustness-windows", config, seed, corpus,
+        [
             "model", "threshold", "window_start", "window_end",
             "mean_train_f1", "mean_test_f1", "std_test_f1",
             "reference_train_f1", "reference_test_f1",
         ],
-        rows=[],
-        provenance=_provenance("robustness-windows", config, seed, digest),
     )
-    if frozen_ranking:
-        report.flags.append("frozen-ranking: fixed feature order reused across folds")
 
     tasks = []
     for ti, threshold in enumerate(thresholds):
@@ -594,32 +577,16 @@ def robustness_windows(
 
     def run_window(task):
         threshold, start, subset, static, ti = task
-        if frozen_ranking:
-            spec = SelectionSpec(
-                columns=tuple(frozen_ranking[start - 1 : start - 1 + window_width])
-            )
-        else:
-            spec = SelectionSpec(
-                method=ranking_method, window_start=start, window_width=window_width
-            )
+        spec = _selection(
+            ranking_method, frozen_ranking, window_start=start, window_width=window_width
+        )
         pipeline = PipelineConfig(hash_config=hash_config, selection=spec, hyper=hyper)
-        try:
-            ev = cross_validate(
-                subset,
-                model_kind,
-                k=k,
-                seed=_derive_seed(seed, ti, 1),
-                config=pipeline,
-                static_block=static,
-            )
-        except (MetatriageError, ValueError) as exc:
-            return task, None, f"{threshold}-AV window {start} failed: {exc}"
-        return task, ev, None
+        return _cross_validate(
+            f"{threshold}-AV window {start}", subset, model_kind, k=k,
+            seed=_derive_seed(seed, ti, 1), config=pipeline, static_block=static,
+        )
 
-    for (threshold, start, _, _, _), ev, error in _map_ordered(tasks, run_window, threads):
-        if error is not None:
-            report.flags.append(error)
-            continue
+    for (threshold, start, *_), ev in _completed(report, tasks, run_window, threads):
         ref = reporting.WINDOW_REFERENCE.get((threshold, start), (None, None))
         report.rows.append(
             {
@@ -649,154 +616,15 @@ def robustness_windows(
     for threshold in thresholds:
         rows = [r for r in report.rows if r["threshold"] == threshold]
         if rows:
-            report.curves.append(
-                {
-                    "name": f"{threshold}-AV",
-                    "kind": "f1-vs-window",
-                    "x": [float(r["window_start"]) for r in rows],
-                    "y": [r["mean_test_f1"] for r in rows],
-                }
-            )
+            report.curves.append(_curve(f"{threshold}-AV", "f1-vs-window", rows, "window_start"))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Rendering
-# ---------------------------------------------------------------------------
-
-_CHART_SPECS = {
-    "hash-size-sweep": [
-        ("roc", "roc_curves.svg", "Held-out ROC by hash size",
-         "false positive rate", "true positive rate", (0.0, 1.0), False),
-        ("auc-vs-size", "auc_vs_size.svg", "Pooled test AUC vs hash size",
-         "hash buckets (log2)", "AUC", (0.4, 1.0), True),
-    ],
-    "feature-count-curve": [
-        ("f1-vs-k", "f1_vs_feature_count.svg", "Mean test F1 vs top-k features",
-         "top-k features", "mean test F1", (0.0, 1.0), False),
-    ],
-    "benchmark-grid": [
-        ("f1-vs-fraction", "f1_by_cell.svg", "Mean test F1 by malware share",
-         "malware fraction", "mean test F1", (0.0, 1.0), False),
-    ],
-    "robustness-windows": [
-        ("f1-vs-window", "f1_vs_window.svg", "Mean test F1 by window start rank",
-         "window start rank", "mean test F1", (0.0, 1.0), False),
-    ],
-}
-
-
-def _report_markdown(report: BenchReport) -> str:
-    lines = [f"# {report.experiment}", ""]
-    lines.append("Configuration digest: `" + report.provenance.get("config_digest", "") + "`")
-    lines.append("Corpus digest: `" + report.provenance.get("corpus_digest", "") + "`")
-    lines.append("")
-    if not report.rows:
-        lines.append("_No results: every point failed or was infeasible "
-                     "(see flags below)._")
-        lines.append("")
-    else:
-        display = [c for c in report.columns]
-        if report.experiment == "benchmark-grid":
-            model_order = []
-            for row in report.rows:
-                if row["model"] not in model_order:
-                    model_order.append(row["model"])
-            for model in model_order:
-                label = reporting.MODEL_LABELS.get(model, model)
-                lines.append(f"## {label} (train/test)")
-                lines.append("")
-                header = ["malware", "threshold", "F1", "precision", "recall",
-                          "reference F1"]
-                rows = []
-                for r in (x for x in report.rows if x["model"] == model):
-                    ref = ""
-                    if r["reference_train_f1"] is not None:
-                        ref = (f"{r['reference_train_f1']:.2f}/"
-                               f"{r['reference_test_f1']:.2f}")
-                    rows.append([
-                        f"{r['malware_fraction']:.0%}",
-                        f"{r['threshold']}-AV",
-                        f"{reporting.fmt4(r['mean_train_f1'])}/{reporting.fmt4(r['mean_test_f1'])}",
-                        f"{reporting.fmt4(r['mean_train_precision'])}/{reporting.fmt4(r['mean_test_precision'])}",
-                        f"{reporting.fmt4(r['mean_train_recall'])}/{reporting.fmt4(r['mean_test_recall'])}",
-                        ref,
-                    ])
-                lines.append(reporting.markdown_table(header, rows))
-        else:
-            rows = [[reporting.fmt4(r[c]) if isinstance(r[c], float) else ("" if r[c] is None else str(r[c]))
-                     for c in display] for r in report.rows]
-            lines.append(reporting.markdown_table(display, rows))
-        lines.append("")
-    if report.reference:
-        lines.append("## Published reference values")
-        lines.append("")
-        lines.append(
-            "_Reported by the original study on its proprietary corpus; "
-            "shown for orientation only, never asserted._"
-        )
-        lines.append("")
-    if report.flags:
-        lines.append("## Flags")
-        lines.append("")
-        for f in report.flags:
-            lines.append(f"- {f}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def emit_report(
     report: BenchReport,
     out_dir: str,
-    formats: Sequence[str] = ("csv", "markdown", "svg"),
+    formats: Sequence[str] = reporting.FORMATS,
 ) -> list[str]:
-    """Write results.csv, report.md, charts, provenance.json, report.json.
-
-    All content is staged to temporary files first and moved into place
-    together, so a failure leaves no partial outputs behind.
-    """
-    unknown = set(formats) - {"csv", "markdown", "svg"}
-    if unknown:
-        raise ValueError(f"unknown report formats: {sorted(unknown)}")
-    files: dict[str, str] = {}
-    if "csv" in formats:
-        rows = [[r.get(c) for c in report.columns] for r in report.rows]
-        files["results.csv"] = reporting.csv_text(report.columns, rows)
-    if "markdown" in formats:
-        files["report.md"] = _report_markdown(report)
-    if "svg" in formats:
-        for kind, name, title, xl, yl, y_range, log_x in _CHART_SPECS.get(
-            report.experiment, []
-        ):
-            series = [
-                (c["name"], c["x"], c["y"])
-                for c in report.curves
-                if c.get("kind") == kind and None not in c["y"]
-            ]
-            if series:
-                files[name] = reporting.svg_line_chart(
-                    series, title, xl, yl, y_range=y_range, log_x=log_x
-                )
-    files["provenance.json"] = (
-        json.dumps(report.provenance, indent=2, sort_keys=True) + "\n"
-    )
-    files["report.json"] = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
-
-    os.makedirs(out_dir, exist_ok=True)
-    staged = []
-    written = []
-    try:
-        for name, text in files.items():
-            tmp = os.path.join(out_dir, name + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            staged.append((tmp, os.path.join(out_dir, name)))
-        for tmp, final in staged:
-            os.replace(tmp, final)
-            written.append(final)
-    except OSError:
-        for tmp, _ in staged:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        raise
-    return written
+    """Write results.csv, report.md, charts, provenance.json and report.json
+    together (see `reporting.write_files`); returns the paths written."""
+    return reporting.write_files(out_dir, reporting.report_files(report, formats))

@@ -12,14 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__, bench, reporting
 from .corpus import (
-    AMBIGUOUS,
     CompositionRecipe,
     DetectionLabelPolicy,
     GeneratorConfig,
@@ -28,13 +26,13 @@ from .corpus import (
     corpus_digest,
     detection_histogram,
     generate_synthetic,
-    label_record,
+    label_dataset,
     load_corpus,
     write_corpus,
 )
 from .errors import MetatriageError
 from .evaluate import PipelineConfig, SelectionSpec, cross_validate
-from .featurize import HashConfig, assemble_features, build_reputation_table
+from .featurize import FeatureMatrix, HashConfig, assemble_features, build_reputation_table
 from .learn import ForestParams, Hyperparams
 from .select import rank_features, ranking_to_csv_text
 
@@ -46,19 +44,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route to our code
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    options: dict
-
-    def to_json(self) -> dict:
-        return {
-            "tool": f"metatriage {__version__}",
-            "subcommand": self.subcommand,
-            "options": self.options,
-        }
 
 
 def _int_list(text: str) -> list[int]:
@@ -87,13 +72,15 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"metatriage {__version__}")
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
 
-    def common(p, needs_corpus=True):
+    def common(p, needs_corpus=True, seeded=True, threaded=False):
         if needs_corpus:
             p.add_argument("--corpus", help="input corpus (.jsonl or .csv)")
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
+        if seeded:
+            p.add_argument("--seed", type=int, help="master seed (default 0)")
         p.add_argument("--out", help="output file or directory")
-        p.add_argument("--threads", type=int, help="worker threads (default 1)")
+        if threaded:
+            p.add_argument("--threads", type=int, help="worker threads (default 1)")
         p.add_argument("--dry-run", action="store_const", const=True,
                        help="print the resolved run config and do nothing")
 
@@ -113,10 +100,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--zipf-max", type=int)
 
     p = sub.add_parser("histogram", help="detection-count histogram of flagged apps")
-    common(p)
+    common(p, seeded=False)
 
     p = sub.add_parser("featurize", help="export the feature matrix as CSV")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--hash-buckets", type=int)
     p.add_argument("--threshold", type=int)
     p.add_argument("--alpha", type=float)
@@ -145,7 +132,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ambiguous-as-goodware", action="store_const", const=True)
 
     p = sub.add_parser("sweep-hashes", help="AUC vs hash-bucket count")
-    common(p)
+    common(p, threaded=True)
     p.add_argument("--sizes", type=_int_list)
     p.add_argument("--model", choices=["logistic", "linear_svm", "forest"])
     p.add_argument("--k", type=int)
@@ -154,7 +141,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--subset-size", type=int)
 
     p = sub.add_parser("curve-features", help="F1 vs top-k feature count")
-    common(p)
+    common(p, threaded=True)
     p.add_argument("--ks", type=_int_list)
     p.add_argument("--models", type=_str_list)
     p.add_argument("--method", choices=["chi_squared", "info_gain", "gain_ratio", "mdni", "borda"])
@@ -165,7 +152,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--frozen-ranking", help="file with one column name per line")
 
     p = sub.add_parser("benchmark-grid", help="the 9-cell composition benchmark")
-    common(p)
+    common(p, threaded=True)
     p.add_argument("--fractions", type=_float_list)
     p.add_argument("--thresholds", type=_int_list)
     p.add_argument("--subset-size", type=int)
@@ -178,7 +165,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ambiguous-as-goodware", action="store_const", const=True)
 
     p = sub.add_parser("robustness", help="F1 across sliding rank windows")
-    common(p)
+    common(p, threaded=True)
     p.add_argument("--thresholds", type=_int_list)
     p.add_argument("--window-width", type=int)
     p.add_argument("--step", type=int)
@@ -191,7 +178,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--frozen-ranking")
 
     p = sub.add_parser("report", help="re-render a saved report.json")
-    common(p, needs_corpus=False)
+    common(p, needs_corpus=False, seeded=False)
     p.add_argument("--input", help="path to report.json")
     p.add_argument("--formats", type=_str_list)
 
@@ -232,14 +219,22 @@ class _Options:
             raise UsageError(f"--{name.replace('_', '-')} is required")
         return value
 
-    def hyperparams(self) -> Hyperparams:
+    def hyperparams(self, default: Hyperparams = bench.DEFAULT_HYPER) -> Hyperparams:
+        """The config file's `hyper` section, or `default` without one."""
         section = self.file_config.get("hyper", {})
+        if not section:
+            self.resolved["hyper"] = default.to_json()
+            return default
         self.resolved["hyper"] = section
-        hyper = Hyperparams.from_json(section) if section else None
-        if hyper is None:
-            hyper = Hyperparams(forest=ForestParams(n_trees=60))
-            self.resolved["hyper"] = hyper.to_json()
-        return hyper
+        return Hyperparams.from_json(section)
+
+    def run_record(self) -> dict:
+        """The tool, the subcommand and every option resolved so far."""
+        return {
+            "tool": f"metatriage {__version__}",
+            "subcommand": self.args.subcommand,
+            "options": self.resolved,
+        }
 
 
 def _policy(opts: _Options) -> DetectionLabelPolicy:
@@ -261,29 +256,29 @@ def _load_records(opts: _Options):
 
 def _load_dataset(opts: _Options, seed: int) -> LabeledDataset:
     """Label the corpus; compose a subset when --subset-size is given,
-    otherwise keep every unambiguous record in file order."""
+    otherwise keep every admissible record in file order."""
     records = _load_records(opts)
     policy = _policy(opts)
     subset_size = opts.get("subset_size")
-    if subset_size is not None:
-        recipe = CompositionRecipe(
-            malware_fraction=opts.get("malware_fraction", 0.5),
-            policy=policy,
-            target_size=subset_size,
-            seed=seed,
-        )
-        return compose_subset(records, recipe)
-    kept, labels = [], []
-    for r in records:
-        lab = label_record(r, policy)
-        if lab == AMBIGUOUS:
-            if policy.ambiguous_handling == "goodware":
-                kept.append(r)
-                labels.append(0)
-            continue
-        kept.append(r)
-        labels.append(1 if lab == "malware" else 0)
-    return LabeledDataset(records=kept, labels=np.array(labels, dtype=np.int8))
+    if subset_size is None:
+        return label_dataset(records, policy)
+    recipe = CompositionRecipe(
+        malware_fraction=opts.get("malware_fraction", 0.5),
+        policy=policy,
+        target_size=subset_size,
+        seed=seed,
+    )
+    return compose_subset(records, recipe)
+
+
+def _corpus_features(opts: _Options, alpha: float = 1.0) -> tuple[FeatureMatrix, np.ndarray]:
+    """The feature matrix and labels of every admissible record, with the
+    reputation table fitted on all of them (unlike evaluation, which
+    refits it per fold)."""
+    dataset = label_dataset(_load_records(opts), _policy(opts))
+    hash_config = HashConfig(n_buckets=opts.get("hash_buckets", 512))
+    table = build_reputation_table(dataset.records, dataset.labels, alpha=alpha)
+    return assemble_features(dataset.records, hash_config, table), dataset.labels
 
 
 def _read_frozen_ranking(path: Optional[str]) -> Optional[list[str]]:
@@ -307,6 +302,16 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _output(opts: _Options, text: str, what: str) -> None:
+    """Write `text` to --out when given, else to stdout."""
+    out = opts.get("out")
+    if out:
+        _write_text(out, text)
+        print(f"{what} -> {out}")
+    else:
+        sys.stdout.write(text)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -314,16 +319,9 @@ def _write_text(path: str, text: str) -> None:
 
 def _cmd_generate(opts: _Options) -> int:
     section = dict(opts.file_config.get("generator", {}))
-    flag_map = {
-        "n_apps": "n_apps",
-        "n_developers": "n_developers",
-        "n_issuers": "n_issuers",
-        "malware_rate": "malware_rate",
-        "malware_developer_fraction": "malware_developer_fraction",
-        "permission_vocabulary_size": "permission_vocabulary_size",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(opts.args, flag, None)
+    for key in ("n_apps", "n_developers", "n_issuers", "malware_rate",
+                "malware_developer_fraction", "permission_vocabulary_size"):
+        value = getattr(opts.args, key, None)
         if value is not None:
             section[key] = value
     strengths = dict(section.get("signal_strengths", {}))
@@ -363,33 +361,13 @@ def _cmd_histogram(opts: _Options) -> int:
     text = reporting.csv_text(
         ["detections", "apps"], [[k, v] for k, v in hist.items()]
     )
-    out = opts.get("out")
-    if out:
-        _write_text(out, text)
-        print(f"histogram -> {out}")
-    else:
-        sys.stdout.write(text)
+    _output(opts, text, "histogram")
     return 0
 
 
 def _cmd_featurize(opts: _Options) -> int:
-    """Whole-file export for inspection; the reputation table here is fitted
-    on all labeled rows, unlike evaluation which refits per fold."""
-    records = _load_records(opts)
-    policy = _policy(opts)
-    kept, labels = [], []
-    for r in records:
-        lab = label_record(r, policy)
-        if lab == AMBIGUOUS and policy.ambiguous_handling != "goodware":
-            continue
-        kept.append(r)
-        labels.append(1 if lab == "malware" else 0)
-    if not kept:
-        raise MetatriageError("no records admissible under the label policy")
-    y = np.array(labels, dtype=np.int8)
-    hash_config = HashConfig(n_buckets=opts.get("hash_buckets", 512))
-    table = build_reputation_table(kept, y, alpha=opts.get("alpha", 1.0))
-    matrix = assemble_features(kept, hash_config, table)
+    """Whole-file export for inspection."""
+    matrix, y = _corpus_features(opts, alpha=opts.get("alpha", 1.0))
     out = opts.require("out")
     parent = os.path.dirname(out)
     if parent:
@@ -405,19 +383,7 @@ def _cmd_featurize(opts: _Options) -> int:
 
 
 def _cmd_rank(opts: _Options) -> int:
-    records = _load_records(opts)
-    policy = _policy(opts)
-    kept, labels = [], []
-    for r in records:
-        lab = label_record(r, policy)
-        if lab == AMBIGUOUS and policy.ambiguous_handling != "goodware":
-            continue
-        kept.append(r)
-        labels.append(1 if lab == "malware" else 0)
-    y = np.array(labels, dtype=np.int8)
-    hash_config = HashConfig(n_buckets=opts.get("hash_buckets", 512))
-    table = build_reputation_table(kept, y)
-    matrix = assemble_features(kept, hash_config, table)
+    matrix, y = _corpus_features(opts)
     seed = opts.get("seed", 0)
     ranked = rank_features(
         matrix,
@@ -426,13 +392,7 @@ def _cmd_rank(opts: _Options) -> int:
         n_bins=opts.get("n_bins", 10),
         forest_params=ForestParams(n_trees=20, max_depth=8, min_leaf=20, seed=seed),
     )
-    text = ranking_to_csv_text(ranked)
-    out = opts.get("out")
-    if out:
-        _write_text(out, text)
-        print(f"ranking -> {out}")
-    else:
-        sys.stdout.write(text)
+    _output(opts, ranking_to_csv_text(ranked), "ranking")
     top = [ranked.column_names[i] for i in ranked.order[:15]]
     print(f"top-15 ({ranked.ranking_method}): {', '.join(top)}", file=sys.stderr)
     return 0
@@ -456,26 +416,12 @@ def _cmd_cv(opts: _Options) -> int:
     report = cross_validate(dataset, model, k=k, seed=seed, config=config)
     out = opts.get("out")
     if out:
-        os.makedirs(out, exist_ok=True)
-        _write_text(
-            os.path.join(out, "eval.json"),
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
-        )
-        _write_text(os.path.join(out, "folds.csv"), report.to_csv_text())
-        _write_text(
-            os.path.join(out, "provenance.json"),
-            json.dumps(
-                {
-                    "tool": f"metatriage {__version__}",
-                    "subcommand": "cv",
-                    "options": opts.resolved,
-                    "corpus_digest": corpus_digest(dataset.records),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-        )
+        provenance = {**opts.run_record(), "corpus_digest": corpus_digest(dataset.records)}
+        reporting.write_files(out, {
+            "eval.json": reporting.json_text(report.to_json()),
+            "folds.csv": report.to_csv_text(),
+            "provenance.json": reporting.json_text(provenance),
+        })
     print(
         f"{model} {k}-fold: test F1 {report.mean('test', 'f1'):.4f} "
         f"(precision {report.mean('test', 'precision'):.4f}, "
@@ -487,9 +433,12 @@ def _cmd_cv(opts: _Options) -> int:
     return 0
 
 
-def _emit(report, opts: _Options, default_dir: str) -> int:
-    out = opts.get("out", default_dir)
-    written = bench.emit_report(report, out)
+def _emit(
+    report: bench.BenchReport, opts: _Options, formats: Sequence[str] = reporting.FORMATS
+) -> int:
+    """Write the report bundle to --out, by default reports/<experiment>."""
+    out = opts.get("out", os.path.join("reports", report.experiment))
+    written = bench.emit_report(report, out, formats=formats)
     print(f"{report.experiment}: {len(report.rows)} result rows -> {out}")
     for path in written:
         print(f"  {path}")
@@ -505,9 +454,10 @@ def _cmd_sweep_hashes(opts: _Options) -> int:
         model_kind=opts.get("model", "logistic"),
         k=opts.get("k", 5),
         seed=seed,
+        hyper=opts.hyperparams(bench.SWEEP_HYPER),
         threads=opts.get("threads", 1),
     )
-    return _emit(report, opts, os.path.join("reports", "hash-size-sweep"))
+    return _emit(report, opts)
 
 
 def _cmd_curve_features(opts: _Options) -> int:
@@ -524,7 +474,7 @@ def _cmd_curve_features(opts: _Options) -> int:
         frozen_ranking=_read_frozen_ranking(opts.get("frozen_ranking")),
         threads=opts.get("threads", 1),
     )
-    return _emit(report, opts, os.path.join("reports", "feature-count-curve"))
+    return _emit(report, opts)
 
 
 def _cmd_benchmark_grid(opts: _Options) -> int:
@@ -548,7 +498,7 @@ def _cmd_benchmark_grid(opts: _Options) -> int:
         ambiguous_handling="goodware" if opts.get("ambiguous_as_goodware") else "exclude",
         leaky_reputation=bool(opts.get("paper_leaky", False)),
     )
-    return _emit(report, opts, os.path.join("reports", "benchmark-grid"))
+    return _emit(report, opts)
 
 
 def _cmd_robustness(opts: _Options) -> int:
@@ -569,7 +519,7 @@ def _cmd_robustness(opts: _Options) -> int:
         frozen_ranking=_read_frozen_ranking(opts.get("frozen_ranking")),
         threads=opts.get("threads", 1),
     )
-    return _emit(report, opts, os.path.join("reports", "robustness-windows"))
+    return _emit(report, opts)
 
 
 def _cmd_report(opts: _Options) -> int:
@@ -582,13 +532,7 @@ def _cmd_report(opts: _Options) -> int:
     except json.JSONDecodeError as exc:
         raise MetatriageError(f"report file is not valid JSON: {exc}") from None
     report = bench.BenchReport.from_json(doc)
-    out = opts.get("out", os.path.join("reports", report.experiment))
-    formats = opts.get("formats", ["csv", "markdown", "svg"])
-    written = bench.emit_report(report, out, formats=formats)
-    print(f"re-rendered {report.experiment} -> {out}")
-    for p in written:
-        print(f"  {p}")
-    return 0
+    return _emit(report, opts, opts.get("formats", reporting.FORMATS))
 
 
 _HANDLERS = {
@@ -613,18 +557,19 @@ def dispatch(argv: Sequence[str]) -> int:
         return 1
     opts = _Options(args)
     if getattr(args, "dry_run", None):
-        # Resolve the common options, then echo every explicit flag and any
-        # config-file key so the printout shows what a real run would use.
+        # Resolve the subcommand's common options, then echo every explicit
+        # flag and any config-file key so the printout shows what a real run
+        # would use.
         for name, default in (("seed", 0), ("threads", 1), ("out", None)):
-            opts.get(name, default)
+            if name in vars(args):
+                opts.get(name, default)
         for key, value in sorted(vars(args).items()):
             if key in ("subcommand", "dry_run", "config") or value is None:
                 continue
             opts.resolved.setdefault(key, value)
         for key, value in sorted(opts.file_config.items()):
             opts.resolved.setdefault(key, value)
-        run_config = RunConfig(args.subcommand, opts.resolved)
-        print(json.dumps(run_config.to_json(), indent=2, sort_keys=True))
+        sys.stdout.write(reporting.json_text(opts.run_record()))
         return 0
     return _HANDLERS[args.subcommand](opts)
 

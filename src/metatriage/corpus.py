@@ -12,7 +12,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -23,6 +22,7 @@ from .errors import (
     CompositionError,
     DuplicateAppIdError,
     GenerationError,
+    MetatriageError,
     ParseError,
 )
 
@@ -191,17 +191,19 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
     result = ParseResult(records=[])
     seen_ids: set[str] = set()
 
+    def reject(line_no: int, problems: list[str]) -> None:
+        result.issues.extend(ParseIssue(line_no, p) for p in problems)
+        if len(result.issues) > max_errors:
+            raise ParseError(
+                f"more than {max_errors} malformed records; last at line {line_no}"
+            )
+
     def handle(obj: dict, line_no: int) -> None:
         record, problems, unknown = record_from_dict(obj)
         for name in unknown:
             result.unknown_fields[name] += 1
         if problems:
-            for p in problems:
-                result.issues.append(ParseIssue(line_no, p))
-            if len(result.issues) > max_errors:
-                raise ParseError(
-                    f"more than {max_errors} malformed records; last at line {line_no}"
-                )
+            reject(line_no, problems)
             return
         if record.app_id in seen_ids:
             raise DuplicateAppIdError(f"duplicate app_id {record.app_id!r} at line {line_no}")
@@ -216,14 +218,10 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                result.issues.append(ParseIssue(line_no, f"invalid JSON: {exc}"))
-                if len(result.issues) > max_errors:
-                    raise ParseError(
-                        f"more than {max_errors} malformed records; last at line {line_no}"
-                    ) from exc
+                reject(line_no, [f"invalid JSON: {exc}"])
                 continue
             if not isinstance(obj, dict):
-                result.issues.append(ParseIssue(line_no, "line is not a JSON object"))
+                reject(line_no, ["line is not a JSON object"])
                 continue
             handle(obj, line_no)
     else:
@@ -332,6 +330,24 @@ class LabeledDataset:
         return self.n_malware / len(self.records) if self.records else 0.0
 
 
+def label_dataset(
+    records: Iterable[AppRecord], policy: DetectionLabelPolicy
+) -> LabeledDataset:
+    """Every record admissible under `policy`, in input order, labeled 1 for
+    malware and 0 for goodware; ambiguous records count as goodware when
+    the policy says so and are dropped otherwise."""
+    kept, labels = [], []
+    for record in records:
+        lab = label_record(record, policy)
+        if lab == AMBIGUOUS and policy.ambiguous_handling != "goodware":
+            continue
+        kept.append(record)
+        labels.append(lab == MALWARE)
+    if not kept:
+        raise MetatriageError("no records admissible under the label policy")
+    return LabeledDataset(records=kept, labels=np.array(labels, dtype=np.int8))
+
+
 def compose_subset(corpus: list[AppRecord], recipe: CompositionRecipe) -> LabeledDataset:
     """Draw a seeded subset with the requested malware share.
 
@@ -346,9 +362,7 @@ def compose_subset(corpus: list[AppRecord], recipe: CompositionRecipe) -> Labele
         lab = label_record(record, policy)
         if lab == MALWARE:
             mal_pool.append(i)
-        elif lab == GOODWARE:
-            good_pool.append(i)
-        elif policy.ambiguous_handling == "goodware":
+        elif lab == GOODWARE or policy.ambiguous_handling == "goodware":
             good_pool.append(i)
 
     if not mal_pool:

@@ -9,7 +9,6 @@ computed once per dataset and reused across folds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -123,25 +122,6 @@ class ReputationTable:
 
     def issuer_rep(self, issuer_id: str) -> float:
         return self.issuers.get(issuer_id, self.global_prior)
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "global_prior": self.global_prior,
-            "n_fit_rows": self.n_fit_rows,
-            "developers": dict(sorted(self.developers.items())),
-            "issuers": dict(sorted(self.issuers.items())),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "ReputationTable":
-        return ReputationTable(
-            alpha=float(obj["alpha"]),
-            global_prior=float(obj["global_prior"]),
-            developers={str(k): float(v) for k, v in obj["developers"].items()},
-            issuers={str(k): float(v) for k, v in obj["issuers"].items()},
-            n_fit_rows=int(obj.get("n_fit_rows", 0)),
-        )
 
 
 def build_reputation_table(
@@ -290,15 +270,6 @@ class FeatureMatrix:
 
     def select_rows(self, rows: np.ndarray) -> "FeatureMatrix":
         return FeatureMatrix(self.column_names, self.values[rows])
-
-    def to_csv(self, path: str) -> None:
-        """Deterministic CSV: header then repr-formatted floats."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(self.column_names))
-            fh.write("\n")
-            for row in self.values:
-                fh.write(",".join(repr(float(v)) for v in row))
-                fh.write("\n")
 
 
 def feature_names(hash_config: HashConfig) -> tuple[str, ...]:

@@ -493,64 +493,3 @@ def train_model(
     if kind == "forest":
         return train_forest(X, y, hyper.forest)
     raise ValueError(f"unknown model kind: {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-_FORMAT_VERSION = 1
-
-
-def model_to_json(model: Model) -> dict:
-    doc: dict = {"format_version": _FORMAT_VERSION, "kind": model.kind}
-    doc["column_names"] = list(model.column_names)
-    if isinstance(model, LinearModel):
-        doc["weights"] = [float(w) for w in model.weights]
-        doc["bias"] = model.bias
-    else:
-        doc["importances"] = [float(v) for v in model.importances]
-        doc["trees"] = [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "value": tree.value.tolist(),
-            }
-            for tree in model.trees
-        ]
-    return doc
-
-
-def model_from_json(doc: dict) -> Model:
-    version = doc.get("format_version")
-    if version != _FORMAT_VERSION:
-        raise ContractError(f"unsupported model format version: {version!r}")
-    kind = doc["kind"]
-    names = tuple(doc["column_names"])
-    if kind in ("logistic", "linear_svm"):
-        return LinearModel(
-            kind=kind,
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            bias=float(doc["bias"]),
-            column_names=names,
-        )
-    if kind == "forest":
-        trees = [
-            Tree(
-                feature=np.asarray(t["feature"], dtype=np.int64),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=np.int64),
-                right=np.asarray(t["right"], dtype=np.int64),
-                value=np.asarray(t["value"], dtype=np.float64),
-            )
-            for t in doc["trees"]
-        ]
-        return ForestModel(
-            kind=kind,
-            trees=trees,
-            column_names=names,
-            importances=np.asarray(doc["importances"], dtype=np.float64),
-        )
-    raise ContractError(f"unknown model kind in document: {kind!r}")

@@ -1,7 +1,8 @@
-"""Deterministic report rendering: CSV, Markdown, and a minimal SVG plotter.
+"""Deterministic report rendering and writing: CSV, Markdown, JSON, a
+minimal SVG plotter, and the staged all-or-nothing file writer.
 
-Everything here is pure string generation: no timestamps, no locale, no
-float formatting that could drift between runs, so identical inputs give
+Rendering is pure string generation: no timestamps, no locale, no float
+formatting that could drift between runs, so identical inputs give
 byte-identical files.
 
 The *_REFERENCE constants are the benchmark figures reported by the
@@ -13,6 +14,8 @@ proprietary, so local numbers come from synthetic corpora.
 
 from __future__ import annotations
 
+import json
+import os
 from typing import Optional, Sequence
 
 # (model kind, malware fraction, detection threshold) ->
@@ -225,3 +228,152 @@ def svg_line_chart(
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Experiment reports
+# ---------------------------------------------------------------------------
+
+FORMATS = ("csv", "markdown", "svg")
+
+# experiment -> charts: (curve kind, file name, title, x label, y label,
+# y range, log2 x axis).
+_CHART_SPECS = {
+    "hash-size-sweep": [
+        ("roc", "roc_curves.svg", "Held-out ROC by hash size",
+         "false positive rate", "true positive rate", (0.0, 1.0), False),
+        ("auc-vs-size", "auc_vs_size.svg", "Pooled test AUC vs hash size",
+         "hash buckets (log2)", "AUC", (0.4, 1.0), True),
+    ],
+    "feature-count-curve": [
+        ("f1-vs-k", "f1_vs_feature_count.svg", "Mean test F1 vs top-k features",
+         "top-k features", "mean test F1", (0.0, 1.0), False),
+    ],
+    "benchmark-grid": [
+        ("f1-vs-fraction", "f1_by_cell.svg", "Mean test F1 by malware share",
+         "malware fraction", "mean test F1", (0.0, 1.0), False),
+    ],
+    "robustness-windows": [
+        ("f1-vs-window", "f1_vs_window.svg", "Mean test F1 by window start rank",
+         "window start rank", "mean test F1", (0.0, 1.0), False),
+    ],
+}
+
+
+def report_markdown(report) -> str:
+    """report.md for a `bench.BenchReport`: result tables, then the
+    published-reference note and the flags."""
+    lines = [f"# {report.experiment}", ""]
+    lines.append("Configuration digest: `" + report.provenance.get("config_digest", "") + "`")
+    lines.append("Corpus digest: `" + report.provenance.get("corpus_digest", "") + "`")
+    lines.append("")
+    if not report.rows:
+        lines.append("_No results: every point failed or was infeasible "
+                     "(see flags below)._")
+        lines.append("")
+    else:
+        if report.experiment == "benchmark-grid":
+            model_order = []
+            for row in report.rows:
+                if row["model"] not in model_order:
+                    model_order.append(row["model"])
+            for model in model_order:
+                lines.append(f"## {MODEL_LABELS.get(model, model)} (train/test)")
+                lines.append("")
+                header = ["malware", "threshold", "F1", "precision", "recall",
+                          "reference F1"]
+                rows = []
+                for r in (x for x in report.rows if x["model"] == model):
+                    ref = ""
+                    if r["reference_train_f1"] is not None:
+                        ref = (f"{r['reference_train_f1']:.2f}/"
+                               f"{r['reference_test_f1']:.2f}")
+                    rows.append([
+                        f"{r['malware_fraction']:.0%}",
+                        f"{r['threshold']}-AV",
+                        f"{fmt4(r['mean_train_f1'])}/{fmt4(r['mean_test_f1'])}",
+                        f"{fmt4(r['mean_train_precision'])}/{fmt4(r['mean_test_precision'])}",
+                        f"{fmt4(r['mean_train_recall'])}/{fmt4(r['mean_test_recall'])}",
+                        ref,
+                    ])
+                lines.append(markdown_table(header, rows))
+        else:
+            rows = [[fmt4(r[c]) if isinstance(r[c], float) else ("" if r[c] is None else str(r[c]))
+                     for c in report.columns] for r in report.rows]
+            lines.append(markdown_table(report.columns, rows))
+        lines.append("")
+    if report.reference:
+        lines.append("## Published reference values")
+        lines.append("")
+        lines.append(
+            "_Reported by the original study on its proprietary corpus; "
+            "shown for orientation only, never asserted._"
+        )
+        lines.append("")
+    if report.flags:
+        lines.append("## Flags")
+        lines.append("")
+        for f in report.flags:
+            lines.append(f"- {f}")
+        lines.append("")
+    return "\n".join(lines)
+
+
+def json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def report_files(report, formats: Sequence[str] = FORMATS) -> dict[str, str]:
+    """File name -> text for a `bench.BenchReport`: the selected formats,
+    plus provenance.json and report.json always."""
+    unknown = set(formats) - set(FORMATS)
+    if unknown:
+        raise ValueError(f"unknown report formats: {sorted(unknown)}")
+    files: dict[str, str] = {}
+    if "csv" in formats:
+        rows = [[r.get(c) for c in report.columns] for r in report.rows]
+        files["results.csv"] = csv_text(report.columns, rows)
+    if "markdown" in formats:
+        files["report.md"] = report_markdown(report)
+    if "svg" in formats:
+        for kind, name, title, xl, yl, y_range, log_x in _CHART_SPECS.get(
+            report.experiment, []
+        ):
+            series = [
+                (c["name"], c["x"], c["y"])
+                for c in report.curves
+                if c.get("kind") == kind and None not in c["y"]
+            ]
+            if series:
+                files[name] = svg_line_chart(
+                    series, title, xl, yl, y_range=y_range, log_x=log_x
+                )
+    files["provenance.json"] = json_text(report.provenance)
+    files["report.json"] = json_text(report.to_json())
+    return files
+
+
+def write_files(out_dir: str, files: dict[str, str]) -> list[str]:
+    """Write every file into `out_dir`, all or nothing; returns the paths.
+
+    All content is staged to temporary files first and moved into place
+    together, so a failure leaves no partial outputs behind.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    staged = []
+    written = []
+    try:
+        for name, text in files.items():
+            tmp = os.path.join(out_dir, name + ".tmp")
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            staged.append((tmp, os.path.join(out_dir, name)))
+        for tmp, final in staged:
+            os.replace(tmp, final)
+            written.append(final)
+    except OSError:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
+    return written

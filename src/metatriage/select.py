@@ -211,13 +211,6 @@ def rank_features(
     )
 
 
-def rank_and_window(
-    ranked: RankedFeatures, start: int, width: int
-) -> tuple[RankedFeatures, tuple[str, ...]]:
-    """Sliding-window selection over an existing ranking (1-based start)."""
-    return ranked, ranked.window(start, width)
-
-
 def ranking_to_csv_text(ranked: RankedFeatures) -> str:
     """rank,column,method,raw,normalized rows for every computed method."""
     lines = ["rank,column,method,raw,normalized"]

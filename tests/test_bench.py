@@ -10,7 +10,6 @@ from metatriage.bench import (
     _derive_seed,
     _downsample_curve,
     _map_ordered,
-    _report_markdown,
     emit_report,
     feature_count_curve,
     grid_benchmark,
@@ -25,6 +24,7 @@ from metatriage.corpus import (
 from metatriage.evaluate import PipelineConfig, SelectionSpec, cross_validate
 from metatriage.featurize import HashConfig
 from metatriage.learn import ForestParams, Hyperparams, LogisticParams, SvmParams
+from metatriage.reporting import report_markdown
 
 from test_corpus import make_record
 
@@ -279,7 +279,7 @@ class TestGridBenchmark:
             small_corpus, grid, top_k=5, ranking_method="info_gain",
             k=3, hyper=small_hyper(),
         )
-        md = _report_markdown(report)
+        md = report_markdown(report)
         assert "## Logistic Regression (train/test)" in md
         assert "## Random Forest (train/test)" in md
         assert "never asserted" in md

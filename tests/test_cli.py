@@ -105,11 +105,13 @@ class TestFeaturize:
         ]
         path = work / "ambiguous.jsonl"
         write_corpus(records, str(path))
-        out = work / "never.csv"
-        assert main(["featurize", "--corpus", str(path), "--out", str(out),
-                     "--threshold", "4"]) == 2
-        capsys.readouterr()
-        assert not out.exists()
+        for command in ("featurize", "rank"):
+            out = work / f"never-{command}.csv"
+            assert main([command, "--corpus", str(path), "--out", str(out),
+                         "--threshold", "4"]) == 2
+            err = capsys.readouterr().err
+            assert "error: no records admissible under the label policy" in err
+            assert not out.exists()
 
 
 class TestRank:
@@ -267,6 +269,21 @@ class TestBenchCommands:
         rows = (out / "results.csv").read_text().splitlines()
         assert rows[0].startswith("size,")
         assert len(rows) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["hyper"]["logistic"]["epochs"] == 300
+
+    def test_sweep_applies_config_hyper(self, corpus_path, work, capsys):
+        config = work / "sweep-hyper.json"
+        config.write_text(json.dumps({"hyper": {"logistic": {"epochs": 1}}}))
+        out = work / "sweep-hyper"
+        assert main([
+            "sweep-hashes", "--corpus", str(corpus_path), "--sizes", "8",
+            "--k", "2", "--subset-size", "200", "--seed", "11",
+            "--config", str(config), "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["hyper"]["logistic"]["epochs"] == 1
 
     def test_sweep_is_deterministic_across_threads(self, corpus_path, work, capsys):
         a, b = work / "sweep-t1", work / "sweep-t8"

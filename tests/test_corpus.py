@@ -131,9 +131,10 @@ class TestParsing:
             parse_records(text)
 
     def test_error_cap(self):
-        text = "{bad\n" * 12
-        with pytest.raises(ParseError):
-            parse_records(text, max_errors=10)
+        # invalid JSON, then valid JSON lines that are not objects
+        for text in ("{bad\n" * 12, "[1,2]\n" * 12):
+            with pytest.raises(ParseError):
+                parse_records(text, max_errors=10)
 
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):

@@ -117,14 +117,6 @@ class TestReputation:
         for v in list(table.developers.values()) + list(table.issuers.values()):
             assert 0.0 < v < 1.0
 
-    def test_json_round_trip(self):
-        records, labels = self.records()
-        table = build_reputation_table(records, labels)
-        back = ReputationTable.from_json(table.to_json())
-        assert back.developers == table.developers
-        assert back.issuers == table.issuers
-        assert back.global_prior == table.global_prior
-
     def test_length_mismatch_raises(self):
         records, labels = self.records()
         with pytest.raises(ContractError):
@@ -228,14 +220,6 @@ class TestFeatureMatrix:
         m = FeatureMatrix(("a",), np.zeros((1, 1)))
         with pytest.raises(KeyError):
             m.select_columns(["nope"])
-
-    def test_csv_export_is_deterministic(self, tmp_path):
-        m = FeatureMatrix(("a", "b"), np.array([[0.1, 1.0], [2.5, -3.0]]))
-        p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-        m.to_csv(str(p1))
-        m.to_csv(str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
-        assert p1.read_text().splitlines()[0] == "a,b"
 
 
 class TestBinning:

@@ -14,8 +14,6 @@ from metatriage.learn import (
     best_split,
     grow_tree,
     logistic_loss_grad,
-    model_from_json,
-    model_to_json,
     predict_score,
     svm_objective,
     train_forest,
@@ -358,29 +356,6 @@ class TestPredictScore:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("kind", ["logistic", "linear_svm", "forest"])
-    def test_round_trip_preserves_predictions(self, kind):
-        X, y = two_clusters(n=60)
-        hyper = Hyperparams(
-            logistic=LogisticParams(epochs=20),
-            svm=SvmParams(epochs=3),
-            forest=ForestParams(n_trees=3, seed=5),
-        )
-        model = train_model(kind, X, y, hyper)
-        restored = model_from_json(model_to_json(model))
-        assert np.array_equal(predict_score(model, X), predict_score(restored, X))
-        assert restored.column_names == model.column_names
-
-    def test_unsupported_version_rejected(self):
-        with pytest.raises(ContractError):
-            model_from_json({"format_version": 99, "kind": "logistic"})
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ContractError):
-            model_from_json(
-                {"format_version": 1, "kind": "mlp", "column_names": []}
-            )
-
     def test_train_model_unknown_kind(self):
         X, y = two_clusters(n=10)
         with pytest.raises(ValueError):

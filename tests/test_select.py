@@ -12,7 +12,6 @@ from metatriage.select import (
     RankedFeatures,
     _borda,
     _contingency,
-    rank_and_window,
     rank_features,
     ranking_to_csv_text,
     score_chi_squared,
@@ -283,7 +282,7 @@ class TestRanking:
     def test_window_excludes_leading_ranks(self):
         matrix, labels = planted_matrix()
         ranked = rank_features(matrix, labels, ranking_method="info_gain")
-        _, window = rank_and_window(ranked, start=2, width=2)
+        window = ranked.window(2, 2)
         assert "x0" not in window
         assert len(window) == 2
 
