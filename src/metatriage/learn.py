@@ -288,34 +288,34 @@ def best_split(
     identically to weighted Gini decrease; ties break toward the lower
     feature index, then the lower threshold. Thresholds are midpoints
     between adjacent distinct values.
+
+    All features are searched at once: column-wise stable sorts and prefix
+    counts along axis 0, then costs at every boundary between distinct
+    values, listed by feature, then by left side size, so the first
+    minimum is the tie-break winner.
     """
     n = len(y)
-    best: Optional[tuple[int, float, float]] = None
-    for j in feature_indices:
-        col = A[:, j]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        sy = y[order]
-        pos = np.cumsum(sy)
-        total_pos = pos[-1]
-        splits = np.flatnonzero(sv[1:] > sv[:-1]) + 1  # left side sizes
-        if len(splits) == 0:
-            continue
-        valid = (splits >= min_leaf) & (n - splits >= min_leaf)
-        splits = splits[valid]
-        if len(splits) == 0:
-            continue
-        nl = splits.astype(np.float64)
-        nr = n - nl
-        ml = pos[splits - 1].astype(np.float64)
-        mr = total_pos - ml
-        cost = ml * (nl - ml) / nl + mr * (nr - mr) / nr
-        k = int(np.argmin(cost))  # argmin keeps the first (lowest threshold) on ties
-        cand_cost = float(cost[k])
-        threshold = (sv[splits[k] - 1] + sv[splits[k]]) / 2.0
-        if best is None or cand_cost < best[2]:
-            best = (int(j), float(threshold), cand_cost)
-    return best
+    features = np.asarray(feature_indices, dtype=np.int64)
+    lo, hi = max(min_leaf, 1), min(n - min_leaf, n - 1)  # left side sizes
+    if len(features) == 0 or lo > hi:
+        return None
+    cols = A[:, features]
+    order = np.argsort(cols, axis=0, kind="stable")
+    sv = cols[order, np.arange(len(features))]
+    pos = np.cumsum(y[order], axis=0)
+    col, row = np.nonzero((sv[lo : hi + 1] > sv[lo - 1 : hi]).T)
+    if len(col) == 0:
+        return None
+    left = row + lo
+    nl = left.astype(np.float64)
+    nr = n - nl
+    ml = pos[left - 1, col].astype(np.float64)
+    mr = pos[-1, col] - ml
+    cost = ml * (nl - ml) / nl + mr * (nr - mr) / nr
+    k = int(np.argmin(cost))
+    jj, s = int(col[k]), int(left[k])
+    threshold = (sv[s - 1, jj] + sv[s, jj]) / 2.0
+    return int(features[jj]), float(threshold), float(cost[k])
 
 
 def grow_tree(
@@ -374,10 +374,14 @@ def grow_tree(
             tried = np.sort(rng.choice(p, size=mtry, replace=False))
         else:
             tried = np.arange(p)
-        found = best_split(A[rows], ny, tried, params.min_leaf)
+        # Gather only the tried columns; `tried` is sorted, so the local
+        # feature order (and tie-break) is the global one.
+        block = A[rows[:, None], tried]
+        found = best_split(block, ny, np.arange(len(tried)), params.min_leaf)
         if found is None:
             continue
-        j, thr, cost = found
+        jj, thr, cost = found
+        j = int(tried[jj])
         parent_cost = m * (nn - m) / nn
         decrease = 2.0 * (parent_cost - cost) / n_total
         if decrease <= 0:
@@ -385,7 +389,7 @@ def grow_tree(
         importances[j] += decrease
         feature[node_id] = j
         threshold[node_id] = thr
-        go_left = A[rows, j] <= thr
+        go_left = block[:, jj] <= thr
         # Push right first so the left child is grown (and numbered) first.
         stack.append((rows[~go_left], depth + 1, node_id, True))
         stack.append((rows[go_left], depth + 1, node_id, False))
