@@ -2,8 +2,8 @@
 
 One executable, ten subcommands, strict exit codes: 0 success, 1 usage
 error, 2 data/contract error. Every subcommand taking --seed is
-end-to-end deterministic, and --threads only changes wall time, never
-output bytes.
+end-to-end deterministic. --threads sets how many worker processes an
+experiment forks; it only changes wall time, never output bytes.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--seed", type=int, help="master seed (default 0)")
         p.add_argument("--out", help="output file or directory")
         if threaded:
-            p.add_argument("--threads", type=int, help="worker threads (default 1)")
+            p.add_argument("--threads", type=int, help="worker processes (default 1)")
         p.add_argument("--dry-run", action="store_const", const=True,
                        help="print the resolved run config and do nothing")
 
@@ -220,13 +220,35 @@ class _Options:
         return value
 
     def hyperparams(self, default: Hyperparams = bench.DEFAULT_HYPER) -> Hyperparams:
-        """The config file's `hyper` section, or `default` without one."""
+        """`default` with the keys that the config file's `hyper` section
+        names replaced; a model or key that `default` lacks is an error."""
+        merged = default.to_json()
         section = self.file_config.get("hyper", {})
-        if not section:
-            self.resolved["hyper"] = default.to_json()
-            return default
-        self.resolved["hyper"] = section
-        return Hyperparams.from_json(section)
+        if not isinstance(section, dict):
+            raise UsageError("config key 'hyper' must hold a JSON object")
+        for model, values in section.items():
+            if model not in merged:
+                raise UsageError(
+                    f"unknown hyper section {model!r}; expected one of {', '.join(merged)}"
+                )
+            if not isinstance(values, dict):
+                raise UsageError(f"hyper section {model!r} must hold a JSON object")
+            unknown = sorted(set(values) - set(merged[model]))
+            if unknown:
+                raise UsageError(f"unknown {model} hyperparameter(s): {', '.join(unknown)}")
+            merged[model].update(values)
+        self.resolved["hyper"] = merged
+        try:
+            return Hyperparams.from_json(merged)
+        except TypeError as exc:
+            raise UsageError(f"invalid hyper section: {exc}") from None
+
+    def threads(self) -> int:
+        """The experiment's worker process count, at least 1."""
+        threads = self.get("threads", 1)
+        if not isinstance(threads, int) or threads < 1:
+            raise UsageError(f"--threads must be a positive integer, got {threads!r}")
+        return threads
 
     def run_record(self) -> dict:
         """The tool, the subcommand and every option resolved so far."""
@@ -455,7 +477,7 @@ def _cmd_sweep_hashes(opts: _Options) -> int:
         k=opts.get("k", 5),
         seed=seed,
         hyper=opts.hyperparams(bench.SWEEP_HYPER),
-        threads=opts.get("threads", 1),
+        threads=opts.threads(),
     )
     return _emit(report, opts)
 
@@ -472,7 +494,7 @@ def _cmd_curve_features(opts: _Options) -> int:
         seed=seed,
         hyper=opts.hyperparams(),
         frozen_ranking=_read_frozen_ranking(opts.get("frozen_ranking")),
-        threads=opts.get("threads", 1),
+        threads=opts.threads(),
     )
     return _emit(report, opts)
 
@@ -494,7 +516,7 @@ def _cmd_benchmark_grid(opts: _Options) -> int:
         k=opts.get("k", 10),
         hyper=opts.hyperparams(),
         frozen_ranking=_read_frozen_ranking(opts.get("frozen_ranking")),
-        threads=opts.get("threads", 1),
+        threads=opts.threads(),
         ambiguous_handling="goodware" if opts.get("ambiguous_as_goodware") else "exclude",
         leaky_reputation=bool(opts.get("paper_leaky", False)),
     )
@@ -517,7 +539,7 @@ def _cmd_robustness(opts: _Options) -> int:
         ranking_method=opts.get("method", "mdni"),
         hyper=opts.hyperparams(),
         frozen_ranking=_read_frozen_ranking(opts.get("frozen_ranking")),
-        threads=opts.get("threads", 1),
+        threads=opts.threads(),
     )
     return _emit(report, opts)
 
@@ -560,9 +582,11 @@ def dispatch(argv: Sequence[str]) -> int:
         # Resolve the subcommand's common options, then echo every explicit
         # flag and any config-file key so the printout shows what a real run
         # would use.
-        for name, default in (("seed", 0), ("threads", 1), ("out", None)):
+        for name, default in (("seed", 0), ("out", None)):
             if name in vars(args):
                 opts.get(name, default)
+        if "threads" in vars(args):
+            opts.threads()
         for key, value in sorted(vars(args).items()):
             if key in ("subcommand", "dry_run", "config") or value is None:
                 continue

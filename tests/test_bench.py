@@ -1,9 +1,17 @@
+import contextlib
 import json
+import multiprocessing
 import os
+import shutil
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import metatriage
 from metatriage.bench import (
     BenchmarkGrid,
     BenchReport,
@@ -21,6 +29,7 @@ from metatriage.corpus import (
     DetectionLabelPolicy,
     compose_subset,
 )
+from metatriage.errors import ContractError, MetatriageError
 from metatriage.evaluate import PipelineConfig, SelectionSpec, cross_validate
 from metatriage.featurize import HashConfig
 from metatriage.learn import ForestParams, Hyperparams, LogisticParams, SvmParams
@@ -35,6 +44,23 @@ def small_hyper():
         svm=SvmParams(epochs=5),
         forest=ForestParams(n_trees=15, max_depth=8, min_leaf=5),
     )
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once it has run `seconds`, so a hung
+    worker pool fails the test instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +108,64 @@ class TestHelpers:
         serial = _map_ordered(tasks, lambda t: t * t, threads=1)
         threaded = _map_ordered(tasks, lambda t: t * t, threads=8)
         assert serial == threaded == [t * t for t in tasks]
+
+    def test_map_ordered_reraises_a_worker_exception(self):
+        def fn(t):
+            if t == 3:
+                raise ContractError(f"task {t} rejected")
+            return t
+
+        with deadline(60), pytest.raises(ContractError, match="^task 3 rejected$"):
+            _map_ordered(list(range(6)), fn, threads=3)
+        assert not multiprocessing.active_children()
+
+    def test_map_ordered_reports_a_dead_worker(self):
+        start = time.monotonic()
+        with deadline(60), pytest.raises(MetatriageError, match="exited abruptly"):
+            _map_ordered(list(range(6)), lambda t: os._exit(3) if t == 2 else t, threads=3)
+        assert time.monotonic() - start < 10
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.skipif(shutil.which("ps") is None, reason="reads process states with ps")
+    def test_map_ordered_workers_exit_when_the_caller_is_killed(self, tmp_path):
+        script = (
+            "import os, sys, time\n"
+            "from metatriage.bench import _map_ordered\n"
+            "def task(t):\n"
+            "    open(os.path.join(sys.argv[1], str(os.getpid())), 'w').close()\n"
+            "    time.sleep(120)\n"
+            "_map_ordered([0, 1], task, threads=2)\n"
+        )
+        src = os.path.dirname(os.path.dirname(metatriage.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        caller = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env)
+
+        def alive(pid):
+            # an exited orphan that is not reaped yet shows as a zombie (Z)
+            state = subprocess.run(
+                ["ps", "-o", "stat=", "-p", str(pid)], capture_output=True, text=True
+            ).stdout.strip()
+            return bool(state) and not state.startswith("Z")
+
+        try:
+            with deadline(60):
+                while len(os.listdir(tmp_path)) < 2:
+                    time.sleep(0.05)
+        finally:
+            caller.kill()
+            caller.wait(timeout=10)
+        workers = [int(name) for name in os.listdir(tmp_path)]
+        start = time.monotonic()
+        while any(alive(pid) for pid in workers) and time.monotonic() - start < 10:
+            time.sleep(0.1)
+        assert not any(alive(pid) for pid in workers)
+
+    def test_map_ordered_uses_at_most_threads_worker_processes(self):
+        with deadline(60):
+            pids = _map_ordered(list(range(6)), lambda t: os.getpid(), threads=3)
+        assert 1 <= len(set(pids)) <= 3
+        assert os.getpid() not in pids
+        assert not multiprocessing.active_children()
 
 
 class TestBenchReport:
@@ -257,6 +341,24 @@ class TestGridBenchmark:
         assert any("infeasible" in f and "4-AV" in f for f in report.flags)
         assert [r["threshold"] for r in report.rows] == [1]
 
+    def test_grid_is_thread_count_invariant(self, small_corpus):
+        # no record reaches 54 detections, so the 54-AV cells are infeasible
+        # and their flags come back from the workers
+        grid = BenchmarkGrid(
+            malware_fractions=(0.25, 0.5), thresholds=(1, 54), subset_size=200,
+            model_kinds=("logistic", "forest"), seed=4,
+        )
+        a, b = (
+            grid_benchmark(
+                small_corpus, grid, top_k=5, ranking_method="info_gain",
+                k=3, hyper=small_hyper(), threads=threads,
+            )
+            for threads in (1, 3)
+        )
+        assert a.to_json() == b.to_json()
+        assert len(a.rows) == 4
+        assert sum("54-AV) infeasible" in f for f in a.flags) == 2
+
     def test_rows_sorted_model_major(self, small_corpus):
         grid = BenchmarkGrid(
             malware_fractions=(0.5,), thresholds=(1, 2), subset_size=200,
@@ -299,6 +401,18 @@ class TestRobustnessWindows:
         # published pairs exist for (1, 1) and (1, 3)
         assert all(r["reference_test_f1"] is not None for r in report.rows)
         assert report.curves[0]["kind"] == "f1-vs-window"
+
+    def test_windows_are_thread_count_invariant(self, small_corpus):
+        a, b = (
+            robustness_windows(
+                small_corpus, window_width=3, step=2, n_windows=3,
+                thresholds=(1, 2), subset_size=200, k=3, seed=6,
+                ranking_method="info_gain", hyper=small_hyper(), threads=threads,
+            )
+            for threads in (1, 3)
+        )
+        assert a.to_json() == b.to_json()
+        assert len(a.rows) == 6
 
     def test_published_start_schedule(self):
         # the full 7-window schedule used by the published study

@@ -149,6 +149,35 @@ class TestCv:
         assert prov["subcommand"] == "cv"
         assert len(prov["corpus_digest"]) == 64
 
+    def test_provenance_records_merged_hyper(self, corpus_path, work, capsys):
+        config = work / "cv-hyper.json"
+        config.write_text(json.dumps({"hyper": {"logistic": {"epochs": 50}}}))
+        out = work / "cv-hyper"
+        assert main([
+            "cv", "--corpus", str(corpus_path), "--model", "logistic",
+            "--k", "2", "--subset-size", "200", "--config", str(config),
+            "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        hyper = json.loads((out / "provenance.json").read_text())["options"]["hyper"]
+        assert hyper["logistic"]["epochs"] == 50
+        assert hyper["logistic"]["learning_rate"] == 0.1
+        assert hyper["forest"]["n_trees"] == 60
+
+    @pytest.mark.parametrize("hyper", [
+        {"logistic": {"foo": 1}},
+        {"boosting": {"n_trees": 5}},
+        {"forest": {"n_trees": "5"}},
+    ])
+    def test_bad_config_hyper_is_a_usage_error(self, corpus_path, work, capsys, hyper):
+        config = work / "cv-bad-hyper.json"
+        config.write_text(json.dumps({"hyper": hyper}))
+        assert main([
+            "cv", "--corpus", str(corpus_path), "--model", "logistic",
+            "--k", "2", "--subset-size", "200", "--config", str(config),
+        ]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
     def test_single_class_corpus_is_a_data_error(self, goodware_path, capsys):
         code = main(["cv", "--corpus", str(goodware_path), "--k", "2"])
         assert code == 2
@@ -284,6 +313,35 @@ class TestBenchCommands:
         capsys.readouterr()
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["hyper"]["logistic"]["epochs"] == 1
+
+    def test_config_hyper_overrides_only_the_keys_it_names(self, corpus_path, work, capsys):
+        config = work / "sweep-forest-hyper.json"
+        config.write_text(json.dumps({"hyper": {"forest": {"n_trees": 5}}}))
+        out = work / "sweep-forest-hyper"
+        assert main([
+            "sweep-hashes", "--corpus", str(corpus_path), "--sizes", "8",
+            "--k", "2", "--subset-size", "200", "--seed", "11",
+            "--config", str(config), "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        hyper = json.loads((out / "report.json").read_text())["config"]["hyper"]
+        assert hyper["forest"]["n_trees"] == 5
+        assert hyper["logistic"]["epochs"] == 300
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_a_usage_error(self, corpus_path, work, capsys, threads):
+        out = work / f"sweep-threads{threads}"
+        assert main([
+            "sweep-hashes", "--corpus", str(corpus_path), "--sizes", "8",
+            "--k", "2", "--subset-size", "200", "--threads", threads,
+            "--out", str(out),
+        ]) == 1
+        assert "usage error:" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([
+            "sweep-hashes", "--corpus", str(corpus_path), "--threads", threads, "--dry-run",
+        ]) == 1
+        assert "usage error:" in capsys.readouterr().err
 
     def test_sweep_is_deterministic_across_threads(self, corpus_path, work, capsys):
         a, b = work / "sweep-t1", work / "sweep-t8"
