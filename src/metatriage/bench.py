@@ -6,9 +6,11 @@ seed, and produces a BenchReport; `emit_report` renders it to
 byte-identical files through `reporting`. The four experiments share one
 scaffold: `_new_report` pins config, corpus digest and provenance,
 `_selection` chooses between a frozen column slice and a per-fold ranking,
-`_cross_validate` turns a failed run into a flag message, and `_completed`
-runs the cells or points in forked worker processes and merges their
-results in task order, so the worker count never changes output bytes.
+`_prepare` builds one fold plan per dataset and seed, `_evaluate` runs
+each model kind or rank window on it and turns a failed run into a flag
+message, and `_completed` runs the cells or points in forked worker
+processes and merges their results in task order, so the worker count
+never changes output bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,12 +37,14 @@ from .corpus import (
 from .errors import CompositionError, MetatriageError
 from .evaluate import (
     EvalReport,
+    FoldPlan,
     PipelineConfig,
     SelectionSpec,
-    cross_validate,
+    evaluate,
+    prepare_folds,
     roc_and_auc,
 )
-from .featurize import HashConfig, hash_column_names, static_feature_block
+from .featurize import HashConfig, hash_column_names
 from .learn import ForestParams, Hyperparams, LogisticParams
 
 DEFAULT_SWEEP_SIZES = (32, 64, 128, 256, 512, 1024, 2048)
@@ -129,7 +133,7 @@ def _downsample_curve(points: np.ndarray, cap: int = 512) -> np.ndarray:
 
 # The (tasks, fn) of the running `_map_ordered`. Forked workers inherit it,
 # so only task indices go to them and only results come back; the corpus,
-# subsets and static blocks the tasks refer to are shared copy-on-write.
+# subsets and fold plans the tasks refer to are shared copy-on-write.
 _job: Optional[tuple[Sequence, Callable]] = None
 
 
@@ -226,13 +230,27 @@ def _selection(
     return SelectionSpec(columns=tuple(frozen_ranking[first : first + width]))
 
 
-def _cross_validate(
-    label: str, dataset: LabeledDataset, model_kind: str, **kwargs
-) -> tuple[Optional[EvalReport], Optional[str]]:
-    """(cross_validate(dataset, model_kind, **kwargs), None), or (None, a
-    flag naming `label`) when that run fails."""
+def _prepare(
+    dataset: LabeledDataset, k: int, seed: int, config: PipelineConfig
+) -> Union[FoldPlan, MetatriageError, ValueError]:
+    """prepare_folds(dataset, k, seed, config), or the error it raised."""
     try:
-        return cross_validate(dataset, model_kind, **kwargs), None
+        return prepare_folds(dataset, k, seed, config)
+    except (MetatriageError, ValueError) as exc:
+        return exc
+
+
+def _evaluate(
+    label: str, plan: Union[FoldPlan, Exception], model_kind: str,
+    selection: Optional[SelectionSpec] = None,
+) -> tuple[Optional[EvalReport], Optional[str]]:
+    """(evaluate(plan, model_kind, selection), None), or (None, a flag
+    naming `label`) when that run or the preparation of `plan` failed; a
+    failed preparation is flagged for every run that shares it."""
+    if isinstance(plan, Exception):
+        return None, f"{label} failed: {plan}"
+    try:
+        return evaluate(plan, model_kind, selection), None
     except (MetatriageError, ValueError) as exc:
         return None, f"{label} failed: {exc}"
 
@@ -304,10 +322,8 @@ def hash_size_sweep(
             selection=SelectionSpec(columns=hash_column_names(hash_config)),
             hyper=hyper,
         )
-        ev, error = _cross_validate(
-            f"size {size}", dataset, model_kind, k=k, seed=_derive_seed(seed, size),
-            config=pipeline,
-        )
+        plan = _prepare(dataset, k, _derive_seed(seed, size), pipeline)
+        ev, error = _evaluate(f"size {size}", plan, model_kind)
         if ev is None:
             return None, error
         if ev.pooled_scores is None:
@@ -352,7 +368,6 @@ def feature_count_curve(
     k: int = 10,
     seed: int = 0,
     hyper: Hyperparams = DEFAULT_HYPER,
-    hash_config: HashConfig = HashConfig(),
     frozen_ranking: Optional[Sequence[str]] = None,
     threads: int = 1,
 ) -> BenchReport:
@@ -370,7 +385,7 @@ def feature_count_curve(
         "ranking_method": ranking_method,
         "k": k,
         "seed": seed,
-        "hash_buckets": hash_config.n_buckets,
+        "hash_buckets": HashConfig().n_buckets,
         "frozen_ranking": list(frozen_ranking) if frozen_ranking else None,
         "hyper": hyper.to_json(),
     }
@@ -379,28 +394,36 @@ def feature_count_curve(
         ["model", "top_k", "mean_train_f1", "mean_test_f1", "std_test_f1"],
         flags=dataset.flags,
     )
-    static = static_feature_block(dataset.records, hash_config)
-    tasks = [(m, top_k) for m in model_kinds for top_k in ks]
 
-    def run_point(task):
-        model_kind, top_k = task
+    def run_k(top_k: int) -> list[tuple]:
         spec = _selection(ranking_method, frozen_ranking, top_k=top_k)
-        pipeline = PipelineConfig(hash_config=hash_config, selection=spec, hyper=hyper)
-        return _cross_validate(
-            f"model {model_kind} top_k {top_k}", dataset, model_kind, k=k,
-            seed=_derive_seed(seed, top_k), config=pipeline, static_block=static,
-        )
+        pipeline = PipelineConfig(selection=spec, hyper=hyper)
+        plan = _prepare(dataset, k, _derive_seed(seed, top_k), pipeline)
+        return [
+            _evaluate(f"model {model_kind} top_k {top_k}", plan, model_kind)
+            for model_kind in model_kinds
+        ]
 
-    for (model_kind, top_k), ev in _completed(report, tasks, run_point, threads):
-        report.rows.append(
-            {
-                "model": model_kind,
-                "top_k": top_k,
-                "mean_train_f1": ev.mean("train", "f1"),
-                "mean_test_f1": ev.mean("test", "f1"),
-                "std_test_f1": ev.std("test", "f1"),
-            }
-        )
+    # One plan per top_k serves every model; results are filed model-major.
+    by_k = _map_ordered(list(ks), run_k, threads)
+    for mi, model_kind in enumerate(model_kinds):
+        for top_k, runs in zip(ks, by_k):
+            ev, error = runs[mi]
+            if ev is None:
+                report.flags.append(error)
+                continue
+            report.flags.extend(
+                f"model {model_kind} top_k {top_k}: {f}" for f in ev.exclusions()
+            )
+            report.rows.append(
+                {
+                    "model": model_kind,
+                    "top_k": top_k,
+                    "mean_train_f1": ev.mean("train", "f1"),
+                    "mean_test_f1": ev.mean("test", "f1"),
+                    "std_test_f1": ev.std("test", "f1"),
+                }
+            )
     for model_kind in model_kinds:
         rows = [r for r in report.rows if r["model"] == model_kind]
         label = reporting.MODEL_LABELS.get(model_kind, model_kind)
@@ -420,7 +443,6 @@ def grid_benchmark(
     ranking_method: str = "mdni",
     k: int = 10,
     hyper: Hyperparams = DEFAULT_HYPER,
-    hash_config: HashConfig = HashConfig(),
     frozen_ranking: Optional[Sequence[str]] = None,
     threads: int = 1,
     ambiguous_handling: str = "exclude",
@@ -442,7 +464,7 @@ def grid_benchmark(
         "top_k": top_k,
         "ranking_method": ranking_method,
         "k": k,
-        "hash_buckets": hash_config.n_buckets,
+        "hash_buckets": HashConfig().n_buckets,
         "frozen_ranking": list(frozen_ranking) if frozen_ranking else None,
         "ambiguous_handling": ambiguous_handling,
         "leaky_reputation": leaky_reputation,
@@ -461,7 +483,6 @@ def grid_benchmark(
     if leaky_reputation:
         report.flags.append("leaky-reputation: tables fitted on full subsets")
     pipeline = PipelineConfig(
-        hash_config=hash_config,
         selection=_selection(ranking_method, frozen_ranking, top_k=top_k),
         hyper=hyper,
         leaky_reputation=leaky_reputation,
@@ -486,13 +507,10 @@ def grid_benchmark(
             subset = compose_subset(corpus, recipe)
         except CompositionError as exc:
             return None, f"{where} infeasible: {exc}"
-        static = static_feature_block(subset.records, hash_config)
+        plan = _prepare(subset, k, _derive_seed(grid.seed, ci, 1), pipeline)
         cell_rows, cell_flags = [], list(subset.flags)
         for model_kind in grid.model_kinds:
-            ev, error = _cross_validate(
-                f"{where} {model_kind}", subset, model_kind, k=k,
-                seed=_derive_seed(grid.seed, ci, 1), config=pipeline, static_block=static,
-            )
+            ev, error = _evaluate(f"{where} {model_kind}", plan, model_kind)
             if ev is None:
                 cell_flags.append(error)
                 continue
@@ -576,7 +594,6 @@ def robustness_windows(
     seed: int = 0,
     ranking_method: str = "mdni",
     hyper: Hyperparams = DEFAULT_HYPER,
-    hash_config: HashConfig = HashConfig(),
     frozen_ranking: Optional[Sequence[str]] = None,
     threads: int = 1,
 ) -> BenchReport:
@@ -599,7 +616,7 @@ def robustness_windows(
         "k": k,
         "seed": seed,
         "ranking_method": ranking_method,
-        "hash_buckets": hash_config.n_buckets,
+        "hash_buckets": HashConfig().n_buckets,
         "frozen_ranking": list(frozen_ranking) if frozen_ranking else None,
         "hyper": hyper.to_json(),
     }
@@ -612,6 +629,11 @@ def robustness_windows(
         ],
     )
 
+    # Each threshold's plan ranks by `ranking_method` (top_k only makes the
+    # spec valid); every window then picks its own ranks from that ranking.
+    pipeline = PipelineConfig(
+        selection=_selection(ranking_method, frozen_ranking, top_k=window_width), hyper=hyper
+    )
     tasks = []
     for ti, threshold in enumerate(thresholds):
         recipe = CompositionRecipe(
@@ -626,22 +648,18 @@ def robustness_windows(
             report.flags.append(f"threshold {threshold}-AV infeasible: {exc}")
             continue
         report.flags.extend(f"{threshold}-AV: {f}" for f in subset.flags)
-        static = static_feature_block(subset.records, hash_config)
-        for start in starts:
-            tasks.append((threshold, start, subset, static, ti))
+        plan = _prepare(subset, k, _derive_seed(seed, ti, 1), pipeline)
+        tasks.extend((threshold, start, plan) for start in starts)
 
     def run_window(task):
-        threshold, start, subset, static, ti = task
+        threshold, start, plan = task
         spec = _selection(
             ranking_method, frozen_ranking, window_start=start, window_width=window_width
         )
-        pipeline = PipelineConfig(hash_config=hash_config, selection=spec, hyper=hyper)
-        return _cross_validate(
-            f"{threshold}-AV window {start}", subset, model_kind, k=k,
-            seed=_derive_seed(seed, ti, 1), config=pipeline, static_block=static,
-        )
+        return _evaluate(f"{threshold}-AV window {start}", plan, model_kind, spec)
 
-    for (threshold, start, *_), ev in _completed(report, tasks, run_window, threads):
+    for (threshold, start, _), ev in _completed(report, tasks, run_window, threads):
+        report.flags.extend(f"{threshold}-AV window {start}: {f}" for f in ev.exclusions())
         ref = reporting.WINDOW_REFERENCE.get((threshold, start), (None, None))
         report.rows.append(
             {

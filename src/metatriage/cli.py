@@ -33,8 +33,8 @@ from .corpus import (
 from .errors import MetatriageError
 from .evaluate import PipelineConfig, SelectionSpec, cross_validate
 from .featurize import FeatureMatrix, HashConfig, assemble_features, build_reputation_table
-from .learn import ForestParams, Hyperparams
-from .select import rank_features, ranking_to_csv_text
+from .learn import Hyperparams
+from .select import RankingParams, rank_features, ranking_to_csv_text
 
 
 class UsageError(Exception):
@@ -412,7 +412,7 @@ def _cmd_rank(opts: _Options) -> int:
         y,
         ranking_method=opts.get("method", "mdni"),
         n_bins=opts.get("n_bins", 10),
-        forest_params=ForestParams(n_trees=20, max_depth=8, min_leaf=20, seed=seed),
+        forest_params=RankingParams().forest(seed),
     )
     _output(opts, ranking_to_csv_text(ranked), "ranking")
     top = [ranked.column_names[i] for i in ranked.order[:15]]

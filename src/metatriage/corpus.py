@@ -13,7 +13,7 @@ import hashlib
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -487,25 +487,7 @@ class GeneratorConfig:
         return GeneratorConfig(**obj)
 
     def to_json(self) -> dict:
-        return {
-            "n_apps": self.n_apps,
-            "n_developers": self.n_developers,
-            "n_issuers": self.n_issuers,
-            "malware_developer_fraction": self.malware_developer_fraction,
-            "malware_rate": self.malware_rate,
-            "permission_vocabulary_size": self.permission_vocabulary_size,
-            "self_signed_fraction": self.self_signed_fraction,
-            "signal_strengths": {
-                "reputation": self.signal_strengths.reputation,
-                "temporal": self.signal_strengths.temporal,
-                "permissions": self.signal_strengths.permissions,
-                "social": self.signal_strengths.social,
-            },
-            "engine_count_distribution": {
-                "exponent": self.engine_count_distribution.exponent,
-                "max_count": self.engine_count_distribution.max_count,
-            },
-        }
+        return asdict(self)
 
 
 def _zipf_multiset(n: int, model: DetectionCountModel) -> np.ndarray:

@@ -3,6 +3,9 @@
 Everything label-dependent (reputation tables, feature ranking, binning,
 standardization, the operating threshold) is fitted inside each training
 fold; the held-out chunk only ever gets transformed and scored.
+`prepare_folds` fits what model kinds and rank windows share (per training
+fold, one reputation table and one ranking); `evaluate` fits and scores
+one model kind on that plan.
 """
 
 from __future__ import annotations
@@ -17,14 +20,17 @@ import numpy as np
 from .corpus import LabeledDataset
 from .errors import ContractError, DegenerateLabelsError
 from .featurize import (
+    FeatureMatrix,
     HashConfig,
+    ReputationTable,
     assemble_features,
     build_reputation_table,
     static_feature_block,
     standardize_fit_apply,
 )
-from .learn import ForestParams, Hyperparams, predict_score, train_model
-from .select import rank_features
+from .learn import Hyperparams, predict_score, train_model
+from .reporting import csv_text
+from .select import RankedFeatures, RankingParams, rank_features
 
 # ---------------------------------------------------------------------------
 # Point metrics
@@ -206,7 +212,6 @@ class SelectionSpec:
     window_start: Optional[int] = None
     window_width: Optional[int] = None
     columns: Optional[tuple[str, ...]] = None
-    n_bins: int = 10
 
     def __post_init__(self):
         if self.columns is not None:
@@ -220,27 +225,24 @@ class SelectionSpec:
         if has_k == has_window:
             raise ValueError("selection needs exactly one of top_k or a window")
 
-
-@dataclass(frozen=True)
-class RankingParams:
-    """Desk-scale defaults for the per-fold mdni ranking forest."""
-
-    n_trees: int = 20
-    max_depth: int = 8
-    min_leaf: int = 20
-    subsample: int = 1500
+    def pick(self, ranking: Optional[RankedFeatures]) -> tuple[str, ...]:
+        """The frozen columns, or the ranks this spec names of `ranking`."""
+        if self.columns is not None:
+            return self.columns
+        if ranking is None or ranking.ranking_method != self.method:
+            raise ContractError(f"the fold plan holds no {self.method} ranking")
+        if self.top_k is not None:
+            return ranking.top(self.top_k)
+        return ranking.window(self.window_start, self.window_width)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     hash_config: HashConfig = field(default_factory=HashConfig)
-    reputation_alpha: float = 1.0
-    standardize_linear: bool = True
     selection: Optional[SelectionSpec] = None
     hyper: Hyperparams = field(default_factory=Hyperparams)
     ranking: RankingParams = field(default_factory=RankingParams)
     leaky_reputation: bool = False
-    capture_fold_tables: bool = False
 
 
 @dataclass
@@ -259,6 +261,9 @@ class FoldResult:
         return any(f.startswith("degenerate") for f in self.flags)
 
 
+_METRICS = ("precision", "recall", "f1", "auc")
+
+
 @dataclass
 class EvalReport:
     model_kind: str
@@ -268,10 +273,15 @@ class EvalReport:
     flags: list[str] = field(default_factory=list)
     pooled_scores: Optional[np.ndarray] = None
     pooled_labels: Optional[np.ndarray] = None
-    fold_tables: list = field(default_factory=list)
 
     def _included(self) -> list[FoldResult]:
         return [f for f in self.folds if not f.degenerate]
+
+    def exclusions(self) -> list[str]:
+        """One flag per degenerate fold, which the means leave out."""
+        return [
+            f"fold {f.fold} excluded: {'; '.join(f.flags)}" for f in self.folds if f.degenerate
+        ]
 
     def mean(self, which: str, metric: str) -> float:
         vals = self._values(which, metric)
@@ -295,41 +305,31 @@ class EvalReport:
         return out
 
     def to_json(self) -> dict:
+        def summary(stat) -> dict:
+            return {which: {m: stat(which, m) for m in _METRICS} for which in ("train", "test")}
+
+        def block(m: Metrics, auc: Optional[float]) -> dict:
+            return {
+                "precision": m.precision,
+                "recall": m.recall,
+                "f1": m.f1,
+                "auc": auc,
+                "confusion": dataclasses.asdict(m.confusion),
+            }
+
         return {
             "model_kind": self.model_kind,
             "k": self.k,
             "seed": self.seed,
             "flags": list(self.flags),
-            "means": {
-                which: {
-                    m: self.mean(which, m) for m in ("precision", "recall", "f1", "auc")
-                }
-                for which in ("train", "test")
-            },
-            "stds": {
-                which: {
-                    m: self.std(which, m) for m in ("precision", "recall", "f1", "auc")
-                }
-                for which in ("train", "test")
-            },
+            "means": summary(self.mean),
+            "stds": summary(self.std),
             "folds": [
                 {
                     "fold": f.fold,
                     "threshold": f.threshold,
-                    "train": {
-                        "precision": f.train.precision,
-                        "recall": f.train.recall,
-                        "f1": f.train.f1,
-                        "auc": f.train_auc,
-                        "confusion": dataclasses.asdict(f.train.confusion),
-                    },
-                    "test": {
-                        "precision": f.test.precision,
-                        "recall": f.test.recall,
-                        "f1": f.test.f1,
-                        "auc": f.test_auc,
-                        "confusion": dataclasses.asdict(f.test.confusion),
-                    },
+                    "train": block(f.train, f.train_auc),
+                    "test": block(f.test, f.test_auc),
                     "flags": list(f.flags),
                 }
                 for f in self.folds
@@ -337,29 +337,19 @@ class EvalReport:
         }
 
     def to_csv_text(self) -> str:
-        lines = [
-            "fold,threshold,train_precision,train_recall,train_f1,train_auc,"
-            "test_precision,test_recall,test_f1,test_auc,flags"
+        header = ["fold", "threshold"] + [
+            f"{which}_{m}" for which in ("train", "test") for m in _METRICS
         ]
-        for f in self.folds:
-            lines.append(
-                ",".join(
-                    [
-                        str(f.fold),
-                        repr(f.threshold),
-                        repr(f.train.precision),
-                        repr(f.train.recall),
-                        repr(f.train.f1),
-                        "" if f.train_auc is None else repr(f.train_auc),
-                        repr(f.test.precision),
-                        repr(f.test.recall),
-                        repr(f.test.f1),
-                        "" if f.test_auc is None else repr(f.test_auc),
-                        ";".join(f.flags),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(header + ["flags"], [
+            [f.fold, f.threshold, f.train.precision, f.train.recall, f.train.f1, f.train_auc,
+             f.test.precision, f.test.recall, f.test.f1, f.test_auc, ";".join(f.flags)]
+            for f in self.folds
+        ])
+
+
+# ---------------------------------------------------------------------------
+# Fold preparation and evaluation
+# ---------------------------------------------------------------------------
 
 
 def _derived_seeds(seed: int, fold: int) -> tuple[int, int, int]:
@@ -369,12 +359,166 @@ def _derived_seeds(seed: int, fold: int) -> tuple[int, int, int]:
     return int(state[0]), int(state[1]), int(state[2])
 
 
-def _fold_hyper(hyper: Hyperparams, svm_seed: int, forest_seed: int) -> Hyperparams:
-    return Hyperparams(
-        logistic=hyper.logistic,
-        svm=dataclasses.replace(hyper.svm, seed=svm_seed),
-        forest=dataclasses.replace(hyper.forest, seed=forest_seed),
-    )
+@dataclass
+class PreparedFold:
+    """One fold's rows and what was fitted on its training rows. A
+    degenerate fold carries its `flags` and no table."""
+
+    fold: int
+    train_idx: np.ndarray
+    test_idx: np.ndarray
+    flags: tuple[str, ...] = ()
+    table: Optional[ReputationTable] = None
+    ranking: Optional[RankedFeatures] = None
+
+
+@dataclass
+class FoldPlan:
+    """What model kinds and rank windows share: the split, the static block
+    and each fold's fitted parts. It holds no feature matrices; `evaluate`
+    assembles one fold's at a time."""
+
+    dataset: LabeledDataset
+    labels: np.ndarray
+    k: int
+    seed: int
+    config: PipelineConfig
+    static_block: np.ndarray
+    folds: list[PreparedFold]
+    flags: list[str]
+
+    def features(self, rows: np.ndarray, table: ReputationTable) -> FeatureMatrix:
+        return assemble_features(
+            [self.dataset.records[i] for i in rows],
+            self.config.hash_config,
+            table,
+            self.static_block[rows],
+        )
+
+
+def prepare_folds(
+    dataset: LabeledDataset,
+    k: int = 10,
+    seed: int = 0,
+    config: PipelineConfig = PipelineConfig(),
+) -> FoldPlan:
+    """Split `dataset` into k stratified folds and fit each training fold's
+    reputation table and, when `config.selection` ranks, its ranking.
+    Single-class folds are flagged degenerate and get nothing fitted."""
+    labels = np.asarray(dataset.labels).astype(np.int64)
+    n = len(dataset.records)
+    if n != len(labels):
+        raise ContractError("dataset records/labels mismatch")
+    if labels.sum() == 0 or labels.sum() == n:
+        raise DegenerateLabelsError("cross-validation needs both classes present")
+
+    static_block = static_feature_block(dataset.records, config.hash_config)
+    plan = FoldPlan(dataset, labels, k, seed, config, static_block, [], list(dataset.flags))
+    if config.leaky_reputation:
+        plan.flags.append("leaky-reputation: tables fitted on the full dataset")
+    sel = config.selection
+    all_idx = np.arange(n)
+    for fold_id, test_idx in enumerate(stratified_folds(labels, k, seed)):
+        test_mask = np.zeros(n, dtype=bool)
+        test_mask[test_idx] = True
+        fold = PreparedFold(fold_id, all_idx[~test_mask], test_idx)
+        plan.folds.append(fold)
+        flags = []
+        if len(np.unique(labels[fold.train_idx])) < 2:
+            flags.append("degenerate: single-class training chunk")
+        if len(np.unique(labels[test_idx])) < 2:
+            flags.append("degenerate: single-class test chunk")
+        if flags:
+            fold.flags = tuple(flags)
+            continue
+
+        rep_rows = all_idx if config.leaky_reputation else fold.train_idx
+        fold.table = build_reputation_table(
+            [dataset.records[i] for i in rep_rows], labels[rep_rows]
+        )
+        if sel is not None and sel.method is not None:
+            rank_seed = _derived_seeds(seed, fold_id)[0]
+            rows = fold.train_idx
+            if len(rows) > config.ranking.subsample:
+                rng = np.random.default_rng(np.random.SeedSequence([rank_seed, 0x7A5C]))
+                rows = rows[rng.choice(len(rows), config.ranking.subsample, replace=False)]
+            fold.ranking = rank_features(
+                plan.features(rows, fold.table),
+                labels[rows],
+                ranking_method=sel.method,
+                forest_params=config.ranking.forest(rank_seed),
+            )
+    return plan
+
+
+_EXCLUDED = Metrics(ConfusionMatrix(0, 0, 0, 0), 0.0, 0.0, 0.0, ("degenerate",))
+
+
+def evaluate(
+    plan: FoldPlan, model_kind: str, selection: Optional[SelectionSpec] = None
+) -> EvalReport:
+    """Fit, score and measure `model_kind` on every fold of `plan`, on the
+    columns `selection` (by default the plan's) picks. Linear models see
+    standardized columns; degenerate folds are flagged and left out."""
+    sel = plan.config.selection if selection is None else selection
+    labels = plan.labels
+    report = EvalReport(model_kind, plan.k, plan.seed, folds=[], flags=list(plan.flags))
+    if sel is not None and sel.columns is not None:
+        report.flags.append("frozen-ranking: externally fixed feature set")
+
+    pooled = np.full(len(labels), np.nan)
+    for fold in plan.folds:
+        if fold.table is None:
+            report.folds.append(
+                FoldResult(fold.fold, math.nan, _EXCLUDED, _EXCLUDED, None, None, None, fold.flags)
+            )
+            continue
+        y_train, y_test = labels[fold.train_idx], labels[fold.test_idx]
+        X_train = plan.features(fold.train_idx, fold.table)
+        X_test = plan.features(fold.test_idx, fold.table)
+        selected = None if sel is None else sel.pick(fold.ranking)
+        if selected is not None:
+            X_train = X_train.select_columns(selected)
+            X_test = X_test.select_columns(selected)
+        if model_kind in ("logistic", "linear_svm"):
+            train_vals, test_vals = standardize_fit_apply(X_train.values, X_test.values)
+            X_train = type(X_train)(X_train.column_names, train_vals)
+            X_test = type(X_test)(X_test.column_names, test_vals)
+
+        _, svm_seed, forest_seed = _derived_seeds(plan.seed, fold.fold)
+        hyper = plan.config.hyper
+        hyper = dataclasses.replace(
+            hyper,
+            svm=dataclasses.replace(hyper.svm, seed=svm_seed),
+            forest=dataclasses.replace(hyper.forest, seed=forest_seed),
+        )
+        model = train_model(model_kind, X_train, y_train, hyper)
+        train_scores = predict_score(model, X_train)
+        test_scores = predict_score(model, X_test)
+        pooled[fold.test_idx] = test_scores
+
+        threshold = threshold_max_f1(train_scores, y_train)
+        train_metrics = classification_metrics(y_train, train_scores >= threshold)
+        test_metrics = classification_metrics(y_test, test_scores >= threshold)
+        report.folds.append(
+            FoldResult(
+                fold=fold.fold,
+                threshold=threshold,
+                train=train_metrics,
+                test=test_metrics,
+                train_auc=roc_and_auc(train_scores, y_train).auc,
+                test_auc=roc_and_auc(test_scores, y_test).auc,
+                selected_columns=selected,
+                flags=tuple(f"train-{x}" for x in train_metrics.flags)
+                + tuple(f"test-{x}" for x in test_metrics.flags),
+            )
+        )
+    report.flags.extend(report.exclusions())
+
+    if not np.isnan(pooled).any():
+        report.pooled_scores = pooled
+        report.pooled_labels = labels
+    return report
 
 
 def cross_validate(
@@ -383,143 +527,6 @@ def cross_validate(
     k: int = 10,
     seed: int = 0,
     config: PipelineConfig = PipelineConfig(),
-    static_block: Optional[np.ndarray] = None,
 ) -> EvalReport:
-    """Stratified k-fold evaluation of one model kind on raw records.
-
-    Reputation tables, ranking, standardization, and the operating
-    threshold are refitted per fold on training rows only. Folds that end
-    up single-class are flagged degenerate and excluded from the means.
-    Pass a precomputed `static_block` for the dataset's records to avoid
-    re-hashing when several calls share one dataset.
-    """
-    labels = np.asarray(dataset.labels).astype(np.int64)
-    n = len(dataset.records)
-    if n != len(labels):
-        raise ContractError("dataset records/labels mismatch")
-    if labels.sum() == 0 or labels.sum() == n:
-        raise DegenerateLabelsError("cross-validation needs both classes present")
-
-    if static_block is None:
-        static_block = static_feature_block(dataset.records, config.hash_config)
-    folds = stratified_folds(labels, k, seed)
-
-    report = EvalReport(model_kind=model_kind, k=k, seed=seed, folds=[])
-    report.flags.extend(dataset.flags)
-    if config.leaky_reputation:
-        report.flags.append("leaky-reputation: tables fitted on the full dataset")
-    if config.selection is not None and config.selection.columns is not None:
-        report.flags.append("frozen-ranking: externally fixed feature set")
-
-    pooled = np.full(n, np.nan)
-    all_idx = np.arange(n)
-    for fold_id, test_idx in enumerate(folds):
-        test_mask = np.zeros(n, dtype=bool)
-        test_mask[test_idx] = True
-        train_idx = all_idx[~test_mask]
-        flags: list[str] = []
-
-        y_train, y_test = labels[train_idx], labels[test_idx]
-        if len(np.unique(y_train)) < 2:
-            flags.append("degenerate: single-class training chunk")
-        if len(np.unique(y_test)) < 2:
-            flags.append("degenerate: single-class test chunk")
-        if flags:
-            empty = Metrics(ConfusionMatrix(0, 0, 0, 0), 0.0, 0.0, 0.0, ("degenerate",))
-            report.folds.append(
-                FoldResult(fold_id, math.nan, empty, empty, None, None, None, tuple(flags))
-            )
-            report.flags.append(f"fold {fold_id} excluded: {'; '.join(flags)}")
-            continue
-
-        rep_rows = all_idx if config.leaky_reputation else train_idx
-        table = build_reputation_table(
-            [dataset.records[i] for i in rep_rows],
-            labels[rep_rows],
-            alpha=config.reputation_alpha,
-        )
-        if config.capture_fold_tables:
-            report.fold_tables.append(
-                {"fold": fold_id, "table": table, "train_idx": train_idx, "test_idx": test_idx}
-            )
-
-        train_records = [dataset.records[i] for i in train_idx]
-        test_records = [dataset.records[i] for i in test_idx]
-        X_train = assemble_features(
-            train_records, config.hash_config, table, static_block[train_idx]
-        )
-        X_test = assemble_features(
-            test_records, config.hash_config, table, static_block[test_idx]
-        )
-
-        rank_seed, svm_seed, forest_seed = _derived_seeds(seed, fold_id)
-        selected: Optional[tuple[str, ...]] = None
-        sel = config.selection
-        if sel is not None:
-            if sel.columns is not None:
-                selected = sel.columns
-            else:
-                rank_rows = np.arange(len(train_idx))
-                if len(rank_rows) > config.ranking.subsample:
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence([rank_seed, 0x7A5C])
-                    )
-                    rank_rows = rng.choice(
-                        len(train_idx), config.ranking.subsample, replace=False
-                    )
-                ranked = rank_features(
-                    X_train.select_rows(rank_rows),
-                    y_train[rank_rows],
-                    ranking_method=sel.method,
-                    n_bins=sel.n_bins,
-                    forest_params=ForestParams(
-                        n_trees=config.ranking.n_trees,
-                        max_depth=config.ranking.max_depth,
-                        min_leaf=config.ranking.min_leaf,
-                        seed=rank_seed,
-                    ),
-                )
-                if sel.top_k is not None:
-                    selected = ranked.top(sel.top_k)
-                else:
-                    selected = ranked.window(sel.window_start, sel.window_width)
-        if selected is not None:
-            X_train = X_train.select_columns(selected)
-            X_test = X_test.select_columns(selected)
-
-        if config.standardize_linear and model_kind in ("logistic", "linear_svm"):
-            train_vals, test_vals = standardize_fit_apply(X_train.values, X_test.values)
-            X_train = type(X_train)(X_train.column_names, train_vals)
-            X_test = type(X_test)(X_test.column_names, test_vals)
-
-        hyper = _fold_hyper(config.hyper, svm_seed, forest_seed)
-        model = train_model(model_kind, X_train, y_train, hyper)
-        train_scores = predict_score(model, X_train)
-        test_scores = predict_score(model, X_test)
-        pooled[test_idx] = test_scores
-
-        threshold = threshold_max_f1(train_scores, y_train)
-        train_metrics = classification_metrics(y_train, train_scores >= threshold)
-        test_metrics = classification_metrics(y_test, test_scores >= threshold)
-        train_auc = roc_and_auc(train_scores, y_train).auc
-        test_auc = roc_and_auc(test_scores, y_test).auc
-        flags.extend(f"train-{x}" for x in train_metrics.flags)
-        flags.extend(f"test-{x}" for x in test_metrics.flags)
-
-        report.folds.append(
-            FoldResult(
-                fold=fold_id,
-                threshold=threshold,
-                train=train_metrics,
-                test=test_metrics,
-                train_auc=train_auc,
-                test_auc=test_auc,
-                selected_columns=selected,
-                flags=tuple(flags),
-            )
-        )
-
-    if not np.isnan(pooled).any():
-        report.pooled_scores = pooled
-        report.pooled_labels = labels
-    return report
+    """Stratified k-fold evaluation of one model kind on raw records."""
+    return evaluate(prepare_folds(dataset, k, seed, config), model_kind)

@@ -268,9 +268,6 @@ class FeatureMatrix:
                 raise KeyError(f"no such column: {name}") from None
         return FeatureMatrix(tuple(names), self.values[:, idx])
 
-    def select_rows(self, rows: np.ndarray) -> "FeatureMatrix":
-        return FeatureMatrix(self.column_names, self.values[rows])
-
 
 def feature_names(hash_config: HashConfig) -> tuple[str, ...]:
     return (

@@ -10,7 +10,7 @@ fractions for the forest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -65,26 +65,7 @@ class Hyperparams:
     forest: ForestParams = field(default_factory=ForestParams)
 
     def to_json(self) -> dict:
-        return {
-            "logistic": {
-                "learning_rate": self.logistic.learning_rate,
-                "l2_lambda": self.logistic.l2_lambda,
-                "epochs": self.logistic.epochs,
-                "tolerance": self.logistic.tolerance,
-            },
-            "svm": {
-                "regularization_c": self.svm.regularization_c,
-                "epochs": self.svm.epochs,
-                "seed": self.svm.seed,
-            },
-            "forest": {
-                "n_trees": self.forest.n_trees,
-                "max_depth": self.forest.max_depth,
-                "min_leaf": self.forest.min_leaf,
-                "mtry": self.forest.mtry,
-                "seed": self.forest.seed,
-            },
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(obj: dict) -> "Hyperparams":

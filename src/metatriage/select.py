@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ContractError
 from .featurize import FeatureMatrix, bin_column
+from .learn import ForestParams, train_forest
 
 METHODS = ("chi_squared", "info_gain", "gain_ratio", "mdni", "borda")
 
@@ -136,6 +137,22 @@ class RankedFeatures:
         return tuple(self.column_names[i] for i in self.order[start - 1 : start - 1 + width])
 
 
+@dataclass(frozen=True)
+class RankingParams:
+    """Desk-scale defaults for the mdni ranking forest; cross-validation
+    ranks at most `subsample` training rows per fold."""
+
+    n_trees: int = 20
+    max_depth: int = 8
+    min_leaf: int = 20
+    subsample: int = 1500
+
+    def forest(self, seed: int) -> ForestParams:
+        return ForestParams(
+            n_trees=self.n_trees, max_depth=self.max_depth, min_leaf=self.min_leaf, seed=seed
+        )
+
+
 def _borda(by_method: dict[str, FeatureScore], n: int) -> np.ndarray:
     """Borda-count aggregation: each method awards n-1 .. 0 points by rank."""
     points = np.zeros(n, dtype=np.float64)
@@ -150,14 +167,15 @@ def rank_features(
     labels: np.ndarray,
     ranking_method: str = "mdni",
     n_bins: int = 10,
-    forest_params=None,
+    forest_params: Optional[ForestParams] = None,
     methods: Optional[Sequence[str]] = None,
 ) -> RankedFeatures:
     """Score every column and produce one ordering.
 
     Filter methods (chi_squared, info_gain, gain_ratio) run on rank-binned
-    columns; mdni trains a forest on the raw matrix. "borda" aggregates
-    whatever other methods were computed.
+    columns; mdni trains a forest on the raw matrix (by default the
+    `RankingParams` forest with seed 13). "borda" aggregates whatever other
+    methods were computed.
     """
     labels = np.asarray(labels)
     if matrix.n_rows != len(labels):
@@ -188,11 +206,7 @@ def rank_features(
             raw = np.array([scorers[m](b, labels) for b in binned])
             by_method[m] = FeatureScore(m, raw)
     if "mdni" in methods:
-        from .learn import ForestParams, train_forest
-
-        params = forest_params if forest_params is not None else ForestParams(
-            n_trees=20, max_depth=8, min_leaf=20, seed=13
-        )
+        params = forest_params if forest_params is not None else RankingParams().forest(13)
         forest = train_forest(matrix, labels, params)
         by_method["mdni"] = FeatureScore("mdni", score_mdni(forest))
 

@@ -26,7 +26,7 @@ from metatriage.corpus import (
 from metatriage.evaluate import (
     PipelineConfig,
     classification_metrics,
-    cross_validate,
+    prepare_folds,
     roc_and_auc,
 )
 from metatriage.learn import best_split, logistic_loss_grad
@@ -427,16 +427,16 @@ def test_leakage_guard(small_corpus):
     records = small_corpus[:100]
     labels = np.array([1 if r.detection_count >= 1 else 0 for r in records])
     dataset = LabeledDataset(records=records, labels=labels)
-    config = PipelineConfig(capture_fold_tables=True)
-    report = cross_validate(dataset, "logistic", k=5, seed=17, config=config)
-    assert len(report.fold_tables) == 5
+    plan = prepare_folds(dataset, k=5, seed=17, config=PipelineConfig())
+    fitted = [fold for fold in plan.folds if fold.table is not None]
+    assert len(fitted) == 5
 
     checked_entities = 0
     leaks = 0
-    for entry in report.fold_tables:
-        train_idx = set(entry["train_idx"].tolist())
-        test_idx = set(entry["test_idx"].tolist())
-        table = entry["table"]
+    for fold in fitted:
+        train_idx = set(fold.train_idx.tolist())
+        test_idx = set(fold.test_idx.tolist())
+        table = fold.table
 
         # direct counting oracle over training rows only
         dev_counts: dict = {}

@@ -63,6 +63,22 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Counts the rankings cross-validation computes."""
+    import metatriage.evaluate
+
+    calls = []
+    real = metatriage.evaluate.rank_features
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["ranking_method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metatriage.evaluate, "rank_features", counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def bench_dataset(small_corpus):
     recipe = CompositionRecipe(
@@ -301,6 +317,24 @@ class TestFeatureCountCurve:
         with pytest.raises(ValueError):
             feature_count_curve(bench_dataset, ks=())
 
+    def test_degenerate_folds_are_flagged_per_run(self, small_corpus):
+        # 4 malware rows in 5 folds: fold 4 holds no malware
+        recipe = CompositionRecipe(
+            malware_fraction=0.02, policy=DetectionLabelPolicy(threshold=1),
+            target_size=200, seed=3,
+        )
+        dataset = compose_subset(small_corpus, recipe)
+        assert int(dataset.labels.sum()) == 4
+        report = feature_count_curve(
+            dataset, ks=(2, 4), model_kinds=("logistic", "forest"),
+            ranking_method="info_gain", k=5, seed=5, hyper=small_hyper(),
+        )
+        assert report.flags == [
+            f"model {m} top_k {t}: fold 4 excluded: degenerate: single-class test chunk"
+            for m in ("logistic", "forest") for t in (2, 4)
+        ]
+        assert "fold 4 excluded" in report_markdown(report)
+
 
 class TestGridBenchmark:
     def test_small_grid(self, small_corpus):
@@ -359,6 +393,18 @@ class TestGridBenchmark:
         assert len(a.rows) == 4
         assert sum("54-AV) infeasible" in f for f in a.flags) == 2
 
+    def test_model_kinds_share_one_ranking_per_fold(self, small_corpus, rank_calls):
+        grid = BenchmarkGrid(
+            malware_fractions=(0.5,), thresholds=(1,), subset_size=200,
+            model_kinds=("logistic", "linear_svm", "forest"), seed=4,
+        )
+        report = grid_benchmark(
+            small_corpus, grid, top_k=5, ranking_method="info_gain",
+            k=3, hyper=small_hyper(),
+        )
+        assert len(report.rows) == 3
+        assert rank_calls == ["info_gain"] * 3  # one per fold, not per model
+
     def test_rows_sorted_model_major(self, small_corpus):
         grid = BenchmarkGrid(
             malware_fractions=(0.5,), thresholds=(1, 2), subset_size=200,
@@ -413,6 +459,28 @@ class TestRobustnessWindows:
         )
         assert a.to_json() == b.to_json()
         assert len(a.rows) == 6
+
+    def test_windows_share_one_ranking_per_fold(self, small_corpus, rank_calls):
+        report = robustness_windows(
+            small_corpus, window_width=3, step=2, n_windows=3,
+            thresholds=(1, 2), subset_size=200, k=3, seed=6,
+            ranking_method="info_gain", hyper=small_hyper(),
+        )
+        assert len(report.rows) == 6
+        # k rankings per threshold, not k per window
+        assert rank_calls == ["info_gain"] * (2 * 3)
+
+    def test_degenerate_folds_are_flagged_per_window(self, small_corpus):
+        report = robustness_windows(
+            small_corpus, window_width=3, step=2, n_windows=2, thresholds=(1,),
+            malware_fraction=0.02, subset_size=200, k=5, seed=6,
+            ranking_method="info_gain", hyper=small_hyper(),
+        )
+        assert len(report.rows) == 2
+        assert report.flags == [
+            f"1-AV window {start}: fold 4 excluded: degenerate: single-class test chunk"
+            for start in (1, 3)
+        ]
 
     def test_published_start_schedule(self):
         # the full 7-window schedule used by the published study

@@ -21,6 +21,8 @@ from metatriage.evaluate import (
     SelectionSpec,
     classification_metrics,
     cross_validate,
+    evaluate,
+    prepare_folds,
     roc_and_auc,
     stratified_folds,
     threshold_max_f1,
@@ -387,60 +389,65 @@ class TestCrossValidate:
         assert all(f.selected_columns == frozen for f in report.folds)
         assert any(flag.startswith("frozen-ranking") for flag in report.flags)
 
+    def test_one_plan_serves_every_window_of_its_ranking(self, small_dataset):
+        config = quick_config(selection=SelectionSpec(method="info_gain", top_k=4))
+        plan = prepare_folds(small_dataset, k=3, seed=4, config=config)
+        window = SelectionSpec(method="info_gain", window_start=3, window_width=2)
+        report = evaluate(plan, "logistic", window)
+        for fold, result in zip(plan.folds, report.folds):
+            assert result.selected_columns == fold.ranking.window(3, 2)
+        assert evaluate(plan, "logistic").to_json() == cross_validate(
+            small_dataset, "logistic", k=3, seed=4, config=config
+        ).to_json()
+        # a selection needs the plan's ranking method
+        with pytest.raises(ContractError):
+            evaluate(plan, "logistic", SelectionSpec(method="chi_squared", top_k=4))
+        bare = prepare_folds(small_dataset, k=3, seed=4, config=quick_config())
+        assert all(fold.ranking is None for fold in bare.folds)
+        with pytest.raises(ContractError):
+            evaluate(bare, "logistic", window)
+
     def test_reputation_tables_are_train_only(self, small_corpus):
         records = small_corpus[:100]
         labels = np.array([1 if r.detection_count >= 1 else 0 for r in records])
         dataset = LabeledDataset(records=records, labels=labels)
-        config = quick_config(capture_fold_tables=True)
-        report = cross_validate(dataset, "forest", k=4, seed=6, config=config)
-        assert len(report.fold_tables) == 4
-        for entry in report.fold_tables:
-            train_idx = entry["train_idx"]
+        plan = prepare_folds(dataset, k=4, seed=6, config=quick_config())
+        fitted = [fold for fold in plan.folds if fold.table is not None]
+        assert len(fitted) == 4
+        for fold in fitted:
+            train_idx = fold.train_idx
             rebuilt = build_reputation_table(
                 [records[i] for i in train_idx], labels[train_idx], alpha=1.0
             )
-            assert entry["table"].developers == rebuilt.developers
-            assert entry["table"].issuers == rebuilt.issuers
-            assert entry["table"].global_prior == rebuilt.global_prior
+            assert fold.table.developers == rebuilt.developers
+            assert fold.table.issuers == rebuilt.issuers
+            assert fold.table.global_prior == rebuilt.global_prior
             # entities seen only in held-out rows must be absent
             train_devs = {records[i].developer_id for i in train_idx}
-            for i in entry["test_idx"]:
+            for i in fold.test_idx:
                 dev = records[i].developer_id
                 if dev not in train_devs:
-                    assert dev not in entry["table"].developers
+                    assert dev not in fold.table.developers
 
     def test_leaky_mode_differs_and_is_flagged(self, small_corpus):
         records = small_corpus[:100]
         labels = np.array([1 if r.detection_count >= 1 else 0 for r in records])
         dataset = LabeledDataset(records=records, labels=labels)
-        safe = cross_validate(
-            dataset, "forest", k=4, seed=6,
-            config=quick_config(capture_fold_tables=True),
+        safe_plan = prepare_folds(dataset, k=4, seed=6, config=quick_config())
+        leaky_plan = prepare_folds(
+            dataset, k=4, seed=6, config=quick_config(leaky_reputation=True)
         )
-        leaky = cross_validate(
-            dataset, "forest", k=4, seed=6,
-            config=quick_config(capture_fold_tables=True, leaky_reputation=True),
-        )
+        safe = evaluate(safe_plan, "forest")
+        leaky = evaluate(leaky_plan, "forest")
         assert any(flag.startswith("leaky-reputation") for flag in leaky.flags)
         assert not any(flag.startswith("leaky-reputation") for flag in safe.flags)
         assert any(
-            a["table"].developers != b["table"].developers
-            for a, b in zip(safe.fold_tables, leaky.fold_tables)
+            a.table.developers != b.table.developers
+            for a, b in zip(safe_plan.folds, leaky_plan.folds)
         )
         # the leaky table is fitted on everything, so it never changes
-        first = leaky.fold_tables[0]["table"]
-        assert all(e["table"].developers == first.developers
-                   for e in leaky.fold_tables)
-
-    def test_static_block_precomputation_changes_nothing(self, small_dataset):
-        from metatriage.featurize import HashConfig, static_feature_block
-
-        config = quick_config()
-        block = static_feature_block(small_dataset.records, HashConfig())
-        a = cross_validate(small_dataset, "forest", k=3, seed=5, config=config)
-        b = cross_validate(small_dataset, "forest", k=3, seed=5, config=config,
-                           static_block=block)
-        assert a.to_json() == b.to_json()
+        first = leaky_plan.folds[0].table
+        assert all(f.table.developers == first.developers for f in leaky_plan.folds)
 
 
 class TestSelectionSpec:
