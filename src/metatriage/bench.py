@@ -20,7 +20,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -34,7 +34,7 @@ from .corpus import (
     compose_subset,
     corpus_digest,
 )
-from .errors import CompositionError, MetatriageError
+from .errors import CompositionError, MetatriageError, ParseError
 from .evaluate import (
     EvalReport,
     FoldPlan,
@@ -86,17 +86,12 @@ class BenchReport:
 
     @staticmethod
     def from_json(obj: dict) -> "BenchReport":
-        return BenchReport(
-            experiment=obj["experiment"],
-            config=obj["config"],
-            columns=list(obj["columns"]),
-            rows=list(obj["rows"]),
-            curves=list(obj.get("curves", [])),
-            ranking_table=list(obj.get("ranking_table", [])),
-            reference=list(obj.get("reference", [])),
-            flags=list(obj.get("flags", [])),
-            provenance=obj.get("provenance", {}),
-        )
+        if not isinstance(obj, dict):
+            raise ParseError("a report must be a JSON object")
+        missing = [k for k in ("experiment", "config", "columns", "rows") if k not in obj]
+        if missing:
+            raise ParseError(f"report is missing key(s): {', '.join(missing)}")
+        return BenchReport(**{f.name: obj[f.name] for f in fields(BenchReport) if f.name in obj})
 
 
 def _config_digest(config: dict) -> str:

@@ -240,7 +240,7 @@ class _Options:
         self.resolved["hyper"] = merged
         try:
             return Hyperparams.from_json(merged)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise UsageError(f"invalid hyper section: {exc}") from None
 
     def threads(self) -> int:
@@ -601,10 +601,7 @@ def dispatch(argv: Sequence[str]) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return dispatch(sys.argv[1:] if argv is None else list(argv))
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except MetatriageError as exc:

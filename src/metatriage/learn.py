@@ -5,6 +5,13 @@ stochastic subgradient), and a random forest (CART, Gini). All are trained
 from binary {0,1} labels and produce one monotone malware-ness score per
 row: probabilities for logistic, real margins for the SVM, mean leaf
 fractions for the forest.
+
+The forest grows all of its trees together, one depth level per pass, over
+value codes: each value's rank among its column's distinct values. Each
+bootstrap sample is a count per distinct row, and a level's split searches
+are bincounts over (node, tried column, code) keys. Splits stay exact, with
+thresholds midway between adjacent distinct values present in the node.
+Nodes are numbered breadth-first within each tree.
 """
 
 from __future__ import annotations
@@ -19,6 +26,17 @@ from .errors import ContractError, DivergenceError
 from .featurize import FeatureMatrix
 
 
+def _check_numbers(params, integers: tuple[str, ...], reals: tuple[str, ...]) -> None:
+    """Reject a field value of the wrong type; a bool is not a number here."""
+    for name in integers + reals:
+        value, real = getattr(params, name), name in reals
+        if isinstance(value, bool) or not isinstance(value, (int, float) if real else int) or (
+            isinstance(value, float) and not math.isfinite(value)
+        ):
+            kind = "a finite number" if real else "an integer"
+            raise TypeError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LogisticParams:
     learning_rate: float = 0.1
@@ -27,6 +45,7 @@ class LogisticParams:
     tolerance: float = 1e-6
 
     def __post_init__(self):
+        _check_numbers(self, ("epochs",), ("learning_rate", "l2_lambda", "tolerance"))
         if min(self.learning_rate, self.l2_lambda, self.tolerance) <= 0 or self.epochs < 1:
             raise ValueError("logistic hyperparameters must be positive")
 
@@ -39,6 +58,7 @@ class SvmParams:
     seed: int = 0
 
     def __post_init__(self):
+        _check_numbers(self, ("epochs", "seed"), ("regularization_c",))
         if self.regularization_c <= 0 or self.epochs < 1:
             raise ValueError("svm hyperparameters must be positive")
 
@@ -52,6 +72,8 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
+        depth = () if self.max_depth is None else ("max_depth",)
+        _check_numbers(self, ("n_trees", "min_leaf", "mtry", "seed") + depth, ())
         if self.n_trees < 1 or self.min_leaf < 1 or self.mtry < 0:
             raise ValueError("forest hyperparameters must be positive")
         if self.max_depth is not None and self.max_depth < 1:
@@ -259,130 +281,118 @@ class Tree:
         return len(self.feature)
 
 
+# At most this many (row, tried column) pairs plus code positions go into one
+# split search; a level with more is searched a run of its nodes at a time.
+_SEARCH_CHUNK = 1 << 20
+_NO_SPLITS = (np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),) * 2
+
+
+@dataclass
+class _ValueCodes:
+    """`codes[j, i]` is the rank of A[i, j] among the distinct values of
+    column j, which are `values[offsets[j]:offsets[j + 1]]`, increasing."""
+
+    codes: np.ndarray  # (p, n) int32
+    values: np.ndarray
+    offsets: np.ndarray
+
+    @staticmethod
+    def of(A: np.ndarray) -> "_ValueCodes":
+        codes = np.empty(A.shape[::-1], dtype=np.int32)
+        distinct = [np.empty(0)]
+        for lo in range(0, A.shape[1], 32):  # sorting contiguous copies is faster
+            for j, col in enumerate(A[:, lo : lo + 32].T.copy(), start=lo):
+                s = np.sort(col)
+                distinct.append(s[np.r_[True, s[1:] != s[:-1]]])
+                codes[j] = np.searchsorted(distinct[-1], col)
+        offsets = np.cumsum([len(v) for v in distinct])
+        return _ValueCodes(codes, np.concatenate(distinct), offsets)
+
+
+def _best_splits(
+    vc: _ValueCodes, y: np.ndarray, rows: np.ndarray, weights: np.ndarray, starts: np.ndarray,
+    tried: np.ndarray, n_node: np.ndarray, m_node: np.ndarray, min_leaf: int,
+) -> tuple[np.ndarray, ...]:
+    """Exact Gini split search for several nodes at once.
+
+    Node s holds `rows[starts[s]:starts[s + 1]]`, each counted `weights`
+    times, `n_node[s]` rows in all and `m_node[s]` with y = 1, and tries the
+    columns `tried[s]`. One bincount over (node, tried column, code) keys
+    counts the rows and positives at each value present; prefix sums over
+    them give the left side of every boundary. The cost minimized is
+    sum_child m_c*(n_c-m_c)/n_c, which orders splits identically to
+    weighted Gini decrease; ties break toward the earlier tried column,
+    then the smaller left side.
+
+    Returns, for each node with a valid split: its index, the column, the
+    code of the last value that goes left, the threshold (the midpoint of
+    the two adjacent values present) and the cost.
+    """
+    S, mtry = tried.shape
+    sizes = np.diff(starts)
+    width = (vc.offsets[tried + 1] - vc.offsets[tried]).ravel()
+    group_start = np.cumsum(width) - width
+    n_keys = int(width.sum())
+    at = np.repeat(tried * vc.codes.shape[1], sizes, axis=0)
+    at += rows[:, None]
+    key = np.repeat(group_start.reshape(S, mtry), sizes, axis=0)
+    key += vc.codes.ravel()[at]
+    key += y[rows][:, None] * n_keys  # positives count in a second run of slots
+    counts = np.bincount(key.ravel(), weights=np.repeat(weights, mtry), minlength=2 * n_keys)
+    n_at = counts[:n_keys] + counts[n_keys:]
+    present = np.flatnonzero(n_at)
+    n_at, m_at = n_at[present], counts[n_keys + present]
+    group = np.searchsorted(group_start, present, side="right") - 1
+    first = np.diff(group, prepend=-1) != 0
+    # Prefix sums that restart at each group's first present value.
+    head = np.maximum.accumulate(np.where(first, np.arange(len(present)), 0))
+    nl, ml = np.cumsum(n_at), np.cumsum(m_at)
+    nl -= (nl - n_at)[head]
+    ml -= (ml - m_at)[head]
+    # A boundary follows every present value but the last of its group.
+    b = np.flatnonzero(~first[1:])
+    node = group[b] // mtry
+    nl, ml = nl[b], ml[b]
+    valid = (nl >= min_leaf) & (n_node[node] - nl >= min_leaf)
+    b, node, nl, ml = b[valid], node[valid], nl[valid], ml[valid]
+    if len(b) == 0:
+        return _NO_SPLITS
+    nr = n_node[node] - nl
+    mr = m_node[node] - ml
+    cost = ml * (nl - ml) / nl + mr * (nr - mr) / nr
+    # Boundaries come in node order, so each node's first minimum wins.
+    new_node = np.r_[True, node[1:] != node[:-1]]
+    node_min = np.minimum.reduceat(cost, np.flatnonzero(new_node))
+    at_min = np.flatnonzero(cost == node_min[np.cumsum(new_node) - 1])
+    win = at_min[np.r_[True, node[at_min[1:]] != node[at_min[:-1]]]]
+    b, node = b[win], node[win]
+    feature = tried[node, group[b] % mtry]
+    shift = vc.offsets[feature] - group_start[group[b]]  # position + shift = value index
+    lo, hi = vc.values[present[b] + shift], vc.values[present[b + 1] + shift]
+    return node, feature, present[b] + shift - vc.offsets[feature], (lo + hi) / 2.0, cost[win]
+
+
 def best_split(
     A: np.ndarray, y: np.ndarray, feature_indices: np.ndarray, min_leaf: int
 ) -> Optional[tuple[int, float, float]]:
-    """Exact Gini split search over the given features.
+    """Exact Gini split search over the given features of one node: the
+    forest's level-wise search on a single node.
 
     Returns (feature, threshold, cost) for the best valid split or None.
-    The cost minimized is sum_child m_c*(n_c-m_c)/n_c, which orders splits
-    identically to weighted Gini decrease; ties break toward the lower
-    feature index, then the lower threshold. Thresholds are midpoints
-    between adjacent distinct values.
-
-    All features are searched at once: column-wise stable sorts and prefix
-    counts along axis 0, then costs at every boundary between distinct
-    values, listed by feature, then by left side size, so the first
-    minimum is the tie-break winner.
+    Ties break toward the earlier feature, then the lower threshold.
     """
-    n = len(y)
     features = np.asarray(feature_indices, dtype=np.int64)
-    lo, hi = max(min_leaf, 1), min(n - min_leaf, n - 1)  # left side sizes
-    if len(features) == 0 or lo > hi:
+    n = len(y)
+    if n == 0:
         return None
-    cols = A[:, features]
-    order = np.argsort(cols, axis=0, kind="stable")
-    sv = cols[order, np.arange(len(features))]
-    pos = np.cumsum(y[order], axis=0)
-    col, row = np.nonzero((sv[lo : hi + 1] > sv[lo - 1 : hi]).T)
-    if len(col) == 0:
-        return None
-    left = row + lo
-    nl = left.astype(np.float64)
-    nr = n - nl
-    ml = pos[left - 1, col].astype(np.float64)
-    mr = pos[-1, col] - ml
-    cost = ml * (nl - ml) / nl + mr * (nr - mr) / nr
-    k = int(np.argmin(cost))
-    jj, s = int(col[k]), int(left[k])
-    threshold = (sv[s - 1, jj] + sv[s, jj]) / 2.0
-    return int(features[jj]), float(threshold), float(cost[k])
-
-
-def grow_tree(
-    A: np.ndarray,
-    y: np.ndarray,
-    params: ForestParams,
-    rng: np.random.Generator,
-    n_total: Optional[int] = None,
-) -> tuple[Tree, np.ndarray]:
-    """Grow one CART tree; returns the tree and its per-feature importances.
-
-    Importances are the weighted Gini decreases summed per split feature,
-    with weights n_node/n_total.
-    """
-    n, p = A.shape
-    if n_total is None:
-        n_total = n
-    mtry = params.mtry if params.mtry else math.ceil(math.sqrt(p))
-    mtry = min(mtry, p)
-
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    importances = np.zeros(p)
-
-    # Explicit stack avoids recursion limits on deep trees. Children are
-    # allocated in push order, so the rng consumption order (and hence the
-    # tree) is a pure function of (data, seed).
-    stack = [(np.arange(n), 0, -1, False)]  # rows, depth, parent, is_right
-    while stack:
-        rows, depth, parent, is_right = stack.pop()
-        node_id = len(feature)
-        if parent >= 0:
-            if is_right:
-                right[parent] = node_id
-            else:
-                left[parent] = node_id
-        ny = y[rows]
-        m = float(ny.sum())
-        nn = len(rows)
-        frac = m / nn
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(frac)
-
-        if m == 0 or m == nn or nn < 2 * params.min_leaf:
-            continue
-        if params.max_depth is not None and depth >= params.max_depth:
-            continue
-
-        if mtry < p:
-            tried = np.sort(rng.choice(p, size=mtry, replace=False))
-        else:
-            tried = np.arange(p)
-        # Gather only the tried columns; `tried` is sorted, so the local
-        # feature order (and tie-break) is the global one.
-        block = A[rows[:, None], tried]
-        found = best_split(block, ny, np.arange(len(tried)), params.min_leaf)
-        if found is None:
-            continue
-        jj, thr, cost = found
-        j = int(tried[jj])
-        parent_cost = m * (nn - m) / nn
-        decrease = 2.0 * (parent_cost - cost) / n_total
-        if decrease <= 0:
-            continue
-        importances[j] += decrease
-        feature[node_id] = j
-        threshold[node_id] = thr
-        go_left = block[:, jj] <= thr
-        # Push right first so the left child is grown (and numbered) first.
-        stack.append((rows[~go_left], depth + 1, node_id, True))
-        stack.append((rows[go_left], depth + 1, node_id, False))
-
-    tree = Tree(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        value=np.array(value, dtype=np.float64),
+    y01 = np.asarray(y, dtype=np.int64)
+    node, local, _, threshold, cost = _best_splits(
+        _ValueCodes.of(A[:, features]), y01, np.arange(n), np.ones(n), np.array([0, n]),
+        np.arange(len(features))[None, :], np.array([n]), np.array([y01.sum()]), min_leaf,
     )
-    return tree, importances
+    if len(node) == 0:
+        return None
+    return int(features[local[0]]), float(threshold[0]), float(cost[0])
 
 
 @dataclass
@@ -397,48 +407,124 @@ class ForestModel:
 def train_forest(
     X: FeatureMatrix, y: np.ndarray, params: ForestParams = ForestParams()
 ) -> ForestModel:
-    """Bootstrap-aggregated CART trees.
+    """Bootstrap-aggregated CART trees, all grown together a level at a time.
 
-    Each tree's randomness comes from SeedSequence([seed, tree_index]) so
-    the forest is bit-identical however tree training is scheduled.
+    Tree t draws its bootstrap sample, then at each level the columns each
+    of its nodes tries, from SeedSequence([seed, 0xF0BE57, t]), so it
+    depends on the data, the seed and t alone. One `_best_splits` pass per
+    level, over value codes, serves every growable node of every tree; node
+    ids are breadth-first per tree. Importances are the weighted Gini
+    decreases summed per split feature, with weights n_node/n, averaged
+    over the trees.
     """
-    y01 = _check_training_inputs(X, y).astype(np.float64)
-    A = X.values
-    n = X.n_rows
-    if params.mtry > X.n_columns:
-        raise ContractError(
-            f"mtry {params.mtry} exceeds feature count {X.n_columns}"
-        )
-    trees = []
-    importances = np.zeros(X.n_columns)
-    for tree_idx in range(params.n_trees):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([params.seed & 0xFFFFFFFFFFFFFFFF, 0xF0BE57, tree_idx])
-        )
-        sample = rng.integers(0, n, n)
-        tree, imp = grow_tree(A[sample], y01[sample], params, rng, n_total=n)
-        trees.append(tree)
-        importances += imp
-    importances /= params.n_trees
+    y01 = _check_training_inputs(X, y).astype(np.int64)
+    n, p = X.n_rows, X.n_columns
+    if params.mtry > p:
+        raise ContractError(f"mtry {params.mtry} exceeds feature count {p}")
+    mtry = min(params.mtry or math.ceil(math.sqrt(p)), p)
+    vc = _ValueCodes.of(X.values)
+    seed = params.seed & 0xFFFFFFFFFFFFFFFF
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0xF0BE57, t]))
+            for t in range(params.n_trees)]
+    counts = np.array([np.bincount(rng.integers(0, n, n), minlength=n) for rng in rngs])
+    # The frontier holds one depth's nodes, ordered by tree, then node id.
+    # Each distinct row of a node is an entry (front, rows, weights), with
+    # entries sorted by their node.
+    front, rows = np.nonzero(counts)
+    weights = counts[front, rows].astype(np.float64)
+    f_tree = np.arange(params.n_trees)
+    n_nodes = np.ones(params.n_trees, dtype=np.int64)
+    importances = np.zeros((params.n_trees, p))
+    levels = []
+    while len(f_tree):
+        F = len(f_tree)
+        n_node = np.bincount(front, weights=weights, minlength=F)
+        m_node = np.bincount(front, weights=weights * y01[rows], minlength=F)
+        grow = (m_node > 0) & (m_node < n_node) & (n_node >= 2 * params.min_leaf)
+        if params.max_depth is not None and len(levels) >= params.max_depth:
+            grow[:] = False
+        cand = np.flatnonzero(grow)
+        # Each tree draws the columns its growable nodes try, in node order.
+        tried = np.tile(np.arange(mtry), (len(cand), 1))  # every column if mtry == p
+        if mtry < p:
+            bounds = np.searchsorted(f_tree[cand], np.arange(params.n_trees + 1))
+            for t in np.flatnonzero(np.diff(bounds)):
+                keys = rngs[t].random((bounds[t + 1] - bounds[t], p))
+                tried[bounds[t] : bounds[t + 1]] = np.sort(
+                    np.argpartition(keys, mtry - 1, axis=1)[:, :mtry], axis=1
+                )
+
+        keep = grow[front]
+        rows, weights, front = rows[keep], weights[keep], front[keep]
+        starts = np.searchsorted(front, np.append(cand, F))
+        load = np.diff(starts) * mtry + (vc.offsets[tried + 1] - vc.offsets[tried]).sum(axis=1)
+        ends = np.cumsum(load)
+        found, a = [_NO_SPLITS], 0
+        while a < len(cand):
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - load[a] + _SEARCH_CHUNK, "right")))
+            lo, hi = starts[a], starts[b]
+            node, *split = _best_splits(
+                vc, y01, rows[lo:hi], weights[lo:hi], starts[a : b + 1] - lo,
+                tried[a:b], n_node[cand[a:b]], m_node[cand[a:b]], params.min_leaf,
+            )
+            found.append((cand[a + node], *split))
+            a = b
+        split, feat, last, thr, cost = (np.concatenate(f) for f in zip(*found))
+        m, nn = m_node[split], n_node[split]
+        decrease = 2.0 * (m * (nn - m) / nn - cost) / n
+        ok = decrease > 0
+        split, feat, last, thr, decrease = (v[ok] for v in (split, feat, last, thr, decrease))
+
+        st = f_tree[split]
+        np.add.at(importances, (st, feat), decrease)
+        feature, last_left, child = (np.full(F, -1, dtype=np.int64) for _ in range(3))
+        threshold, left, right = np.zeros(F), feature.copy(), feature.copy()
+        feature[split], threshold[split], last_left[split] = feat, thr, last
+        left[split] = n_nodes[st] + 2 * (np.arange(len(st)) - np.searchsorted(st, st))
+        right[split] = left[split] + 1
+        n_nodes += 2 * np.bincount(st, minlength=params.n_trees)
+        levels.append((f_tree, feature, threshold, left, right, m_node / n_node))
+
+        # The next frontier is the children, in order; a row goes right when
+        # its code is past the split's last left code.
+        child[split] = 2 * np.arange(len(split))
+        routed = child[front] >= 0
+        rows, weights, front = rows[routed], weights[routed], front[routed]
+        front = child[front] + (vc.codes[feature[front], rows] > last_left[front])
+        order = np.argsort(front, kind="stable")
+        rows, weights, front = rows[order], weights[order], front[order]
+        f_tree = np.repeat(st, 2)
+
+    # Within a tree, nodes were made in breadth-first id order.
+    tree_of, *arrays = (np.concatenate(parts) for parts in zip(*levels))
+    by_tree = np.split(np.argsort(tree_of, kind="stable"), np.cumsum(n_nodes)[:-1])
     return ForestModel(
         kind="forest",
-        trees=trees,
+        trees=[Tree(*(a[ids] for a in arrays)) for ids in by_tree],
         column_names=X.column_names,
-        importances=importances,
+        importances=importances.sum(axis=0) / params.n_trees,
         meta={"seed": params.seed, "n_trees": params.n_trees},
     )
 
 
-def _tree_scores(tree: Tree, A: np.ndarray) -> np.ndarray:
-    node = np.zeros(len(A), dtype=np.int64)
-    while True:
-        feat = tree.feature[node]
-        active = np.flatnonzero(feat >= 0)
-        if len(active) == 0:
-            return tree.value[node]
+def _tree_scores(trees: list[Tree], A: np.ndarray) -> np.ndarray:
+    """The leaf value of every row in every tree, shape (trees, rows). The
+    trees are stacked with node offsets and all (tree, row) pairs are
+    routed together, one depth per step."""
+    offsets = np.cumsum([0] + [t.n_nodes for t in trees[:-1]])
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    left = np.concatenate([t.left + o for t, o in zip(trees, offsets)])
+    right = np.concatenate([t.right + o for t, o in zip(trees, offsets)])
+    node = np.repeat(offsets, len(A))
+    row = np.tile(np.arange(len(A)), len(trees))
+    active = np.flatnonzero(feature[node] >= 0)
+    while len(active):
         sub = node[active]
-        go_left = A[active, tree.feature[sub]] <= tree.threshold[sub]
-        node[active] = np.where(go_left, tree.left[sub], tree.right[sub])
+        go_left = A[row[active], feature[sub]] <= threshold[sub]
+        node[active] = np.where(go_left, left[sub], right[sub])
+        active = active[feature[node[active]] >= 0]
+    return np.concatenate([t.value for t in trees])[node].reshape(len(trees), len(A))
 
 
 Model = Union[LinearModel, ForestModel]
@@ -460,10 +546,8 @@ def predict_score(model: Model, X: FeatureMatrix) -> np.ndarray:
     if model.kind == "linear_svm":
         return X.values @ model.weights + model.bias
     if model.kind == "forest":
-        total = np.zeros(X.n_rows)
-        for tree in model.trees:
-            total += _tree_scores(tree, X.values)
-        return total / len(model.trees)
+        # Summed over axis 0, the trees' values are added in tree order.
+        return _tree_scores(model.trees, X.values).sum(axis=0) / len(model.trees)
     raise ContractError(f"unknown model kind: {model.kind!r}")
 
 

@@ -178,6 +178,16 @@ class TestCv:
         ]) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("n_trees", [True, 2.5, "3"])
+    def test_forest_tree_count_must_be_an_integer(self, corpus_path, work, capsys, n_trees):
+        config = work / "cv-bad-trees.json"
+        config.write_text(json.dumps({"hyper": {"forest": {"n_trees": n_trees}}}))
+        assert main([
+            "cv", "--corpus", str(corpus_path), "--model", "forest",
+            "--k", "2", "--subset-size", "200", "--config", str(config),
+        ]) == 1
+        assert "n_trees must be an integer" in capsys.readouterr().err
+
     def test_single_class_corpus_is_a_data_error(self, goodware_path, capsys):
         code = main(["cv", "--corpus", str(goodware_path), "--k", "2"])
         assert code == 2
@@ -373,6 +383,16 @@ class TestBenchCommands:
     def test_report_missing_input(self, capsys):
         assert main(["report", "--input", "/no/such/report.json"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("doc,missing", [
+        ({}, "experiment, config, columns, rows"),
+        ({"experiment": "sweep", "config": {}, "columns": ["a"]}, "rows"),
+    ])
+    def test_report_with_missing_keys_is_a_data_error(self, work, capsys, doc, missing):
+        path = work / "partial-report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--input", str(path), "--out", str(work / "partial")]) == 2
+        assert f"report is missing key(s): {missing}" in capsys.readouterr().err
 
     def test_tiny_benchmark_grid(self, corpus_path, work, capsys):
         out = work / "grid"

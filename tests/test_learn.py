@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import metatriage.learn
 from metatriage.errors import ContractError, DivergenceError
 from metatriage.featurize import FeatureMatrix
 from metatriage.learn import (
@@ -11,8 +12,9 @@ from metatriage.learn import (
     LogisticParams,
     SvmParams,
     Tree,
+    _best_splits,
+    _ValueCodes,
     best_split,
-    grow_tree,
     logistic_loss_grad,
     predict_score,
     svm_objective,
@@ -235,6 +237,50 @@ class TestBestSplit:
             assert got[1] == want[1]
             assert got[2] == pytest.approx(want[2], abs=1e-12)
 
+    def test_weighted_nodes_match_oracle_on_expanded_rows(self):
+        # Several nodes searched in one call, rows counted 1-3 times each
+        # (as in a bootstrap sample), against the oracle on the rows
+        # repeated by their counts.
+        rng = np.random.default_rng(31)
+        n, p = 60, 5
+        A = rng.integers(0, 6, size=(n, p)).astype(np.float64)
+        A[:, 1] += rng.normal(size=n).round(1)
+        y = rng.integers(0, 2, n)
+        vc = _ValueCodes.of(A)
+        for _ in range(40):
+            S, mtry = int(rng.integers(1, 5)), int(rng.integers(1, p + 1))
+            min_leaf = int(rng.integers(1, 4))
+            nodes = [rng.choice(n, int(rng.integers(2, 20)), replace=False) for _ in range(S)]
+            counts = [rng.integers(1, 4, len(r)) for r in nodes]
+            tried = np.sort([rng.choice(p, mtry, replace=False) for _ in range(S)], axis=1)
+            found = _best_splits(
+                vc, y, np.concatenate(nodes), np.concatenate(counts).astype(np.float64),
+                np.cumsum([0] + [len(r) for r in nodes]), tried,
+                np.array([c.sum() for c in counts], dtype=np.float64),
+                np.array([(c * y[r]).sum() for c, r in zip(counts, nodes)], dtype=np.float64),
+                min_leaf,
+            )
+            got = {int(s): (int(f), lc, t, c) for s, f, lc, t, c in zip(*found)}
+            for s in range(S):
+                rows = np.repeat(nodes[s], counts[s])
+                want = oracle_best_split(A[rows], y[rows].astype(np.float64), tried[s], min_leaf)
+                if want is None:
+                    assert s not in got
+                    continue
+                feature, left_code, threshold, cost = got[s]
+                assert (feature, threshold) == want[:2]
+                assert cost == pytest.approx(want[2], abs=1e-12)
+                assert np.array_equal(
+                    vc.codes[feature, rows] <= left_code, A[rows, feature] <= threshold
+                )
+
+
+def assert_same_trees(a, b):
+    assert len(a) == len(b)
+    for s, t in zip(a, b):
+        for f in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(s, f), getattr(t, f))
+
 
 class TestTrees:
     def perfect_feature(self, n=100):
@@ -249,16 +295,21 @@ class TestTrees:
         scores = predict_score(model, X)
         assert np.array_equal(scores, y)
 
-    def test_grow_tree_structure_and_importance(self):
+    def test_single_tree_structure_and_importance(self):
         A, y = self.perfect_feature()
-        rng = np.random.default_rng(0)
-        tree, imp = grow_tree(A, y, ForestParams(n_trees=1), rng)
+        X = FeatureMatrix(("x0",), A)
+        model = train_forest(X, y.astype(int), ForestParams(n_trees=1, seed=0))
+        tree = model.trees[0]
         assert tree.n_nodes == 3
         assert tree.feature[0] == 0
-        assert tree.left[0] == 1  # left child grown immediately after parent
+        assert tree.left[0] == 1  # breadth-first ids: root, then its children
         assert tree.right[0] == 2
-        # balanced root: parent cost 25, pure children, n_total 100
-        assert imp[0] == pytest.approx(0.5, abs=1e-15)
+        # the root holds the bootstrap sample; its pure children cost 0
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0xF0BE57, 0]))
+        m = float(y[rng.integers(0, 100, 100)].sum())
+        assert tree.value[0] == m / 100
+        expected = 2.0 * (m * (100 - m) / 100) / 100
+        assert model.importances[0] == pytest.approx(expected, abs=1e-15)
 
     def test_pure_labels_give_single_leaf(self):
         X = FeatureMatrix(("x0",), np.arange(20, dtype=np.float64).reshape(-1, 1))
@@ -295,6 +346,25 @@ class TestTrees:
         a = train_forest(X, y, ForestParams(n_trees=5, seed=3))
         b = train_forest(X, y, ForestParams(n_trees=5, seed=4))
         assert not np.array_equal(a.importances, b.importances)
+
+    def test_trees_depend_only_on_seed_and_index(self):
+        X, y = two_clusters(n=120, gap=0.3)
+        few = train_forest(X, y, ForestParams(n_trees=3, seed=6))
+        more = train_forest(X, y, ForestParams(n_trees=5, seed=6))
+        assert_same_trees(few.trees, more.trees[:3])
+
+    def test_search_chunk_size_changes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        A = rng.integers(0, 8, size=(150, 9)).astype(np.float64)
+        A[:, 0] += rng.normal(size=150)
+        y = (A[:, 0] + A[:, 1] + rng.normal(size=150) > 7).astype(int)
+        X = FeatureMatrix(tuple(f"x{j}" for j in range(9)), A)
+        params = ForestParams(n_trees=4, seed=2)
+        big = train_forest(X, y, params)
+        monkeypatch.setattr(metatriage.learn, "_SEARCH_CHUNK", 5)
+        tiny = train_forest(X, y, params)
+        assert_same_trees(big.trees, tiny.trees)
+        assert np.array_equal(big.importances, tiny.importances)
 
     def test_mtry_exceeding_feature_count_rejected(self):
         X, y = two_clusters(n=20)
@@ -348,6 +418,19 @@ class TestPredictScore:
         model = train_forest(X, y, ForestParams(n_trees=3, seed=2))
         assert np.array_equal(predict_score(model, X), predict_score(model, X))
 
+    def test_forest_score_equals_per_tree_walks(self):
+        X, y = two_clusters(n=80, gap=0.4)
+        model = train_forest(X, y, ForestParams(n_trees=7, seed=5))
+        total = np.zeros(X.n_rows)
+        for tree in model.trees:
+            for i, x in enumerate(X.values):
+                node = 0
+                while tree.feature[node] >= 0:
+                    go_left = x[tree.feature[node]] <= tree.threshold[node]
+                    node = tree.left[node] if go_left else tree.right[node]
+                total[i] += tree.value[node]
+        assert np.array_equal(predict_score(model, X), total / 7)
+
     def test_logistic_score_monotone_in_positive_weight_feature(self):
         model = LinearModel("logistic", np.array([2.0]), 0.0, ("a",))
         X = FeatureMatrix(("a",), np.linspace(-3, 3, 20).reshape(-1, 1))
@@ -379,3 +462,18 @@ class TestHyperparams:
             SvmParams(regularization_c=0.0)
         with pytest.raises(ValueError):
             ForestParams(n_trees=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ForestParams(n_trees=True),
+        lambda: ForestParams(n_trees=2.5),
+        lambda: ForestParams(min_leaf="3"),
+        lambda: ForestParams(max_depth=False),
+        lambda: LogisticParams(epochs=10.0),
+        lambda: LogisticParams(learning_rate=float("nan")),
+        lambda: LogisticParams(tolerance=True),
+        lambda: SvmParams(regularization_c=float("inf")),
+        lambda: SvmParams(seed=None),
+    ])
+    def test_wrong_types_rejected(self, make):
+        with pytest.raises(TypeError):
+            make()
