@@ -20,8 +20,8 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Iterator, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterator, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,13 +45,11 @@ from .evaluate import (
     roc_and_auc,
 )
 from .featurize import HashConfig, hash_column_names
-from .learn import ForestParams, Hyperparams, LogisticParams
+from .learn import ForestParams, Hyperparams
 
 DEFAULT_SWEEP_SIZES = (32, 64, 128, 256, 512, 1024, 2048)
-# Default hyperparameters of the experiments and of `cv`: a 60-tree forest,
-# and for the permission-only hash sweep, 300 logistic epochs.
+# Default hyperparameters of the experiments and of `cv`: a 60-tree forest.
 DEFAULT_HYPER = Hyperparams(forest=ForestParams(n_trees=60))
-SWEEP_HYPER = Hyperparams(logistic=LogisticParams(epochs=300))
 
 
 @dataclass(frozen=True)
@@ -86,12 +84,25 @@ class BenchReport:
 
     @staticmethod
     def from_json(obj: dict) -> "BenchReport":
+        """The report `obj` holds; a missing required key or a value of the
+        wrong type, down to the items of a list, raises ParseError."""
         if not isinstance(obj, dict):
             raise ParseError("a report must be a JSON object")
         missing = [k for k in ("experiment", "config", "columns", "rows") if k not in obj]
         if missing:
             raise ParseError(f"report is missing key(s): {', '.join(missing)}")
-        return BenchReport(**{f.name: obj[f.name] for f in fields(BenchReport) if f.name in obj})
+        kwargs = {}
+        for name, kind in get_type_hints(BenchReport).items():
+            if name not in obj:
+                continue
+            value, item = obj[name], get_args(kind)
+            if not isinstance(value, get_origin(kind) or kind) or (
+                item and not all(isinstance(v, item[0]) for v in value)
+            ):
+                what = kind if item else kind.__name__
+                raise ParseError(f"report key {name!r} must be a {what}, got {value!r:.60}")
+            kwargs[name] = value
+        return BenchReport(**kwargs)
 
 
 def _config_digest(config: dict) -> str:
@@ -286,7 +297,7 @@ def hash_size_sweep(
     model_kind: str = "logistic",
     k: int = 5,
     seed: int = 0,
-    hyper: Hyperparams = SWEEP_HYPER,
+    hyper: Hyperparams = DEFAULT_HYPER,
     threads: int = 1,
 ) -> BenchReport:
     """Cross-validated AUC of permission-hash features alone per bucket count.
@@ -390,35 +401,30 @@ def feature_count_curve(
         flags=dataset.flags,
     )
 
-    def run_k(top_k: int) -> list[tuple]:
-        spec = _selection(ranking_method, frozen_ranking, top_k=top_k)
-        pipeline = PipelineConfig(selection=spec, hyper=hyper)
-        plan = _prepare(dataset, k, _derive_seed(seed, top_k), pipeline)
-        return [
-            _evaluate(f"model {model_kind} top_k {top_k}", plan, model_kind)
-            for model_kind in model_kinds
-        ]
+    # One plan ranks each training fold once; every (model, top-k) run then
+    # picks its top-k of that ranking.
+    pipeline = PipelineConfig(
+        selection=_selection(ranking_method, frozen_ranking, top_k=max(ks)), hyper=hyper
+    )
+    plan = _prepare(dataset, k, seed, pipeline)
+    tasks = [(model_kind, top_k) for model_kind in model_kinds for top_k in ks]
 
-    # One plan per top_k serves every model; results are filed model-major.
-    by_k = _map_ordered(list(ks), run_k, threads)
-    for mi, model_kind in enumerate(model_kinds):
-        for top_k, runs in zip(ks, by_k):
-            ev, error = runs[mi]
-            if ev is None:
-                report.flags.append(error)
-                continue
-            report.flags.extend(
-                f"model {model_kind} top_k {top_k}: {f}" for f in ev.exclusions()
-            )
-            report.rows.append(
-                {
-                    "model": model_kind,
-                    "top_k": top_k,
-                    "mean_train_f1": ev.mean("train", "f1"),
-                    "mean_test_f1": ev.mean("test", "f1"),
-                    "std_test_f1": ev.std("test", "f1"),
-                }
-            )
+    def run(task):
+        model_kind, top_k = task
+        spec = _selection(ranking_method, frozen_ranking, top_k=top_k)
+        return _evaluate(f"model {model_kind} top_k {top_k}", plan, model_kind, spec)
+
+    for (model_kind, top_k), ev in _completed(report, tasks, run, threads):
+        report.flags.extend(f"model {model_kind} top_k {top_k}: {f}" for f in ev.fold_flags())
+        report.rows.append(
+            {
+                "model": model_kind,
+                "top_k": top_k,
+                "mean_train_f1": ev.mean("train", "f1"),
+                "mean_test_f1": ev.mean("test", "f1"),
+                "std_test_f1": ev.std("test", "f1"),
+            }
+        )
     for model_kind in model_kinds:
         rows = [r for r in report.rows if r["model"] == model_kind]
         label = reporting.MODEL_LABELS.get(model_kind, model_kind)
@@ -654,7 +660,7 @@ def robustness_windows(
         return _evaluate(f"{threshold}-AV window {start}", plan, model_kind, spec)
 
     for (threshold, start, _), ev in _completed(report, tasks, run_window, threads):
-        report.flags.extend(f"{threshold}-AV window {start}: {f}" for f in ev.exclusions())
+        report.flags.extend(f"{threshold}-AV window {start}: {f}" for f in ev.fold_flags())
         ref = reporting.WINDOW_REFERENCE.get((threshold, start), (None, None))
         report.rows.append(
             {

@@ -9,6 +9,7 @@ experiment forks; it only changes wall time, never output bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -219,10 +220,10 @@ class _Options:
             raise UsageError(f"--{name.replace('_', '-')} is required")
         return value
 
-    def hyperparams(self, default: Hyperparams = bench.DEFAULT_HYPER) -> Hyperparams:
-        """`default` with the keys that the config file's `hyper` section
-        names replaced; a model or key that `default` lacks is an error."""
-        merged = default.to_json()
+    def hyperparams(self) -> Hyperparams:
+        """`bench.DEFAULT_HYPER` with the keys that the config file's `hyper`
+        section names replaced; a model or key it lacks is an error."""
+        merged = bench.DEFAULT_HYPER.to_json()
         section = self.file_config.get("hyper", {})
         if not isinstance(section, dict):
             raise UsageError("config key 'hyper' must hold a JSON object")
@@ -272,7 +273,8 @@ def _load_records(opts: _Options):
     except FileNotFoundError:
         raise UsageError(f"corpus file not found: {path}") from None
     if result.issues:
-        print(f"warning: {len(result.issues)} malformed records skipped", file=sys.stderr)
+        skipped = len({issue.line for issue in result.issues})
+        print(f"warning: {skipped} malformed records skipped", file=sys.stderr)
     return result.records
 
 
@@ -340,33 +342,30 @@ def _output(opts: _Options, text: str, what: str) -> None:
 
 
 def _cmd_generate(opts: _Options) -> int:
-    section = dict(opts.file_config.get("generator", {}))
-    for key in ("n_apps", "n_developers", "n_issuers", "malware_rate",
-                "malware_developer_fraction", "permission_vocabulary_size"):
-        value = getattr(opts.args, key, None)
-        if value is not None:
-            section[key] = value
-    strengths = dict(section.get("signal_strengths", {}))
-    for flag, key in (
-        ("s_reputation", "reputation"),
-        ("s_temporal", "temporal"),
-        ("s_permissions", "permissions"),
-        ("s_social", "social"),
-    ):
-        value = getattr(opts.args, flag, None)
-        if value is not None:
-            strengths[key] = value
-    if strengths:
-        section["signal_strengths"] = strengths
-    zipf = dict(section.get("engine_count_distribution", {}))
-    if getattr(opts.args, "zipf_exponent", None) is not None:
-        zipf["exponent"] = opts.args.zipf_exponent
-    if getattr(opts.args, "zipf_max", None) is not None:
-        zipf["max_count"] = opts.args.zipf_max
-    if zipf:
-        section["engine_count_distribution"] = zipf
+    def flags(**keys) -> dict:
+        """{key: the value of its flag} for each flag that was given."""
+        given = {key: getattr(opts.args, flag) for key, flag in keys.items()}
+        return {key: value for key, value in given.items() if value is not None}
 
-    config = GeneratorConfig.from_json(section)
+    try:
+        config = GeneratorConfig.from_json(opts.file_config.get("generator", {}))
+    except TypeError as exc:
+        raise UsageError(f"invalid generator section: {exc}") from None
+    config = dataclasses.replace(
+        config,
+        signal_strengths=dataclasses.replace(config.signal_strengths, **flags(
+            reputation="s_reputation", temporal="s_temporal",
+            permissions="s_permissions", social="s_social",
+        )),
+        engine_count_distribution=dataclasses.replace(
+            config.engine_count_distribution,
+            **flags(exponent="zipf_exponent", max_count="zipf_max"),
+        ),
+        **flags(**{key: key for key in (
+            "n_apps", "n_developers", "n_issuers", "malware_rate",
+            "malware_developer_fraction", "permission_vocabulary_size",
+        )}),
+    )
     seed = opts.get("seed", 0)
     out = opts.require("out")
     opts.resolved["generator"] = config.to_json()
@@ -476,7 +475,7 @@ def _cmd_sweep_hashes(opts: _Options) -> int:
         model_kind=opts.get("model", "logistic"),
         k=opts.get("k", 5),
         seed=seed,
-        hyper=opts.hyperparams(bench.SWEEP_HYPER),
+        hyper=opts.hyperparams(),
         threads=opts.threads(),
     )
     return _emit(report, opts)

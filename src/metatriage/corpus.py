@@ -24,6 +24,7 @@ from .errors import (
     GenerationError,
     MetatriageError,
     ParseError,
+    check_number_fields,
 )
 
 MALWARE = "malware"
@@ -133,7 +134,7 @@ def record_from_dict(obj: dict) -> tuple[Optional[AppRecord], list[str], list[st
     for name in _INT_FIELDS:
         try:
             kwargs[name] = int(obj[name])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             problems.append(f"{name} is not an integer: {obj[name]!r}")
             kwargs[name] = -1
     votes = obj["star_votes"]
@@ -141,7 +142,7 @@ def record_from_dict(obj: dict) -> tuple[Optional[AppRecord], list[str], list[st
         votes = [v for v in votes.split(";") if v != ""]
     try:
         kwargs["star_votes"] = tuple(int(v) for v in votes)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         problems.append(f"star_votes is not a list of integers: {votes!r}")
         kwargs["star_votes"] = (-1,) * 5
 
@@ -242,8 +243,18 @@ def load_corpus(path: str, max_errors: int = 100) -> ParseResult:
 
 
 def write_corpus(records: Iterable[AppRecord], path: str) -> None:
-    """Write records as JSON Lines with canonical field order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write records with canonical field order: CSV for a `.csv` path, with
+    `permissions` and `star_votes` joined by `;`, otherwise JSON Lines."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if str(path).endswith(".csv"):
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(FIELD_ORDER)
+            for record in records:
+                row = record_to_dict(record)
+                row["permissions"] = ";".join(row["permissions"])
+                row["star_votes"] = ";".join(map(str, row["star_votes"]))
+                writer.writerow(row.values())
+            return
         for record in records:
             fh.write(json.dumps(record_to_dict(record), separators=(",", ":")))
             fh.write("\n")
@@ -435,6 +446,7 @@ class SignalStrengths:
     social: float = 0.25
 
     def __post_init__(self):
+        check_number_fields(self)
         for name in ("reputation", "temporal", "permissions", "social"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -449,6 +461,7 @@ class DetectionCountModel:
     max_count: int = 53
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.exponent <= 0 or self.max_count < 1:
             raise ValueError("invalid detection-count distribution")
 
@@ -466,6 +479,7 @@ class GeneratorConfig:
     engine_count_distribution: DetectionCountModel = field(default_factory=DetectionCountModel)
 
     def __post_init__(self):
+        check_number_fields(self)
         if self.n_apps < 1 or self.n_developers < 1 or self.n_issuers < 1:
             raise ValueError("n_apps, n_developers, n_issuers must be positive")
         if not 0.0 <= self.malware_developer_fraction <= 1.0:
@@ -477,13 +491,22 @@ class GeneratorConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "GeneratorConfig":
-        obj = dict(obj)
-        if "signal_strengths" in obj:
-            obj["signal_strengths"] = SignalStrengths(**obj["signal_strengths"])
-        if "engine_count_distribution" in obj:
-            obj["engine_count_distribution"] = DetectionCountModel(
-                **obj["engine_count_distribution"]
-            )
+        """The config a JSON object describes. A section that is not an
+        object, an unknown key or a value of the wrong type raises TypeError
+        naming it; a value out of range raises ValueError."""
+
+        def section(where: str, value) -> dict:
+            if not isinstance(value, dict):
+                raise TypeError(f"config key {where!r} must hold a JSON object, got {value!r:.60}")
+            return value
+
+        obj = dict(section("generator", obj))
+        for key, cls in (
+            ("signal_strengths", SignalStrengths),
+            ("engine_count_distribution", DetectionCountModel),
+        ):
+            if key in obj:
+                obj[key] = cls(**section(f"generator.{key}", obj[key]))
         return GeneratorConfig(**obj)
 
     def to_json(self) -> dict:

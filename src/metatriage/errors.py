@@ -1,4 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check of the
+number fields of its config dataclasses."""
+
+import math
+from typing import Optional, get_type_hints
+
+
+def check_number_fields(obj) -> None:
+    """Raise TypeError for a field of dataclass `obj` that does not hold its
+    declared number type: an int field takes an integer, a float field any
+    finite number, and an Optional[int] field also None. A bool is not a
+    number here."""
+    for name, kind in get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        if kind == Optional[int] and value is not None:
+            kind = int
+        if kind not in (int, float):
+            continue
+        number = (int, float) if kind is float else int
+        if isinstance(value, bool) or not isinstance(value, number) or (
+            isinstance(value, float) and not math.isfinite(value)
+        ):
+            what = "a finite number" if kind is float else "an integer"
+            raise TypeError(f"{name} must be {what}, got {value!r}")
 
 
 class MetatriageError(Exception):

@@ -262,6 +262,7 @@ class FoldResult:
 
 
 _METRICS = ("precision", "recall", "f1", "auc")
+_NOT_CONVERGED = "logistic did not converge"
 
 
 @dataclass
@@ -277,11 +278,15 @@ class EvalReport:
     def _included(self) -> list[FoldResult]:
         return [f for f in self.folds if not f.degenerate]
 
-    def exclusions(self) -> list[str]:
-        """One flag per degenerate fold, which the means leave out."""
-        return [
-            f"fold {f.fold} excluded: {'; '.join(f.flags)}" for f in self.folds if f.degenerate
-        ]
+    def fold_flags(self) -> list[str]:
+        """One flag per degenerate fold, which the means leave out, and one
+        per fold whose logistic fit stopped short of its tolerance."""
+        out = []
+        for f in self.folds:
+            if f.degenerate:
+                out.append(f"fold {f.fold} excluded: {'; '.join(f.flags)}")
+            out.extend(f"fold {f.fold}: {x}" for x in f.flags if x.startswith(_NOT_CONVERGED))
+        return out
 
     def mean(self, which: str, metric: str) -> float:
         vals = self._values(which, metric)
@@ -459,7 +464,8 @@ def evaluate(
 ) -> EvalReport:
     """Fit, score and measure `model_kind` on every fold of `plan`, on the
     columns `selection` (by default the plan's) picks. Linear models see
-    standardized columns; degenerate folds are flagged and left out."""
+    standardized columns; degenerate folds are flagged and left out, and a
+    logistic fit that did not converge is flagged but kept."""
     sel = plan.config.selection if selection is None else selection
     labels = plan.labels
     report = EvalReport(model_kind, plan.k, plan.seed, folds=[], flags=list(plan.flags))
@@ -493,6 +499,11 @@ def evaluate(
             forest=dataclasses.replace(hyper.forest, seed=forest_seed),
         )
         model = train_model(model_kind, X_train, y_train, hyper)
+        notes = ()
+        if model_kind == "logistic":
+            norm = model.meta["final_grad_norm"]
+            if not norm < hyper.logistic.tolerance:
+                notes = (f"{_NOT_CONVERGED} (gradient norm {norm:.3g})",)
         train_scores = predict_score(model, X_train)
         test_scores = predict_score(model, X_test)
         pooled[fold.test_idx] = test_scores
@@ -509,11 +520,12 @@ def evaluate(
                 train_auc=roc_and_auc(train_scores, y_train).auc,
                 test_auc=roc_and_auc(test_scores, y_test).auc,
                 selected_columns=selected,
-                flags=tuple(f"train-{x}" for x in train_metrics.flags)
+                flags=notes
+                + tuple(f"train-{x}" for x in train_metrics.flags)
                 + tuple(f"test-{x}" for x in test_metrics.flags),
             )
         )
-    report.flags.extend(report.exclusions())
+    report.flags.extend(report.fold_flags())
 
     if not np.isnan(pooled).any():
         report.pooled_scores = pooled

@@ -40,7 +40,7 @@ from test_corpus import make_record
 
 def small_hyper():
     return Hyperparams(
-        logistic=LogisticParams(epochs=100),
+        logistic=LogisticParams(tolerance=1e-4),
         svm=SvmParams(epochs=5),
         forest=ForestParams(n_trees=15, max_depth=8, min_leaf=5),
     )
@@ -308,10 +308,30 @@ class TestFeatureCountCurve:
         assert any(f.startswith("frozen-ranking") for f in report.flags)
         spec = SelectionSpec(columns=tuple(frozen[:2]))
         ev = cross_validate(
-            bench_dataset, "forest", k=3, seed=_derive_seed(5, 2),
+            bench_dataset, "forest", k=3, seed=5,
             config=PipelineConfig(selection=spec, hyper=small_hyper()),
         )
         assert report.rows[0]["mean_test_f1"] == ev.mean("test", "f1")
+
+    def test_one_ranking_per_fold_serves_every_k(self, bench_dataset, rank_calls):
+        report = feature_count_curve(
+            bench_dataset, ks=(1, 2, 4), model_kinds=("logistic", "forest"),
+            ranking_method="info_gain", k=3, seed=5, hyper=small_hyper(),
+        )
+        assert rank_calls == ["info_gain"] * 3  # one per fold, not per top-k
+        assert [(r["model"], r["top_k"]) for r in report.rows] == [
+            (m, t) for m in ("logistic", "forest") for t in (1, 2, 4)
+        ]
+
+    def test_curve_is_thread_count_invariant(self, bench_dataset):
+        runs = [
+            feature_count_curve(
+                bench_dataset, ks=(1, 3), model_kinds=("logistic", "linear_svm"),
+                ranking_method="info_gain", k=3, seed=5, hyper=small_hyper(), threads=threads,
+            ).to_json()
+            for threads in (1, 3)
+        ]
+        assert runs[0] == runs[1]
 
     def test_empty_ks_rejected(self, bench_dataset):
         with pytest.raises(ValueError):
@@ -431,6 +451,37 @@ class TestGridBenchmark:
         assert "## Logistic Regression (train/test)" in md
         assert "## Random Forest (train/test)" in md
         assert "never asserted" in md
+
+
+def test_logistic_not_converged_is_flagged_in_every_experiment(
+    small_corpus, bench_dataset, monkeypatch
+):
+    monkeypatch.setattr("metatriage.learn._MAX_NEWTON_STEPS", 1)
+    shared = dict(k=3, hyper=small_hyper())
+    reports = {
+        "size 64": hash_size_sweep(bench_dataset, sizes=(64,), seed=9, **shared),
+        "model logistic top_k 2": feature_count_curve(
+            bench_dataset, ks=(2,), model_kinds=("logistic",), ranking_method="info_gain",
+            seed=5, **shared,
+        ),
+        "cell (0.5, 1-AV) logistic": grid_benchmark(
+            small_corpus, BenchmarkGrid(malware_fractions=(0.5,), thresholds=(1,),
+                                        subset_size=200, model_kinds=("logistic",), seed=4),
+            top_k=5, ranking_method="info_gain", **shared,
+        ),
+        "1-AV window 1": robustness_windows(
+            small_corpus, window_width=3, n_windows=1, model_kind="logistic", thresholds=(1,),
+            subset_size=200, seed=6, ranking_method="info_gain", **shared,
+        ),
+    }
+    for label, report in reports.items():
+        flags = [f for f in report.flags if "converge" in f]
+        assert [f.rsplit(" (gradient norm ", 1)[0] for f in flags] == [
+            f"{label}: fold {i}: logistic did not converge" for i in range(3)
+        ]
+        # flagged, not excluded
+        assert len(report.rows) == 1
+        assert all(v == v for v in report.rows[0].values() if isinstance(v, float))
 
 
 class TestRobustnessWindows:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,44 @@ class TestGenerate:
         devs = {json.loads(line)["developer_id"]
                 for line in path.read_text().splitlines()}
         assert len(devs) <= 12
+
+    @pytest.mark.parametrize("generator,message", [
+        ({"signal_strengths": 5}, "'generator.signal_strengths' must hold a JSON object"),
+        ({"engine_count_distribution": "zipf"},
+         "'generator.engine_count_distribution' must hold a JSON object"),
+        (5, "'generator' must hold a JSON object"),
+        ({"n_appz": 10}, "unexpected keyword argument 'n_appz'"),
+        ({"n_apps": "10"}, "n_apps must be an integer"),
+        ({"n_apps": 10.5}, "n_apps must be an integer"),
+        ({"malware_rate": True}, "malware_rate must be a finite number"),
+        ({"signal_strengths": {"social": None}}, "social must be a finite number"),
+        ({"engine_count_distribution": {"max": 3}}, "unexpected keyword argument 'max'"),
+    ])
+    def test_bad_generator_config_is_a_usage_error(self, work, capsys, generator, message):
+        config = work / "bad-generator.json"
+        config.write_text(json.dumps({"generator": generator}))
+        out = work / "bad-generator.jsonl"
+        assert main(["generate", "--config", str(config), "--out", str(out),
+                     "--s-social", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert message in err
+        assert not out.exists()
+
+    def test_flags_override_generator_config_sections(self, work, capsys):
+        config = work / "generator.json"
+        config.write_text(json.dumps({"generator": {
+            "n_apps": 300, "signal_strengths": {"social": 0.5},
+            "engine_count_distribution": {"max_count": 4},
+        }}))
+        a, b = work / "gen-config.jsonl", work / "gen-flags.jsonl"
+        assert main(["generate", "--config", str(config), "--out", str(a),
+                     "--n-apps", "120", "--s-social", "0.9", "--zipf-exponent", "1.2"]) == 0
+        assert main(["generate", "--out", str(b), "--n-apps", "120", "--s-social", "0.9",
+                     "--zipf-exponent", "1.2", "--zipf-max", "4"]) == 0
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes()
+        assert max(json.loads(line)["detection_count"] for line in a.read_text().splitlines()) <= 4
 
 
 class TestHistogram:
@@ -151,7 +190,7 @@ class TestCv:
 
     def test_provenance_records_merged_hyper(self, corpus_path, work, capsys):
         config = work / "cv-hyper.json"
-        config.write_text(json.dumps({"hyper": {"logistic": {"epochs": 50}}}))
+        config.write_text(json.dumps({"hyper": {"logistic": {"tolerance": 1e-4}}}))
         out = work / "cv-hyper"
         assert main([
             "cv", "--corpus", str(corpus_path), "--model", "logistic",
@@ -160,9 +199,35 @@ class TestCv:
         ]) == 0
         capsys.readouterr()
         hyper = json.loads((out / "provenance.json").read_text())["options"]["hyper"]
-        assert hyper["logistic"]["epochs"] == 50
-        assert hyper["logistic"]["learning_rate"] == 0.1
+        assert hyper["logistic"] == {"tolerance": 1e-4}
         assert hyper["forest"]["n_trees"] == 60
+
+    @pytest.mark.parametrize("removed", ["epochs", "learning_rate", "l2_lambda"])
+    def test_removed_logistic_settings_are_usage_errors(self, corpus_path, work, capsys, removed):
+        config = work / "cv-removed.json"
+        config.write_text(json.dumps({"hyper": {"logistic": {removed: 1}}}))
+        assert main([
+            "cv", "--corpus", str(corpus_path), "--model", "logistic",
+            "--k", "2", "--subset-size", "200", "--config", str(config),
+        ]) == 1
+        assert f"unknown logistic hyperparameter(s): {removed}" in capsys.readouterr().err
+
+    def test_logistic_not_converged_is_flagged(self, corpus_path, work, capsys, monkeypatch):
+        monkeypatch.setattr("metatriage.learn._MAX_NEWTON_STEPS", 1)
+        out = work / "cv-capped"
+        assert main([
+            "cv", "--corpus", str(corpus_path), "--model", "logistic",
+            "--k", "2", "--subset-size", "200", "--out", str(out),
+        ]) == 0
+        err = capsys.readouterr().err
+        doc = json.loads((out / "eval.json").read_text())
+        for fold in (0, 1):
+            flag = next(f for f in doc["flags"] if f.startswith(f"fold {fold}: "))
+            assert flag.startswith(f"fold {fold}: logistic did not converge (gradient norm ")
+            assert f"flag: {flag}" in err
+        # flagged, not excluded: both folds count in the means
+        test_f1 = [f["test"]["f1"] for f in doc["folds"]]
+        assert doc["means"]["test"]["f1"] == pytest.approx(np.mean(test_f1))
 
     @pytest.mark.parametrize("hyper", [
         {"logistic": {"foo": 1}},
@@ -187,6 +252,17 @@ class TestCv:
             "--k", "2", "--subset-size", "200", "--config", str(config),
         ]) == 1
         assert "n_trees must be an integer" in capsys.readouterr().err
+
+    def test_non_finite_size_is_a_skipped_record(self, corpus_path, work, capsys):
+        lines = corpus_path.read_text().splitlines()
+        lines[0] = re.sub(r'"size_bytes":\d+', '"size_bytes":Infinity', lines[0])
+        path = work / "infinite-size.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert main([
+            "cv", "--corpus", str(path), "--model", "forest", "--k", "2",
+            "--subset-size", "100",
+        ]) == 0
+        assert "warning: 1 malformed records skipped" in capsys.readouterr().err
 
     def test_single_class_corpus_is_a_data_error(self, goodware_path, capsys):
         code = main(["cv", "--corpus", str(goodware_path), "--k", "2"])
@@ -309,11 +385,11 @@ class TestBenchCommands:
         assert rows[0].startswith("size,")
         assert len(rows) == 3
         report = json.loads((out / "report.json").read_text())
-        assert report["config"]["hyper"]["logistic"]["epochs"] == 300
+        assert report["config"]["hyper"]["logistic"] == {"tolerance": 1e-6}
 
     def test_sweep_applies_config_hyper(self, corpus_path, work, capsys):
         config = work / "sweep-hyper.json"
-        config.write_text(json.dumps({"hyper": {"logistic": {"epochs": 1}}}))
+        config.write_text(json.dumps({"hyper": {"logistic": {"tolerance": 0.5}}}))
         out = work / "sweep-hyper"
         assert main([
             "sweep-hashes", "--corpus", str(corpus_path), "--sizes", "8",
@@ -322,7 +398,7 @@ class TestBenchCommands:
         ]) == 0
         capsys.readouterr()
         report = json.loads((out / "report.json").read_text())
-        assert report["config"]["hyper"]["logistic"]["epochs"] == 1
+        assert report["config"]["hyper"]["logistic"]["tolerance"] == 0.5
 
     def test_config_hyper_overrides_only_the_keys_it_names(self, corpus_path, work, capsys):
         config = work / "sweep-forest-hyper.json"
@@ -336,7 +412,7 @@ class TestBenchCommands:
         capsys.readouterr()
         hyper = json.loads((out / "report.json").read_text())["config"]["hyper"]
         assert hyper["forest"]["n_trees"] == 5
-        assert hyper["logistic"]["epochs"] == 300
+        assert hyper["logistic"]["tolerance"] == 1e-6
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_a_usage_error(self, corpus_path, work, capsys, threads):
@@ -393,6 +469,18 @@ class TestBenchCommands:
         path.write_text(json.dumps(doc))
         assert main(["report", "--input", str(path), "--out", str(work / "partial")]) == 2
         assert f"report is missing key(s): {missing}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("rows", 5), ("rows", [1]), ("columns", ["a", 2]), ("experiment", 3),
+        ("config", []), ("flags", "x"), ("curves", [[]]), ("provenance", []),
+    ])
+    def test_report_with_a_wrong_type_is_a_data_error(self, work, capsys, key, value):
+        doc = {"experiment": "sweep", "config": {}, "columns": ["a"], "rows": [], key: value}
+        path = work / "mistyped-report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--input", str(path), "--out", str(work / "mistyped")]) == 2
+        assert f"error: report key {key!r} must be a " in capsys.readouterr().err
+        assert not (work / "mistyped").exists()
 
     def test_tiny_benchmark_grid(self, corpus_path, work, capsys):
         out = work / "grid"

@@ -7,6 +7,7 @@ import pytest
 
 from metatriage.corpus import (
     AMBIGUOUS,
+    FIELD_ORDER,
     GOODWARE,
     MALWARE,
     AppRecord,
@@ -151,6 +152,30 @@ class TestParsing:
             lines.append(",".join(str(d[k]) for k in header))
         result = parse_records("\n".join(lines) + "\n", format="csv")
         assert result.records == recs
+
+    @pytest.mark.parametrize("field,value", [
+        ("size_bytes", "Infinity"), ("num_files", "-Infinity"), ("version_code", "1e999"),
+        ("star_votes", "[1, 2, Infinity, 0, 0]"),
+    ])
+    def test_non_finite_number_is_a_parse_issue(self, field, value):
+        good = json.dumps(record_to_dict(make_record(app_id="ok")))
+        bad = record_to_dict(make_record(app_id="bad"))
+        bad[field] = "VALUE"
+        bad = json.dumps(bad).replace('"VALUE"', value)
+        result = parse_records(good + "\n" + bad + "\n")
+        assert [r.app_id for r in result.records] == ["ok"]
+        assert {i.line for i in result.issues} == {2}
+        assert result.issues[0].message.startswith(field)
+
+    def test_csv_file_round_trip(self, tmp_path):
+        recs = generate_synthetic(GeneratorConfig(n_apps=300), seed=5)
+        path = tmp_path / "corpus.csv"
+        write_corpus(recs, str(path))
+        assert path.read_text().splitlines()[0] == ",".join(FIELD_ORDER)
+        result = load_corpus(str(path))
+        assert result.issues == []
+        assert result.records == recs
+        assert corpus_digest(result.records) == corpus_digest(recs)
 
     def test_file_round_trip(self, tmp_path):
         recs = [make_record(app_id=f"a{i}") for i in range(5)]
@@ -357,6 +382,27 @@ class TestGenerator:
             engine_count_distribution=DetectionCountModel(exponent=2.0, max_count=9),
         )
         assert GeneratorConfig.from_json(config.to_json()) == config
+
+    @pytest.mark.parametrize("obj,message", [
+        (5, "'generator' must hold a JSON object"),
+        ({"signal_strengths": 5}, "'generator.signal_strengths' must hold a JSON object"),
+        ({"engine_count_distribution": [1]},
+         "'generator.engine_count_distribution' must hold a JSON object"),
+        ({"n_app": 5}, "unexpected keyword argument 'n_app'"),
+        ({"n_apps": "5"}, "n_apps must be an integer"),
+        ({"n_apps": 5.0}, "n_apps must be an integer"),
+        ({"n_apps": False}, "n_apps must be an integer"),
+        ({"malware_rate": float("nan")}, "malware_rate must be a finite number"),
+        ({"signal_strengths": {"social": [0.1]}}, "social must be a finite number"),
+        ({"engine_count_distribution": {"max_count": 2.5}}, "max_count must be an integer"),
+    ])
+    def test_config_from_json_names_a_bad_key(self, obj, message):
+        with pytest.raises(TypeError) as info:
+            GeneratorConfig.from_json(obj)
+        assert message in str(info.value)
+
+    def test_config_from_json_takes_an_integer_for_a_real(self):
+        assert GeneratorConfig.from_json({"malware_rate": 1}).malware_rate == 1
 
     def test_self_signed_apps_share_issuer_and_developer(self, small_corpus):
         shared = sum(1 for r in small_corpus if r.issuer_id == r.developer_id)

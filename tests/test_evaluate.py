@@ -298,7 +298,7 @@ def quick_config(selection=None, **kwargs):
     return PipelineConfig(
         selection=selection,
         hyper=Hyperparams(
-            logistic=LogisticParams(epochs=60),
+            logistic=LogisticParams(tolerance=1e-4),
             svm=SvmParams(epochs=5),
             forest=ForestParams(n_trees=15, max_depth=8, min_leaf=5),
         ),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import metatriage.learn
-from metatriage.errors import ContractError, DivergenceError
+from metatriage.errors import ContractError
 from metatriage.featurize import FeatureMatrix
 from metatriage.learn import (
     ForestModel,
@@ -69,44 +69,59 @@ class TestLogistic:
 
     def test_separates_clusters(self):
         X, y = two_clusters()
-        model = train_logistic(X, y, LogisticParams(epochs=300))
+        model = train_logistic(X, y)
         scores = predict_score(model, X)
         assert scores[y == 1].min() > scores[y == 0].max()
 
-    def test_loss_non_increasing_along_descent(self):
+    @pytest.mark.parametrize("problem", ["separable", "all_positive", "wide", "noisy"])
+    def test_returned_gradient_norm_is_below_tolerance(self, problem):
+        rng = np.random.default_rng(11)
+        if problem == "separable":
+            X, y = two_clusters(n=200, gap=3.0)
+        elif problem == "all_positive":
+            X = FeatureMatrix(("x0", "x1"), rng.normal(size=(50, 2)))
+            y = np.ones(50, dtype=int)
+        else:
+            # a standardized 1,333 x 2,048 matrix of sparse indicator columns,
+            # the shape of one training fold at the sweep's widest point
+            n, p = (1333, 2048) if problem == "wide" else (300, 12)
+            A = (rng.random((n, p)) < 0.02).astype(float)
+            truth = rng.normal(size=p) * (rng.random(p) < 0.3)
+            y = (A @ truth + rng.normal(size=n) > 0).astype(int)
+            std = A.std(axis=0)
+            A = (A - A.mean(axis=0)) / np.where(std > 0, std, 1.0)
+            X = FeatureMatrix(tuple(f"f{j}" for j in range(p)), A)
+        for tolerance in (1e-6, 1e-9):
+            model = train_logistic(X, y, LogisticParams(tolerance=tolerance))
+            _, gw, gb = logistic_loss_grad(
+                model.weights, model.bias, X.values, y.astype(np.float64), 1.0 / len(y)
+            )
+            norm = np.sqrt(gw @ gw + gb * gb)
+            assert norm < tolerance
+            assert model.meta["final_grad_norm"] == pytest.approx(norm, rel=1e-6, abs=1e-15)
+            assert 1 <= model.meta["epochs_run"] < metatriage.learn._MAX_NEWTON_STEPS
+
+    def test_newton_step_cap_stops_short_of_tolerance(self, monkeypatch):
+        monkeypatch.setattr(metatriage.learn, "_MAX_NEWTON_STEPS", 1)
         X, y = two_clusters(n=80)
-        losses = []
-        for epochs in (1, 2, 4, 8, 16, 32, 64):
-            model = train_logistic(
-                X, y, LogisticParams(learning_rate=0.05, epochs=epochs)
-            )
-            loss, _, _ = logistic_loss_grad(
-                model.weights, model.bias, X.values, y.astype(np.float64), 1e-4
-            )
-            losses.append(loss)
-        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+        model = train_logistic(X, y)
+        assert model.meta["epochs_run"] == 1
+        assert model.meta["final_grad_norm"] >= LogisticParams().tolerance
 
     def test_all_positive_labels_drive_bias_up(self):
         X = FeatureMatrix(("x0",), np.zeros((30, 1)))
         y = np.ones(30, dtype=int)
-        model = train_logistic(X, y, LogisticParams(learning_rate=1.0, epochs=300))
+        model = train_logistic(X, y)
         assert model.bias > 0
         assert predict_score(model, X).min() > 0.9
-
-    def test_divergence_raises(self):
-        X, y = two_clusters(n=40)
-        with pytest.raises(DivergenceError):
-            train_logistic(
-                X, y, LogisticParams(learning_rate=1e12, l2_lambda=1.0, epochs=100)
-            )
 
     def test_row_order_invariance(self):
         X, y = two_clusters(n=60)
         perm = np.random.default_rng(5).permutation(60)
         shuffled = FeatureMatrix(X.column_names, X.values[perm])
-        a = train_logistic(X, y, LogisticParams(epochs=50))
-        b = train_logistic(shuffled, y[perm], LogisticParams(epochs=50))
-        # full-batch GD is row-order independent up to summation order
+        a = train_logistic(X, y)
+        b = train_logistic(shuffled, y[perm])
+        # full-batch Newton is row-order independent up to summation order
         assert np.allclose(a.weights, b.weights, atol=1e-12)
         assert a.bias == pytest.approx(b.bias, abs=1e-12)
 
@@ -382,14 +397,14 @@ class TestTrees:
 class TestPredictScore:
     def test_column_mismatch_lists_names(self):
         X, y = two_clusters(n=20)
-        model = train_logistic(X, y, LogisticParams(epochs=5))
+        model = train_logistic(X, y)
         other = FeatureMatrix(("x0", "zz"), X.values)
         with pytest.raises(ContractError, match="zz"):
             predict_score(model, other)
 
     def test_same_names_wrong_order_rejected(self):
         X, y = two_clusters(n=20)
-        model = train_logistic(X, y, LogisticParams(epochs=5))
+        model = train_logistic(X, y)
         flipped = FeatureMatrix(("x1", "x0"), X.values[:, ::-1])
         with pytest.raises(ContractError, match="different order"):
             predict_score(model, flipped)
@@ -448,7 +463,7 @@ class TestSerialization:
 class TestHyperparams:
     def test_json_round_trip(self):
         hyper = Hyperparams(
-            logistic=LogisticParams(learning_rate=0.2, epochs=77),
+            logistic=LogisticParams(tolerance=1e-3),
             svm=SvmParams(regularization_c=0.5, epochs=4, seed=2),
             forest=ForestParams(n_trees=9, max_depth=3, min_leaf=2, seed=8),
         )
@@ -457,7 +472,7 @@ class TestHyperparams:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LogisticParams(learning_rate=-1.0)
+            LogisticParams(tolerance=-1.0)
         with pytest.raises(ValueError):
             SvmParams(regularization_c=0.0)
         with pytest.raises(ValueError):
@@ -468,8 +483,8 @@ class TestHyperparams:
         lambda: ForestParams(n_trees=2.5),
         lambda: ForestParams(min_leaf="3"),
         lambda: ForestParams(max_depth=False),
-        lambda: LogisticParams(epochs=10.0),
-        lambda: LogisticParams(learning_rate=float("nan")),
+        lambda: LogisticParams(tolerance="1e-6"),
+        lambda: LogisticParams(tolerance=float("nan")),
         lambda: LogisticParams(tolerance=True),
         lambda: SvmParams(regularization_c=float("inf")),
         lambda: SvmParams(seed=None),
