@@ -356,7 +356,7 @@ def hash_size_sweep(
                     "y": [float(p) for p in points[:, 1]],
                 }
             )
-        report.flags.extend(f"size {size}: {f}" for f in ev.flags)
+        report.flags.extend(f"size {size}: {f}" for f in ev.fold_flags())
     report.curves.append(_curve("pooled AUC", "auc-vs-size", report.rows, "size", "pooled_auc"))
     return report
 
@@ -509,7 +509,7 @@ def grid_benchmark(
         except CompositionError as exc:
             return None, f"{where} infeasible: {exc}"
         plan = _prepare(subset, k, _derive_seed(grid.seed, ci, 1), pipeline)
-        cell_rows, cell_flags = [], list(subset.flags)
+        cell_rows, cell_flags = [], [f"{where}: {f}" for f in subset.flags]
         for model_kind in grid.model_kinds:
             ev, error = _evaluate(f"{where} {model_kind}", plan, model_kind)
             if ev is None:
@@ -534,7 +534,7 @@ def grid_benchmark(
                     "reference_test_f1": ref_f1[1],
                 }
             )
-            cell_flags.extend(f"{where} {model_kind}: {f}" for f in ev.flags)
+            cell_flags.extend(f"{where} {model_kind}: {f}" for f in ev.fold_flags())
         return (cell_rows, cell_flags), None
 
     for _, (cell_rows, cell_flags) in _completed(report, cells, run_cell, threads):

@@ -131,12 +131,14 @@ def record_from_dict(obj: dict) -> tuple[Optional[AppRecord], list[str], list[st
     if isinstance(perms, str):
         perms = [p for p in perms.split(";") if p]
     kwargs["permissions"] = frozenset(str(p) for p in perms)
+    # A field that does not convert is reported here and gets a placeholder
+    # that `validation_errors` accepts, so it is reported once.
     for name in _INT_FIELDS:
         try:
             kwargs[name] = int(obj[name])
         except (TypeError, ValueError, OverflowError):
             problems.append(f"{name} is not an integer: {obj[name]!r}")
-            kwargs[name] = -1
+            kwargs[name] = 0
     votes = obj["star_votes"]
     if isinstance(votes, str):
         votes = [v for v in votes.split(";") if v != ""]
@@ -144,7 +146,7 @@ def record_from_dict(obj: dict) -> tuple[Optional[AppRecord], list[str], list[st
         kwargs["star_votes"] = tuple(int(v) for v in votes)
     except (TypeError, ValueError, OverflowError):
         problems.append(f"star_votes is not a list of integers: {votes!r}")
-        kwargs["star_votes"] = (-1,) * 5
+        kwargs["star_votes"] = (0,) * 5
 
     record = AppRecord(**kwargs)
     problems.extend(record.validation_errors())
@@ -184,17 +186,20 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
 
     `stream` may be a file object, a str, bytes, or an iterable of lines.
     Malformed records are skipped and reported in the result, up to
-    `max_errors`; a duplicate app_id aborts parsing immediately.
+    `max_errors` of them; a duplicate app_id aborts parsing immediately.
     """
     if format not in ("jsonlines", "csv"):
         raise ValueError(f"unknown corpus format: {format!r}")
 
     result = ParseResult(records=[])
     seen_ids: set[str] = set()
+    rejected = 0
 
     def reject(line_no: int, problems: list[str]) -> None:
+        nonlocal rejected
         result.issues.extend(ParseIssue(line_no, p) for p in problems)
-        if len(result.issues) > max_errors:
+        rejected += 1
+        if rejected > max_errors:
             raise ParseError(
                 f"more than {max_errors} malformed records; last at line {line_no}"
             )

@@ -44,10 +44,6 @@ class GenerationError(MetatriageError):
     """A synthetic-corpus configuration is infeasible."""
 
 
-class DivergenceError(MetatriageError):
-    """Training produced a non-finite loss."""
-
-
 class ContractError(MetatriageError):
     """Caller violated an interface contract (e.g. mismatched columns)."""
 

@@ -262,7 +262,7 @@ class FoldResult:
 
 
 _METRICS = ("precision", "recall", "f1", "auc")
-_NOT_CONVERGED = "logistic did not converge"
+_NOT_CONVERGED = "did not converge"
 
 
 @dataclass
@@ -280,12 +280,12 @@ class EvalReport:
 
     def fold_flags(self) -> list[str]:
         """One flag per degenerate fold, which the means leave out, and one
-        per fold whose logistic fit stopped short of its tolerance."""
+        per fold whose linear fit stopped short of its tolerance."""
         out = []
         for f in self.folds:
             if f.degenerate:
                 out.append(f"fold {f.fold} excluded: {'; '.join(f.flags)}")
-            out.extend(f"fold {f.fold}: {x}" for x in f.flags if x.startswith(_NOT_CONVERGED))
+            out.extend(f"fold {f.fold}: {x}" for x in f.flags if _NOT_CONVERGED in x)
         return out
 
     def mean(self, which: str, metric: str) -> float:
@@ -357,11 +357,13 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def _derived_seeds(seed: int, fold: int) -> tuple[int, int, int]:
+def _derived_seeds(seed: int, fold: int) -> tuple[int, int]:
+    """The fold's ranking seed and forest seed: words 0 and 2 of a
+    three-word state."""
     state = np.random.SeedSequence(
         [seed & 0xFFFFFFFFFFFFFFFF, 0xC5, fold]
     ).generate_state(3)
-    return int(state[0]), int(state[1]), int(state[2])
+    return int(state[0]), int(state[2])
 
 
 @dataclass
@@ -465,7 +467,7 @@ def evaluate(
     """Fit, score and measure `model_kind` on every fold of `plan`, on the
     columns `selection` (by default the plan's) picks. Linear models see
     standardized columns; degenerate folds are flagged and left out, and a
-    logistic fit that did not converge is flagged but kept."""
+    linear fit that did not converge is flagged but kept."""
     sel = plan.config.selection if selection is None else selection
     labels = plan.labels
     report = EvalReport(model_kind, plan.k, plan.seed, folds=[], flags=list(plan.flags))
@@ -491,19 +493,18 @@ def evaluate(
             X_train = type(X_train)(X_train.column_names, train_vals)
             X_test = type(X_test)(X_test.column_names, test_vals)
 
-        _, svm_seed, forest_seed = _derived_seeds(plan.seed, fold.fold)
         hyper = plan.config.hyper
+        forest_seed = _derived_seeds(plan.seed, fold.fold)[1]
         hyper = dataclasses.replace(
-            hyper,
-            svm=dataclasses.replace(hyper.svm, seed=svm_seed),
-            forest=dataclasses.replace(hyper.forest, seed=forest_seed),
+            hyper, forest=dataclasses.replace(hyper.forest, seed=forest_seed)
         )
         model = train_model(model_kind, X_train, y_train, hyper)
+        linear = {"logistic": hyper.logistic, "linear_svm": hyper.svm}.get(model_kind)
         notes = ()
-        if model_kind == "logistic":
+        if linear is not None:
             norm = model.meta["final_grad_norm"]
-            if not norm < hyper.logistic.tolerance:
-                notes = (f"{_NOT_CONVERGED} (gradient norm {norm:.3g})",)
+            if not norm < linear.tolerance:
+                notes = (f"{model_kind} {_NOT_CONVERGED} (gradient norm {norm:.3g})",)
         train_scores = predict_score(model, X_train)
         test_scores = predict_score(model, X_test)
         pooled[fold.test_idx] = test_scores

@@ -105,17 +105,16 @@ def hash_column_names(config: HashConfig) -> tuple[str, ...]:
 class ReputationTable:
     """Smoothed malware share per developer and certificate issuer.
 
-    rep(e) = (malware_e + alpha) / (total_e + 2*alpha); entities unseen at
-    fit time fall back to the smoothed global prior. Built from training
-    rows only; applying it to its own fit rows leaks label information,
-    which is why cross-validation refits it inside each fold.
+    rep(e) = (malware_e + alpha) / (total_e + 2*alpha), with the `alpha` of
+    `build_reputation_table`; entities unseen at fit time fall back to the
+    smoothed global prior. Built from training rows only; applying it to
+    its own fit rows leaks label information, which is why cross-validation
+    refits it inside each fold.
     """
 
-    alpha: float
     global_prior: float
     developers: dict[str, float] = field(default_factory=dict)
     issuers: dict[str, float] = field(default_factory=dict)
-    n_fit_rows: int = 0
 
     def developer_rep(self, developer_id: str) -> float:
         return self.developers.get(developer_id, self.global_prior)
@@ -157,13 +156,7 @@ def build_reputation_table(
     issuers = {
         s: (iss_mal.get(s, 0) + alpha) / (t + 2.0 * alpha) for s, t in iss_total.items()
     }
-    return ReputationTable(
-        alpha=alpha,
-        global_prior=global_prior,
-        developers=developers,
-        issuers=issuers,
-        n_fit_rows=n,
-    )
+    return ReputationTable(global_prior=global_prior, developers=developers, issuers=issuers)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Three classifiers with a uniform scoring interface.
 
-Logistic regression (Newton-CG to a gradient-norm tolerance, on the mean
-log-loss plus (0.5/n)*||w||^2, LIBLINEAR's C = 1), a linear SVM (Pegasos
-stochastic subgradient), and a random forest (CART, Gini). All are trained
-from binary {0,1} labels and produce one monotone malware-ness score per
-row: probabilities for logistic, real margins for the SVM, mean leaf
-fractions for the forest.
+Logistic regression and an L2-loss linear SVM, both fitted by one
+Newton-CG solver to a gradient-norm tolerance at LIBLINEAR's C = 1 (the
+mean log-loss or the mean squared hinge, plus (0.5/n)*||w||^2), and a
+random forest (CART, Gini). All are trained from binary {0,1} labels and
+produce one monotone malware-ness score per row: probabilities for
+logistic, real margins for the SVM, mean leaf fractions for the forest.
 
 The forest grows all of its trees together, one depth level per pass, over
 value codes: each value's rank among its column's distinct values. Each
@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ContractError, DivergenceError, check_number_fields
+from .errors import ContractError, check_number_fields
 from .featurize import FeatureMatrix
 
 
@@ -40,15 +40,13 @@ class LogisticParams:
 
 @dataclass(frozen=True)
 class SvmParams:
-    # Pegasos regularization weight: objective (c/2)||w||^2 + mean hinge.
-    regularization_c: float = 1e-4
-    epochs: int = 20
-    seed: int = 0
+    # Newton-CG stops once the gradient norm of the objective is below this.
+    tolerance: float = 1e-6
 
     def __post_init__(self):
         check_number_fields(self)
-        if self.regularization_c <= 0 or self.epochs < 1:
-            raise ValueError("svm hyperparameters must be positive")
+        if self.tolerance <= 0:
+            raise ValueError("svm tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ def _check_training_inputs(X: FeatureMatrix, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Logistic regression
+# Linear models: the shared Newton-CG solver, and logistic regression
 # ---------------------------------------------------------------------------
 
 
@@ -129,13 +127,14 @@ class LinearModel:
     meta: dict = field(default_factory=dict)
 
 
-# Newton steps before `train_logistic` gives up short of its tolerance.
+# Newton steps before a linear fit gives up short of its tolerance.
 _MAX_NEWTON_STEPS = 100
 
 
 def _newton_direction(A: np.ndarray, curvature: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Truncated conjugate gradient for H d = -g, where H is the Hessian in
-    (w, b) of `train_logistic`'s objective and `curvature` is p(1-p) per row.
+    """Truncated conjugate gradient for H d = -g, where H is the (generalized)
+    Hessian in (w, b) of a linear model's objective at penalty 1/n and
+    `curvature` is the loss's second derivative in each row's margin.
 
     Runs at most p + 1 Hessian-vector products and stops once the residual
     is under min(0.5, sqrt(||g||)) * ||g||. A step of non-positive
@@ -168,36 +167,34 @@ def _newton_direction(A: np.ndarray, curvature: np.ndarray, g: np.ndarray) -> np
     return d if d.any() else -g
 
 
-def train_logistic(
-    X: FeatureMatrix, y: np.ndarray, params: LogisticParams = LogisticParams()
+def _fit_newton(
+    kind: str, X: FeatureMatrix, y: np.ndarray, tolerance: float,
+    loss_grad: Callable, curvature: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> LinearModel:
-    """Newton-CG on the objective of `logistic_loss_grad` at penalty 1/n
-    (Lin, Weng and Keerthi 2008, without the trust region).
+    """Newton-CG on `loss_grad`'s objective at penalty 1/n, C = 1 (Lin, Weng
+    and Keerthi 2008, without the trust region), from w = 0, b = 0.
 
-    Each Newton direction comes from `_newton_direction`; the step along it
+    Each Newton direction comes from `_newton_direction`, with
+    `curvature(z, y)` taken at the margins z = A w + b; the step along it
     starts at 1 and halves until the Armijo condition (c = 1e-4) holds.
-    Stops once the gradient norm is under `params.tolerance`. A fit that
-    reaches `_MAX_NEWTON_STEPS`, or whose 40 halvings cannot lower the
-    objective, ends with its gradient norm at or above the tolerance;
-    `meta` records the Newton steps taken (`epochs_run`) and that norm.
+    Stops once the gradient norm is under `tolerance`. A fit that reaches
+    `_MAX_NEWTON_STEPS`, or whose 40 halvings cannot lower the objective,
+    ends with its gradient norm at or above the tolerance; `meta` records
+    the Newton steps taken (`epochs_run`) and that norm.
     """
     y = _check_training_inputs(X, y)
     A = X.values
     w = np.zeros(X.n_columns)
     b = 0.0
     penalty = 1.0 / len(y)  # C = 1
-    loss, gw, gb = logistic_loss_grad(w, b, A, y, penalty)
+    loss, gw, gb = loss_grad(w, b, A, y, penalty)
     g = np.append(gw, gb)
     steps = 0
-    while steps < _MAX_NEWTON_STEPS and math.sqrt(float(g @ g)) >= params.tolerance:
-        with np.errstate(over="ignore"):
-            p = 1.0 / (1.0 + np.exp(-(A @ w + b)))
-        d = _newton_direction(A, p * (1.0 - p), g)
+    while steps < _MAX_NEWTON_STEPS and math.sqrt(float(g @ g)) >= tolerance:
+        d = _newton_direction(A, curvature(A @ w + b, y), g)
         slope, t = float(g @ d), 1.0
         for _ in range(40):
-            trial_loss, gw, gb = logistic_loss_grad(
-                w + t * d[:-1], b + t * d[-1], A, y, penalty
-            )
+            trial_loss, gw, gb = loss_grad(w + t * d[:-1], b + t * d[-1], A, y, penalty)
             if trial_loss <= loss + 1e-4 * t * slope:
                 break
             t /= 2.0
@@ -207,7 +204,7 @@ def train_logistic(
         loss, g = trial_loss, np.append(gw, gb)
         steps += 1
     return LinearModel(
-        kind="logistic",
+        kind=kind,
         weights=w,
         bias=b,
         column_names=X.column_names,
@@ -215,81 +212,56 @@ def train_logistic(
     )
 
 
+def _logistic_curvature(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        p = 1.0 / (1.0 + np.exp(-z))
+    return p * (1.0 - p)
+
+
+def train_logistic(
+    X: FeatureMatrix, y: np.ndarray, params: LogisticParams = LogisticParams()
+) -> LinearModel:
+    """Minimize `logistic_loss_grad`'s objective at penalty 1/n by Newton-CG
+    (`_fit_newton`), with curvature p(1-p) per row."""
+    return _fit_newton(
+        "logistic", X, y, params.tolerance, logistic_loss_grad, _logistic_curvature
+    )
+
+
 # ---------------------------------------------------------------------------
-# Linear SVM (Pegasos)
+# Linear SVM (L2-loss)
 # ---------------------------------------------------------------------------
 
 
-def svm_objective(
-    weights: np.ndarray, bias: float, X: np.ndarray, y_pm: np.ndarray, c: float
-) -> float:
-    """Primal objective (c/2)(||w||^2 + b^2) + mean hinge loss."""
-    margins = y_pm * (X @ weights + bias)
-    hinge = np.maximum(0.0, 1.0 - margins).mean()
-    return 0.5 * c * (float(weights @ weights) + bias * bias) + float(hinge)
-
-
-def _canonical_order(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Content-derived row order: sort by label then feature values.
-
-    Makes stochastic training invariant to the caller's row permutation;
-    duplicate rows are interchangeable so their relative order is moot.
+def svm_loss_grad(
+    weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray, penalty: float
+) -> tuple[float, np.ndarray, float]:
+    """Mean squared hinge max(0, 1 - t*z)^2, with t = 2y - 1 and z the
+    margin, plus (penalty/2)*||w||^2, and its exact gradient.
+    `train_linear_svm` minimizes it at penalty 1/n: LIBLINEAR's L2-loss
+    primal at C = 1, divided by n. The bias is not penalized.
     """
-    keys = [A[:, j] for j in range(A.shape[1] - 1, -1, -1)] + [y]
-    return np.lexsort(keys)
+    t = 2.0 * y - 1.0
+    slack = np.maximum(0.0, 1.0 - t * (X @ weights + bias))
+    loss = float(np.mean(slack * slack)) + 0.5 * penalty * float(weights @ weights)
+    residual = -2.0 * t * slack  # d loss_i / d z_i
+    grad_w = X.T @ residual / len(y) + penalty * weights
+    grad_b = float(residual.mean())
+    return loss, grad_w, grad_b
+
+
+def _svm_curvature(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # 2 where the squared hinge is active, 0 elsewhere: the generalized
+    # Hessian of Keerthi and DeCoste (2005).
+    return np.where((2.0 * y - 1.0) * z < 1.0, 2.0, 0.0)
 
 
 def train_linear_svm(
     X: FeatureMatrix, y: np.ndarray, params: SvmParams = SvmParams()
 ) -> LinearModel:
-    """Pegasos: stochastic subgradient on the hinge loss, step 1/(c*t).
-
-    The bias rides along as an extra regularized coordinate. Rows are
-    visited in a seeded shuffle of a canonical content-derived order, and
-    end-of-epoch iterates are kept in the model meta so the optimization
-    trace can be audited.
-    """
-    y01 = _check_training_inputs(X, y)
-    y_pm = 2.0 * y01 - 1.0
-    order = _canonical_order(X.values, y01)
-    A = X.values[order]
-    t_pm = y_pm[order]
-    n, p = A.shape
-    c = params.regularization_c
-
-    v = np.zeros(p + 1)  # weights + bias as the last coordinate
-    t = 0
-    epoch_iterates = []
-    for epoch in range(params.epochs):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([params.seed & 0xFFFFFFFFFFFFFFFF, 0x5E60, epoch])
-        )
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (c * t)
-            margin = t_pm[i] * (A[i] @ v[:p] + v[p])
-            v *= 1.0 - eta * c
-            if margin < 1.0:
-                v[:p] += eta * t_pm[i] * A[i]
-                v[p] += eta * t_pm[i]
-        if not np.isfinite(v).all():
-            raise DivergenceError(
-                f"svm iterate became non-finite at epoch {epoch}; "
-                f"increase regularization_c (currently {c})"
-            )
-        epoch_iterates.append((v[:p].copy(), float(v[p])))
-
-    return LinearModel(
-        kind="linear_svm",
-        weights=v[:p].copy(),
-        bias=float(v[p]),
-        column_names=X.column_names,
-        meta={
-            "seed": params.seed,
-            "epochs_run": params.epochs,
-            "epoch_iterates": epoch_iterates,
-        },
-    )
+    """Minimize `svm_loss_grad`'s objective at penalty 1/n by Newton-CG
+    (`_fit_newton`), with curvature 2 on rows whose margin is under 1."""
+    return _fit_newton("linear_svm", X, y, params.tolerance, svm_loss_grad, _svm_curvature)
 
 
 # ---------------------------------------------------------------------------

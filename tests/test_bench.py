@@ -32,7 +32,7 @@ from metatriage.corpus import (
 from metatriage.errors import ContractError, MetatriageError
 from metatriage.evaluate import PipelineConfig, SelectionSpec, cross_validate
 from metatriage.featurize import HashConfig
-from metatriage.learn import ForestParams, Hyperparams, LogisticParams, SvmParams
+from metatriage.learn import ForestParams, Hyperparams, LogisticParams
 from metatriage.reporting import report_markdown
 
 from test_corpus import make_record
@@ -41,7 +41,6 @@ from test_corpus import make_record
 def small_hyper():
     return Hyperparams(
         logistic=LogisticParams(tolerance=1e-4),
-        svm=SvmParams(epochs=5),
         forest=ForestParams(n_trees=15, max_depth=8, min_leaf=5),
     )
 
@@ -269,6 +268,8 @@ class TestHashSizeSweep:
         assert auc[256] > auc[1] + 0.15
         kinds = {c["kind"] for c in report.curves}
         assert kinds == {"roc", "auc-vs-size"}
+        # the columns are fixed by design, so no size is flagged frozen-ranking
+        assert report.flags == []
 
     def test_sweep_is_thread_count_invariant(self, permission_dataset):
         a = hash_size_sweep(permission_dataset, sizes=(8, 16), k=3, seed=9,
@@ -385,15 +386,19 @@ class TestGridBenchmark:
             for i in range(120)
         ]
         grid = BenchmarkGrid(
-            malware_fractions=(0.5,), thresholds=(1, 4), subset_size=60,
-            model_kinds=("forest",), seed=2,
+            malware_fractions=(0.5,), thresholds=(1, 4), subset_size=150,
+            model_kinds=("logistic", "forest"), seed=2,
         )
         report = grid_benchmark(
             corpus, grid, top_k=3, ranking_method="chi_squared",
             k=3, hyper=small_hyper(),
         )
-        assert any("infeasible" in f and "4-AV" in f for f in report.flags)
-        assert [r["threshold"] for r in report.rows] == [1]
+        # the 1-AV cell shrinks to both pools; its flag is filed once, under its label
+        assert report.flags == [
+            "cell (0.5, 1-AV): shrunk to 120 rows (requested 150): pools malware=60 goodware=60",
+            "cell (0.5, 4-AV) infeasible: no malware available at threshold 4",
+        ]
+        assert [r["threshold"] for r in report.rows] == [1, 1]
 
     def test_grid_is_thread_count_invariant(self, small_corpus):
         # no record reaches 54 detections, so the 54-AV cells are infeasible
@@ -458,30 +463,33 @@ def test_logistic_not_converged_is_flagged_in_every_experiment(
 ):
     monkeypatch.setattr("metatriage.learn._MAX_NEWTON_STEPS", 1)
     shared = dict(k=3, hyper=small_hyper())
-    reports = {
-        "size 64": hash_size_sweep(bench_dataset, sizes=(64,), seed=9, **shared),
-        "model logistic top_k 2": feature_count_curve(
-            bench_dataset, ks=(2,), model_kinds=("logistic",), ranking_method="info_gain",
-            seed=5, **shared,
-        ),
-        "cell (0.5, 1-AV) logistic": grid_benchmark(
-            small_corpus, BenchmarkGrid(malware_fractions=(0.5,), thresholds=(1,),
-                                        subset_size=200, model_kinds=("logistic",), seed=4),
-            top_k=5, ranking_method="info_gain", **shared,
-        ),
-        "1-AV window 1": robustness_windows(
-            small_corpus, window_width=3, n_windows=1, model_kind="logistic", thresholds=(1,),
-            subset_size=200, seed=6, ranking_method="info_gain", **shared,
-        ),
-    }
-    for label, report in reports.items():
-        flags = [f for f in report.flags if "converge" in f]
-        assert [f.rsplit(" (gradient norm ", 1)[0] for f in flags] == [
-            f"{label}: fold {i}: logistic did not converge" for i in range(3)
-        ]
-        # flagged, not excluded
-        assert len(report.rows) == 1
-        assert all(v == v for v in report.rows[0].values() if isinstance(v, float))
+    for model in ("logistic", "linear_svm"):
+        reports = {
+            "size 64": hash_size_sweep(
+                bench_dataset, sizes=(64,), model_kind=model, seed=9, **shared
+            ),
+            f"model {model} top_k 2": feature_count_curve(
+                bench_dataset, ks=(2,), model_kinds=(model,), ranking_method="info_gain",
+                seed=5, **shared,
+            ),
+            f"cell (0.5, 1-AV) {model}": grid_benchmark(
+                small_corpus, BenchmarkGrid(malware_fractions=(0.5,), thresholds=(1,),
+                                            subset_size=200, model_kinds=(model,), seed=4),
+                top_k=5, ranking_method="info_gain", **shared,
+            ),
+            "1-AV window 1": robustness_windows(
+                small_corpus, window_width=3, n_windows=1, model_kind=model, thresholds=(1,),
+                subset_size=200, seed=6, ranking_method="info_gain", **shared,
+            ),
+        }
+        for label, report in reports.items():
+            flags = [f for f in report.flags if "converge" in f]
+            assert [f.rsplit(" (gradient norm ", 1)[0] for f in flags] == [
+                f"{label}: fold {i}: {model} did not converge" for i in range(3)
+            ]
+            # flagged, not excluded
+            assert len(report.rows) == 1
+            assert all(v == v for v in report.rows[0].values() if isinstance(v, float))
 
 
 class TestRobustnessWindows:

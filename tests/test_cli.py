@@ -202,32 +202,42 @@ class TestCv:
         assert hyper["logistic"] == {"tolerance": 1e-4}
         assert hyper["forest"]["n_trees"] == 60
 
-    @pytest.mark.parametrize("removed", ["epochs", "learning_rate", "l2_lambda"])
-    def test_removed_logistic_settings_are_usage_errors(self, corpus_path, work, capsys, removed):
+    @pytest.mark.parametrize("model,removed", [
+        pytest.param("logistic", "epochs", id="epochs"),
+        pytest.param("logistic", "learning_rate", id="learning_rate"),
+        pytest.param("logistic", "l2_lambda", id="l2_lambda"),
+        pytest.param("svm", "epochs", id="svm-epochs"),
+        pytest.param("svm", "regularization_c", id="svm-regularization_c"),
+        pytest.param("svm", "seed", id="svm-seed"),
+    ])
+    def test_removed_logistic_settings_are_usage_errors(
+        self, corpus_path, work, capsys, model, removed
+    ):
         config = work / "cv-removed.json"
-        config.write_text(json.dumps({"hyper": {"logistic": {removed: 1}}}))
+        config.write_text(json.dumps({"hyper": {model: {removed: 1}}}))
         assert main([
             "cv", "--corpus", str(corpus_path), "--model", "logistic",
             "--k", "2", "--subset-size", "200", "--config", str(config),
         ]) == 1
-        assert f"unknown logistic hyperparameter(s): {removed}" in capsys.readouterr().err
+        assert f"unknown {model} hyperparameter(s): {removed}" in capsys.readouterr().err
 
     def test_logistic_not_converged_is_flagged(self, corpus_path, work, capsys, monkeypatch):
         monkeypatch.setattr("metatriage.learn._MAX_NEWTON_STEPS", 1)
-        out = work / "cv-capped"
-        assert main([
-            "cv", "--corpus", str(corpus_path), "--model", "logistic",
-            "--k", "2", "--subset-size", "200", "--out", str(out),
-        ]) == 0
-        err = capsys.readouterr().err
-        doc = json.loads((out / "eval.json").read_text())
-        for fold in (0, 1):
-            flag = next(f for f in doc["flags"] if f.startswith(f"fold {fold}: "))
-            assert flag.startswith(f"fold {fold}: logistic did not converge (gradient norm ")
-            assert f"flag: {flag}" in err
-        # flagged, not excluded: both folds count in the means
-        test_f1 = [f["test"]["f1"] for f in doc["folds"]]
-        assert doc["means"]["test"]["f1"] == pytest.approx(np.mean(test_f1))
+        for model in ("logistic", "linear_svm"):
+            out = work / f"cv-capped-{model}"
+            assert main([
+                "cv", "--corpus", str(corpus_path), "--model", model,
+                "--k", "2", "--subset-size", "200", "--out", str(out),
+            ]) == 0
+            err = capsys.readouterr().err
+            doc = json.loads((out / "eval.json").read_text())
+            for fold in (0, 1):
+                flag = next(f for f in doc["flags"] if f.startswith(f"fold {fold}: "))
+                assert flag.startswith(f"fold {fold}: {model} did not converge (gradient norm ")
+                assert f"flag: {flag}" in err
+            # flagged, not excluded: both folds count in the means
+            test_f1 = [f["test"]["f1"] for f in doc["folds"]]
+            assert doc["means"]["test"]["f1"] == pytest.approx(np.mean(test_f1))
 
     @pytest.mark.parametrize("hyper", [
         {"logistic": {"foo": 1}},

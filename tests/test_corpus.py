@@ -137,6 +137,18 @@ class TestParsing:
             with pytest.raises(ParseError):
                 parse_records(text, max_errors=10)
 
+    def test_error_cap_counts_records_not_issues(self):
+        bad = record_to_dict(make_record())
+        bad["size_bytes"] = "big"
+        lines = [json.dumps(dict(bad, app_id=f"b{i}")) + "\n" for i in range(101)]
+        result = parse_records("".join(lines[:51]))
+        assert result.records == []
+        # one issue per record: the bad field is not reported again by validation
+        assert [i.line for i in result.issues] == list(range(1, 52))
+        assert result.issues[0].message == "size_bytes is not an integer: 'big'"
+        with pytest.raises(ParseError, match="more than 100 malformed records"):
+            parse_records("".join(lines))
+
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             parse_records("", format="parquet")

@@ -28,7 +28,7 @@ from metatriage.evaluate import (
     threshold_max_f1,
 )
 from metatriage.featurize import build_reputation_table
-from metatriage.learn import ForestParams, Hyperparams, LogisticParams, SvmParams
+from metatriage.learn import ForestParams, Hyperparams, LogisticParams
 
 from test_corpus import make_record
 
@@ -299,8 +299,7 @@ def quick_config(selection=None, **kwargs):
         selection=selection,
         hyper=Hyperparams(
             logistic=LogisticParams(tolerance=1e-4),
-            svm=SvmParams(epochs=5),
-            forest=ForestParams(n_trees=15, max_depth=8, min_leaf=5),
+                forest=ForestParams(n_trees=15, max_depth=8, min_leaf=5),
         ),
         ranking=RankingParams(n_trees=10, max_depth=6, min_leaf=10, subsample=400),
         **kwargs,

@@ -185,8 +185,7 @@ class TestAssembly:
     def test_reputation_block_reads_table(self):
         records = [make_record(developer_id="dev.a", issuer_id="iss.x")]
         table = ReputationTable(
-            alpha=1.0, global_prior=0.4,
-            developers={"dev.a": 0.9}, issuers={"iss.x": 0.8},
+            global_prior=0.4, developers={"dev.a": 0.9}, issuers={"iss.x": 0.8}
         )
         block = reputation_block(records, table)
         assert block[0, 0] == 0.9

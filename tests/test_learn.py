@@ -17,7 +17,7 @@ from metatriage.learn import (
     best_split,
     logistic_loss_grad,
     predict_score,
-    svm_objective,
+    svm_loss_grad,
     train_forest,
     train_linear_svm,
     train_logistic,
@@ -34,14 +34,19 @@ def two_clusters(n=200, gap=2.0, seed=0):
     return FeatureMatrix(("x0", "x1"), X), y
 
 
-def fd_gradient(w, b, X, y, lam, eps=1e-6):
-    """Central finite differences of the penalized log-loss."""
+def logistic_row_loss(z, y):
+    return np.logaddexp(0.0, z) - y * z
+
+
+def squared_hinge_row_loss(z, y):
+    return np.maximum(0.0, 1.0 - (2.0 * y - 1.0) * z) ** 2
+
+
+def fd_gradient(w, b, X, y, lam, row_loss=logistic_row_loss, eps=1e-6):
+    """Central finite differences of a mean row loss plus (lam/2)*||w||^2."""
 
     def loss_at(wv, bv):
-        z = X @ wv + bv
-        return float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * lam * float(
-            wv @ wv
-        )
+        return float(np.mean(row_loss(X @ wv + bv, y))) + 0.5 * lam * float(wv @ wv)
 
     gw = np.zeros_like(w)
     for i in range(len(w)):
@@ -52,7 +57,10 @@ def fd_gradient(w, b, X, y, lam, eps=1e-6):
     return gw, gb
 
 
-class TestLogistic:
+class NewtonFitChecks:
+    """Checks that hold for both linear kinds, which share one Newton-CG
+    solver; each subclass names its trainer, params, objective and row loss."""
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
@@ -62,16 +70,10 @@ class TestLogistic:
             w = rng.normal(size=p)
             b = float(rng.normal())
             lam = float(rng.uniform(0, 0.5))
-            _, gw, gb = logistic_loss_grad(w, b, X, y, lam)
-            fw, fb = fd_gradient(w, b, X, y, lam)
+            _, gw, gb = self.loss_grad(w, b, X, y, lam)
+            fw, fb = fd_gradient(w, b, X, y, lam, self.row_loss)
             assert np.allclose(gw, fw, atol=1e-5)
             assert gb == pytest.approx(fb, abs=1e-5)
-
-    def test_separates_clusters(self):
-        X, y = two_clusters()
-        model = train_logistic(X, y)
-        scores = predict_score(model, X)
-        assert scores[y == 1].min() > scores[y == 0].max()
 
     @pytest.mark.parametrize("problem", ["separable", "all_positive", "wide", "noisy"])
     def test_returned_gradient_norm_is_below_tolerance(self, problem):
@@ -92,8 +94,8 @@ class TestLogistic:
             A = (A - A.mean(axis=0)) / np.where(std > 0, std, 1.0)
             X = FeatureMatrix(tuple(f"f{j}" for j in range(p)), A)
         for tolerance in (1e-6, 1e-9):
-            model = train_logistic(X, y, LogisticParams(tolerance=tolerance))
-            _, gw, gb = logistic_loss_grad(
+            model = self.train(X, y, self.params(tolerance=tolerance))
+            _, gw, gb = self.loss_grad(
                 model.weights, model.bias, X.values, y.astype(np.float64), 1.0 / len(y)
             )
             norm = np.sqrt(gw @ gw + gb * gb)
@@ -104,9 +106,39 @@ class TestLogistic:
     def test_newton_step_cap_stops_short_of_tolerance(self, monkeypatch):
         monkeypatch.setattr(metatriage.learn, "_MAX_NEWTON_STEPS", 1)
         X, y = two_clusters(n=80)
-        model = train_logistic(X, y)
+        model = self.train(X, y, self.params())
         assert model.meta["epochs_run"] == 1
-        assert model.meta["final_grad_norm"] >= LogisticParams().tolerance
+        assert model.meta["final_grad_norm"] >= self.params().tolerance
+
+    def test_row_order_invariance(self):
+        X, y = two_clusters(n=60)
+        perm = np.random.default_rng(5).permutation(60)
+        shuffled = FeatureMatrix(X.column_names, X.values[perm])
+        a = self.train(X, y, self.params())
+        b = self.train(shuffled, y[perm], self.params())
+        # full-batch Newton is row-order independent up to summation order
+        assert np.allclose(a.weights, b.weights, atol=1e-12)
+        assert a.bias == pytest.approx(b.bias, abs=1e-12)
+
+    def test_mismatched_labels_rejected(self):
+        X, y = two_clusters()
+        with pytest.raises(ContractError):
+            self.train(X, y[:-1], self.params())
+        with pytest.raises(ContractError):
+            self.train(X, y + 1, self.params())
+
+
+class TestLogistic(NewtonFitChecks):
+    train = staticmethod(train_logistic)
+    params = LogisticParams
+    loss_grad = staticmethod(logistic_loss_grad)
+    row_loss = staticmethod(logistic_row_loss)
+
+    def test_separates_clusters(self):
+        X, y = two_clusters()
+        model = train_logistic(X, y)
+        scores = predict_score(model, X)
+        assert scores[y == 1].min() > scores[y == 0].max()
 
     def test_all_positive_labels_drive_bias_up(self):
         X = FeatureMatrix(("x0",), np.zeros((30, 1)))
@@ -115,63 +147,23 @@ class TestLogistic:
         assert model.bias > 0
         assert predict_score(model, X).min() > 0.9
 
-    def test_row_order_invariance(self):
-        X, y = two_clusters(n=60)
-        perm = np.random.default_rng(5).permutation(60)
-        shuffled = FeatureMatrix(X.column_names, X.values[perm])
-        a = train_logistic(X, y)
-        b = train_logistic(shuffled, y[perm])
-        # full-batch Newton is row-order independent up to summation order
-        assert np.allclose(a.weights, b.weights, atol=1e-12)
-        assert a.bias == pytest.approx(b.bias, abs=1e-12)
 
-    def test_mismatched_labels_rejected(self):
-        X, y = two_clusters()
-        with pytest.raises(ContractError):
-            train_logistic(X, y[:-1])
-        with pytest.raises(ContractError):
-            train_logistic(X, y + 1)
+class TestLinearSvm(NewtonFitChecks):
+    train = staticmethod(train_linear_svm)
+    params = SvmParams
+    loss_grad = staticmethod(svm_loss_grad)
+    row_loss = staticmethod(squared_hinge_row_loss)
 
-
-class TestLinearSvm:
     def test_separates_clusters(self):
         X, y = two_clusters()
-        model = train_linear_svm(X, y, SvmParams(regularization_c=1e-2, epochs=10))
+        model = train_linear_svm(X, y)
         margins = predict_score(model, X)
         assert ((margins > 0).astype(int) == y).all()
 
-    def test_objective_improves_over_epochs(self):
-        X, y = two_clusters()
-        params = SvmParams(regularization_c=1e-2, epochs=30)
-        model = train_linear_svm(X, y, params)
-        y_pm = 2.0 * y - 1.0
-        objs = [
-            svm_objective(w, b, X.values, y_pm, params.regularization_c)
-            for w, b in model.meta["epoch_iterates"]
-        ]
-        assert len(objs) == 30
-        assert np.mean(objs[-10:]) < np.mean(objs[:10])
-        assert objs[-1] < objs[0]
-
-    def test_exact_permutation_invariance(self):
-        X, y = two_clusters(n=100)
-        perm = np.random.default_rng(17).permutation(100)
-        shuffled = FeatureMatrix(X.column_names, X.values[perm])
-        a = train_linear_svm(X, y, SvmParams(epochs=5))
-        b = train_linear_svm(shuffled, y[perm], SvmParams(epochs=5))
-        assert np.array_equal(a.weights, b.weights)
-        assert a.bias == b.bias
-
-    def test_seed_changes_iterates(self):
-        X, y = two_clusters(n=100)
-        a = train_linear_svm(X, y, SvmParams(epochs=2, seed=0))
-        b = train_linear_svm(X, y, SvmParams(epochs=2, seed=1))
-        assert not np.array_equal(a.weights, b.weights)
-
     def test_same_seed_reproduces(self):
         X, y = two_clusters(n=100)
-        a = train_linear_svm(X, y, SvmParams(epochs=3, seed=9))
-        b = train_linear_svm(X, y, SvmParams(epochs=3, seed=9))
+        a = train_linear_svm(X, y)
+        b = train_linear_svm(X, y)
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
@@ -464,7 +456,7 @@ class TestHyperparams:
     def test_json_round_trip(self):
         hyper = Hyperparams(
             logistic=LogisticParams(tolerance=1e-3),
-            svm=SvmParams(regularization_c=0.5, epochs=4, seed=2),
+            svm=SvmParams(tolerance=1e-5),
             forest=ForestParams(n_trees=9, max_depth=3, min_leaf=2, seed=8),
         )
         back = Hyperparams.from_json(hyper.to_json())
@@ -474,7 +466,7 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             LogisticParams(tolerance=-1.0)
         with pytest.raises(ValueError):
-            SvmParams(regularization_c=0.0)
+            SvmParams(tolerance=0.0)
         with pytest.raises(ValueError):
             ForestParams(n_trees=0)
 
@@ -486,8 +478,8 @@ class TestHyperparams:
         lambda: LogisticParams(tolerance="1e-6"),
         lambda: LogisticParams(tolerance=float("nan")),
         lambda: LogisticParams(tolerance=True),
-        lambda: SvmParams(regularization_c=float("inf")),
-        lambda: SvmParams(seed=None),
+        lambda: SvmParams(tolerance=float("inf")),
+        lambda: SvmParams(tolerance=None),
     ])
     def test_wrong_types_rejected(self, make):
         with pytest.raises(TypeError):
