@@ -45,9 +45,10 @@ from .evaluate import (
     roc_and_auc,
 )
 from .featurize import HashConfig, hash_column_names
-from .learn import ForestParams, Hyperparams
+from .learn import MODEL_KINDS, ForestParams, Hyperparams
 
 DEFAULT_SWEEP_SIZES = (32, 64, 128, 256, 512, 1024, 2048)
+DEFAULT_KS = (1, 2, 3, 5, 7, 10, 15, 20, 27, 40)
 # Default hyperparameters of the experiments and of `cv`: a 60-tree forest.
 DEFAULT_HYPER = Hyperparams(forest=ForestParams(n_trees=60))
 
@@ -59,12 +60,8 @@ class BenchmarkGrid:
     malware_fractions: tuple[float, ...] = (0.02, 0.25, 0.50)
     thresholds: tuple[int, ...] = (1, 2, 4)
     subset_size: int = 5000
-    model_kinds: tuple[str, ...] = ("logistic", "linear_svm", "forest")
+    model_kinds: tuple[str, ...] = MODEL_KINDS
     seed: int = 0
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.malware_fractions) * len(self.thresholds)
 
 
 @dataclass
@@ -368,8 +365,8 @@ def hash_size_sweep(
 
 def feature_count_curve(
     dataset: LabeledDataset,
-    ks: Sequence[int],
-    model_kinds: Sequence[str] = ("logistic", "linear_svm", "forest"),
+    ks: Sequence[int] = DEFAULT_KS,
+    model_kinds: Sequence[str] = MODEL_KINDS,
     ranking_method: str = "mdni",
     k: int = 10,
     seed: int = 0,
@@ -604,6 +601,9 @@ def robustness_windows(
     Windows start at ranks 1, 1+step, ... (n_windows of them). One subset
     is composed per threshold and reused across that row's windows.
     """
+    for name, value in (("window_width", window_width), ("step", step), ("n_windows", n_windows)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     corpus = list(corpus)
     starts = [1 + step * i for i in range(n_windows)]
     config = {

@@ -4,16 +4,21 @@ One executable, ten subcommands, strict exit codes: 0 success, 1 usage
 error, 2 data/contract error. Every subcommand taking --seed is
 end-to-end deterministic. --threads sets how many worker processes an
 experiment forks; it only changes wall time, never output bytes.
+
+Each option is declared once, in `OPTIONS`, and each subcommand lists the
+options it reads with their defaults in `SUBCOMMANDS`. `_Options` resolves
+all of them before the handler runs: the flag, else the config-file key of
+the same snake_case name, else the default.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,9 +38,11 @@ from .corpus import (
 )
 from .errors import MetatriageError
 from .evaluate import PipelineConfig, SelectionSpec, cross_validate
-from .featurize import FeatureMatrix, HashConfig, assemble_features, build_reputation_table
-from .learn import Hyperparams
-from .select import RankingParams, rank_features, ranking_to_csv_text
+from .featurize import (
+    FeatureMatrix, HashConfig, assemble_features, build_reputation_table, feature_names,
+)
+from .learn import MODEL_KINDS, Hyperparams
+from .select import METHODS, RankingParams, rank_features, ranking_to_csv_text
 
 
 class UsageError(Exception):
@@ -47,227 +54,248 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+# ---------------------------------------------------------------------------
+# The options: flag --a-b is config key a_b
+# ---------------------------------------------------------------------------
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x]
-    except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
+class _Option(NamedTuple):
+    """One option's value type: `kind` is the JSON type of the value, or of
+    each item when `many` (a comma-separated flag, a JSON array key). A bool
+    option is a flag without a value, or `true`/`false` in a config file."""
+
+    kind: type
+    help: str = ""
+    choices: tuple = ()
+    many: bool = False
+    minimum: Optional[int] = None
+    field: str = ""  # the `generator` section field the option overrides
 
 
-def _str_list(text: str) -> list[str]:
-    return [x for x in text.split(",") if x]
+# `version`, `config` and `dry_run` are flags only: no subcommand lists them
+# in `SUBCOMMANDS`, so no config key sets them.
+OPTIONS = {
+    "version": _Option(bool, "print the version and exit"),
+    "config": _Option(str, "JSON config file (flags override it)"),
+    "dry_run": _Option(bool, "print every resolved option as JSON and do nothing"),
+    "corpus": _Option(str, "input corpus (.jsonl or .csv)"),
+    "out": _Option(str, "output file or directory (experiments: reports/<experiment>)"),
+    "seed": _Option(int, "master seed"),
+    "threads": _Option(int, "worker processes", minimum=1),
+    "n_apps": _Option(int, "apps to generate", field="n_apps"),
+    "n_developers": _Option(int, "developer accounts", field="n_developers"),
+    "n_issuers": _Option(int, "certificate issuers", field="n_issuers"),
+    "malware_rate": _Option(float, "malware share", field="malware_rate"),
+    "malware_developer_fraction": _Option(
+        float, "malicious developer share", field="malware_developer_fraction"
+    ),
+    "permission_vocabulary_size": _Option(
+        int, "distinct permissions", field="permission_vocabulary_size"
+    ),
+    "s_reputation": _Option(float, "reputation signal", field="signal_strengths.reputation"),
+    "s_temporal": _Option(float, "temporal signal", field="signal_strengths.temporal"),
+    "s_permissions": _Option(float, "permission signal", field="signal_strengths.permissions"),
+    "s_social": _Option(float, "social signal", field="signal_strengths.social"),
+    "zipf_exponent": _Option(
+        float, "detection-count exponent", field="engine_count_distribution.exponent"
+    ),
+    "zipf_max": _Option(int, "max detection count", field="engine_count_distribution.max_count"),
+    "hash_buckets": _Option(int, "permission hash buckets"),
+    "threshold": _Option(int, "detections that make an app malware"),
+    "thresholds": _Option(int, "detection thresholds", many=True),
+    "ambiguous_as_goodware": _Option(bool, "label apps flagged below the threshold as goodware"),
+    "alpha": _Option(float, "reputation smoothing"),
+    "n_bins": _Option(int, "bins per column for the filter scores"),
+    "method": _Option(str, "feature ranking method", METHODS),
+    "model": _Option(str, "model kind", MODEL_KINDS),
+    "models": _Option(str, "model kinds", MODEL_KINDS, many=True),
+    "k": _Option(int, "cross-validation folds"),
+    "top_k": _Option(int, "keep the top-k ranked features (default: all)"),
+    "ks": _Option(int, "top-k feature counts", many=True),
+    "sizes": _Option(int, "hash bucket counts", many=True),
+    "fractions": _Option(float, "malware shares of the grid", many=True),
+    "malware_fraction": _Option(float, "malware share of a composed subset"),
+    "subset_size": _Option(int, "apps per composed subset (cv, sweep, curve: default all)"),
+    "paper_leaky": _Option(bool, "fit reputation tables on the full dataset (leaky)"),
+    "frozen_ranking": _Option(str, "file with one column name per line"),
+    "window_width": _Option(int, "ranks per window"),
+    "step": _Option(int, "ranks between window starts"),
+    "n_windows": _Option(int, "windows per threshold"),
+    "input": _Option(str, "path to report.json"),
+    "formats": _Option(str, "output formats", reporting.FORMATS, many=True),
+}
+
+_REQUIRED = object()  # the default of an option that has none
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false"}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="metatriage",
-        description="Metadata-driven app triage experiments",
-    )
-    parser.add_argument("--version", action="version", version=f"metatriage {__version__}")
+    parser = _Parser(prog="metatriage", description="Metadata-driven app triage experiments")
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
-
-    def common(p, needs_corpus=True, seeded=True, threaded=False):
-        if needs_corpus:
-            p.add_argument("--corpus", help="input corpus (.jsonl or .csv)")
-        p.add_argument("--config", help="JSON config file (flags override it)")
-        if seeded:
-            p.add_argument("--seed", type=int, help="master seed (default 0)")
-        p.add_argument("--out", help="output file or directory")
-        if threaded:
-            p.add_argument("--threads", type=int, help="worker processes (default 1)")
-        p.add_argument("--dry-run", action="store_const", const=True,
-                       help="print the resolved run config and do nothing")
-
-    p = sub.add_parser("generate", help="write a deterministic synthetic corpus")
-    common(p, needs_corpus=False)
-    p.add_argument("--n-apps", type=int)
-    p.add_argument("--n-developers", type=int)
-    p.add_argument("--n-issuers", type=int)
-    p.add_argument("--malware-rate", type=float)
-    p.add_argument("--malware-developer-fraction", type=float)
-    p.add_argument("--permission-vocabulary-size", type=int)
-    p.add_argument("--s-reputation", type=float)
-    p.add_argument("--s-temporal", type=float)
-    p.add_argument("--s-permissions", type=float)
-    p.add_argument("--s-social", type=float)
-    p.add_argument("--zipf-exponent", type=float)
-    p.add_argument("--zipf-max", type=int)
-
-    p = sub.add_parser("histogram", help="detection-count histogram of flagged apps")
-    common(p, seeded=False)
-
-    p = sub.add_parser("featurize", help="export the feature matrix as CSV")
-    common(p, seeded=False)
-    p.add_argument("--hash-buckets", type=int)
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--ambiguous-as-goodware", action="store_const", const=True)
-
-    p = sub.add_parser("rank", help="score and rank features")
-    common(p)
-    p.add_argument("--method", choices=["chi_squared", "info_gain", "gain_ratio", "mdni", "borda"])
-    p.add_argument("--hash-buckets", type=int)
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--n-bins", type=int)
-    p.add_argument("--ambiguous-as-goodware", action="store_const", const=True)
-
-    p = sub.add_parser("cv", help="stratified cross-validation of one model")
-    common(p)
-    p.add_argument("--model", choices=["logistic", "linear_svm", "forest"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--top-k", type=int)
-    p.add_argument("--method", choices=["chi_squared", "info_gain", "gain_ratio", "mdni", "borda"])
-    p.add_argument("--hash-buckets", type=int)
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--malware-fraction", type=float)
-    p.add_argument("--subset-size", type=int)
-    p.add_argument("--paper-leaky", action="store_const", const=True,
-                   help="fit reputation tables on the full dataset (leaky)")
-    p.add_argument("--ambiguous-as-goodware", action="store_const", const=True)
-
-    p = sub.add_parser("sweep-hashes", help="AUC vs hash-bucket count")
-    common(p, threaded=True)
-    p.add_argument("--sizes", type=_int_list)
-    p.add_argument("--model", choices=["logistic", "linear_svm", "forest"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--malware-fraction", type=float)
-    p.add_argument("--subset-size", type=int)
-
-    p = sub.add_parser("curve-features", help="F1 vs top-k feature count")
-    common(p, threaded=True)
-    p.add_argument("--ks", type=_int_list)
-    p.add_argument("--models", type=_str_list)
-    p.add_argument("--method", choices=["chi_squared", "info_gain", "gain_ratio", "mdni", "borda"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--threshold", type=int)
-    p.add_argument("--malware-fraction", type=float)
-    p.add_argument("--subset-size", type=int)
-    p.add_argument("--frozen-ranking", help="file with one column name per line")
-
-    p = sub.add_parser("benchmark-grid", help="the 9-cell composition benchmark")
-    common(p, threaded=True)
-    p.add_argument("--fractions", type=_float_list)
-    p.add_argument("--thresholds", type=_int_list)
-    p.add_argument("--subset-size", type=int)
-    p.add_argument("--models", type=_str_list)
-    p.add_argument("--top-k", type=int)
-    p.add_argument("--method", choices=["chi_squared", "info_gain", "gain_ratio", "mdni", "borda"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--frozen-ranking")
-    p.add_argument("--paper-leaky", action="store_const", const=True)
-    p.add_argument("--ambiguous-as-goodware", action="store_const", const=True)
-
-    p = sub.add_parser("robustness", help="F1 across sliding rank windows")
-    common(p, threaded=True)
-    p.add_argument("--thresholds", type=_int_list)
-    p.add_argument("--window-width", type=int)
-    p.add_argument("--step", type=int)
-    p.add_argument("--n-windows", type=int)
-    p.add_argument("--malware-fraction", type=float)
-    p.add_argument("--subset-size", type=int)
-    p.add_argument("--model", choices=["logistic", "linear_svm", "forest"])
-    p.add_argument("--method", choices=["chi_squared", "info_gain", "gain_ratio", "mdni", "borda"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--frozen-ranking")
-
-    p = sub.add_parser("report", help="re-render a saved report.json")
-    common(p, needs_corpus=False, seeded=False)
-    p.add_argument("--input", help="path to report.json")
-    p.add_argument("--formats", type=_str_list)
-
+    targets = [(parser, ["version"])] + [
+        (sub.add_parser(name, help=handler.__doc__), ["config", "dry_run", *defaults])
+        for name, (handler, defaults) in SUBCOMMANDS.items()
+    ]
+    for target, names in targets:
+        for name in filter(OPTIONS.__contains__, names):  # sections have no flag
+            opt = OPTIONS[name]
+            if name == "version":
+                kwargs = {"action": "version", "version": f"metatriage {__version__}"}
+            elif opt.kind is bool:
+                kwargs = {"action": "store_const", "const": True}
+            else:
+                kwargs = {"metavar": "{" + ",".join(opt.choices) + "}" if opt.choices else None}
+            target.add_argument(_flag(name), help=opt.help, **kwargs)
     return parser
 
 
-# ---------------------------------------------------------------------------
-# Option resolution: CLI flag > config file > default
-# ---------------------------------------------------------------------------
+def _value(name: str, raw, from_flag: bool):
+    """Option `name`'s value from its flag text or its config-file JSON
+    value; a value of another type, or outside its choices or minimum, is a
+    usage error naming the flag or key."""
+    opt = OPTIONS[name]
+
+    def item(x):
+        if from_flag:
+            try:
+                x = opt.kind(x)
+            except ValueError:
+                return None
+        elif isinstance(x, bool) != (opt.kind is bool):
+            return None
+        elif opt.kind is int and isinstance(x, float) and x.is_integer():
+            x = int(x)
+        elif opt.kind is float and isinstance(x, int):
+            x = float(x)
+        if (
+            isinstance(x, opt.kind)
+            and (not opt.choices or x in opt.choices)
+            and (opt.minimum is None or x >= opt.minimum)
+            and (opt.kind is not float or math.isfinite(x))
+        ):
+            return x
+        return None
+
+    if not opt.many:
+        values = [item(raw)]
+    elif from_flag:
+        values = [item(x) for x in raw.split(",") if x]
+    else:
+        values = [item(x) for x in raw] if isinstance(raw, list) else [None]
+    if None not in values:
+        return values if opt.many else values[0]
+    expected = f"one of {', '.join(opt.choices)}" if opt.choices else _EXPECTED[opt.kind]
+    if opt.minimum is not None:
+        expected += f" of at least {opt.minimum}"
+    if opt.many:
+        expected = f"a list whose items are each {expected}"
+    where = _flag(name) if from_flag else f"config key {name!r}"
+    raise UsageError(f"{where} must be {expected}, got {raw!r}")
+
+
+def _hyper(section) -> Hyperparams:
+    """`bench.DEFAULT_HYPER` with the keys that the `hyper` section names
+    replaced; a model or key it lacks is an error."""
+    merged = bench.DEFAULT_HYPER.to_json()
+    if not isinstance(section, dict):
+        raise UsageError("config key 'hyper' must hold a JSON object")
+    for model, values in section.items():
+        if model not in merged:
+            raise UsageError(
+                f"unknown hyper section {model!r}; expected one of {', '.join(merged)}"
+            )
+        if not isinstance(values, dict):
+            raise UsageError(f"hyper section {model!r} must hold a JSON object")
+        unknown = sorted(set(values) - set(merged[model]))
+        if unknown:
+            raise UsageError(f"unknown {model} hyperparameter(s): {', '.join(unknown)}")
+        merged[model].update(values)
+    try:
+        return Hyperparams.from_json(merged)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid hyper section: {exc}") from None
+
+
+def _generator(section, given: dict) -> GeneratorConfig:
+    """The `generator` section's config, with each field option in `given`
+    that is not None in place of its field."""
+    try:
+        doc = GeneratorConfig.from_json(section).to_json()
+    except TypeError as exc:
+        raise UsageError(f"invalid generator section: {exc}") from None
+    for name, value in given.items():
+        if value is not None:
+            *parent, key = OPTIONS[name].field.split(".")  # at most one level deep
+            (doc[parent[0]] if parent else doc)[key] = value
+    return GeneratorConfig.from_json(doc)
 
 
 class _Options:
+    """Every option and config section of one subcommand, resolved."""
+
     def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_config: dict = {}
-        if getattr(args, "config", None):
+        self.subcommand = args.subcommand
+        config = {}
+        if args.config:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
-                    self.file_config = json.load(fh)
+                    config = json.load(fh)
             except FileNotFoundError:
                 raise UsageError(f"config file not found: {args.config}") from None
             except json.JSONDecodeError as exc:
                 raise UsageError(f"config file is not valid JSON: {exc}") from None
-            if not isinstance(self.file_config, dict):
+            if not isinstance(config, dict):
                 raise UsageError("config file must hold a JSON object")
-        self.resolved: dict = {}
+        known = {name for _, names in SUBCOMMANDS.values() for name in names}
+        for key in config:
+            if key not in known:
+                raise UsageError(f"unknown config key {key!r}")
+        keys = {key: _value(key, value, False) for key, value in config.items() if key in OPTIONS}
+        defaults = SUBCOMMANDS[self.subcommand][1]
+        self.values = {}
+        for name, default in defaults.items():
+            if name not in OPTIONS:  # a section, resolved below
+                continue
+            flag = getattr(args, name)
+            value = _value(name, flag, True) if flag is not None else keys.get(name, default)
+            if value is _REQUIRED:
+                raise UsageError(f"{_flag(name)} is required")
+            self.values[name] = value
+        given = {n: self.values.pop(n) for n in list(self.values) if OPTIONS[n].field}
+        sections = {
+            "hyper": _hyper(config.get("hyper", {})),
+            "generator": _generator(config.get("generator", {}), given),
+        }
+        self.values.update((name, value) for name, value in sections.items() if name in defaults)
 
-    def get(self, name: str, default=None):
-        value = getattr(self.args, name, None)
-        if value is None:
-            value = self.file_config.get(name, default)
-        self.resolved[name] = value
-        return value
+    def __getitem__(self, name: str):
+        return self.values[name]
 
-    def require(self, name: str):
-        value = self.get(name)
-        if value is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required")
-        return value
-
-    def hyperparams(self) -> Hyperparams:
-        """`bench.DEFAULT_HYPER` with the keys that the config file's `hyper`
-        section names replaced; a model or key it lacks is an error."""
-        merged = bench.DEFAULT_HYPER.to_json()
-        section = self.file_config.get("hyper", {})
-        if not isinstance(section, dict):
-            raise UsageError("config key 'hyper' must hold a JSON object")
-        for model, values in section.items():
-            if model not in merged:
-                raise UsageError(
-                    f"unknown hyper section {model!r}; expected one of {', '.join(merged)}"
-                )
-            if not isinstance(values, dict):
-                raise UsageError(f"hyper section {model!r} must hold a JSON object")
-            unknown = sorted(set(values) - set(merged[model]))
-            if unknown:
-                raise UsageError(f"unknown {model} hyperparameter(s): {', '.join(unknown)}")
-            merged[model].update(values)
-        self.resolved["hyper"] = merged
-        try:
-            return Hyperparams.from_json(merged)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"invalid hyper section: {exc}") from None
-
-    def threads(self) -> int:
-        """The experiment's worker process count, at least 1."""
-        threads = self.get("threads", 1)
-        if not isinstance(threads, int) or threads < 1:
-            raise UsageError(f"--threads must be a positive integer, got {threads!r}")
-        return threads
+    def pick(self, *names: str) -> dict:
+        """The named options, for a callee whose parameters share their names."""
+        return {name: self.values[name] for name in names}
 
     def run_record(self) -> dict:
-        """The tool, the subcommand and every option resolved so far."""
-        return {
-            "tool": f"metatriage {__version__}",
-            "subcommand": self.args.subcommand,
-            "options": self.resolved,
+        """The tool, the subcommand and every resolved option."""
+        options = {
+            name: value.to_json() if name in ("hyper", "generator") else value
+            for name, value in self.values.items()
         }
+        tool = f"metatriage {__version__}"
+        return {"tool": tool, "subcommand": self.subcommand, "options": options}
 
 
 def _policy(opts: _Options) -> DetectionLabelPolicy:
-    threshold = opts.get("threshold", 1)
-    handling = "goodware" if opts.get("ambiguous_as_goodware", False) else "exclude"
-    return DetectionLabelPolicy(threshold=threshold, ambiguous_handling=handling)
+    handling = "goodware" if opts["ambiguous_as_goodware"] else "exclude"
+    return DetectionLabelPolicy(threshold=opts["threshold"], ambiguous_handling=handling)
 
 
 def _load_records(opts: _Options):
-    path = opts.require("corpus")
+    path = opts["corpus"]
     try:
         result = load_corpus(path)
     except FileNotFoundError:
@@ -278,19 +306,15 @@ def _load_records(opts: _Options):
     return result.records
 
 
-def _load_dataset(opts: _Options, seed: int) -> LabeledDataset:
+def _load_dataset(opts: _Options) -> LabeledDataset:
     """Label the corpus; compose a subset when --subset-size is given,
     otherwise keep every admissible record in file order."""
     records = _load_records(opts)
     policy = _policy(opts)
-    subset_size = opts.get("subset_size")
-    if subset_size is None:
+    if opts["subset_size"] is None:
         return label_dataset(records, policy)
     recipe = CompositionRecipe(
-        malware_fraction=opts.get("malware_fraction", 0.5),
-        policy=policy,
-        target_size=subset_size,
-        seed=seed,
+        opts["malware_fraction"], policy, target_size=opts["subset_size"], seed=opts["seed"]
     )
     return compose_subset(records, recipe)
 
@@ -300,12 +324,14 @@ def _corpus_features(opts: _Options, alpha: float = 1.0) -> tuple[FeatureMatrix,
     reputation table fitted on all of them (unlike evaluation, which
     refits it per fold)."""
     dataset = label_dataset(_load_records(opts), _policy(opts))
-    hash_config = HashConfig(n_buckets=opts.get("hash_buckets", 512))
+    hash_config = HashConfig(n_buckets=opts["hash_buckets"])
     table = build_reputation_table(dataset.records, dataset.labels, alpha=alpha)
     return assemble_features(dataset.records, hash_config, table), dataset.labels
 
 
 def _read_frozen_ranking(path: Optional[str]) -> Optional[list[str]]:
+    """The column names in file `path`, one per line; each must be a
+    column of the experiments' feature matrix, and appear once."""
     if path is None:
         return None
     try:
@@ -315,6 +341,12 @@ def _read_frozen_ranking(path: Optional[str]) -> Optional[list[str]]:
         raise UsageError(f"frozen ranking file not found: {path}") from None
     if not names:
         raise UsageError(f"frozen ranking file is empty: {path}")
+    columns = set(feature_names(HashConfig()))
+    for i, name in enumerate(names):
+        if name not in columns:
+            raise UsageError(f"frozen ranking file {path} names no feature column: {name!r}")
+        if name in names[:i]:
+            raise UsageError(f"frozen ranking file {path} names {name!r} twice")
     return names
 
 
@@ -328,7 +360,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _output(opts: _Options, text: str, what: str) -> None:
     """Write `text` to --out when given, else to stdout."""
-    out = opts.get("out")
+    out = opts["out"]
     if out:
         _write_text(out, text)
         print(f"{what} -> {out}")
@@ -342,54 +374,27 @@ def _output(opts: _Options, text: str, what: str) -> None:
 
 
 def _cmd_generate(opts: _Options) -> int:
-    def flags(**keys) -> dict:
-        """{key: the value of its flag} for each flag that was given."""
-        given = {key: getattr(opts.args, flag) for key, flag in keys.items()}
-        return {key: value for key, value in given.items() if value is not None}
-
-    try:
-        config = GeneratorConfig.from_json(opts.file_config.get("generator", {}))
-    except TypeError as exc:
-        raise UsageError(f"invalid generator section: {exc}") from None
-    config = dataclasses.replace(
-        config,
-        signal_strengths=dataclasses.replace(config.signal_strengths, **flags(
-            reputation="s_reputation", temporal="s_temporal",
-            permissions="s_permissions", social="s_social",
-        )),
-        engine_count_distribution=dataclasses.replace(
-            config.engine_count_distribution,
-            **flags(exponent="zipf_exponent", max_count="zipf_max"),
-        ),
-        **flags(**{key: key for key in (
-            "n_apps", "n_developers", "n_issuers", "malware_rate",
-            "malware_developer_fraction", "permission_vocabulary_size",
-        )}),
-    )
-    seed = opts.get("seed", 0)
-    out = opts.require("out")
-    opts.resolved["generator"] = config.to_json()
-    records = generate_synthetic(config, seed)
-    write_corpus(records, out)
-    print(f"{len(records)} records -> {out}")
+    """write a deterministic synthetic corpus"""
+    records = generate_synthetic(opts["generator"], opts["seed"])
+    write_corpus(records, opts["out"])
+    print(f"{len(records)} records -> {opts['out']}")
     print(f"corpus digest: {corpus_digest(records)}")
     return 0
 
 
 def _cmd_histogram(opts: _Options) -> int:
+    """detection-count histogram of flagged apps"""
     records = _load_records(opts)
     hist = detection_histogram(records)
-    text = reporting.csv_text(
-        ["detections", "apps"], [[k, v] for k, v in hist.items()]
-    )
+    text = reporting.csv_text(["detections", "apps"], [[k, v] for k, v in hist.items()])
     _output(opts, text, "histogram")
     return 0
 
 
 def _cmd_featurize(opts: _Options) -> int:
-    """Whole-file export for inspection."""
-    matrix, y = _corpus_features(opts, alpha=opts.get("alpha", 1.0))
-    out = opts.require("out")
+    """export the feature matrix as CSV"""
+    matrix, y = _corpus_features(opts, alpha=opts["alpha"])
+    out = opts["out"]
     parent = os.path.dirname(out)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -404,14 +409,11 @@ def _cmd_featurize(opts: _Options) -> int:
 
 
 def _cmd_rank(opts: _Options) -> int:
+    """score and rank features"""
     matrix, y = _corpus_features(opts)
-    seed = opts.get("seed", 0)
     ranked = rank_features(
-        matrix,
-        y,
-        ranking_method=opts.get("method", "mdni"),
-        n_bins=opts.get("n_bins", 10),
-        forest_params=RankingParams().forest(seed),
+        matrix, y, ranking_method=opts["method"], n_bins=opts["n_bins"],
+        forest_params=RankingParams().forest(opts["seed"]),
     )
     _output(opts, ranking_to_csv_text(ranked), "ranking")
     top = [ranked.column_names[i] for i in ranked.order[:15]]
@@ -420,22 +422,20 @@ def _cmd_rank(opts: _Options) -> int:
 
 
 def _cmd_cv(opts: _Options) -> int:
-    seed = opts.get("seed", 0)
-    dataset = _load_dataset(opts, seed)
-    model = opts.get("model", "forest")
-    k = opts.get("k", 10)
+    """stratified cross-validation of one model"""
+    dataset = _load_dataset(opts)
+    model, k = opts["model"], opts["k"]
     selection = None
-    top_k = opts.get("top_k")
-    if top_k is not None:
-        selection = SelectionSpec(method=opts.get("method", "mdni"), top_k=top_k)
+    if opts["top_k"] is not None:
+        selection = SelectionSpec(method=opts["method"], top_k=opts["top_k"])
     config = PipelineConfig(
-        hash_config=HashConfig(n_buckets=opts.get("hash_buckets", 512)),
+        hash_config=HashConfig(n_buckets=opts["hash_buckets"]),
         selection=selection,
-        hyper=opts.hyperparams(),
-        leaky_reputation=bool(opts.get("paper_leaky", False)),
+        hyper=opts["hyper"],
+        leaky_reputation=opts["paper_leaky"],
     )
-    report = cross_validate(dataset, model, k=k, seed=seed, config=config)
-    out = opts.get("out")
+    report = cross_validate(dataset, model, k=k, seed=opts["seed"], config=config)
+    out = opts["out"]
     if out:
         provenance = {**opts.run_record(), "corpus_digest": corpus_digest(dataset.records)}
         reporting.write_files(out, {
@@ -458,7 +458,7 @@ def _emit(
     report: bench.BenchReport, opts: _Options, formats: Sequence[str] = reporting.FORMATS
 ) -> int:
     """Write the report bundle to --out, by default reports/<experiment>."""
-    out = opts.get("out", os.path.join("reports", report.experiment))
+    out = opts["out"] or os.path.join("reports", report.experiment)
     written = bench.emit_report(report, out, formats=formats)
     print(f"{report.experiment}: {len(report.rows)} result rows -> {out}")
     for path in written:
@@ -467,84 +467,55 @@ def _emit(
 
 
 def _cmd_sweep_hashes(opts: _Options) -> int:
-    seed = opts.get("seed", 0)
-    dataset = _load_dataset(opts, seed)
+    """AUC vs hash-bucket count"""
     report = bench.hash_size_sweep(
-        dataset,
-        sizes=opts.get("sizes", list(bench.DEFAULT_SWEEP_SIZES)),
-        model_kind=opts.get("model", "logistic"),
-        k=opts.get("k", 5),
-        seed=seed,
-        hyper=opts.hyperparams(),
-        threads=opts.threads(),
+        _load_dataset(opts), model_kind=opts["model"],
+        **opts.pick("sizes", "k", "seed", "hyper", "threads"),
     )
     return _emit(report, opts)
 
 
 def _cmd_curve_features(opts: _Options) -> int:
-    seed = opts.get("seed", 0)
-    dataset = _load_dataset(opts, seed)
+    """F1 vs top-k feature count"""
     report = bench.feature_count_curve(
-        dataset,
-        ks=opts.get("ks", [1, 2, 3, 5, 7, 10, 15, 20, 27, 40]),
-        model_kinds=opts.get("models", ["logistic", "linear_svm", "forest"]),
-        ranking_method=opts.get("method", "mdni"),
-        k=opts.get("k", 10),
-        seed=seed,
-        hyper=opts.hyperparams(),
-        frozen_ranking=_read_frozen_ranking(opts.get("frozen_ranking")),
-        threads=opts.threads(),
+        _load_dataset(opts), model_kinds=opts["models"], ranking_method=opts["method"],
+        frozen_ranking=_read_frozen_ranking(opts["frozen_ranking"]),
+        **opts.pick("ks", "k", "seed", "hyper", "threads"),
     )
     return _emit(report, opts)
 
 
 def _cmd_benchmark_grid(opts: _Options) -> int:
-    records = _load_records(opts)
+    """the 9-cell composition benchmark"""
     grid = bench.BenchmarkGrid(
-        malware_fractions=tuple(opts.get("fractions", [0.02, 0.25, 0.50])),
-        thresholds=tuple(opts.get("thresholds", [1, 2, 4])),
-        subset_size=opts.get("subset_size", 5000),
-        model_kinds=tuple(opts.get("models", ["logistic", "linear_svm", "forest"])),
-        seed=opts.get("seed", 0),
+        malware_fractions=tuple(opts["fractions"]), thresholds=tuple(opts["thresholds"]),
+        model_kinds=tuple(opts["models"]), **opts.pick("subset_size", "seed"),
     )
     report = bench.grid_benchmark(
-        records,
-        grid,
-        top_k=opts.get("top_k", 15),
-        ranking_method=opts.get("method", "mdni"),
-        k=opts.get("k", 10),
-        hyper=opts.hyperparams(),
-        frozen_ranking=_read_frozen_ranking(opts.get("frozen_ranking")),
-        threads=opts.threads(),
-        ambiguous_handling="goodware" if opts.get("ambiguous_as_goodware") else "exclude",
-        leaky_reputation=bool(opts.get("paper_leaky", False)),
+        _load_records(opts), grid, ranking_method=opts["method"],
+        frozen_ranking=_read_frozen_ranking(opts["frozen_ranking"]),
+        ambiguous_handling="goodware" if opts["ambiguous_as_goodware"] else "exclude",
+        leaky_reputation=opts["paper_leaky"], **opts.pick("top_k", "k", "hyper", "threads"),
     )
     return _emit(report, opts)
 
 
 def _cmd_robustness(opts: _Options) -> int:
-    records = _load_records(opts)
+    """F1 across sliding rank windows"""
     report = bench.robustness_windows(
-        records,
-        window_width=opts.get("window_width", 15),
-        step=opts.get("step", 2),
-        n_windows=opts.get("n_windows", 7),
-        model_kind=opts.get("model", "forest"),
-        thresholds=opts.get("thresholds", [1, 2, 4]),
-        malware_fraction=opts.get("malware_fraction", 0.5),
-        subset_size=opts.get("subset_size", 5000),
-        k=opts.get("k", 10),
-        seed=opts.get("seed", 0),
-        ranking_method=opts.get("method", "mdni"),
-        hyper=opts.hyperparams(),
-        frozen_ranking=_read_frozen_ranking(opts.get("frozen_ranking")),
-        threads=opts.threads(),
+        _load_records(opts), model_kind=opts["model"], ranking_method=opts["method"],
+        frozen_ranking=_read_frozen_ranking(opts["frozen_ranking"]),
+        **opts.pick(
+            "window_width", "step", "n_windows", "thresholds", "malware_fraction",
+            "subset_size", "k", "seed", "hyper", "threads",
+        ),
     )
     return _emit(report, opts)
 
 
 def _cmd_report(opts: _Options) -> int:
-    path = opts.require("input")
+    """re-render a saved report.json"""
+    path = opts["input"]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -553,20 +524,57 @@ def _cmd_report(opts: _Options) -> int:
     except json.JSONDecodeError as exc:
         raise MetatriageError(f"report file is not valid JSON: {exc}") from None
     report = bench.BenchReport.from_json(doc)
-    return _emit(report, opts, opts.get("formats", reporting.FORMATS))
+    return _emit(report, opts, opts["formats"])
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "histogram": _cmd_histogram,
-    "featurize": _cmd_featurize,
-    "rank": _cmd_rank,
-    "cv": _cmd_cv,
-    "sweep-hashes": _cmd_sweep_hashes,
-    "curve-features": _cmd_curve_features,
-    "benchmark-grid": _cmd_benchmark_grid,
-    "robustness": _cmd_robustness,
-    "report": _cmd_report,
+# Each subcommand's handler (its docstring is the subcommand's help) and the
+# options it reads, with their defaults. `hyper` and `generator` are
+# config-file sections with no flag; `_Options` resolves them. `_DATASET`
+# holds the options `_load_dataset` reads.
+_DATASET = dict(
+    corpus=_REQUIRED, threshold=1, ambiguous_as_goodware=False, subset_size=None,
+    malware_fraction=0.5, seed=0,
+)
+SUBCOMMANDS = {
+    "generate": (_cmd_generate, dict(
+        out=_REQUIRED, seed=0, generator=None,
+        **{name: None for name, opt in OPTIONS.items() if opt.field},
+    )),
+    "histogram": (_cmd_histogram, dict(corpus=_REQUIRED, out=None)),
+    "featurize": (_cmd_featurize, dict(
+        corpus=_REQUIRED, out=_REQUIRED, hash_buckets=512, threshold=1, alpha=1.0,
+        ambiguous_as_goodware=False,
+    )),
+    "rank": (_cmd_rank, dict(
+        corpus=_REQUIRED, out=None, seed=0, method="mdni", hash_buckets=512, threshold=1,
+        n_bins=10, ambiguous_as_goodware=False,
+    )),
+    "cv": (_cmd_cv, dict(
+        _DATASET, out=None, model="forest", k=10, top_k=None, method="mdni", hash_buckets=512,
+        paper_leaky=False, hyper=None,
+    )),
+    "sweep-hashes": (_cmd_sweep_hashes, dict(
+        _DATASET, out=None, threads=1, sizes=list(bench.DEFAULT_SWEEP_SIZES), model="logistic",
+        k=5, hyper=None,
+    )),
+    "curve-features": (_cmd_curve_features, dict(
+        _DATASET, out=None, threads=1, ks=list(bench.DEFAULT_KS), models=list(MODEL_KINDS),
+        method="mdni", k=10, frozen_ranking=None, hyper=None,
+    )),
+    "benchmark-grid": (_cmd_benchmark_grid, dict(
+        corpus=_REQUIRED, out=None, seed=0, threads=1, fractions=[0.02, 0.25, 0.5],
+        thresholds=[1, 2, 4], subset_size=5000, models=list(MODEL_KINDS), top_k=15,
+        method="mdni", k=10, frozen_ranking=None, paper_leaky=False,
+        ambiguous_as_goodware=False, hyper=None,
+    )),
+    "robustness": (_cmd_robustness, dict(
+        corpus=_REQUIRED, out=None, seed=0, threads=1, thresholds=[1, 2, 4], window_width=15,
+        step=2, n_windows=7, malware_fraction=0.5, subset_size=5000, model="forest",
+        method="mdni", k=10, frozen_ranking=None, hyper=None,
+    )),
+    "report": (_cmd_report, dict(
+        input=_REQUIRED, out=None, formats=list(reporting.FORMATS),
+    )),
 }
 
 
@@ -577,24 +585,10 @@ def dispatch(argv: Sequence[str]) -> int:
         parser.print_help()
         return 1
     opts = _Options(args)
-    if getattr(args, "dry_run", None):
-        # Resolve the subcommand's common options, then echo every explicit
-        # flag and any config-file key so the printout shows what a real run
-        # would use.
-        for name, default in (("seed", 0), ("out", None)):
-            if name in vars(args):
-                opts.get(name, default)
-        if "threads" in vars(args):
-            opts.threads()
-        for key, value in sorted(vars(args).items()):
-            if key in ("subcommand", "dry_run", "config") or value is None:
-                continue
-            opts.resolved.setdefault(key, value)
-        for key, value in sorted(opts.file_config.items()):
-            opts.resolved.setdefault(key, value)
+    if args.dry_run:
         sys.stdout.write(reporting.json_text(opts.run_record()))
         return 0
-    return _HANDLERS[args.subcommand](opts)
+    return SUBCOMMANDS[args.subcommand][0](opts)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

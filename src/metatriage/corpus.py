@@ -114,6 +114,16 @@ def record_to_dict(record: AppRecord) -> dict:
     return out
 
 
+def _integer(value) -> int:
+    """`value` as an int: an integer, an integral JSON number or a decimal
+    string (CSV). A bool or a non-integral number raises ValueError."""
+    if type(value) is int:  # the common case, first: parsing calls this for every field
+        return value
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def record_from_dict(obj: dict) -> tuple[Optional[AppRecord], list[str], list[str]]:
     """Build a record from a parsed mapping.
 
@@ -135,16 +145,16 @@ def record_from_dict(obj: dict) -> tuple[Optional[AppRecord], list[str], list[st
     # that `validation_errors` accepts, so it is reported once.
     for name in _INT_FIELDS:
         try:
-            kwargs[name] = int(obj[name])
-        except (TypeError, ValueError, OverflowError):
+            kwargs[name] = _integer(obj[name])
+        except (TypeError, ValueError):
             problems.append(f"{name} is not an integer: {obj[name]!r}")
             kwargs[name] = 0
     votes = obj["star_votes"]
     if isinstance(votes, str):
         votes = [v for v in votes.split(";") if v != ""]
     try:
-        kwargs["star_votes"] = tuple(int(v) for v in votes)
-    except (TypeError, ValueError, OverflowError):
+        kwargs["star_votes"] = tuple(_integer(v) for v in votes)
+    except (TypeError, ValueError):
         problems.append(f"star_votes is not a list of integers: {votes!r}")
         kwargs["star_votes"] = (0,) * 5
 
@@ -330,20 +340,10 @@ class LabeledDataset:
 
     records: list[AppRecord]
     labels: np.ndarray
-    recipe: Optional[CompositionRecipe] = None
-    shrunk: bool = False
     flags: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.records)
-
-    @property
-    def n_malware(self) -> int:
-        return int(self.labels.sum())
-
-    @property
-    def achieved_fraction(self) -> float:
-        return self.n_malware / len(self.records) if self.records else 0.0
 
 
 def label_dataset(
@@ -420,8 +420,6 @@ def compose_subset(corpus: list[AppRecord], recipe: CompositionRecipe) -> Labele
     return LabeledDataset(
         records=[corpus[i] for i in chosen],
         labels=labels,
-        recipe=recipe,
-        shrunk=shrunk,
         flags=flags,
     )
 

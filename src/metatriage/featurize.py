@@ -246,12 +246,6 @@ class FeatureMatrix:
     def n_columns(self) -> int:
         return self.values.shape[1]
 
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.values[:, self.column_names.index(name)]
-        except ValueError:
-            raise KeyError(f"no such column: {name}") from None
-
     def select_columns(self, names: Sequence[str]) -> "FeatureMatrix":
         idx = []
         for name in names:

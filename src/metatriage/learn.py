@@ -558,6 +558,9 @@ def predict_score(model: Model, X: FeatureMatrix) -> np.ndarray:
     raise ContractError(f"unknown model kind: {model.kind!r}")
 
 
+MODEL_KINDS = ("logistic", "linear_svm", "forest")  # the kinds `train_model` fits
+
+
 def train_model(
     kind: str, X: FeatureMatrix, y: np.ndarray, hyper: Hyperparams = Hyperparams()
 ) -> Model:

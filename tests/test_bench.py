@@ -203,7 +203,7 @@ class TestBenchReport:
 
     def test_grid_defaults(self):
         grid = BenchmarkGrid()
-        assert grid.n_cells == 9
+        assert len(grid.malware_fractions) * len(grid.thresholds) == 9
         assert grid.subset_size == 5000
 
 
@@ -493,6 +493,14 @@ def test_logistic_not_converged_is_flagged_in_every_experiment(
 
 
 class TestRobustnessWindows:
+    @pytest.mark.parametrize("bad", [
+        {"step": 0}, {"n_windows": 0}, {"window_width": 0}, {"step": -2},
+    ])
+    def test_window_counts_below_one_rejected(self, small_corpus, bad):
+        name, value = next(iter(bad.items()))
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+            robustness_windows(small_corpus, **bad)
+
     def test_default_starts(self, small_corpus):
         report = robustness_windows(
             small_corpus, window_width=3, step=2, n_windows=2,

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -5,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from metatriage import bench
 from metatriage.cli import main
 from metatriage.corpus import write_corpus
 
@@ -359,6 +361,102 @@ class TestDryRun:
         assert doc["options"]["model"] == "linear_svm"
 
 
+class TestOptionTypes:
+    @pytest.mark.parametrize("command,config", [
+        ("cv", {"k": "3"}),
+        ("curve-features", {"k": "3"}),
+        ("benchmark-grid", {"k": "3"}),
+        ("cv", {"k": 2.5}),
+        ("benchmark-grid", {"k": True}),
+        ("cv", {"top_k": "5"}),
+        ("cv", {"seed": "x"}),
+        ("cv", {"threshold": "2"}),
+        ("cv", {"subset_size": "100"}),
+        ("cv", {"hash_buckets": "8"}),
+        ("cv", {"malware_fraction": "0.5"}),
+        ("cv", {"paper_leaky": "no"}),
+        ("cv", {"subsetsize": 100}),
+        ("benchmark-grid", {"thresholds": 2}),
+        ("benchmark-grid", {"models": "logistic"}),
+        ("curve-features", {"ks": "1,2"}),
+        ("sweep-hashes", {"threads": True}),
+        ("report", {"formats": "csv"}),
+    ])
+    def test_bad_config_value_is_a_usage_error(self, corpus_path, work, capsys, command, config):
+        (key,) = config
+        path = work / "bad-value.json"
+        path.write_text(json.dumps(config))
+        out = work / "bad-value-out"
+        source = ["--input", str(work / "report.json")] if command == "report" else [
+            "--corpus", str(corpus_path)]
+        assert main([command, *source, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert f"config key {key!r}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("benchmark-grid", "--models", "logistic,boosting", "--models must be a list"),
+        ("cv", "--k", "2.5", "--k must be an integer"),
+        ("benchmark-grid", "--fractions", "0.5,x", "--fractions must be a list"),
+        ("cv", "--malware-fraction", "nan", "--malware-fraction must be a finite number"),
+        ("robustness", "--step", "0", "step must be at least 1, got 0"),
+        ("robustness", "--n-windows", "0", "n_windows must be at least 1, got 0"),
+    ])
+    def test_bad_flag_value_is_a_usage_error(
+        self, corpus_path, work, capsys, command, flag, value, message
+    ):
+        out = work / "bad-flag-out"
+        assert main([command, "--corpus", str(corpus_path), "--subset-size", "200",
+                     "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert not out.exists()
+
+    def test_dry_run_prints_the_options_a_run_records(self, corpus_path, work, capsys):
+        out = work / "cv-dry"
+        argv = ["cv", "--corpus", str(corpus_path), "--model", "logistic", "--k", "2",
+                "--subset-size", "200", "--seed", "5", "--out", str(out)]
+        assert main([*argv, "--dry-run"]) == 0
+        dry = json.loads(capsys.readouterr().out)
+        assert not out.exists()
+        assert main(argv) == 0
+        capsys.readouterr()
+        provenance = json.loads((out / "provenance.json").read_text())
+        assert provenance["options"] == dry["options"]
+        assert {"method", "malware_fraction", "hyper"} <= set(dry["options"])
+
+    # bench parameter -> the option that sets it, where the names differ
+    OPTION_OF = {"model_kind": "model", "model_kinds": "models", "malware_fractions": "fractions",
+                 "ranking_method": "method", "leaky_reputation": "paper_leaky"}
+
+    @pytest.mark.parametrize("command,experiment", [
+        ("sweep-hashes", bench.hash_size_sweep),
+        ("curve-features", bench.feature_count_curve),
+        ("benchmark-grid", bench.grid_benchmark),
+        ("robustness", bench.robustness_windows),
+    ])
+    def test_defaults_match_the_bench_signature(self, corpus_path, capsys, command, experiment):
+        assert main([command, "--corpus", str(corpus_path), "--dry-run"]) == 0
+        options = json.loads(capsys.readouterr().out)["options"]
+        expected = {}
+        for name, param in inspect.signature(experiment).parameters.items():
+            default = param.default
+            if default is inspect.Parameter.empty:
+                continue
+            if name == "grid":
+                for field, value in vars(default).items():
+                    expected[self.OPTION_OF.get(field, field)] = value
+            elif name == "ambiguous_handling":
+                expected["ambiguous_as_goodware"] = default == "goodware"
+            else:
+                expected[self.OPTION_OF.get(name, name)] = (
+                    default.to_json() if name == "hyper" else default)
+        expected = json.loads(json.dumps(expected))
+        assert {name: options[name] for name in expected} == expected
+
+
 class TestConfigPrecedence:
     def test_cli_flag_beats_config_file(self, corpus_path, work, capsys):
         config = work / "precedence.json"
@@ -533,6 +631,25 @@ class TestBenchCommands:
         capsys.readouterr()
         report = json.loads((out / "report.json").read_text())
         assert any(f.startswith("frozen-ranking") for f in report["flags"])
+
+    @pytest.mark.parametrize("command", ["curve-features", "robustness", "benchmark-grid"])
+    @pytest.mark.parametrize("names,message", [
+        ("developer_rep\nbogus\n", "names no feature column: 'bogus'"),
+        ("developer_rep\nissuer_rep\ndeveloper_rep\n", "names 'developer_rep' twice"),
+    ])
+    def test_frozen_ranking_names_must_be_distinct_columns(
+        self, corpus_path, work, capsys, command, names, message
+    ):
+        frozen = work / "frozen-bad.txt"
+        frozen.write_text(names)
+        out = work / f"frozen-bad-{command}"
+        assert main([
+            command, "--corpus", str(corpus_path), "--subset-size", "200", "--k", "2",
+            "--frozen-ranking", str(frozen), "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert not out.exists()
 
     def test_frozen_ranking_file_missing(self, corpus_path, capsys):
         assert main([

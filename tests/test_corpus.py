@@ -179,6 +179,25 @@ class TestParsing:
         assert {i.line for i in result.issues} == {2}
         assert result.issues[0].message.startswith(field)
 
+    @pytest.mark.parametrize("field,value", [
+        ("size_bytes", "3.7"), ("num_files", "true"), ("detection_count", "2.5"),
+        ("star_votes", "[1.5, 0, 0, 0, true]"), ("star_votes", "[1, 0, 0, 0, true]"),
+        ("size_bytes", '"3.7"'),  # the string a CSV cell gives
+    ])
+    def test_bool_or_non_integral_number_is_a_parse_issue(self, field, value):
+        bad = record_to_dict(make_record(app_id="bad"))
+        bad[field] = "VALUE"
+        result = parse_records(json.dumps(bad).replace('"VALUE"', value) + "\n")
+        assert result.records == []
+        assert len(result.issues) == 1
+        assert result.issues[0].message.startswith(f"{field} is not ")
+
+    def test_integral_json_number_loads_as_an_integer(self):
+        d = record_to_dict(make_record(size_bytes=3))
+        d["size_bytes"] = 3.0
+        (record,) = parse_records(json.dumps(d) + "\n").records
+        assert record.size_bytes == 3 and type(record.size_bytes) is int
+
     def test_csv_file_round_trip(self, tmp_path):
         recs = generate_synthetic(GeneratorConfig(n_apps=300), seed=5)
         path = tmp_path / "corpus.csv"
@@ -243,7 +262,7 @@ class TestComposition:
         ds = compose_subset(small_corpus, recipe)
         assert len(ds) == 800
         assert ds.labels.sum() == 200
-        assert not ds.shrunk
+        assert not any(f.startswith("shrunk to") for f in ds.flags)
 
     def test_deterministic_in_seed(self, small_corpus):
         recipe = CompositionRecipe(0.5, DetectionLabelPolicy(2), 400, seed=9)
@@ -262,9 +281,8 @@ class TestComposition:
     def test_shrinks_when_pool_is_short(self, small_corpus):
         recipe = CompositionRecipe(0.5, DetectionLabelPolicy(4), 100000, seed=3)
         ds = compose_subset(small_corpus, recipe)
-        assert ds.shrunk
-        assert ds.flags and "shrunk" in ds.flags[0]
-        assert abs(ds.achieved_fraction - 0.5) <= 0.005
+        assert ds.flags and ds.flags[0].startswith("shrunk to")
+        assert abs(ds.labels.mean() - 0.5) <= 0.005
 
     def test_fraction_tolerance_half_point(self, small_corpus):
         # For any target of at least 100 rows the achieved share sits
@@ -272,7 +290,7 @@ class TestComposition:
         for f in (0.02, 0.25, 0.33, 0.5, 0.77):
             recipe = CompositionRecipe(f, DetectionLabelPolicy(1), 150, seed=5)
             ds = compose_subset(small_corpus, recipe)
-            assert abs(ds.achieved_fraction - f) <= 0.005
+            assert abs(ds.labels.mean() - f) <= 0.005
 
     def test_labels_match_policy(self, small_corpus):
         recipe = CompositionRecipe(0.5, DetectionLabelPolicy(2), 300, seed=11)

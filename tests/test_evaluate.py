@@ -331,7 +331,6 @@ class TestCrossValidate:
         shuffled = LabeledDataset(
             records=small_dataset.records,
             labels=rng.permutation(small_dataset.labels),
-            recipe=small_dataset.recipe,
         )
         null = cross_validate(shuffled, "forest", k=5, seed=2, config=config)
         assert real.mean("test", "f1") - null.mean("test", "f1") >= 0.3

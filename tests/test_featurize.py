@@ -153,17 +153,17 @@ class TestAssembly:
                              age_in_market_days=4)
         table = build_reputation_table([record], np.array([0]))
         matrix = assemble_features([record], HashConfig(8), table)
-        assert matrix.column("num_permissions")[0] == 2.0
-        assert matrix.column("package_depth")[0] == 2.0
-        assert matrix.column("package_name_length")[0] == 7.0
-        assert matrix.column("update_rate")[0] == pytest.approx(10 / 5)
-        assert matrix.column("self_signed")[0] == 0.0
+        assert matrix.values[0, matrix.column_names.index("num_permissions")] == 2.0
+        assert matrix.values[0, matrix.column_names.index("package_depth")] == 2.0
+        assert matrix.values[0, matrix.column_names.index("package_name_length")] == 7.0
+        assert matrix.values[0, matrix.column_names.index("update_rate")] == pytest.approx(10 / 5)
+        assert matrix.values[0, matrix.column_names.index("self_signed")] == 0.0
 
     def test_self_signed_flag(self):
         record = make_record(developer_id="d", issuer_id="d")
         table = build_reputation_table([record], np.array([0]))
         matrix = assemble_features([record], HashConfig(8), table)
-        assert matrix.column("self_signed")[0] == 1.0
+        assert matrix.values[0, matrix.column_names.index("self_signed")] == 1.0
 
     def test_static_block_reuse_matches_fresh_assembly(self):
         records = [make_record(app_id=f"r{i}", detection_count=i % 2) for i in range(6)]
