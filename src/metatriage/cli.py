@@ -109,9 +109,9 @@ OPTIONS = {
     "method": _Option(str, "feature ranking method", METHODS),
     "model": _Option(str, "model kind", MODEL_KINDS),
     "models": _Option(str, "model kinds", MODEL_KINDS, many=True),
-    "k": _Option(int, "cross-validation folds"),
-    "top_k": _Option(int, "keep the top-k ranked features (default: all)"),
-    "ks": _Option(int, "top-k feature counts", many=True),
+    "k": _Option(int, "cross-validation folds", minimum=2),
+    "top_k": _Option(int, "keep the top-k ranked features (default: all)", minimum=1),
+    "ks": _Option(int, "top-k feature counts", many=True, minimum=1),
     "sizes": _Option(int, "hash bucket counts", many=True),
     "fractions": _Option(float, "malware shares of the grid", many=True),
     "malware_fraction": _Option(float, "malware share of a composed subset"),
@@ -376,9 +376,9 @@ def _output(opts: _Options, text: str, what: str) -> None:
 def _cmd_generate(opts: _Options) -> int:
     """write a deterministic synthetic corpus"""
     records = generate_synthetic(opts["generator"], opts["seed"])
-    write_corpus(records, opts["out"])
+    digest = write_corpus(records, opts["out"])
     print(f"{len(records)} records -> {opts['out']}")
-    print(f"corpus digest: {corpus_digest(records)}")
+    print(f"corpus digest: {digest}")
     return 0
 
 
@@ -399,11 +399,7 @@ def _cmd_featurize(opts: _Options) -> int:
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(matrix.column_names + ("label",)))
-        fh.write("\n")
-        for row, lab in zip(matrix.values, y):
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write(f",{int(lab)}\n")
+        reporting.write_matrix_csv(fh, matrix.column_names + ("label",), matrix.values, y)
     print(f"{matrix.n_rows} rows x {matrix.n_columns} features -> {out}")
     return 0
 

@@ -13,7 +13,9 @@ import hashlib
 import io
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -46,9 +48,6 @@ _INT_FIELDS = (
 )
 
 _STR_FIELDS = ("app_id", "package_name", "developer_id", "issuer_id")
-
-FIELD_ORDER = _STR_FIELDS + ("permissions",) + _INT_FIELDS[:-1] + ("star_votes", "detection_count")
-
 
 @dataclass(frozen=True, slots=True)
 class AppRecord:
@@ -101,6 +100,11 @@ class AppRecord:
         return problems
 
 
+# The canonical key order of a serialized record, and the order of the
+# record's constructor arguments.
+FIELD_ORDER = tuple(f.name for f in fields(AppRecord))
+
+
 def record_to_dict(record: AppRecord) -> dict:
     """Canonical JSON-safe mapping with stable key order and sorted permissions."""
     out = {}
@@ -117,17 +121,53 @@ def record_to_dict(record: AppRecord) -> dict:
 def _integer(value) -> int:
     """`value` as an int: an integer, an integral JSON number or a decimal
     string (CSV). A bool or a non-integral number raises ValueError."""
-    if type(value) is int:  # the common case, first: parsing calls this for every field
-        return value
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
 
 
+_FIELD_VALUES = itemgetter(*FIELD_ORDER)
+_FIELD_SET = frozenset(FIELD_ORDER)
+_STR, _INT = {str}, {int}
+
+
+def _exact_record(obj: dict) -> Optional[AppRecord]:
+    """The record of a mapping that holds exactly the `FIELD_ORDER` keys with
+    every value already of its exact type and valid, as `record_to_dict`
+    writes it; None for any other mapping."""
+    if obj.keys() != _FIELD_SET:
+        return None
+    values = _FIELD_VALUES(obj)
+    ids, perms, votes = values[:4], values[4], values[15]
+    if not (type(perms) is list and type(votes) is list and len(votes) == 5):
+        return None
+    counts = (*values[5:15], *votes, values[16])
+    if not (
+        all(ids)
+        and set(map(type, ids)) == _STR
+        and set(map(type, perms)) <= _STR
+        and set(map(type, counts)) == _INT
+        and min(counts) >= 0
+    ):
+        return None
+    return AppRecord(*ids, frozenset(perms), *values[5:15], tuple(votes), values[16])
+
+
 def record_from_dict(obj: dict) -> tuple[Optional[AppRecord], list[str], list[str]]:
     """Build a record from a parsed mapping.
 
-    Returns (record_or_None, problems, unknown_field_names)."""
+    Returns (record_or_None, problems, unknown_field_names). A mapping that
+    `_exact_record` accepts needs no conversion and no validation; any other
+    one is converted field by field and then validated."""
+    record = _exact_record(obj)
+    if record is not None:
+        return record, [], []
+    return _converted_record(obj)
+
+
+def _converted_record(obj: dict) -> tuple[Optional[AppRecord], list[str], list[str]]:
+    """`record_from_dict` for any mapping: each field converted, then the
+    record validated."""
     problems = []
     unknown = [k for k in obj if k not in FIELD_ORDER]
     missing = [k for k in FIELD_ORDER if k not in obj]
@@ -257,30 +297,59 @@ def load_corpus(path: str, max_errors: int = 100) -> ParseResult:
         return parse_records(fh, fmt, max_errors=max_errors)
 
 
-def write_corpus(records: Iterable[AppRecord], path: str) -> None:
+# A record as one line of compact JSON, to be filled with its ints, its
+# strings quoted as `json.dumps` quotes them, and the items of its two lists.
+_LINE = "{" + ",".join(
+    f'"{name}":' + ("%d" if name in _INT_FIELDS else "%s" if name in _STR_FIELDS else "[%s]")
+    for name in FIELD_ORDER
+) + "}\n"
+
+
+def _canonical_line(record: AppRecord) -> str:
+    """`json.dumps(record_to_dict(record), separators=(",", ":"))` plus a
+    newline, formatted directly from the fields."""
+    return _LINE % (
+        _quote(record.app_id), _quote(record.package_name), _quote(record.developer_id),
+        _quote(record.issuer_id), ",".join(map(_quote, sorted(record.permissions))),
+        record.size_bytes, record.num_files, record.num_images, record.version_code,
+        record.age_in_market_days, record.last_update_days, record.last_signature_update_days,
+        record.time_for_creation_days, record.cert_validity_days, record.num_downloads,
+        ",".join(map(str, record.star_votes)), record.detection_count,
+    )
+
+
+def write_corpus(records: Iterable[AppRecord], path: str) -> str:
     """Write records with canonical field order: CSV for a `.csv` path, with
-    `permissions` and `star_votes` joined by `;`, otherwise JSON Lines."""
+    `permissions` and `star_votes` joined by `;`, otherwise JSON Lines.
+    Returns `corpus_digest(records)`; for JSON Lines it is the hash of the
+    bytes written."""
+    if not str(path).endswith(".csv"):
+        h = hashlib.sha256()
+        with open(path, "wb") as fh:
+            for line in map(_canonical_line, records):
+                data = line.encode()
+                fh.write(data)
+                h.update(data)
+        return h.hexdigest()
+    records = list(records)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if str(path).endswith(".csv"):
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(FIELD_ORDER)
-            for record in records:
-                row = record_to_dict(record)
-                row["permissions"] = ";".join(row["permissions"])
-                row["star_votes"] = ";".join(map(str, row["star_votes"]))
-                writer.writerow(row.values())
-            return
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(FIELD_ORDER)
         for record in records:
-            fh.write(json.dumps(record_to_dict(record), separators=(",", ":")))
-            fh.write("\n")
+            row = record_to_dict(record)
+            row["permissions"] = ";".join(row["permissions"])
+            row["star_votes"] = ";".join(map(str, row["star_votes"]))
+            writer.writerow(row.values())
+    return corpus_digest(records)
 
 
 def corpus_digest(records: Iterable[AppRecord]) -> str:
-    """sha256 over the canonical serialization; stable across processes."""
+    """sha256 over the canonical serialization, each record's
+    `record_to_dict` as compact JSON on its own line; stable across
+    processes."""
     h = hashlib.sha256()
-    for record in records:
-        h.update(json.dumps(record_to_dict(record), separators=(",", ":")).encode())
-        h.update(b"\n")
+    for line in map(_canonical_line, records):
+        h.update(line.encode())
     return h.hexdigest()
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -82,14 +84,6 @@ def _hash64(token: str, seed: int) -> int:
     h = (h * 0x94D049BB133111EB) & _MASK
     h ^= h >> 31
     return h
-
-
-def hash_permissions(permissions: Iterable[str], config: HashConfig) -> np.ndarray:
-    """Fold a permission set into bucket counts (collisions add)."""
-    out = np.zeros(config.n_buckets, dtype=np.float64)
-    for perm in permissions:
-        out[_hash64(perm, config.seed) % config.n_buckets] += 1.0
-    return out
 
 
 def hash_column_names(config: HashConfig) -> tuple[str, ...]:
@@ -164,29 +158,18 @@ def build_reputation_table(
 # ---------------------------------------------------------------------------
 
 
-def _intrinsic_row(record: AppRecord) -> list[float]:
-    return [
-        float(record.size_bytes),
-        float(record.num_files),
-        float(record.num_images),
-        float(record.version_code),
-        float(record.age_in_market_days),
-        float(record.last_update_days),
-        float(record.last_signature_update_days),
-        float(record.time_for_creation_days),
-        float(record.cert_validity_days),
-        float(record.num_downloads),
-        float(len(record.permissions)),
-        1.0 if record.issuer_id == record.developer_id else 0.0,
-        float(len(record.package_name)),
-        float(record.package_name.count(".")),
-        float(record.version_code) / (record.age_in_market_days + 1.0),
-    ]
-
-
-def _social_row(record: AppRecord) -> list[float]:
-    votes = [float(v) for v in record.star_votes]
-    return votes + [float(record.total_votes), float(record.mean_star)]
+def _count_permissions(out: np.ndarray, records: Sequence[AppRecord], config: HashConfig):
+    """Add each record's permission counts to the first `config.n_buckets`
+    columns of its row of the C-contiguous `out`; colliding permissions add
+    up. Each distinct permission is hashed once."""
+    permission_sets = [r.permissions for r in records]
+    distinct = set().union(*permission_sets)
+    bucket = {p: _hash64(p, config.seed) % config.n_buckets for p in distinct}
+    tokens = chain.from_iterable(permission_sets)
+    index = np.repeat(np.arange(len(records)), list(map(len, permission_sets)))
+    index *= out.shape[1]  # flat position of each record's row ...
+    index += np.fromiter(map(bucket.__getitem__, tokens), np.intp, len(index))  # ... and bucket
+    np.add.at(out.reshape(-1), index, 1.0)
 
 
 def static_feature_block(
@@ -196,14 +179,30 @@ def static_feature_block(
 
     Safe to compute once per dataset and slice per fold.
     """
-    n = len(records)
-    width = hash_config.n_buckets + len(INTRINSIC_COLUMNS) + len(SOCIAL_COLUMNS)
-    out = np.zeros((n, width), dtype=np.float64)
     h = hash_config.n_buckets
-    for i, record in enumerate(records):
-        out[i, :h] = hash_permissions(record.permissions, hash_config)
-        out[i, h : h + len(INTRINSIC_COLUMNS)] = _intrinsic_row(record)
-        out[i, h + len(INTRINSIC_COLUMNS) :] = _social_row(record)
+    out = np.zeros((len(records), h + len(INTRINSIC_COLUMNS) + len(SOCIAL_COLUMNS)))
+    _count_permissions(out, records, hash_config)
+    column = dict(zip(INTRINSIC_COLUMNS + SOCIAL_COLUMNS, out[:, h:].T))  # views into `out`
+    for name in INTRINSIC_COLUMNS[:10]:  # the record fields of the same name
+        column[name][:] = list(map(attrgetter(name), records))
+    names = [r.package_name for r in records]
+    column["num_permissions"][:] = [len(r.permissions) for r in records]
+    column["self_signed"][:] = [r.issuer_id == r.developer_id for r in records]
+    column["package_name_length"][:] = list(map(len, names))
+    column["package_depth"][:] = [name.count(".") for name in names]
+    column["update_rate"][:] = column["version_code"] / (column["age_in_market_days"] + 1.0)
+    votes = [column[name] for name in SOCIAL_COLUMNS[:5]]
+    for i, star in enumerate(votes):
+        star[:] = [r.star_votes[i] for r in records]
+    total, mean = column["total_votes"], column["mean_star"]
+    total[:] = sum(votes)
+    stars = sum(i * star for i, star in enumerate(votes, start=1))
+    np.divide(stars, total, out=mean, where=total > 0)
+    # Below 2**53 every float sum is an exact integer, so the mean is the
+    # record's `mean_star` to the bit; past it, take the integer sums.
+    if len(records) and stars.max() >= 2.0**53:
+        total[:] = [r.total_votes for r in records]
+        mean[:] = [r.mean_star for r in records]
     return out
 
 
@@ -247,12 +246,11 @@ class FeatureMatrix:
         return self.values.shape[1]
 
     def select_columns(self, names: Sequence[str]) -> "FeatureMatrix":
-        idx = []
-        for name in names:
-            try:
-                idx.append(self.column_names.index(name))
-            except ValueError:
-                raise KeyError(f"no such column: {name}") from None
+        position = {name: j for j, name in enumerate(self.column_names)}
+        try:
+            idx = [position[name] for name in names]
+        except KeyError as exc:
+            raise KeyError(f"no such column: {exc.args[0]}") from None
         return FeatureMatrix(tuple(names), self.values[:, idx])
 
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
+
+import numpy as np
 
 # (model kind, malware fraction, detection threshold) ->
 #   metric -> (train, test) as published.
@@ -92,6 +94,37 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def write_matrix_csv(
+    fh: TextIO, header: Sequence[str], values: np.ndarray, labels: np.ndarray,
+    block_rows: int = 2048,
+) -> None:
+    """Write the lines `csv_text(header, rows)` would give, where each row is
+    a row of `values` followed by its int label: every value is written as
+    `repr(float(v))`. Each column's distinct values (by bit pattern, so 0.0
+    and -0.0 keep their own text) are formatted once; rows are joined and
+    written `block_rows` at a time, so the text is never held whole."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    distinct, texts = [], []
+    for column in bits.T:
+        ordered = np.sort(column)
+        first = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        distinct.append(ordered[first])
+        floats = ordered[first].view(np.float64).tolist()
+        texts.append(np.array(list(map(repr, floats)), dtype=object))
+    label_ints = np.asarray(labels, dtype=np.int64).tolist()
+    label_texts = np.array(list(map(str, label_ints)), dtype=object)
+    fh.write(",".join(header) + "\n")
+    cells = np.empty((min(block_rows, len(bits)), bits.shape[1] + 1), dtype=object)
+    for start in range(0, len(bits), block_rows):
+        rows = bits[start : start + block_rows]
+        block = cells[: len(rows)]
+        for j, (column_distinct, column_texts) in enumerate(zip(distinct, texts)):
+            block[:, j] = column_texts[np.searchsorted(column_distinct, rows[:, j])]
+        block[:, -1] = label_texts[start : start + block_rows]
+        fh.write("\n".join(map(",".join, block.tolist())) + "\n")
 
 
 def markdown_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -162,6 +162,26 @@ def _borda(by_method: dict[str, FeatureScore], n: int) -> np.ndarray:
     return points
 
 
+def _filter_scores(
+    matrix: FeatureMatrix, labels: np.ndarray, methods: Sequence[str], n_bins: int
+) -> dict[str, FeatureScore]:
+    """The scores of each filter method in `methods` on the rank-binned
+    columns. The bins are freed on return, before a ranking forest grows."""
+    scorers = {
+        "chi_squared": score_chi_squared,
+        "info_gain": score_information_gain,
+        "gain_ratio": score_gain_ratio,
+    }
+    filter_methods = [m for m in methods if m in scorers]
+    if not filter_methods:
+        return {}
+    binned = [bin_column(matrix.values[:, j], n_bins).ids for j in range(matrix.n_columns)]
+    return {
+        m: FeatureScore(m, np.array([scorers[m](b, labels) for b in binned]))
+        for m in filter_methods
+    }
+
+
 def rank_features(
     matrix: FeatureMatrix,
     labels: np.ndarray,
@@ -193,18 +213,7 @@ def rank_features(
     if ranking_method != "borda" and ranking_method not in methods:
         methods = tuple(methods) + (ranking_method,)
 
-    by_method: dict[str, FeatureScore] = {}
-    filter_methods = [m for m in methods if m in ("chi_squared", "info_gain", "gain_ratio")]
-    if filter_methods:
-        binned = [bin_column(matrix.values[:, j], n_bins).ids for j in range(matrix.n_columns)]
-        scorers = {
-            "chi_squared": score_chi_squared,
-            "info_gain": score_information_gain,
-            "gain_ratio": score_gain_ratio,
-        }
-        for m in filter_methods:
-            raw = np.array([scorers[m](b, labels) for b in binned])
-            by_method[m] = FeatureScore(m, raw)
+    by_method = _filter_scores(matrix, labels, methods, n_bins)
     if "mdni" in methods:
         params = forest_params if forest_params is not None else RankingParams().forest(13)
         forest = train_forest(matrix, labels, params)

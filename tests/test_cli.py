@@ -8,7 +8,10 @@ import pytest
 
 from metatriage import bench
 from metatriage.cli import main
-from metatriage.corpus import write_corpus
+from metatriage.corpus import (
+    DetectionLabelPolicy, corpus_digest, label_dataset, load_corpus, write_corpus,
+)
+from metatriage.featurize import HashConfig, assemble_features, build_reputation_table
 
 from test_corpus import make_record
 
@@ -55,6 +58,14 @@ class TestGenerate:
         assert main(["generate", "--out", str(other), "--n-apps", "600",
                      "--seed", "4"]) == 0
         assert other.read_bytes() != corpus_path.read_bytes()
+
+    @pytest.mark.parametrize("name", ["digest.jsonl", "digest.csv"])
+    def test_printed_digest_is_the_digest_of_the_loaded_corpus(self, work, capsys, name):
+        path = work / name
+        assert main(["generate", "--out", str(path), "--n-apps", "300", "--seed", "8"]) == 0
+        printed = capsys.readouterr().out.splitlines()[-1]
+        digest = corpus_digest(load_corpus(str(path)).records)
+        assert printed == f"corpus digest: {digest}"
 
     def test_missing_out_is_a_usage_error(self):
         assert main(["generate", "--n-apps", "50"]) == 1
@@ -138,6 +149,20 @@ class TestFeaturize:
         assert columns[0] == "f0"
         assert columns[-1] == "label"
         assert first.split(",")[-1] in ("0", "1")
+
+    def test_export_is_the_float_repr_of_every_value(self, corpus_path, work, capsys):
+        out = work / "features-t2.csv"
+        assert main(["featurize", "--corpus", str(corpus_path), "--out", str(out),
+                     "--hash-buckets", "64", "--threshold", "2", "--alpha", "0.5"]) == 0
+        capsys.readouterr()
+        dataset = label_dataset(load_corpus(str(corpus_path)).records, DetectionLabelPolicy(2))
+        table = build_reputation_table(dataset.records, dataset.labels, alpha=0.5)
+        matrix = assemble_features(dataset.records, HashConfig(64), table)
+        lines = [",".join(matrix.column_names + ("label",))] + [
+            ",".join(repr(float(v)) for v in row) + f",{int(label)}"
+            for row, label in zip(matrix.values, dataset.labels)
+        ]
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_no_admissible_records_is_a_data_error(self, work, capsys):
         # every record sits between goodware (0) and the 4-AV threshold
@@ -410,6 +435,28 @@ class TestOptionTypes:
         out = work / "bad-flag-out"
         assert main([command, "--corpus", str(corpus_path), "--subset-size", "200",
                      "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,args,message", [
+        ("cv", ["--k", "1"], "--k must be an integer of at least 2, got '1'"),
+        ("cv", ["--top-k", "0"], "--top-k must be an integer of at least 1, got '0'"),
+        ("benchmark-grid", ["--k", "1", "--fractions", "0.5", "--thresholds", "1",
+                            "--models", "logistic"], "--k must be an integer of at least 2"),
+        ("curve-features", ["--ks", "0"],
+         "--ks must be a list whose items are each an integer of at least 1, got '0'"),
+        ("robustness", ["--config", "K1"], "config key 'k' must be an integer of at least 2"),
+    ])
+    def test_counts_below_their_minimum_are_usage_errors(
+        self, corpus_path, work, capsys, command, args, message
+    ):
+        config = work / "k1.json"
+        config.write_text(json.dumps({"k": 1}))
+        args = [str(config) if a == "K1" else a for a in args]
+        out = work / f"below-minimum-{command}"
+        assert main([command, "--corpus", str(corpus_path), "--subset-size", "200",
+                     "--out", str(out), *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and message in err
         assert not out.exists()

@@ -26,6 +26,9 @@ from metatriage.corpus import (
     record_to_dict,
     write_corpus,
     load_corpus,
+    _canonical_line,
+    _converted_record,
+    _exact_record,
 )
 from metatriage.errors import (
     CompositionError,
@@ -94,6 +97,106 @@ class TestAppRecord:
         assert problems == []
         assert back.permissions == frozenset({"perm.a", "perm.b"})
         assert back.star_votes == (1, 0, 2, 3, 10)
+
+
+def _with(**changes) -> dict:
+    d = record_to_dict(make_record())
+    d.update(changes)
+    return d
+
+
+def _without(name: str) -> dict:
+    d = record_to_dict(make_record())
+    del d[name]
+    return d
+
+
+class TestParseFastPath:
+    """`record_from_dict` builds a mapping in canonical form directly and
+    converts any other one; both must give what conversion gives."""
+
+    def test_canonical_mappings_take_the_fast_path(self):
+        records = generate_synthetic(GeneratorConfig(n_apps=200), seed=2) + [
+            make_record(permissions=frozenset(), star_votes=(0, 0, 0, 0, 0)),
+        ]
+        for record in records:
+            d = json.loads(json.dumps(record_to_dict(record)))
+            assert _exact_record(d) == record
+            assert record_from_dict(d) == _converted_record(d) == (record, [], [])
+
+    @pytest.mark.parametrize("obj,record,problems,unknown", [
+        (_with(size_bytes=True), None, ["size_bytes is not an integer: True"], []),
+        (_with(size_bytes=3.0), make_record(size_bytes=3), [], []),
+        (_with(num_files=-2), None, ["num_files must be a non-negative integer, got -2"], []),
+        (_with(star_votes=[1, -1, 0, 0, 0]), None,
+         ["star_votes[1] must be a non-negative integer, got -1"], []),
+        (_with(star_votes=[1, 2, 3, 4]), None, ["star_votes must have 5 entries, got 4"], []),
+        (_with(star_votes=[1.0, 0, 2, 3, 10]), make_record(), [], []),
+        (_with(app_id=42), make_record(app_id="42"), [], []),
+        (_with(developer_id=""), None, ["developer_id must be a non-empty string"], []),
+        (_with(permissions="perm.a;perm.b"), make_record(), [], []),
+        (_with(permissions=["perm.a", 5]), make_record(permissions=frozenset({"perm.a", "5"})),
+         [], []),
+        (_with(mystery=1), make_record(), [], ["mystery"]),
+        (_without("size_bytes"), None, ["missing fields: size_bytes"], []),
+    ], ids=["bool", "integral-float", "negative", "negative-vote", "four-votes", "float-vote",
+            "numeric-id", "empty-id", "permission-string", "numeric-permission", "unknown-field",
+            "missing-field"])
+    def test_other_mappings_are_converted(self, obj, record, problems, unknown):
+        assert _exact_record(obj) is None
+        assert record_from_dict(obj) == _converted_record(obj) == (record, problems, unknown)
+        got = record_from_dict(obj)[0]
+        if got is not None:
+            assert type(got.size_bytes) is int
+
+    def test_issues_and_counts_match_conversion(self):
+        lines = [
+            record_to_dict(make_record(app_id="g0")),
+            _with(app_id="b0", size_bytes=True),
+            record_to_dict(make_record(app_id="g1")),
+            _with(app_id="b1", num_files=-2),
+            _with(app_id="u0", mystery=1),
+            _without("num_files"),
+            record_to_dict(make_record(app_id="g2")),
+        ]
+        result = parse_records("".join(json.dumps(d) + "\n" for d in lines))
+        assert [r.app_id for r in result.records] == ["g0", "g1", "u0", "g2"]
+        assert [(i.line, i.message) for i in result.issues] == [
+            (2, "size_bytes is not an integer: True"),
+            (4, "num_files must be a non-negative integer, got -2"),
+            (6, "missing fields: num_files"),
+        ]
+        assert result.unknown_fields == Counter({"mystery": 1})
+        with pytest.raises(DuplicateAppIdError):
+            parse_records(json.dumps(lines[0]) + "\n" + json.dumps(lines[0]) + "\n")
+
+
+class TestCanonicalLines:
+    def records(self):
+        return generate_synthetic(GeneratorConfig(n_apps=200), seed=3) + [
+            make_record(app_id='quote"back\\slash', package_name="tab\tnew\nline",
+                        developer_id="caf\u00e9", issuer_id="\U0001f600",
+                        permissions=frozenset({"z", "\u00e9", "a,b"}),
+                        star_votes=(0, 0, 0, 0, 0), size_bytes=2**70),
+            make_record(permissions=frozenset()),
+        ]
+
+    def test_line_is_compact_json_of_the_canonical_dict(self):
+        for record in self.records():
+            expected = json.dumps(record_to_dict(record), separators=(",", ":")) + "\n"
+            assert _canonical_line(record) == expected
+
+    @pytest.mark.parametrize("name", ["corpus.jsonl", "corpus.csv"])
+    def test_write_returns_the_digest_of_what_it_wrote(self, tmp_path, name):
+        records = self.records()[:-2] + [make_record(app_id="plain")]
+        path = tmp_path / name
+        digest = write_corpus(records, str(path))
+        assert digest == corpus_digest(records) == corpus_digest(load_corpus(str(path)).records)
+        if name.endswith(".jsonl"):
+            expected = "".join(
+                json.dumps(record_to_dict(r), separators=(",", ":")) + "\n" for r in records
+            )
+            assert path.read_text() == expected
 
 
 class TestParsing:

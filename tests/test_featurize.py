@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from metatriage.corpus import GeneratorConfig, generate_synthetic
 from metatriage.errors import ContractError
 from metatriage.featurize import (
     INTRINSIC_COLUMNS,
@@ -15,14 +18,39 @@ from metatriage.featurize import (
     build_reputation_table,
     feature_names,
     hash_column_names,
-    hash_permissions,
     reputation_block,
     standardize_fit_apply,
     static_feature_block,
     _hash64,
 )
+from metatriage.reporting import csv_text, write_matrix_csv
 
 from test_corpus import make_record
+
+
+def hash_permissions(permissions, config: HashConfig) -> np.ndarray:
+    """Reference hashing of one permission set: bucket counts, collisions add."""
+    out = np.zeros(config.n_buckets, dtype=np.float64)
+    for perm in permissions:
+        out[_hash64(perm, config.seed) % config.n_buckets] += 1.0
+    return out
+
+
+def reference_static_block(records, config: HashConfig) -> np.ndarray:
+    """The static block built one record at a time from the row layout."""
+    rows = []
+    for r in records:
+        intrinsic = [float(getattr(r, name)) for name in INTRINSIC_COLUMNS[:10]] + [
+            float(len(r.permissions)),
+            1.0 if r.issuer_id == r.developer_id else 0.0,
+            float(len(r.package_name)),
+            float(r.package_name.count(".")),
+            float(r.version_code) / (r.age_in_market_days + 1.0),
+        ]
+        social = [float(v) for v in r.star_votes] + [float(r.total_votes), float(r.mean_star)]
+        rows.append(np.concatenate([hash_permissions(r.permissions, config), intrinsic, social]))
+    width = config.n_buckets + len(INTRINSIC_COLUMNS) + len(SOCIAL_COLUMNS)
+    return np.array(rows, dtype=np.float64).reshape(len(records), width)
 
 
 class TestHashing:
@@ -175,6 +203,32 @@ class TestAssembly:
         reused = assemble_features(records, config, table, static_block=static)
         assert np.array_equal(fresh.values, reused.values)
 
+    @pytest.mark.parametrize("config", [HashConfig(), HashConfig(64, seed=7), HashConfig(1)])
+    def test_static_block_matches_per_record_reference(self, config):
+        records = generate_synthetic(GeneratorConfig(n_apps=300), seed=4) + [
+            make_record(app_id="no-perms", permissions=frozenset()),
+            make_record(app_id="no-votes", star_votes=(0, 0, 0, 0, 0)),
+            make_record(app_id="self", developer_id="d", issuer_id="d", package_name="x"),
+        ]
+        block = static_feature_block(records, config)
+        assert block.tobytes() == reference_static_block(records, config).tobytes()
+
+    def test_static_block_keeps_exact_means_of_huge_vote_counts(self):
+        # Integers past 2**53 round in floats; the block must still hold
+        # float() of each field and each record's exact total and mean.
+        records = [
+            make_record(app_id="a", star_votes=(2**60 + 1, 3, 0, 0, 2**55 + 7), size_bytes=2**70 + 1),
+            make_record(app_id="b", star_votes=(0, 0, 0, 0, 0)),
+            make_record(app_id="c", star_votes=(1, 2, 3, 4, 5)),
+        ]
+        config = HashConfig(4)
+        block = static_feature_block(records, config)
+        assert block.tobytes() == reference_static_block(records, config).tobytes()
+        assert block[0, -1] == records[0].mean_star
+
+    def test_static_block_of_no_records(self):
+        assert static_feature_block([], HashConfig(8)).shape == (0, 8 + 15 + 7)
+
     def test_static_block_shape_mismatch_raises(self):
         records = [make_record(app_id=f"r{i}") for i in range(3)]
         table = build_reputation_table(records, np.array([0, 1, 0]))
@@ -217,8 +271,43 @@ class TestFeatureMatrix:
 
     def test_select_missing_column_raises(self):
         m = FeatureMatrix(("a",), np.zeros((1, 1)))
-        with pytest.raises(KeyError):
-            m.select_columns(["nope"])
+        with pytest.raises(KeyError, match="no such column: nope"):
+            m.select_columns(["a", "nope"])
+
+
+class TestMatrixCsv:
+    def render(self, header, values, labels, **kwargs) -> str:
+        fh = io.StringIO()
+        write_matrix_csv(fh, header, values, labels, **kwargs)
+        return fh.getvalue()
+
+    def reference(self, header, values, labels) -> str:
+        rows = [[float(v) for v in row] + [int(lab)] for row, lab in zip(values, labels)]
+        return csv_text(header, rows)
+
+    def test_each_value_is_its_float_repr(self):
+        column = [0.0, -0.0, 1e-05, 1e16, 0.1 + 0.2, 1 / 3, 0.0, -0.0, 123456789.125, 1e-05]
+        values = np.array([column, column[::-1], [float(i) for i in range(10)]]).T
+        labels = np.array([0, 1] * 5, dtype=np.int8)
+        header = ("a", "b", "c", "label")
+        text = self.render(header, values, labels, block_rows=3)
+        assert text == self.reference(header, values, labels)
+        lines = text.splitlines()
+        assert lines[1].split(",")[0] == "0.0" and lines[2].split(",")[0] == "-0.0"
+        assert lines[3].startswith("1e-05,") and lines[4].startswith("1e+16,")
+        assert lines[5].startswith("0.30000000000000004,")
+
+    def test_generated_feature_matrix(self):
+        records = generate_synthetic(GeneratorConfig(n_apps=400), seed=9)
+        labels = np.array([r.detection_count > 0 for r in records], dtype=np.int8)
+        table = build_reputation_table(records, labels)
+        matrix = assemble_features(records, HashConfig(32), table)
+        header = matrix.column_names + ("label",)
+        text = self.render(header, matrix.values, labels, block_rows=64)
+        assert text == self.reference(header, matrix.values, labels)
+
+    def test_no_rows(self):
+        assert self.render(("a", "label"), np.zeros((0, 1)), np.zeros(0)) == "a,label\n"
 
 
 class TestBinning:
