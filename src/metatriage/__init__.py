@@ -15,7 +15,7 @@ from .corpus import (
     parse_records,
 )
 from .errors import MetatriageError
-from .evaluate import EvalReport, PipelineConfig, SelectionSpec, cross_validate
+from .evaluate import EvalReport, PipelineConfig, cross_validate
 from .featurize import FeatureMatrix, HashConfig, ReputationTable, assemble_features
 from .learn import Hyperparams, predict_score, train_model
 from .select import RankedFeatures, rank_features
@@ -34,7 +34,6 @@ __all__ = [
     "PipelineConfig",
     "RankedFeatures",
     "ReputationTable",
-    "SelectionSpec",
     "SignalStrengths",
     "__version__",
     "assemble_features",

@@ -5,12 +5,13 @@ Every experiment consumes raw records, derives all randomness from its
 seed, and produces a BenchReport; `emit_report` renders it to
 byte-identical files through `reporting`. The four experiments share one
 scaffold: `_new_report` pins config, corpus digest and provenance,
-`_selection` chooses between a frozen column slice and a per-fold ranking,
 `_prepare` builds one fold plan per dataset and seed, `_evaluate` runs
 each model kind or rank window on it and turns a failed run into a flag
 message, and `_completed` runs the cells or points in forked worker
 processes and merges their results in task order, so the worker count
-never changes output bytes.
+never changes output bytes. The three that train on rank windows call
+`check_windows` first, so a window past the column order fails before
+any work.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .evaluate import (
     EvalReport,
     FoldPlan,
     PipelineConfig,
-    SelectionSpec,
+    check_windows,
     evaluate,
     prepare_folds,
     roc_and_auc,
@@ -51,17 +52,6 @@ DEFAULT_SWEEP_SIZES = (32, 64, 128, 256, 512, 1024, 2048)
 DEFAULT_KS = (1, 2, 3, 5, 7, 10, 15, 20, 27, 40)
 # Default hyperparameters of the experiments and of `cv`: a 60-tree forest.
 DEFAULT_HYPER = Hyperparams(forest=ForestParams(n_trees=60))
-
-
-@dataclass(frozen=True)
-class BenchmarkGrid:
-    """The composition grid: malware share x detection threshold."""
-
-    malware_fractions: tuple[float, ...] = (0.02, 0.25, 0.50)
-    thresholds: tuple[int, ...] = (1, 2, 4)
-    subset_size: int = 5000
-    model_kinds: tuple[str, ...] = MODEL_KINDS
-    seed: int = 0
 
 
 @dataclass
@@ -221,18 +211,6 @@ def _new_report(
     return report
 
 
-def _selection(
-    ranking_method: str, frozen_ranking: Optional[Sequence[str]], **ranks
-) -> SelectionSpec:
-    """`top_k=k` or `window_start=s, window_width=w` (1-based ranks) of a
-    ranking refitted in each training fold, or of `frozen_ranking`."""
-    if not frozen_ranking:
-        return SelectionSpec(method=ranking_method, **ranks)
-    first = ranks.get("window_start", 1) - 1
-    width = ranks.get("top_k", ranks.get("window_width"))
-    return SelectionSpec(columns=tuple(frozen_ranking[first : first + width]))
-
-
 def _prepare(
     dataset: LabeledDataset, k: int, seed: int, config: PipelineConfig
 ) -> Union[FoldPlan, MetatriageError, ValueError]:
@@ -245,15 +223,15 @@ def _prepare(
 
 def _evaluate(
     label: str, plan: Union[FoldPlan, Exception], model_kind: str,
-    selection: Optional[SelectionSpec] = None,
+    window: Optional[tuple[int, int]] = None,
 ) -> tuple[Optional[EvalReport], Optional[str]]:
-    """(evaluate(plan, model_kind, selection), None), or (None, a flag
-    naming `label`) when that run or the preparation of `plan` failed; a
-    failed preparation is flagged for every run that shares it."""
+    """(evaluate(plan, model_kind, window), None), or (None, a flag naming
+    `label`) when that run or the preparation of `plan` failed; a failed
+    preparation is flagged for every run that shares it."""
     if isinstance(plan, Exception):
         return None, f"{label} failed: {plan}"
     try:
-        return evaluate(plan, model_kind, selection), None
+        return evaluate(plan, model_kind, window), None
     except (MetatriageError, ValueError) as exc:
         return None, f"{label} failed: {exc}"
 
@@ -321,9 +299,7 @@ def hash_size_sweep(
     def run_point(size: int):
         hash_config = HashConfig(n_buckets=size, seed=0)
         pipeline = PipelineConfig(
-            hash_config=hash_config,
-            selection=SelectionSpec(columns=hash_column_names(hash_config)),
-            hyper=hyper,
+            hash_config=hash_config, frozen_ranking=hash_column_names(hash_config), hyper=hyper
         )
         plan = _prepare(dataset, k, _derive_seed(seed, size), pipeline)
         ev, error = _evaluate(f"size {size}", plan, model_kind)
@@ -378,10 +354,16 @@ def feature_count_curve(
 
     By default the ranking is refitted inside each training fold
     (leakage-safe). Passing `frozen_ranking` (an ordered column list)
-    reuses that fixed order for every fold and flags the report.
+    reuses that fixed order for every fold and flags the report. A top-k
+    past the end of the order raises ValueError before any work.
     """
     if not ks:
         raise ValueError("ks must be non-empty")
+    # One plan orders each training fold's columns once; every (model,
+    # top-k) run then takes its top-k of that order.
+    frozen = tuple(frozen_ranking) if frozen_ranking else None
+    pipeline = PipelineConfig(ranking_method=ranking_method, frozen_ranking=frozen, hyper=hyper)
+    check_windows(pipeline, [(1, top_k) for top_k in ks])
     config = {
         "ks": list(ks),
         "model_kinds": list(model_kinds),
@@ -389,7 +371,7 @@ def feature_count_curve(
         "k": k,
         "seed": seed,
         "hash_buckets": HashConfig().n_buckets,
-        "frozen_ranking": list(frozen_ranking) if frozen_ranking else None,
+        "frozen_ranking": list(frozen) if frozen else None,
         "hyper": hyper.to_json(),
     }
     report = _new_report(
@@ -398,18 +380,12 @@ def feature_count_curve(
         flags=dataset.flags,
     )
 
-    # One plan ranks each training fold once; every (model, top-k) run then
-    # picks its top-k of that ranking.
-    pipeline = PipelineConfig(
-        selection=_selection(ranking_method, frozen_ranking, top_k=max(ks)), hyper=hyper
-    )
     plan = _prepare(dataset, k, seed, pipeline)
     tasks = [(model_kind, top_k) for model_kind in model_kinds for top_k in ks]
 
     def run(task):
         model_kind, top_k = task
-        spec = _selection(ranking_method, frozen_ranking, top_k=top_k)
-        return _evaluate(f"model {model_kind} top_k {top_k}", plan, model_kind, spec)
+        return _evaluate(f"model {model_kind} top_k {top_k}", plan, model_kind, (1, top_k))
 
     for (model_kind, top_k), ev in _completed(report, tasks, run, threads):
         report.flags.extend(f"model {model_kind} top_k {top_k}: {f}" for f in ev.fold_flags())
@@ -436,7 +412,11 @@ def feature_count_curve(
 
 def grid_benchmark(
     corpus: Sequence[AppRecord],
-    grid: BenchmarkGrid = BenchmarkGrid(),
+    malware_fractions: Sequence[float] = (0.02, 0.25, 0.50),
+    thresholds: Sequence[int] = (1, 2, 4),
+    subset_size: int = 5000,
+    model_kinds: Sequence[str] = MODEL_KINDS,
+    seed: int = 0,
     top_k: int = 15,
     ranking_method: str = "mdni",
     k: int = 10,
@@ -446,30 +426,37 @@ def grid_benchmark(
     ambiguous_handling: str = "exclude",
     leaky_reputation: bool = False,
 ) -> BenchReport:
-    """Compose each (fraction, threshold) cell and cross-validate every model.
+    """Compose each (fraction, threshold) cell and cross-validate every model
+    on the top-k of each fold's column order.
 
     Each cell gets its own seeded subset; infeasible cells (a class pool
     too small even after shrinking) are flagged and skipped while the rest
     of the grid proceeds.
     """
+    frozen = tuple(frozen_ranking) if frozen_ranking else None
+    pipeline = PipelineConfig(
+        ranking_method=ranking_method, frozen_ranking=frozen, hyper=hyper,
+        leaky_reputation=leaky_reputation,
+    )
+    check_windows(pipeline, [(1, top_k)])
     corpus = list(corpus)
     config = {
-        "malware_fractions": list(grid.malware_fractions),
-        "thresholds": list(grid.thresholds),
-        "subset_size": grid.subset_size,
-        "model_kinds": list(grid.model_kinds),
-        "seed": grid.seed,
+        "malware_fractions": list(malware_fractions),
+        "thresholds": list(thresholds),
+        "subset_size": subset_size,
+        "model_kinds": list(model_kinds),
+        "seed": seed,
         "top_k": top_k,
         "ranking_method": ranking_method,
         "k": k,
         "hash_buckets": HashConfig().n_buckets,
-        "frozen_ranking": list(frozen_ranking) if frozen_ranking else None,
+        "frozen_ranking": list(frozen) if frozen else None,
         "ambiguous_handling": ambiguous_handling,
         "leaky_reputation": leaky_reputation,
         "hyper": hyper.to_json(),
     }
     report = _new_report(
-        "benchmark-grid", config, grid.seed, corpus,
+        "benchmark-grid", config, seed, corpus,
         [
             "model", "malware_fraction", "threshold", "n_rows",
             "mean_train_precision", "mean_train_recall", "mean_train_f1",
@@ -480,15 +467,10 @@ def grid_benchmark(
     )
     if leaky_reputation:
         report.flags.append("leaky-reputation: tables fitted on full subsets")
-    pipeline = PipelineConfig(
-        selection=_selection(ranking_method, frozen_ranking, top_k=top_k),
-        hyper=hyper,
-        leaky_reputation=leaky_reputation,
-    )
     cells = [
         (ci, fraction, threshold)
         for ci, (fraction, threshold) in enumerate(
-            (f, t) for f in grid.malware_fractions for t in grid.thresholds
+            (f, t) for f in malware_fractions for t in thresholds
         )
     ]
 
@@ -498,17 +480,17 @@ def grid_benchmark(
         recipe = CompositionRecipe(
             malware_fraction=fraction,
             policy=DetectionLabelPolicy(threshold=threshold, ambiguous_handling=ambiguous_handling),
-            target_size=grid.subset_size,
-            seed=_derive_seed(grid.seed, ci),
+            target_size=subset_size,
+            seed=_derive_seed(seed, ci),
         )
         try:
             subset = compose_subset(corpus, recipe)
         except CompositionError as exc:
             return None, f"{where} infeasible: {exc}"
-        plan = _prepare(subset, k, _derive_seed(grid.seed, ci, 1), pipeline)
+        plan = _prepare(subset, k, _derive_seed(seed, ci, 1), pipeline)
         cell_rows, cell_flags = [], [f"{where}: {f}" for f in subset.flags]
-        for model_kind in grid.model_kinds:
-            ev, error = _evaluate(f"{where} {model_kind}", plan, model_kind)
+        for model_kind in model_kinds:
+            ev, error = _evaluate(f"{where} {model_kind}", plan, model_kind, (1, top_k))
             if ev is None:
                 cell_flags.append(error)
                 continue
@@ -539,13 +521,13 @@ def grid_benchmark(
         report.flags.extend(cell_flags)
 
     # Model-major ordering like the published table: model, fraction, threshold.
-    order = {m: i for i, m in enumerate(grid.model_kinds)}
+    order = {m: i for i, m in enumerate(model_kinds)}
     report.rows.sort(
         key=lambda r: (order[r["model"]], r["malware_fraction"], r["threshold"])
     )
-    for model_kind in grid.model_kinds:
-        for fraction in grid.malware_fractions:
-            for threshold in grid.thresholds:
+    for model_kind in model_kinds:
+        for fraction in malware_fractions:
+            for threshold in thresholds:
                 ref = reporting.GRID_REFERENCE.get((model_kind, fraction, threshold))
                 if ref:
                     report.reference.append(
@@ -559,9 +541,9 @@ def grid_benchmark(
                             },
                         }
                     )
-    for model_kind in grid.model_kinds:
+    for model_kind in model_kinds:
         label = reporting.MODEL_LABELS.get(model_kind, model_kind)
-        for threshold in grid.thresholds:
+        for threshold in thresholds:
             rows = [
                 r
                 for r in report.rows
@@ -604,8 +586,13 @@ def robustness_windows(
     for name, value in (("window_width", window_width), ("step", step), ("n_windows", n_windows)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    corpus = list(corpus)
     starts = [1 + step * i for i in range(n_windows)]
+    # Each threshold's plan orders each training fold's columns once; every
+    # window then takes its own ranks of that order.
+    frozen = tuple(frozen_ranking) if frozen_ranking else None
+    pipeline = PipelineConfig(ranking_method=ranking_method, frozen_ranking=frozen, hyper=hyper)
+    check_windows(pipeline, [(start, window_width) for start in starts])
+    corpus = list(corpus)
     config = {
         "window_width": window_width,
         "step": step,
@@ -618,7 +605,7 @@ def robustness_windows(
         "seed": seed,
         "ranking_method": ranking_method,
         "hash_buckets": HashConfig().n_buckets,
-        "frozen_ranking": list(frozen_ranking) if frozen_ranking else None,
+        "frozen_ranking": list(frozen) if frozen else None,
         "hyper": hyper.to_json(),
     }
     report = _new_report(
@@ -630,11 +617,6 @@ def robustness_windows(
         ],
     )
 
-    # Each threshold's plan ranks by `ranking_method` (top_k only makes the
-    # spec valid); every window then picks its own ranks from that ranking.
-    pipeline = PipelineConfig(
-        selection=_selection(ranking_method, frozen_ranking, top_k=window_width), hyper=hyper
-    )
     tasks = []
     for ti, threshold in enumerate(thresholds):
         recipe = CompositionRecipe(
@@ -654,10 +636,9 @@ def robustness_windows(
 
     def run_window(task):
         threshold, start, plan = task
-        spec = _selection(
-            ranking_method, frozen_ranking, window_start=start, window_width=window_width
+        return _evaluate(
+            f"{threshold}-AV window {start}", plan, model_kind, (start, window_width)
         )
-        return _evaluate(f"{threshold}-AV window {start}", plan, model_kind, spec)
 
     for (threshold, start, _), ev in _completed(report, tasks, run_window, threads):
         report.flags.extend(f"{threshold}-AV window {start}: {f}" for f in ev.fold_flags())

@@ -37,12 +37,12 @@ from .corpus import (
     write_corpus,
 )
 from .errors import MetatriageError
-from .evaluate import PipelineConfig, SelectionSpec, cross_validate
+from .evaluate import PipelineConfig, cross_validate
 from .featurize import (
     FeatureMatrix, HashConfig, assemble_features, build_reputation_table, feature_names,
 )
 from .learn import MODEL_KINDS, Hyperparams
-from .select import METHODS, RankingParams, rank_features, ranking_to_csv_text
+from .select import METHODS, rank_features, ranking_forest, ranking_to_csv_text
 
 
 class UsageError(Exception):
@@ -409,7 +409,7 @@ def _cmd_rank(opts: _Options) -> int:
     matrix, y = _corpus_features(opts)
     ranked = rank_features(
         matrix, y, ranking_method=opts["method"], n_bins=opts["n_bins"],
-        forest_params=RankingParams().forest(opts["seed"]),
+        forest_params=ranking_forest(opts["seed"]),
     )
     _output(opts, ranking_to_csv_text(ranked), "ranking")
     top = [ranked.column_names[i] for i in ranked.order[:15]]
@@ -420,17 +420,15 @@ def _cmd_rank(opts: _Options) -> int:
 def _cmd_cv(opts: _Options) -> int:
     """stratified cross-validation of one model"""
     dataset = _load_dataset(opts)
-    model, k = opts["model"], opts["k"]
-    selection = None
-    if opts["top_k"] is not None:
-        selection = SelectionSpec(method=opts["method"], top_k=opts["top_k"])
+    model, k, top_k = opts["model"], opts["k"], opts["top_k"]
     config = PipelineConfig(
         hash_config=HashConfig(n_buckets=opts["hash_buckets"]),
-        selection=selection,
+        ranking_method=None if top_k is None else opts["method"],
         hyper=opts["hyper"],
         leaky_reputation=opts["paper_leaky"],
     )
-    report = cross_validate(dataset, model, k=k, seed=opts["seed"], config=config)
+    window = None if top_k is None else (1, top_k)
+    report = cross_validate(dataset, model, k=k, seed=opts["seed"], config=config, window=window)
     out = opts["out"]
     if out:
         provenance = {**opts.run_record(), "corpus_digest": corpus_digest(dataset.records)}
@@ -483,15 +481,12 @@ def _cmd_curve_features(opts: _Options) -> int:
 
 def _cmd_benchmark_grid(opts: _Options) -> int:
     """the 9-cell composition benchmark"""
-    grid = bench.BenchmarkGrid(
-        malware_fractions=tuple(opts["fractions"]), thresholds=tuple(opts["thresholds"]),
-        model_kinds=tuple(opts["models"]), **opts.pick("subset_size", "seed"),
-    )
     report = bench.grid_benchmark(
-        _load_records(opts), grid, ranking_method=opts["method"],
-        frozen_ranking=_read_frozen_ranking(opts["frozen_ranking"]),
+        _load_records(opts), malware_fractions=opts["fractions"], model_kinds=opts["models"],
+        ranking_method=opts["method"], frozen_ranking=_read_frozen_ranking(opts["frozen_ranking"]),
         ambiguous_handling="goodware" if opts["ambiguous_as_goodware"] else "exclude",
-        leaky_reputation=opts["paper_leaky"], **opts.pick("top_k", "k", "hyper", "threads"),
+        leaky_reputation=opts["paper_leaky"],
+        **opts.pick("thresholds", "subset_size", "seed", "top_k", "k", "hyper", "threads"),
     )
     return _emit(report, opts)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,12 +25,13 @@ from .featurize import (
     ReputationTable,
     assemble_features,
     build_reputation_table,
+    feature_names,
     static_feature_block,
     standardize_fit_apply,
 )
 from .learn import Hyperparams, predict_score, train_model
 from .reporting import csv_text
-from .select import RankedFeatures, RankingParams, rank_features
+from .select import RANK_SUBSAMPLE, rank_features, rank_window, ranking_forest
 
 # ---------------------------------------------------------------------------
 # Point metrics
@@ -43,10 +44,6 @@ class ConfusionMatrix:
     fp: int
     tn: int
     fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
 
 
 @dataclass(frozen=True)
@@ -200,49 +197,26 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
 
 
 @dataclass(frozen=True)
-class SelectionSpec:
-    """What feature subset each training fold should use.
-
-    Either an explicit frozen `columns` tuple, or a ranking `method` plus
-    `top_k` or a 1-based (`window_start`, `window_width`) pair.
-    """
-
-    method: Optional[str] = None
-    top_k: Optional[int] = None
-    window_start: Optional[int] = None
-    window_width: Optional[int] = None
-    columns: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if self.columns is not None:
-            if self.method is not None:
-                raise ValueError("frozen columns and a ranking method are exclusive")
-            return
-        if self.method is None:
-            raise ValueError("selection needs a method or frozen columns")
-        has_k = self.top_k is not None
-        has_window = self.window_start is not None and self.window_width is not None
-        if has_k == has_window:
-            raise ValueError("selection needs exactly one of top_k or a window")
-
-    def pick(self, ranking: Optional[RankedFeatures]) -> tuple[str, ...]:
-        """The frozen columns, or the ranks this spec names of `ranking`."""
-        if self.columns is not None:
-            return self.columns
-        if ranking is None or ranking.ranking_method != self.method:
-            raise ContractError(f"the fold plan holds no {self.method} ranking")
-        if self.top_k is not None:
-            return ranking.top(self.top_k)
-        return ranking.window(self.window_start, self.window_width)
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
+    """Each fold's column order is `frozen_ranking` when set, else the
+    fold's ranking by `ranking_method`; with neither, folds have no order
+    and models see every column."""
+
     hash_config: HashConfig = field(default_factory=HashConfig)
-    selection: Optional[SelectionSpec] = None
+    ranking_method: Optional[str] = None
+    frozen_ranking: Optional[tuple[str, ...]] = None
     hyper: Hyperparams = field(default_factory=Hyperparams)
-    ranking: RankingParams = field(default_factory=RankingParams)
     leaky_reputation: bool = False
+
+
+def check_windows(config: PipelineConfig, windows: Sequence[tuple[int, int]]) -> None:
+    """Raise the ValueError of the first of `windows` that the folds'
+    orders under `config` would not hold, before any fold is ranked."""
+    order = config.frozen_ranking
+    if order is None:
+        order = feature_names(config.hash_config)
+    for window in windows:
+        rank_window(order, window)
 
 
 @dataclass
@@ -368,15 +342,16 @@ def _derived_seeds(seed: int, fold: int) -> tuple[int, int]:
 
 @dataclass
 class PreparedFold:
-    """One fold's rows and what was fitted on its training rows. A
-    degenerate fold carries its `flags` and no table."""
+    """One fold's rows and what was fitted on its training rows: its
+    reputation table and column order. A degenerate fold carries its
+    `flags` and no table."""
 
     fold: int
     train_idx: np.ndarray
     test_idx: np.ndarray
     flags: tuple[str, ...] = ()
     table: Optional[ReputationTable] = None
-    ranking: Optional[RankedFeatures] = None
+    order: Optional[tuple[str, ...]] = None
 
 
 @dataclass
@@ -410,8 +385,8 @@ def prepare_folds(
     config: PipelineConfig = PipelineConfig(),
 ) -> FoldPlan:
     """Split `dataset` into k stratified folds and fit each training fold's
-    reputation table and, when `config.selection` ranks, its ranking.
-    Single-class folds are flagged degenerate and get nothing fitted."""
+    reputation table and column order (see `PipelineConfig`). Single-class
+    folds are flagged degenerate and get nothing fitted."""
     labels = np.asarray(dataset.labels).astype(np.int64)
     n = len(dataset.records)
     if n != len(labels):
@@ -423,7 +398,6 @@ def prepare_folds(
     plan = FoldPlan(dataset, labels, k, seed, config, static_block, [], list(dataset.flags))
     if config.leaky_reputation:
         plan.flags.append("leaky-reputation: tables fitted on the full dataset")
-    sel = config.selection
     all_idx = np.arange(n)
     for fold_id, test_idx in enumerate(stratified_folds(labels, k, seed)):
         test_mask = np.zeros(n, dtype=bool)
@@ -443,18 +417,21 @@ def prepare_folds(
         fold.table = build_reputation_table(
             [dataset.records[i] for i in rep_rows], labels[rep_rows]
         )
-        if sel is not None and sel.method is not None:
+        if config.frozen_ranking is not None:
+            fold.order = config.frozen_ranking
+        elif config.ranking_method is not None:
             rank_seed = _derived_seeds(seed, fold_id)[0]
             rows = fold.train_idx
-            if len(rows) > config.ranking.subsample:
+            if len(rows) > RANK_SUBSAMPLE:
                 rng = np.random.default_rng(np.random.SeedSequence([rank_seed, 0x7A5C]))
-                rows = rows[rng.choice(len(rows), config.ranking.subsample, replace=False)]
-            fold.ranking = rank_features(
+                rows = rows[rng.choice(len(rows), RANK_SUBSAMPLE, replace=False)]
+            ranked = rank_features(
                 plan.features(rows, fold.table),
                 labels[rows],
-                ranking_method=sel.method,
-                forest_params=config.ranking.forest(rank_seed),
+                ranking_method=config.ranking_method,
+                forest_params=ranking_forest(rank_seed),
             )
+            fold.order = tuple(ranked.column_names[i] for i in ranked.order)
     return plan
 
 
@@ -462,17 +439,18 @@ _EXCLUDED = Metrics(ConfusionMatrix(0, 0, 0, 0), 0.0, 0.0, 0.0, ("degenerate",))
 
 
 def evaluate(
-    plan: FoldPlan, model_kind: str, selection: Optional[SelectionSpec] = None
+    plan: FoldPlan, model_kind: str, window: Optional[tuple[int, int]] = None
 ) -> EvalReport:
     """Fit, score and measure `model_kind` on every fold of `plan`, on the
-    columns `selection` (by default the plan's) picks. Linear models see
-    standardized columns; degenerate folds are flagged and left out, and a
-    linear fit that did not converge is flagged but kept."""
-    sel = plan.config.selection if selection is None else selection
+    1-based (start, width) rank `window` of each fold's order (see
+    `rank_window`). Linear models see standardized columns; degenerate
+    folds are flagged and left out, and a linear fit that did not converge
+    is flagged but kept."""
+    config = plan.config
+    if window is not None and config.frozen_ranking is None and config.ranking_method is None:
+        raise ContractError("a rank window needs a ranking method or a frozen ranking")
     labels = plan.labels
     report = EvalReport(model_kind, plan.k, plan.seed, folds=[], flags=list(plan.flags))
-    if sel is not None and sel.columns is not None:
-        report.flags.append("frozen-ranking: externally fixed feature set")
 
     pooled = np.full(len(labels), np.nan)
     for fold in plan.folds:
@@ -484,7 +462,7 @@ def evaluate(
         y_train, y_test = labels[fold.train_idx], labels[fold.test_idx]
         X_train = plan.features(fold.train_idx, fold.table)
         X_test = plan.features(fold.test_idx, fold.table)
-        selected = None if sel is None else sel.pick(fold.ranking)
+        selected = None if fold.order is None else rank_window(fold.order, window)
         if selected is not None:
             X_train = X_train.select_columns(selected)
             X_test = X_test.select_columns(selected)
@@ -493,7 +471,7 @@ def evaluate(
             X_train = type(X_train)(X_train.column_names, train_vals)
             X_test = type(X_test)(X_test.column_names, test_vals)
 
-        hyper = plan.config.hyper
+        hyper = config.hyper
         forest_seed = _derived_seeds(plan.seed, fold.fold)[1]
         hyper = dataclasses.replace(
             hyper, forest=dataclasses.replace(hyper.forest, seed=forest_seed)
@@ -540,6 +518,10 @@ def cross_validate(
     k: int = 10,
     seed: int = 0,
     config: PipelineConfig = PipelineConfig(),
+    window: Optional[tuple[int, int]] = None,
 ) -> EvalReport:
-    """Stratified k-fold evaluation of one model kind on raw records."""
-    return evaluate(prepare_folds(dataset, k, seed, config), model_kind)
+    """Stratified k-fold evaluation of one model kind on raw records, on
+    the rank `window` of each fold's order (see `evaluate`)."""
+    if window is not None:
+        check_windows(config, [window])
+    return evaluate(prepare_folds(dataset, k, seed, config), model_kind, window)

@@ -179,8 +179,17 @@ def static_feature_block(
 
     Safe to compute once per dataset and slice per fold.
     """
+    width = hash_config.n_buckets + len(INTRINSIC_COLUMNS) + len(SOCIAL_COLUMNS)
+    out = np.zeros((len(records), width))
+    _fill_static(out, records, hash_config)
+    return out
+
+
+def _fill_static(out: np.ndarray, records: Sequence[AppRecord], hash_config: HashConfig):
+    """Write the static block into the leading columns of the zeroed,
+    C-contiguous `out`, one row per record; the columns past them are left
+    as they are."""
     h = hash_config.n_buckets
-    out = np.zeros((len(records), h + len(INTRINSIC_COLUMNS) + len(SOCIAL_COLUMNS)))
     _count_permissions(out, records, hash_config)
     column = dict(zip(INTRINSIC_COLUMNS + SOCIAL_COLUMNS, out[:, h:].T))  # views into `out`
     for name in INTRINSIC_COLUMNS[:10]:  # the record fields of the same name
@@ -203,7 +212,6 @@ def static_feature_block(
     if len(records) and stars.max() >= 2.0**53:
         total[:] = [r.total_votes for r in records]
         mean[:] = [r.mean_star for r in records]
-    return out
 
 
 def reputation_block(
@@ -273,18 +281,24 @@ def assemble_features(
 
     Pass a precomputed `static_block` (from `static_feature_block` on the
     same records, in the same order) to skip rehashing; only the two
-    reputation columns are recomputed.
+    reputation columns are recomputed. Either way the matrix is the one
+    array the columns are written into.
     """
-    if static_block is None:
-        static_block = static_feature_block(records, hash_config)
-    expected = hash_config.n_buckets + len(INTRINSIC_COLUMNS) + len(SOCIAL_COLUMNS)
-    if static_block.shape != (len(records), expected):
+    names = feature_names(hash_config)
+    width = len(names) - len(REPUTATION_COLUMNS)
+    if static_block is not None and static_block.shape != (len(records), width):
         raise ContractError(
             f"static block shape {static_block.shape} does not match "
-            f"{len(records)} records x {expected} columns"
+            f"{len(records)} records x {width} columns"
         )
-    rep = reputation_block(records, table)
-    return FeatureMatrix(feature_names(hash_config), np.hstack([static_block, rep]))
+    if static_block is None:
+        values = np.zeros((len(records), len(names)))
+        _fill_static(values, records, hash_config)
+    else:
+        values = np.empty((len(records), len(names)))
+        values[:, :width] = static_block
+    values[:, width:] = reputation_block(records, table)
+    return FeatureMatrix(names, values)
 
 
 # ---------------------------------------------------------------------------
@@ -292,40 +306,24 @@ def assemble_features(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinnedColumn:
-    """Integer bin ids for one column plus the edges that produced them."""
-
-    ids: np.ndarray
-    edges: np.ndarray
-    degenerate: bool
-
-    @property
-    def n_bins(self) -> int:
-        return int(self.ids.max()) + 1 if len(self.ids) else 0
-
-
-def bin_column(values: np.ndarray, n_bins: int = 10) -> BinnedColumn:
-    """Rank-based (equal-frequency) discretization.
+def bin_column(values: np.ndarray, n_bins: int = 10) -> np.ndarray:
+    """Rank-based (equal-frequency) discretization: each value's bin id.
 
     Duplicate quantile edges collapse, so heavily tied columns produce
-    fewer bins; a column with a single distinct value is flagged
-    degenerate and maps everything to bin 0.
+    fewer bins, and a column with a single distinct value maps everything
+    to bin 0.
     """
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
     values = np.asarray(values, dtype=np.float64)
     qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
     edges = np.unique(np.quantile(values, qs))
-    if len(edges) == 0:
-        return BinnedColumn(np.zeros(len(values), dtype=np.int64), edges, True)
     ids = np.searchsorted(edges, values, side="left")
     # Compact ids so every bin in range is non-empty.
     present = np.unique(ids)
     remap = np.zeros(int(present.max()) + 1, dtype=np.int64)
     remap[present] = np.arange(len(present))
-    ids = remap[ids]
-    return BinnedColumn(ids, edges, len(present) < 2)
+    return remap[ids]
 
 
 def standardize_fit_apply(

@@ -408,7 +408,6 @@ class ForestModel:
     trees: list[Tree]
     column_names: tuple[str, ...]
     importances: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def train_forest(
@@ -510,7 +509,6 @@ def train_forest(
         trees=[Tree(*(a[ids] for a in arrays)) for ids in by_tree],
         column_names=X.column_names,
         importances=importances.sum(axis=0) / params.n_trees,
-        meta={"seed": params.seed, "n_trees": params.n_trees},
     )
 
 

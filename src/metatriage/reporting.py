@@ -146,8 +146,6 @@ _ML, _MR, _MT, _MB = 70, 30, 44, 56  # margins around the plot area
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
@@ -161,7 +159,7 @@ def svg_line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    y_range: Optional[tuple[float, float]] = None,
+    y_range: tuple[float, float],
     log_x: bool = False,
 ) -> str:
     """Multi-series line chart as a standalone SVG document string.
@@ -173,21 +171,11 @@ def svg_line_chart(
     def tx(x: float) -> float:
         return math.log2(x) if log_x else x
 
-    xs_all = [tx(x) for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if not xs_all:
-        xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
+    xs_all = [tx(x) for _, xs, _ in series for x in xs] or [0.0, 1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
-    if y_range is not None:
-        y_lo, y_hi = y_range
-    else:
-        y_lo, y_hi = min(ys_all), max(ys_all)
-        pad = 0.05 * (y_hi - y_lo or 1.0)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi = y_range
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
 
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 

@@ -122,35 +122,29 @@ class RankedFeatures:
     by_method: dict[str, FeatureScore]
     ranking_method: str
 
-    def top(self, k: int) -> tuple[str, ...]:
-        if not 1 <= k <= len(self.order):
-            raise ValueError(f"k must be in [1, {len(self.order)}], got {k}")
-        return tuple(self.column_names[i] for i in self.order[:k])
 
-    def window(self, start: int, width: int) -> tuple[str, ...]:
-        """Ranks [start, start+width-1], 1-based."""
-        if start < 1 or width < 1 or start + width - 1 > len(self.order):
-            raise ValueError(
-                f"window {start}-{start + width - 1} out of range for "
-                f"{len(self.order)} features"
-            )
-        return tuple(self.column_names[i] for i in self.order[start - 1 : start - 1 + width])
+# The ranking forest of `rank` and of each cross-validation fold, which
+# ranks at most RANK_SUBSAMPLE of its training rows.
+RANK_SUBSAMPLE = 1500
 
 
-@dataclass(frozen=True)
-class RankingParams:
-    """Desk-scale defaults for the mdni ranking forest; cross-validation
-    ranks at most `subsample` training rows per fold."""
+def ranking_forest(seed: int) -> ForestParams:
+    return ForestParams(n_trees=20, max_depth=8, min_leaf=20, seed=seed)
 
-    n_trees: int = 20
-    max_depth: int = 8
-    min_leaf: int = 20
-    subsample: int = 1500
 
-    def forest(self, seed: int) -> ForestParams:
-        return ForestParams(
-            n_trees=self.n_trees, max_depth=self.max_depth, min_leaf=self.min_leaf, seed=seed
+def rank_window(order: Sequence[str], window: Optional[tuple[int, int]]) -> tuple[str, ...]:
+    """The 1-based ranks start..start+width-1 of `order` for `window` =
+    (start, width), or all of `order` when `window` is None. A window past
+    either end of `order` raises ValueError."""
+    if window is None:
+        return tuple(order)
+    start, width = window
+    if start < 1 or width < 1 or start + width - 1 > len(order):
+        raise ValueError(
+            f"ranks {start}-{start + width - 1} are out of range: "
+            f"the column order has {len(order)} columns"
         )
+    return tuple(order[start - 1 : start - 1 + width])
 
 
 def _borda(by_method: dict[str, FeatureScore], n: int) -> np.ndarray:
@@ -175,7 +169,7 @@ def _filter_scores(
     filter_methods = [m for m in methods if m in scorers]
     if not filter_methods:
         return {}
-    binned = [bin_column(matrix.values[:, j], n_bins).ids for j in range(matrix.n_columns)]
+    binned = [bin_column(matrix.values[:, j], n_bins) for j in range(matrix.n_columns)]
     return {
         m: FeatureScore(m, np.array([scorers[m](b, labels) for b in binned]))
         for m in filter_methods
@@ -193,9 +187,9 @@ def rank_features(
     """Score every column and produce one ordering.
 
     Filter methods (chi_squared, info_gain, gain_ratio) run on rank-binned
-    columns; mdni trains a forest on the raw matrix (by default the
-    `RankingParams` forest with seed 13). "borda" aggregates whatever other
-    methods were computed.
+    columns; mdni trains a forest on the raw matrix (by default
+    `ranking_forest(13)`). "borda" aggregates whatever other methods were
+    computed.
     """
     labels = np.asarray(labels)
     if matrix.n_rows != len(labels):
@@ -215,7 +209,7 @@ def rank_features(
 
     by_method = _filter_scores(matrix, labels, methods, n_bins)
     if "mdni" in methods:
-        params = forest_params if forest_params is not None else RankingParams().forest(13)
+        params = forest_params if forest_params is not None else ranking_forest(13)
         forest = train_forest(matrix, labels, params)
         by_method["mdni"] = FeatureScore("mdni", score_mdni(forest))
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from metatriage.bench import BenchmarkGrid, grid_benchmark, hash_size_sweep, \
+from metatriage.bench import grid_benchmark, hash_size_sweep, \
     robustness_windows
 from metatriage.cli import main as cli_main
 from metatriage.corpus import (
@@ -283,7 +283,7 @@ def test_planted_grid_trends(default_corpus):
     t0 = time.monotonic()
     report = grid_benchmark(
         default_corpus,
-        BenchmarkGrid(seed=11),
+        seed=11,
         top_k=15,
         ranking_method="mdni",
         k=10,

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import json
 import multiprocessing
 import os
@@ -13,7 +14,6 @@ import pytest
 
 import metatriage
 from metatriage.bench import (
-    BenchmarkGrid,
     BenchReport,
     _derive_seed,
     _downsample_curve,
@@ -30,7 +30,7 @@ from metatriage.corpus import (
     compose_subset,
 )
 from metatriage.errors import ContractError, MetatriageError
-from metatriage.evaluate import PipelineConfig, SelectionSpec, cross_validate
+from metatriage.evaluate import PipelineConfig, cross_validate
 from metatriage.featurize import HashConfig
 from metatriage.learn import ForestParams, Hyperparams, LogisticParams
 from metatriage.reporting import report_markdown
@@ -202,9 +202,9 @@ class TestBenchReport:
         assert back.to_json() == report.to_json()
 
     def test_grid_defaults(self):
-        grid = BenchmarkGrid()
-        assert len(grid.malware_fractions) * len(grid.thresholds) == 9
-        assert grid.subset_size == 5000
+        grid = inspect.signature(grid_benchmark).parameters
+        assert len(grid["malware_fractions"].default) * len(grid["thresholds"].default) == 9
+        assert grid["subset_size"].default == 5000
 
 
 class TestEmitReport:
@@ -307,10 +307,10 @@ class TestFeatureCountCurve:
             k=3, seed=5, hyper=small_hyper(), frozen_ranking=frozen,
         )
         assert any(f.startswith("frozen-ranking") for f in report.flags)
-        spec = SelectionSpec(columns=tuple(frozen[:2]))
         ev = cross_validate(
             bench_dataset, "forest", k=3, seed=5,
-            config=PipelineConfig(selection=spec, hyper=small_hyper()),
+            config=PipelineConfig(frozen_ranking=tuple(frozen), hyper=small_hyper()),
+            window=(1, 2),
         )
         assert report.rows[0]["mean_test_f1"] == ev.mean("test", "f1")
 
@@ -359,12 +359,12 @@ class TestFeatureCountCurve:
 
 class TestGridBenchmark:
     def test_small_grid(self, small_corpus):
-        grid = BenchmarkGrid(
+        grid = dict(
             malware_fractions=(0.25, 0.5), thresholds=(1,), subset_size=200,
             model_kinds=("logistic",), seed=4,
         )
         report = grid_benchmark(
-            small_corpus, grid, top_k=5, ranking_method="info_gain",
+            small_corpus, **grid, top_k=5, ranking_method="info_gain",
             k=3, hyper=small_hyper(),
         )
         assert len(report.rows) == 2
@@ -385,12 +385,12 @@ class TestGridBenchmark:
                         size_bytes=1000 + 13 * i)
             for i in range(120)
         ]
-        grid = BenchmarkGrid(
+        grid = dict(
             malware_fractions=(0.5,), thresholds=(1, 4), subset_size=150,
             model_kinds=("logistic", "forest"), seed=2,
         )
         report = grid_benchmark(
-            corpus, grid, top_k=3, ranking_method="chi_squared",
+            corpus, **grid, top_k=3, ranking_method="chi_squared",
             k=3, hyper=small_hyper(),
         )
         # the 1-AV cell shrinks to both pools; its flag is filed once, under its label
@@ -403,13 +403,13 @@ class TestGridBenchmark:
     def test_grid_is_thread_count_invariant(self, small_corpus):
         # no record reaches 54 detections, so the 54-AV cells are infeasible
         # and their flags come back from the workers
-        grid = BenchmarkGrid(
+        grid = dict(
             malware_fractions=(0.25, 0.5), thresholds=(1, 54), subset_size=200,
             model_kinds=("logistic", "forest"), seed=4,
         )
         a, b = (
             grid_benchmark(
-                small_corpus, grid, top_k=5, ranking_method="info_gain",
+                small_corpus, **grid, top_k=5, ranking_method="info_gain",
                 k=3, hyper=small_hyper(), threads=threads,
             )
             for threads in (1, 3)
@@ -419,24 +419,24 @@ class TestGridBenchmark:
         assert sum("54-AV) infeasible" in f for f in a.flags) == 2
 
     def test_model_kinds_share_one_ranking_per_fold(self, small_corpus, rank_calls):
-        grid = BenchmarkGrid(
+        grid = dict(
             malware_fractions=(0.5,), thresholds=(1,), subset_size=200,
             model_kinds=("logistic", "linear_svm", "forest"), seed=4,
         )
         report = grid_benchmark(
-            small_corpus, grid, top_k=5, ranking_method="info_gain",
+            small_corpus, **grid, top_k=5, ranking_method="info_gain",
             k=3, hyper=small_hyper(),
         )
         assert len(report.rows) == 3
         assert rank_calls == ["info_gain"] * 3  # one per fold, not per model
 
     def test_rows_sorted_model_major(self, small_corpus):
-        grid = BenchmarkGrid(
+        grid = dict(
             malware_fractions=(0.5,), thresholds=(1, 2), subset_size=200,
             model_kinds=("logistic", "forest"), seed=4,
         )
         report = grid_benchmark(
-            small_corpus, grid, top_k=5, ranking_method="info_gain",
+            small_corpus, **grid, top_k=5, ranking_method="info_gain",
             k=3, hyper=small_hyper(),
         )
         assert [(r["model"], r["threshold"]) for r in report.rows] == [
@@ -444,12 +444,12 @@ class TestGridBenchmark:
         ]
 
     def test_markdown_has_model_blocks_and_reference_note(self, small_corpus):
-        grid = BenchmarkGrid(
+        grid = dict(
             malware_fractions=(0.5,), thresholds=(1,), subset_size=200,
             model_kinds=("logistic", "forest"), seed=4,
         )
         report = grid_benchmark(
-            small_corpus, grid, top_k=5, ranking_method="info_gain",
+            small_corpus, **grid, top_k=5, ranking_method="info_gain",
             k=3, hyper=small_hyper(),
         )
         md = report_markdown(report)
@@ -473,9 +473,8 @@ def test_logistic_not_converged_is_flagged_in_every_experiment(
                 seed=5, **shared,
             ),
             f"cell (0.5, 1-AV) {model}": grid_benchmark(
-                small_corpus, BenchmarkGrid(malware_fractions=(0.5,), thresholds=(1,),
-                                            subset_size=200, model_kinds=(model,), seed=4),
-                top_k=5, ranking_method="info_gain", **shared,
+                small_corpus, malware_fractions=(0.5,), thresholds=(1,), subset_size=200,
+                model_kinds=(model,), seed=4, top_k=5, ranking_method="info_gain", **shared,
             ),
             "1-AV window 1": robustness_windows(
                 small_corpus, window_width=3, n_windows=1, model_kind=model, thresholds=(1,),
@@ -568,10 +567,10 @@ class TestRobustnessWindows:
             target_size=200, seed=_derive_seed(6, 0),
         )
         subset = compose_subset(list(small_corpus), recipe)
-        spec = SelectionSpec(columns=tuple(frozen[2:5]))  # window start 3
         ev = cross_validate(
             subset, "forest", k=3, seed=_derive_seed(6, 0, 1),
-            config=PipelineConfig(selection=spec, hyper=small_hyper()),
+            config=PipelineConfig(frozen_ranking=tuple(frozen), hyper=small_hyper()),
+            window=(3, 3),
         )
         row = [r for r in report.rows if r["window_start"] == 3][0]
         assert row["mean_test_f1"] == ev.mean("test", "f1")

@@ -492,10 +492,7 @@ class TestOptionTypes:
             default = param.default
             if default is inspect.Parameter.empty:
                 continue
-            if name == "grid":
-                for field, value in vars(default).items():
-                    expected[self.OPTION_OF.get(field, field)] = value
-            elif name == "ambiguous_handling":
+            if name == "ambiguous_handling":
                 expected["ambiguous_as_goodware"] = default == "goodware"
             else:
                 expected[self.OPTION_OF.get(name, name)] = (
@@ -696,6 +693,56 @@ class TestBenchCommands:
         ]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and message in err
+        assert not out.exists()
+
+    # Each command's flags for rank windows whose last rank is `last`.
+    WINDOW_FLAGS = {
+        "cv": lambda last: ["--top-k", str(last), "--model", "logistic", "--hash-buckets", "8"],
+        "curve-features": lambda last: ["--ks", f"1,{last}", "--models", "logistic"],
+        "benchmark-grid": lambda last: [
+            "--top-k", str(last), "--fractions", "0.5", "--thresholds", "1",
+            "--models", "logistic",
+        ],
+        "robustness": lambda last: [
+            "--window-width", str(last - 1), "--step", "1", "--n-windows", "2",
+            "--thresholds", "1", "--model", "logistic",
+        ],
+    }
+
+    @pytest.mark.parametrize("past_end", [False, True])
+    @pytest.mark.parametrize("command,frozen", [
+        ("cv", False),  # cv has no frozen ranking
+        ("curve-features", False), ("curve-features", True),
+        ("benchmark-grid", False), ("benchmark-grid", True),
+        ("robustness", False), ("robustness", True),
+    ])
+    def test_rank_windows_end_within_the_column_order(
+        self, corpus_path, work, capsys, command, frozen, past_end
+    ):
+        # a ranked order holds every column: 512 hash buckets + 24, or 8 + 24
+        # for this cv; a frozen order holds the names of its file
+        n = 3 if frozen else 32 if command == "cv" else 536
+        last = n + past_end
+        out = work / f"window-{command}-{frozen}-{past_end}"
+        argv = [
+            command, "--corpus", str(corpus_path), "--subset-size", "200", "--k", "2",
+            "--method", "info_gain", "--seed", "13", "--out", str(out),
+            *self.WINDOW_FLAGS[command](last),
+        ]
+        if frozen:
+            path = work / "frozen-three.txt"
+            path.write_text("developer_rep\nissuer_rep\ncert_validity_days\n")
+            argv += ["--frozen-ranking", str(path)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        if not past_end:
+            assert code == 0
+            assert out.exists()
+            return
+        assert code == 1
+        first = 2 if command == "robustness" else 1
+        assert err.startswith(f"usage error: ranks {first}-{last} are out of range")
+        assert f"the column order has {n} columns" in err
         assert not out.exists()
 
     def test_frozen_ranking_file_missing(self, corpus_path, capsys):

@@ -17,8 +17,7 @@ from metatriage.evaluate import (
     FoldResult,
     Metrics,
     PipelineConfig,
-    RankingParams,
-    SelectionSpec,
+    check_windows,
     classification_metrics,
     cross_validate,
     evaluate,
@@ -27,7 +26,7 @@ from metatriage.evaluate import (
     stratified_folds,
     threshold_max_f1,
 )
-from metatriage.featurize import build_reputation_table
+from metatriage.featurize import HashConfig, build_reputation_table
 from metatriage.learn import ForestParams, Hyperparams, LogisticParams
 
 from test_corpus import make_record
@@ -294,14 +293,12 @@ class TestStratifiedFolds:
 # Cross-validation
 
 
-def quick_config(selection=None, **kwargs):
+def quick_config(**kwargs):
     return PipelineConfig(
-        selection=selection,
         hyper=Hyperparams(
             logistic=LogisticParams(tolerance=1e-4),
-                forest=ForestParams(n_trees=15, max_depth=8, min_leaf=5),
+            forest=ForestParams(n_trees=15, max_depth=8, min_leaf=5),
         ),
-        ranking=RankingParams(n_trees=10, max_depth=6, min_leaf=10, subsample=400),
         **kwargs,
     )
 
@@ -372,38 +369,41 @@ class TestCrossValidate:
         assert report.pooled_scores is None
 
     def test_selection_records_chosen_columns(self, small_dataset):
-        config = quick_config(
-            selection=SelectionSpec(method="info_gain", top_k=10)
-        )
-        report = cross_validate(small_dataset, "forest", k=3, seed=4, config=config)
+        config = quick_config(ranking_method="info_gain")
+        report = cross_validate(small_dataset, "forest", k=3, seed=4, config=config,
+                                window=(1, 10))
         for fold in report.folds:
             assert fold.selected_columns is not None
             assert len(fold.selected_columns) == 10
 
-    def test_frozen_columns_are_used_verbatim_and_flagged(self, small_dataset):
-        frozen = ("developer_rep", "issuer_rep", "num_permissions")
-        config = quick_config(selection=SelectionSpec(columns=frozen))
-        report = cross_validate(small_dataset, "logistic", k=3, seed=4, config=config)
+    def test_frozen_columns_are_used_verbatim(self, small_dataset):
+        frozen = ("developer_rep", "issuer_rep", "num_permissions", "size_bytes")
+        plan = prepare_folds(small_dataset, k=3, seed=4,
+                             config=quick_config(frozen_ranking=frozen))
+        assert all(fold.order == frozen for fold in plan.folds)
+        report = evaluate(plan, "logistic")
         assert all(f.selected_columns == frozen for f in report.folds)
-        assert any(flag.startswith("frozen-ranking") for flag in report.flags)
+        assert report.flags == []
+        for start, width in ((1, 4), (2, 2), (4, 1)):
+            report = evaluate(plan, "logistic", (start, width))
+            assert all(
+                f.selected_columns == frozen[start - 1 : start - 1 + width]
+                for f in report.folds
+            )
 
     def test_one_plan_serves_every_window_of_its_ranking(self, small_dataset):
-        config = quick_config(selection=SelectionSpec(method="info_gain", top_k=4))
+        config = quick_config(ranking_method="info_gain")
         plan = prepare_folds(small_dataset, k=3, seed=4, config=config)
-        window = SelectionSpec(method="info_gain", window_start=3, window_width=2)
-        report = evaluate(plan, "logistic", window)
+        assert all(len(fold.order) == 512 + 24 for fold in plan.folds)
+        report = evaluate(plan, "logistic", (3, 2))
         for fold, result in zip(plan.folds, report.folds):
-            assert result.selected_columns == fold.ranking.window(3, 2)
-        assert evaluate(plan, "logistic").to_json() == cross_validate(
-            small_dataset, "logistic", k=3, seed=4, config=config
+            assert result.selected_columns == fold.order[2:4]
+        assert evaluate(plan, "logistic", (1, 4)).to_json() == cross_validate(
+            small_dataset, "logistic", k=3, seed=4, config=config, window=(1, 4)
         ).to_json()
-        # a selection needs the plan's ranking method
-        with pytest.raises(ContractError):
-            evaluate(plan, "logistic", SelectionSpec(method="chi_squared", top_k=4))
-        bare = prepare_folds(small_dataset, k=3, seed=4, config=quick_config())
-        assert all(fold.ranking is None for fold in bare.folds)
-        with pytest.raises(ContractError):
-            evaluate(bare, "logistic", window)
+        # a window past the end of the order is refused, not shortened
+        with pytest.raises(ValueError, match="ranks 535-537 are out of range"):
+            evaluate(plan, "logistic", (535, 3))
 
     def test_reputation_tables_are_train_only(self, small_corpus):
         records = small_corpus[:100]
@@ -448,25 +448,46 @@ class TestCrossValidate:
         assert all(f.table.developers == first.developers for f in leaky_plan.folds)
 
 
-class TestSelectionSpec:
-    def test_frozen_and_method_exclusive(self):
-        with pytest.raises(ValueError):
-            SelectionSpec(method="mdni", columns=("a",))
+class TestCheckWindows:
+    def test_valid_windows(self):
+        check_windows(PipelineConfig(ranking_method="mdni"), [(1, 536), (522, 15)])
+        check_windows(
+            PipelineConfig(hash_config=HashConfig(n_buckets=8), ranking_method="mdni"), [(1, 32)]
+        )
+        check_windows(PipelineConfig(frozen_ranking=("developer_rep", "size_bytes")), [(2, 1)])
 
-    def test_needs_method_or_columns(self):
-        with pytest.raises(ValueError):
-            SelectionSpec()
+    def test_window_past_either_end_is_refused(self):
+        # every column, a column count that follows the hash buckets, and a
+        # frozen order as long as its list
+        for config, n in (
+            (PipelineConfig(ranking_method="mdni"), 536),
+            (PipelineConfig(hash_config=HashConfig(n_buckets=8), ranking_method="mdni"), 32),
+            (PipelineConfig(frozen_ranking=("developer_rep", "issuer_rep", "size_bytes")), 3),
+        ):
+            for start, width in ((1, n + 1), (n, 2), (0, 1), (1, 0)):
+                end = start + width - 1
+                with pytest.raises(ValueError, match=f"ranks {start}-{end} .* has {n} columns"):
+                    check_windows(config, [(1, 1), (start, width)])
 
-    def test_needs_exactly_one_of_topk_or_window(self):
-        with pytest.raises(ValueError):
-            SelectionSpec(method="mdni")
-        with pytest.raises(ValueError):
-            SelectionSpec(method="mdni", top_k=5, window_start=1, window_width=3)
+    def test_window_needs_an_order(self, small_dataset):
+        bare = prepare_folds(small_dataset, k=3, seed=4, config=quick_config())
+        assert all(fold.order is None for fold in bare.folds)
+        assert all(f.selected_columns is None for f in evaluate(bare, "logistic").folds)
+        with pytest.raises(ContractError):
+            evaluate(bare, "logistic", (1, 4))
 
-    def test_valid_forms(self):
-        SelectionSpec(method="mdni", top_k=5)
-        SelectionSpec(method="chi_squared", window_start=3, window_width=15)
-        SelectionSpec(columns=("a", "b"))
+    def test_frozen_order_wins_over_ranking_method(self, small_dataset, monkeypatch):
+        monkeypatch.setattr("metatriage.evaluate.rank_features", None)  # never called
+        frozen = ("issuer_rep", "developer_rep")
+        config = quick_config(ranking_method="mdni", frozen_ranking=frozen)
+        plan = prepare_folds(small_dataset, k=3, seed=4, config=config)
+        assert all(fold.order == frozen for fold in plan.folds)
+
+    def test_cross_validate_checks_before_ranking(self, small_dataset, monkeypatch):
+        monkeypatch.setattr("metatriage.evaluate.rank_features", None)  # never called
+        with pytest.raises(ValueError, match="ranks 1-600 .* has 536 columns"):
+            cross_validate(small_dataset, "forest", k=3, seed=4,
+                           config=quick_config(ranking_method="mdni"), window=(1, 600))
 
 
 class TestEvalReport:

@@ -9,7 +9,6 @@ from metatriage.featurize import (
     INTRINSIC_COLUMNS,
     REPUTATION_COLUMNS,
     SOCIAL_COLUMNS,
-    BinnedColumn,
     FeatureMatrix,
     HashConfig,
     ReputationTable,
@@ -315,32 +314,29 @@ class TestBinning:
         rng = np.random.default_rng(3)
         values = rng.normal(size=1000)
         binned = bin_column(values, n_bins=10)
-        counts = np.bincount(binned.ids)
+        counts = np.bincount(binned)
         assert len(counts) == 10
         assert counts.max() - counts.min() <= 2
-        assert not binned.degenerate
 
     def test_constant_column_is_degenerate(self):
         binned = bin_column(np.full(50, 7.0), n_bins=10)
-        assert binned.degenerate
-        assert set(binned.ids) == {0}
+        assert set(binned) == {0}
 
     def test_heavy_ties_collapse_bins(self):
         values = np.array([0.0] * 90 + [1.0] * 10)
         binned = bin_column(values, n_bins=10)
-        assert binned.n_bins == 2
-        assert not binned.degenerate
+        assert set(binned) == {0, 1}
 
     def test_ids_are_compact(self):
         rng = np.random.default_rng(5)
         binned = bin_column(rng.integers(0, 4, 200).astype(float), n_bins=10)
-        present = np.unique(binned.ids)
+        present = np.unique(binned)
         assert present.tolist() == list(range(len(present)))
 
     def test_monotone_in_value(self):
         values = np.linspace(0, 1, 100)
         binned = bin_column(values, n_bins=5)
-        assert all(np.diff(binned.ids[np.argsort(values)]) >= 0)
+        assert all(np.diff(binned[np.argsort(values)]) >= 0)
 
     def test_n_bins_validation(self):
         with pytest.raises(ValueError):

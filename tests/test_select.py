@@ -13,6 +13,7 @@ from metatriage.select import (
     _borda,
     _contingency,
     rank_features,
+    rank_window,
     ranking_to_csv_text,
     score_chi_squared,
     score_gain_ratio,
@@ -236,17 +237,21 @@ class TestMdni:
             score_mdni(object())
 
 
+def ordered(ranked):
+    return tuple(ranked.column_names[i] for i in ranked.order)
+
+
 class TestRanking:
     def test_filter_ranking_puts_planted_feature_first(self):
         matrix, labels = planted_matrix()
         for method in ("chi_squared", "info_gain", "gain_ratio"):
             ranked = rank_features(matrix, labels, ranking_method=method)
-            assert ranked.top(1) == ("x0",)
+            assert ordered(ranked)[0] == "x0"
 
     def test_mdni_ranking_puts_planted_feature_first(self):
         matrix, labels = planted_matrix()
         ranked = rank_features(matrix, labels, ranking_method="mdni")
-        assert ranked.top(1) == ("x0",)
+        assert ordered(ranked)[0] == "x0"
         assert ranked.ranking_method == "mdni"
 
     def test_borda_aggregates_all_four_methods(self):
@@ -255,7 +260,7 @@ class TestRanking:
         assert set(ranked.by_method) == {
             "chi_squared", "info_gain", "gain_ratio", "mdni", "borda",
         }
-        assert ranked.top(1) == ("x0",)
+        assert ordered(ranked)[0] == "x0"
 
     def test_borda_points_are_rank_sums(self):
         a = FeatureScore("a", np.array([3.0, 2.0, 1.0]))
@@ -270,42 +275,36 @@ class TestRanking:
         )
         labels = np.array([0, 1] * 5)
         ranked = rank_features(matrix, labels, ranking_method="chi_squared")
-        assert ranked.top(2) == ("a", "b")
+        assert ordered(ranked) == ("a", "b")
 
     def test_top_k_equals_full_order_when_k_is_p(self):
         matrix, labels = planted_matrix()
-        ranked = rank_features(matrix, labels, ranking_method="info_gain")
-        assert ranked.top(3) == tuple(
-            matrix.column_names[i] for i in ranked.order
-        )
+        order = ordered(rank_features(matrix, labels, ranking_method="info_gain"))
+        assert rank_window(order, (1, 3)) == rank_window(order, None) == order
+        assert sorted(order) == sorted(matrix.column_names)
 
     def test_window_excludes_leading_ranks(self):
         matrix, labels = planted_matrix()
-        ranked = rank_features(matrix, labels, ranking_method="info_gain")
-        window = ranked.window(2, 2)
+        order = ordered(rank_features(matrix, labels, ranking_method="info_gain"))
+        window = rank_window(order, (2, 2))
         assert "x0" not in window
-        assert len(window) == 2
+        assert window == order[1:3]
 
     def test_window_start_one_equals_top(self):
-        matrix, labels = planted_matrix()
-        ranked = rank_features(matrix, labels, ranking_method="info_gain")
-        assert ranked.window(1, 3) == ranked.top(3)
+        order = ("c", "a", "b")
+        assert rank_window(order, (1, 2)) == ("c", "a")
+        assert rank_window(order, (3, 1)) == ("b",)
 
     def test_window_out_of_range(self):
-        matrix, labels = planted_matrix()
-        ranked = rank_features(matrix, labels, ranking_method="info_gain")
-        with pytest.raises(ValueError):
-            ranked.window(3, 2)
-        with pytest.raises(ValueError):
-            ranked.window(0, 1)
+        with pytest.raises(ValueError, match="ranks 3-4 are out of range: .* has 3 columns"):
+            rank_window(("c", "a", "b"), (3, 2))
+        with pytest.raises(ValueError, match="ranks 0-0 "):
+            rank_window(("c", "a", "b"), (0, 1))
 
     def test_top_k_out_of_range(self):
-        matrix, labels = planted_matrix()
-        ranked = rank_features(matrix, labels, ranking_method="info_gain")
-        with pytest.raises(ValueError):
-            ranked.top(0)
-        with pytest.raises(ValueError):
-            ranked.top(4)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=f"ranks 1-{k} .* has 3 columns"):
+                rank_window(("c", "a", "b"), (1, k))
 
     def test_unknown_method_rejected(self):
         matrix, labels = planted_matrix()
