@@ -1,11 +1,12 @@
 """Metrics, ROC/AUC, and leakage-safe stratified cross-validation.
 
 Everything label-dependent (reputation tables, feature ranking, binning,
-standardization, the operating threshold) is fitted inside each training
-fold; the held-out chunk only ever gets transformed and scored.
-`prepare_folds` fits what model kinds and rank windows share (per training
-fold, one reputation table and one ranking); `evaluate` fits and scores
-one model kind on that plan.
+the linear models' standardization, the operating threshold) is fitted
+inside each training fold; the held-out chunk only ever gets transformed
+and scored. `prepare_folds` fits what model kinds and rank windows share
+(per training fold, one reputation table and one ranking); `evaluate`
+gathers each fold's window columns and fits and scores one model kind on
+them.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from .featurize import (
     FeatureMatrix,
     HashConfig,
     ReputationTable,
-    assemble_features,
     build_reputation_table,
     feature_names,
+    gather_features,
     static_feature_block,
-    standardize_fit_apply,
 )
 from .learn import Hyperparams, predict_score, train_model
 from .reporting import csv_text
@@ -358,7 +358,7 @@ class PreparedFold:
 class FoldPlan:
     """What model kinds and rank windows share: the split, the static block
     and each fold's fitted parts. It holds no feature matrices; `evaluate`
-    assembles one fold's at a time."""
+    gathers one fold's at a time."""
 
     dataset: LabeledDataset
     labels: np.ndarray
@@ -369,12 +369,11 @@ class FoldPlan:
     folds: list[PreparedFold]
     flags: list[str]
 
-    def features(self, rows: np.ndarray, table: ReputationTable) -> FeatureMatrix:
-        return assemble_features(
-            [self.dataset.records[i] for i in rows],
-            self.config.hash_config,
-            table,
-            self.static_block[rows],
+    def features(
+        self, rows: np.ndarray, table: ReputationTable, columns: Sequence[str]
+    ) -> FeatureMatrix:
+        return gather_features(
+            self.dataset.records, self.config.hash_config, table, self.static_block, rows, columns
         )
 
 
@@ -426,7 +425,7 @@ def prepare_folds(
                 rng = np.random.default_rng(np.random.SeedSequence([rank_seed, 0x7A5C]))
                 rows = rows[rng.choice(len(rows), RANK_SUBSAMPLE, replace=False)]
             ranked = rank_features(
-                plan.features(rows, fold.table),
+                plan.features(rows, fold.table, feature_names(config.hash_config)),
                 labels[rows],
                 ranking_method=config.ranking_method,
                 forest_params=ranking_forest(rank_seed),
@@ -443,9 +442,11 @@ def evaluate(
 ) -> EvalReport:
     """Fit, score and measure `model_kind` on every fold of `plan`, on the
     1-based (start, width) rank `window` of each fold's order (see
-    `rank_window`). Linear models see standardized columns; degenerate
-    folds are flagged and left out, and a linear fit that did not converge
-    is flagged but kept."""
+    `rank_window`), or on every column when folds have no order. Each
+    fold's train and test matrices are one gather of those columns; the
+    linear models standardize them inside their fits. Degenerate folds are
+    flagged and left out, and a linear fit that did not converge is
+    flagged but kept."""
     config = plan.config
     if window is not None and config.frozen_ranking is None and config.ranking_method is None:
         raise ContractError("a rank window needs a ranking method or a frozen ranking")
@@ -460,16 +461,10 @@ def evaluate(
             )
             continue
         y_train, y_test = labels[fold.train_idx], labels[fold.test_idx]
-        X_train = plan.features(fold.train_idx, fold.table)
-        X_test = plan.features(fold.test_idx, fold.table)
         selected = None if fold.order is None else rank_window(fold.order, window)
-        if selected is not None:
-            X_train = X_train.select_columns(selected)
-            X_test = X_test.select_columns(selected)
-        if model_kind in ("logistic", "linear_svm"):
-            train_vals, test_vals = standardize_fit_apply(X_train.values, X_test.values)
-            X_train = type(X_train)(X_train.column_names, train_vals)
-            X_test = type(X_test)(X_test.column_names, test_vals)
+        columns = feature_names(config.hash_config) if selected is None else selected
+        X_train = plan.features(fold.train_idx, fold.table, columns)
+        X_test = plan.features(fold.test_idx, fold.table, columns)
 
         hyper = config.hyper
         forest_seed = _derived_seeds(plan.seed, fold.fold)[1]

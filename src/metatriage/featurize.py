@@ -218,10 +218,11 @@ def reputation_block(
     records: Sequence[AppRecord], table: ReputationTable
 ) -> np.ndarray:
     """developer_rep and issuer_rep columns from a fitted table."""
+    prior = table.global_prior
+    developer, issuer = table.developers.get, table.issuers.get
     out = np.empty((len(records), 2), dtype=np.float64)
-    for i, record in enumerate(records):
-        out[i, 0] = table.developer_rep(record.developer_id)
-        out[i, 1] = table.issuer_rep(record.issuer_id)
+    out[:, 0] = [developer(r.developer_id, prior) for r in records]
+    out[:, 1] = [issuer(r.issuer_id, prior) for r in records]
     return out
 
 
@@ -252,14 +253,6 @@ class FeatureMatrix:
     @property
     def n_columns(self) -> int:
         return self.values.shape[1]
-
-    def select_columns(self, names: Sequence[str]) -> "FeatureMatrix":
-        position = {name: j for j, name in enumerate(self.column_names)}
-        try:
-            idx = [position[name] for name in names]
-        except KeyError as exc:
-            raise KeyError(f"no such column: {exc.args[0]}") from None
-        return FeatureMatrix(tuple(names), self.values[:, idx])
 
 
 def feature_names(hash_config: HashConfig) -> tuple[str, ...]:
@@ -299,6 +292,34 @@ def assemble_features(
         values[:, :width] = static_block
     values[:, width:] = reputation_block(records, table)
     return FeatureMatrix(names, values)
+
+
+def gather_features(
+    records: Sequence[AppRecord],
+    hash_config: HashConfig,
+    table: ReputationTable,
+    static_block: np.ndarray,
+    rows: np.ndarray,
+    columns: Sequence[str],
+) -> FeatureMatrix:
+    """The matrix of `records[rows]` over `columns`, in their order, by one
+    gather from `static_block` (of all `records`) and `table`'s reputation
+    columns, which are computed only when asked for. Names are those of
+    `feature_names(hash_config)`; an unknown one raises KeyError."""
+    names = feature_names(hash_config)
+    position = {name: j for j, name in enumerate(names)}
+    try:
+        idx = np.array([position[name] for name in columns], dtype=np.intp)
+    except KeyError as exc:
+        raise KeyError(f"no such column: {exc.args[0]}") from None
+    width = len(names) - len(REPUTATION_COLUMNS)
+    # Reputation columns gather the last static column, then are overwritten.
+    values = static_block.take(rows, axis=0).take(np.minimum(idx, width - 1), axis=1)
+    reputation = idx >= width
+    if reputation.any():
+        block = reputation_block([records[i] for i in rows], table)
+        values[:, reputation] = block[:, idx[reputation] - width]
+    return FeatureMatrix(tuple(columns), values)
 
 
 # ---------------------------------------------------------------------------

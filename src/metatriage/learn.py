@@ -7,6 +7,15 @@ random forest (CART, Gini). All are trained from binary {0,1} labels and
 produce one monotone malware-ness score per row: probabilities for
 logistic, real margins for the SVM, mean leaf fractions for the forest.
 
+The linear fits own their standardization: they minimize the objective
+over the training columns centered and scaled by their training mean and
+standard deviation, without making that matrix. `_Standardized` holds the
+columns with more than half of their rows nonzero as an explicitly
+standardized block and the rest as their nonzeros, and the solver asks it
+only for A @ v, A.T @ u and the row count. The fitted weights are mapped
+back to raw units, with the bias taken at the training mean, so a
+`LinearModel` scores raw columns through the same operator.
+
 The forest grows all of its trees together, one depth level per pass, over
 value codes: each value's rank among its column's distinct values. Each
 bootstrap sample is a count per distinct row, and a level's split searches
@@ -97,8 +106,62 @@ def _check_training_inputs(X: FeatureMatrix, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class _Standardized:
+    """The matrix (values - mean) / scale as a linear operator that, like
+    an ndarray, answers `A @ v`, `A.T @ u` and `len(A)`.
+
+    Columns with more than half of their rows nonzero are standardized
+    into one dense block. The other columns keep only their nonzeros, and
+    their products fold the mean and scale in: A(v/sd) - mu.(v/sd) and
+    (A.T u - mu * sum(u)) / sd. Whatever the split, the products are those
+    of the explicitly standardized matrix, summed in another order.
+    """
+
+    def __init__(self, values: np.ndarray, mean: np.ndarray, scale: np.ndarray):
+        self._n_rows, n_cols = values.shape
+        # flatnonzero of a mask is about ten times faster than np.nonzero.
+        rows, cols = np.divmod(np.flatnonzero(values != 0.0), n_cols)
+        self._dense = np.bincount(cols, minlength=n_cols) * 2 > self._n_rows
+        self._block = (values[:, self._dense] - mean[self._dense]) / scale[self._dense]
+        sparse = ~self._dense[cols]
+        self._rows, self._cols = rows[sparse], cols[sparse]
+        self._values = values[self._rows, self._cols]
+        self._mean = np.where(self._dense, 0.0, mean)  # the sparse columns' means
+        self._scale = scale
+
+    def __len__(self) -> int:
+        return self._n_rows
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        s = v / self._scale  # its dense entries meet only the zeroed means
+        out = np.bincount(self._rows, self._values * s[self._cols], self._n_rows) - self._mean @ s
+        out += self._block @ v[self._dense]
+        return out
+
+    @property
+    def T(self) -> "_Transposed":
+        return _Transposed(self)
+
+    def rmatvec(self, u: np.ndarray) -> np.ndarray:
+        sums = np.bincount(self._cols, self._values * u[self._rows], len(self._scale))
+        out = (sums - self._mean * u.sum()) / self._scale
+        out[self._dense] = self._block.T @ u
+        return out
+
+
+class _Transposed:
+    """`A.T` of a `_Standardized` A: `A.T @ u` is `A.rmatvec(u)`."""
+
+    def __init__(self, A: _Standardized):
+        self._A = A
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        return self._A.rmatvec(u)
+
+
 def logistic_loss_grad(
-    weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray, penalty: float
+    weights: np.ndarray, bias: float, X: Union[np.ndarray, _Standardized], y: np.ndarray,
+    penalty: float,
 ) -> tuple[float, np.ndarray, float]:
     """Mean negative log-likelihood plus (penalty/2)*||w||^2, and its exact
     gradient. `train_logistic` minimizes it at penalty 1/n: LIBLINEAR's
@@ -120,18 +183,23 @@ def logistic_loss_grad(
 
 @dataclass
 class LinearModel:
+    """Scores raw rows x by the margin (x - center) @ weights + bias; a
+    `center` of None is the origin. A fit's center is its training mean,
+    so large column means are never folded into the bias."""
+
     kind: str  # "logistic" or "linear_svm"
     weights: np.ndarray
     bias: float
     column_names: tuple[str, ...]
     meta: dict = field(default_factory=dict)
+    center: Optional[np.ndarray] = None
 
 
 # Newton steps before a linear fit gives up short of its tolerance.
 _MAX_NEWTON_STEPS = 100
 
 
-def _newton_direction(A: np.ndarray, curvature: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _newton_direction(A: _Standardized, curvature: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Truncated conjugate gradient for H d = -g, where H is the (generalized)
     Hessian in (w, b) of a linear model's objective at penalty 1/n and
     `curvature` is the loss's second derivative in each row's margin.
@@ -174,16 +242,23 @@ def _fit_newton(
     """Newton-CG on `loss_grad`'s objective at penalty 1/n, C = 1 (Lin, Weng
     and Keerthi 2008, without the trust region), from w = 0, b = 0.
 
-    Each Newton direction comes from `_newton_direction`, with
-    `curvature(z, y)` taken at the margins z = A w + b; the step along it
-    starts at 1 and halves until the Armijo condition (c = 1e-4) holds.
-    Stops once the gradient norm is under `tolerance`. A fit that reaches
-    `_MAX_NEWTON_STEPS`, or whose 40 halvings cannot lower the objective,
-    ends with its gradient norm at or above the tolerance; `meta` records
-    the Newton steps taken (`epochs_run`) and that norm.
+    The objective is taken over A, the columns of `X` standardized by
+    their mean and standard deviation (1 where that is 0), which only the
+    `_Standardized` operator holds. Each Newton direction comes from
+    `_newton_direction`, with `curvature(z, y)` taken at the margins
+    z = A w + b; the step along it starts at 1 and halves until the Armijo
+    condition (c = 1e-4) holds. Stops once the gradient norm is under
+    `tolerance`. A fit that reaches `_MAX_NEWTON_STEPS`, or whose 40
+    halvings cannot lower the objective, ends with its gradient norm at or
+    above the tolerance; `meta` records the Newton steps taken
+    (`epochs_run`) and that norm. The model scores the raw columns of `X`
+    by its weights w/sd, its bias b and the center `mean`.
     """
     y = _check_training_inputs(X, y)
-    A = X.values
+    mean = X.values.mean(axis=0)
+    scale = X.values.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    A = _Standardized(X.values, mean, scale)
     w = np.zeros(X.n_columns)
     b = 0.0
     penalty = 1.0 / len(y)  # C = 1
@@ -205,10 +280,11 @@ def _fit_newton(
         steps += 1
     return LinearModel(
         kind=kind,
-        weights=w,
+        weights=w / scale,
         bias=b,
         column_names=X.column_names,
         meta={"epochs_run": steps, "final_grad_norm": math.sqrt(float(g @ g))},
+        center=mean,
     )
 
 
@@ -221,8 +297,9 @@ def _logistic_curvature(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 def train_logistic(
     X: FeatureMatrix, y: np.ndarray, params: LogisticParams = LogisticParams()
 ) -> LinearModel:
-    """Minimize `logistic_loss_grad`'s objective at penalty 1/n by Newton-CG
-    (`_fit_newton`), with curvature p(1-p) per row."""
+    """Minimize `logistic_loss_grad`'s objective at penalty 1/n over the
+    standardized columns of `X` by Newton-CG (`_fit_newton`), with
+    curvature p(1-p) per row. The model scores raw columns."""
     return _fit_newton(
         "logistic", X, y, params.tolerance, logistic_loss_grad, _logistic_curvature
     )
@@ -234,7 +311,8 @@ def train_logistic(
 
 
 def svm_loss_grad(
-    weights: np.ndarray, bias: float, X: np.ndarray, y: np.ndarray, penalty: float
+    weights: np.ndarray, bias: float, X: Union[np.ndarray, _Standardized], y: np.ndarray,
+    penalty: float,
 ) -> tuple[float, np.ndarray, float]:
     """Mean squared hinge max(0, 1 - t*z)^2, with t = 2y - 1 and z the
     margin, plus (penalty/2)*||w||^2, and its exact gradient.
@@ -259,8 +337,10 @@ def _svm_curvature(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 def train_linear_svm(
     X: FeatureMatrix, y: np.ndarray, params: SvmParams = SvmParams()
 ) -> LinearModel:
-    """Minimize `svm_loss_grad`'s objective at penalty 1/n by Newton-CG
-    (`_fit_newton`), with curvature 2 on rows whose margin is under 1."""
+    """Minimize `svm_loss_grad`'s objective at penalty 1/n over the
+    standardized columns of `X` by Newton-CG (`_fit_newton`), with
+    curvature 2 on rows whose margin is under 1. The model scores raw
+    columns."""
     return _fit_newton("linear_svm", X, y, params.tolerance, svm_loss_grad, _svm_curvature)
 
 
@@ -545,11 +625,10 @@ def predict_score(model: Model, X: FeatureMatrix) -> np.ndarray:
             f"missing {missing[:5]}, unexpected {extra[:5]}"
             + ("" if missing or extra else " (same names, different order)")
         )
-    if model.kind == "logistic":
-        z = X.values @ model.weights + model.bias
-        return 1.0 / (1.0 + np.exp(-z))
-    if model.kind == "linear_svm":
-        return X.values @ model.weights + model.bias
+    if model.kind in ("logistic", "linear_svm"):
+        center = np.zeros(X.n_columns) if model.center is None else model.center
+        z = _Standardized(X.values, center, np.ones(X.n_columns)) @ model.weights + model.bias
+        return 1.0 / (1.0 + np.exp(-z)) if model.kind == "logistic" else z
     if model.kind == "forest":
         # Summed over axis 0, the trees' values are added in tree order.
         return _tree_scores(model.trees, X.values).sum(axis=0) / len(model.trees)

@@ -16,6 +16,7 @@ from metatriage.featurize import (
     bin_column,
     build_reputation_table,
     feature_names,
+    gather_features,
     hash_column_names,
     reputation_block,
     standardize_fit_apply,
@@ -236,13 +237,45 @@ class TestAssembly:
             assemble_features(records, HashConfig(32), table, static_block=wrong)
 
     def test_reputation_block_reads_table(self):
-        records = [make_record(developer_id="dev.a", issuer_id="iss.x")]
+        records = [
+            make_record(app_id="a", developer_id="dev.a", issuer_id="iss.x"),
+            make_record(app_id="b", developer_id="dev.unseen", issuer_id="iss.unseen"),
+        ]
         table = ReputationTable(
             global_prior=0.4, developers={"dev.a": 0.9}, issuers={"iss.x": 0.8}
         )
         block = reputation_block(records, table)
-        assert block[0, 0] == 0.9
-        assert block[0, 1] == 0.8
+        assert block.tolist() == [[0.9, 0.8], [0.4, 0.4]]
+
+    def test_gather_columns(self):
+        records = [
+            make_record(app_id=f"r{i}", developer_id=f"d{i % 3}", detection_count=i % 2,
+                        size_bytes=1000 + i, permissions=frozenset({f"perm.{i}", "perm.x"}))
+            for i in range(8)
+        ]
+        labels = np.array([r.detection_count for r in records])
+        config = HashConfig(16)
+        table = build_reputation_table(records[:5], labels[:5])
+        full = assemble_features(records, config, table)
+        static = static_feature_block(records, config)
+        rows = np.array([6, 1, 3])
+        for columns in (
+            ["issuer_rep", "f3", "size_bytes", "developer_rep", "mean_star"],
+            ["f15", "f0", "votes_2"],
+            list(feature_names(config)),
+        ):
+            got = gather_features(records, config, table, static, rows, columns)
+            assert got.column_names == tuple(columns)
+            idx = [full.column_names.index(c) for c in columns]
+            assert got.values.tobytes() == full.values[np.ix_(rows, idx)].tobytes()
+
+    def test_gather_missing_column_raises(self):
+        records = [make_record()]
+        config = HashConfig(4)
+        table = build_reputation_table(records, np.array([0]))
+        static = static_feature_block(records, config)
+        with pytest.raises(KeyError, match="no such column: nope"):
+            gather_features(records, config, table, static, np.array([0]), ["f1", "nope"])
 
 
 class TestFeatureMatrix:
@@ -261,17 +294,6 @@ class TestFeatureMatrix:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ContractError):
             FeatureMatrix(("a", "a"), np.zeros((2, 2)))
-
-    def test_select_columns(self):
-        m = FeatureMatrix(("a", "b", "c"), np.array([[1.0, 2.0, 3.0]]))
-        sub = m.select_columns(["c", "a"])
-        assert sub.column_names == ("c", "a")
-        assert sub.values.tolist() == [[3.0, 1.0]]
-
-    def test_select_missing_column_raises(self):
-        m = FeatureMatrix(("a",), np.zeros((1, 1)))
-        with pytest.raises(KeyError, match="no such column: nope"):
-            m.select_columns(["a", "nope"])
 
 
 class TestMatrixCsv:

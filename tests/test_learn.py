@@ -34,6 +34,19 @@ def two_clusters(n=200, gap=2.0, seed=0):
     return FeatureMatrix(("x0", "x1"), X), y
 
 
+def mixed_columns(n=300, seed=3):
+    """Six sparse count columns (about 5% nonzero) and three dense normal
+    columns with different means and scales, and labels from a noisy
+    linear rule on their standardized values."""
+    rng = np.random.default_rng(seed)
+    sparse = (rng.random((n, 6)) < 0.05) * rng.integers(1, 4, (n, 6))
+    dense = rng.normal(size=(n, 3)) * [1.0, 5.0, 0.2] + [0.0, 40.0, -3.0]
+    A = np.column_stack([sparse, dense]).astype(float)
+    standardized = (A - A.mean(axis=0)) / A.std(axis=0)
+    y = (standardized @ rng.normal(size=9) + rng.normal(size=n) > 0).astype(int)
+    return FeatureMatrix(tuple(f"c{j}" for j in range(9)), A), y
+
+
 def logistic_row_loss(z, y):
     return np.logaddexp(0.0, z) - y * z
 
@@ -93,15 +106,54 @@ class NewtonFitChecks:
             std = A.std(axis=0)
             A = (A - A.mean(axis=0)) / np.where(std > 0, std, 1.0)
             X = FeatureMatrix(tuple(f"f{j}" for j in range(p)), A)
+        # The fit minimizes the objective over the explicitly standardized
+        # columns; its raw-unit weights w/sd map back, and its bias is b.
+        mean, scale = X.values.mean(axis=0), X.values.std(axis=0)
+        scale[scale == 0.0] = 1.0
+        standardized = (X.values - mean) / scale
         for tolerance in (1e-6, 1e-9):
             model = self.train(X, y, self.params(tolerance=tolerance))
             _, gw, gb = self.loss_grad(
-                model.weights, model.bias, X.values, y.astype(np.float64), 1.0 / len(y)
+                model.weights * scale,
+                model.bias,
+                standardized,
+                y.astype(np.float64),
+                1.0 / len(y),
             )
             norm = np.sqrt(gw @ gw + gb * gb)
             assert norm < tolerance
             assert model.meta["final_grad_norm"] == pytest.approx(norm, rel=1e-6, abs=1e-15)
             assert 1 <= model.meta["epochs_run"] < metatriage.learn._MAX_NEWTON_STEPS
+
+    def test_scores_invariant_to_positive_column_affine_maps(self):
+        # A*c + s per column standardizes to the same matrix; the shift
+        # also moves the sparse columns into the dense block.
+        X, y = mixed_columns()
+        rng = np.random.default_rng(9)
+        c = rng.uniform(0.01, 100.0, X.n_columns)
+        s = rng.normal(0.0, 50.0, X.n_columns)
+        moved = FeatureMatrix(X.column_names, X.values * c + s)
+        for tolerance in (1e-6, 1e-9):
+            a = self.train(X, y, self.params(tolerance=tolerance))
+            b = self.train(moved, y, self.params(tolerance=tolerance))
+            assert np.allclose(predict_score(a, X), predict_score(b, moved), rtol=0, atol=1e-9)
+
+    def test_raw_scores_keep_precision_on_a_large_mean_column(self):
+        X, y = mixed_columns()
+        values = X.values.copy()
+        values[:, -1] += 1e7  # mean/sd about 5e7
+        column = values[:, -1]
+        assert column.mean() / column.std() >= 1e6
+        raw = FeatureMatrix(X.column_names, values)
+        standardized = FeatureMatrix(
+            X.column_names, (values - values.mean(axis=0)) / values.std(axis=0)
+        )
+        for tolerance in (1e-6, 1e-9):
+            a = self.train(raw, y, self.params(tolerance=tolerance))
+            b = self.train(standardized, y, self.params(tolerance=tolerance))
+            assert np.allclose(
+                predict_score(a, raw), predict_score(b, standardized), rtol=0, atol=1e-9
+            )
 
     def test_newton_step_cap_stops_short_of_tolerance(self, monkeypatch):
         monkeypatch.setattr(metatriage.learn, "_MAX_NEWTON_STEPS", 1)
@@ -384,6 +436,43 @@ class TestTrees:
         assert model.importances.shape == (2,)
         assert (model.importances >= 0).all()
         assert model.importances.sum() > 0
+
+
+class TestStandardizedOperator:
+    def columns(self, n=40):
+        rng = np.random.default_rng(2)
+        single = np.zeros(n)
+        single[7] = 4.5
+        half = np.where(np.arange(n) % 2 == 0, rng.normal(size=n), 0.0)
+        return np.column_stack([
+            (rng.random(n) < 0.1) * rng.normal(3.0, 2.0, n),  # sparse
+            rng.normal(5.0, 3.0, n),  # dense
+            np.full(n, 3.0),  # zero variance, all nonzero
+            np.zeros(n),  # all zero
+            single,  # a single nonzero
+            1.0 + rng.random(n),  # all nonzero
+            half,  # exactly half nonzero: kept sparse
+            (rng.random(n) < 0.3) * 1e6 + rng.normal(size=n),  # dense, large values
+        ])
+
+    def test_products_match_the_dense_standardized_matrix(self):
+        values = self.columns()
+        mean = values.mean(axis=0)
+        scale = values.std(axis=0)
+        scale[scale == 0.0] = 1.0
+        dense = (values - mean) / scale
+        A = metatriage.learn._Standardized(values, mean, scale)
+        assert len(A) == len(values)
+        assert A._dense.tolist() == [False, True, True, False, False, True, False, True]
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            v = rng.normal(size=values.shape[1])
+            u = rng.normal(size=values.shape[0])
+            want, want_t = dense @ v, dense.T @ u
+            np.testing.assert_allclose(A @ v, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            np.testing.assert_allclose(
+                A.T @ u, want_t, rtol=1e-12, atol=1e-12 * np.abs(want_t).max()
+            )
 
 
 class TestPredictScore:
