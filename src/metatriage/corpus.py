@@ -50,6 +50,11 @@ _INT_FIELDS = (
 
 _STR_FIELDS = ("app_id", "package_name", "developer_id", "issuer_id")
 
+# The largest integer a record may hold. Features are float64, which holds
+# every integer up to it exactly; a larger one may round, or overflow.
+MAX_INT = 2**53 - 1
+
+
 @dataclass(frozen=True, slots=True)
 class AppRecord:
     """One application's raw market metadata."""
@@ -89,12 +94,16 @@ class AppRecord:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 problems.append(f"{name} must be a non-negative integer, got {value!r}")
+            elif value > MAX_INT:
+                problems.append(f"{name} must be at most 2**53 - 1, got {value!r}")
         if len(self.star_votes) != 5:
             problems.append(f"star_votes must have 5 entries, got {len(self.star_votes)}")
         else:
             for i, v in enumerate(self.star_votes):
                 if not isinstance(v, int) or v < 0:
                     problems.append(f"star_votes[{i}] must be a non-negative integer, got {v!r}")
+                elif v > MAX_INT:
+                    problems.append(f"star_votes[{i}] must be at most 2**53 - 1, got {v!r}")
         for name in _STR_FIELDS:
             if not getattr(self, name):
                 problems.append(f"{name} must be a non-empty string")
@@ -149,6 +158,7 @@ def _exact_record(obj: dict) -> Optional[AppRecord]:
         and set(map(type, perms)) <= _STR
         and set(map(type, counts)) == _INT
         and min(counts) >= 0
+        and max(counts) <= MAX_INT
     ):
         return None
     return AppRecord(*ids, frozenset(perms), *values[5:15], tuple(votes), values[16])
@@ -232,6 +242,11 @@ def _iter_lines(stream) -> Iterator[str]:
         yield raw
 
 
+# The scanner `json.loads` runs, without its wrapper: (value, end index) of
+# the JSON value at an index, or StopIteration or JSONDecodeError.
+_scan_json = json.JSONDecoder().scan_once
+
+
 def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> ParseResult:
     """Parse a corpus stream into records.
 
@@ -279,10 +294,15 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    reject(line_no, [f"invalid JSON: {exc}"])
-                    continue
+                    obj, end = _scan_json(line, 0)
+                except (StopIteration, ValueError):
+                    end = -1
+                if end != len(line):  # json.loads fails too, and says why
+                    try:
+                        obj = json.loads(line)
+                    except ValueError as exc:  # or an integer of over 4,300 digits
+                        reject(line_no, [f"invalid JSON: {exc}"])
+                        continue
                 if not isinstance(obj, dict):
                     reject(line_no, ["line is not a JSON object"])
                     continue

@@ -327,24 +327,39 @@ def gather_features(
 # ---------------------------------------------------------------------------
 
 
-def bin_column(values: np.ndarray, n_bins: int = 10) -> np.ndarray:
-    """Rank-based (equal-frequency) discretization: each value's bin id.
+def rank_bins(distinct: np.ndarray, counts: np.ndarray, n_bins: int = 10) -> np.ndarray:
+    """Rank-based (equal-frequency) discretization of one column, given as
+    its distinct values in increasing order and how often each occurs: the
+    bin id of each distinct value.
 
-    Duplicate quantile edges collapse, so heavily tied columns produce
+    The bin edges are the column's quantiles at 1/n_bins, 2/n_bins, ...,
+    interpolated between order statistics exactly as `np.quantile` does by
+    default. A value's bin is the number of edges below it. Duplicate edges
+    collapse and the ids are compacted, so heavily tied columns produce
     fewer bins, and a column with a single distinct value maps everything
     to bin 0.
     """
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
+    # The k-th smallest value of the column is distinct[searchsorted(ends, k, "right")].
+    ends = np.cumsum(counts)
+    last = ends[-1] - 1
+    at = last * np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+    below = np.minimum(np.floor(at), last)
+    lo, hi = distinct[np.searchsorted(ends, [below, np.minimum(below + 1, last)], "right")]
+    t = at - below
+    # np.quantile's interpolation, which works from the upper end for t >= 0.5.
+    edges = np.where(t >= 0.5, hi - (hi - lo) * (1 - t), lo + (hi - lo) * t)
+    ids = np.searchsorted(np.unique(edges), distinct, side="left")
+    return np.cumsum(np.diff(ids, prepend=ids[0]) != 0)
+
+
+def bin_column(values: np.ndarray, n_bins: int = 10) -> np.ndarray:
+    """Rank-based (equal-frequency) discretization of one column: each
+    value's `rank_bins` id."""
     values = np.asarray(values, dtype=np.float64)
-    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-    edges = np.unique(np.quantile(values, qs))
-    ids = np.searchsorted(edges, values, side="left")
-    # Compact ids so every bin in range is non-empty.
-    present = np.unique(ids)
-    remap = np.zeros(int(present.max()) + 1, dtype=np.int64)
-    remap[present] = np.arange(len(present))
-    return remap[ids]
+    distinct, codes, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return rank_bins(distinct, counts, n_bins)[codes]
 
 
 def standardize_fit_apply(

@@ -17,11 +17,14 @@ back to raw units, with the bias taken at the training mean, so a
 `LinearModel` scores raw columns through the same operator.
 
 The forest grows all of its trees together, one depth level per pass, over
-value codes: each value's rank among its column's distinct values. Each
+value codes: each value's rank among its column's distinct values, found by
+one sort per column and held as int16 up to 32,767 rows (`_ValueCodes`; a
+caller that already holds them, as ranking does, passes them in). Each
 bootstrap sample is a count per distinct row, and a level's split searches
-are bincounts over (node, tried column, code) keys. Splits stay exact, with
-thresholds midway between adjacent distinct values present in the node.
-Nodes are numbered breadth-first within each tree.
+are bincounts over (node, tried column, code) keys, a bounded run of nodes
+at a time. Splits stay exact, with thresholds midway between adjacent
+distinct values present in the node. Nodes are numbered breadth-first
+within each tree.
 """
 
 from __future__ import annotations
@@ -370,30 +373,50 @@ class Tree:
 
 # At most this many (row, tried column) pairs plus code positions go into one
 # split search; a level with more is searched a run of its nodes at a time.
-_SEARCH_CHUNK = 1 << 20
+# Each search holds a few int64 and float64 arrays of this length.
+_SEARCH_CHUNK = 1 << 18
 _NO_SPLITS = (np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),) * 2
+# Columns are sorted in contiguous copies of about this many values.
+_CODE_BLOCK = 1 << 17
 
 
 @dataclass
 class _ValueCodes:
     """`codes[j, i]` is the rank of A[i, j] among the distinct values of
-    column j, which are `values[offsets[j]:offsets[j + 1]]`, increasing."""
+    column j, which are `values[offsets[j]:offsets[j + 1]]`, increasing.
+    Codes are int16 up to 32,767 rows and int32 above."""
 
-    codes: np.ndarray  # (p, n) int32
+    codes: np.ndarray  # (p, n)
     values: np.ndarray
     offsets: np.ndarray
 
+    def distinct(self, j: int) -> np.ndarray:
+        return self.values[self.offsets[j] : self.offsets[j + 1]]
+
     @staticmethod
     def of(A: np.ndarray) -> "_ValueCodes":
-        codes = np.empty(A.shape[::-1], dtype=np.int32)
+        n, p = A.shape
+        codes = np.empty((p, n), dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
         distinct = [np.empty(0)]
-        for lo in range(0, A.shape[1], 32):  # sorting contiguous copies is faster
-            for j, col in enumerate(A[:, lo : lo + 32].T.copy(), start=lo):
-                s = np.sort(col)
-                distinct.append(s[np.r_[True, s[1:] != s[:-1]]])
-                codes[j] = np.searchsorted(distinct[-1], col)
+        width = max(1, _CODE_BLOCK // max(n, 1))
+        for lo in range(0, p, width):  # sorting contiguous copies is faster
+            distinct += _code_columns(A[:, lo : lo + width].T.copy(), codes[lo : lo + width])
         offsets = np.cumsum([len(v) for v in distinct])
         return _ValueCodes(codes, np.concatenate(distinct), offsets)
+
+
+def _code_columns(cols: np.ndarray, codes: np.ndarray) -> list[np.ndarray]:
+    """Write the value codes of each row of `cols` to the same row of
+    `codes`, and return each row's distinct values. One sort per row gives
+    its distinct values, and a binary search of each value among them its
+    code."""
+    ordered = np.sort(cols, axis=1)
+    first = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
+    distinct = [s[f] for s, f in zip(ordered, first)]
+    for out, col, values in zip(codes, cols, distinct):
+        out[:] = np.searchsorted(values, col)
+    return distinct
 
 
 def _best_splits(
@@ -424,8 +447,10 @@ def _best_splits(
     at += rows[:, None]
     key = np.repeat(group_start.reshape(S, mtry), sizes, axis=0)
     key += vc.codes.ravel()[at]
+    del at
     key += y[rows][:, None] * n_keys  # positives count in a second run of slots
     counts = np.bincount(key.ravel(), weights=np.repeat(weights, mtry), minlength=2 * n_keys)
+    del key  # the search's largest arrays; what follows is per position
     n_at = counts[:n_keys] + counts[n_keys:]
     present = np.flatnonzero(n_at)
     n_at, m_at = n_at[present], counts[n_keys + present]
@@ -491,7 +516,8 @@ class ForestModel:
 
 
 def train_forest(
-    X: FeatureMatrix, y: np.ndarray, params: ForestParams = ForestParams()
+    X: FeatureMatrix, y: np.ndarray, params: ForestParams = ForestParams(),
+    codes: Optional[_ValueCodes] = None,
 ) -> ForestModel:
     """Bootstrap-aggregated CART trees, all grown together a level at a time.
 
@@ -501,14 +527,17 @@ def train_forest(
     level, over value codes, serves every growable node of every tree; node
     ids are breadth-first per tree. Importances are the weighted Gini
     decreases summed per split feature, with weights n_node/n, averaged
-    over the trees.
+    over the trees. `codes`, when given, must be `_ValueCodes.of(X.values)`;
+    a caller that already holds them saves the sorts.
     """
     y01 = _check_training_inputs(X, y).astype(np.int64)
     n, p = X.n_rows, X.n_columns
     if params.mtry > p:
         raise ContractError(f"mtry {params.mtry} exceeds feature count {p}")
     mtry = min(params.mtry or math.ceil(math.sqrt(p)), p)
-    vc = _ValueCodes.of(X.values)
+    vc = _ValueCodes.of(X.values) if codes is None else codes
+    if vc.codes.shape != (p, n):
+        raise ContractError(f"value codes of shape {vc.codes.shape} for a {n} x {p} matrix")
     seed = params.seed & 0xFFFFFFFFFFFFFFFF
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0xF0BE57, t]))
             for t in range(params.n_trees)]
@@ -518,6 +547,7 @@ def train_forest(
     # entries sorted by their node.
     front, rows = np.nonzero(counts)
     weights = counts[front, rows].astype(np.float64)
+    del counts  # n_trees x n int64; the entries hold what the fit needs
     f_tree = np.arange(params.n_trees)
     n_nodes = np.ones(params.n_trees, dtype=np.int64)
     importances = np.zeros((params.n_trees, p))
@@ -579,6 +609,7 @@ def train_forest(
         front = child[front] + (vc.codes[feature[front], rows] > last_left[front])
         order = np.argsort(front, kind="stable")
         rows, weights, front = rows[order], weights[order], front[order]
+        del order  # entry-sized, like rows; not kept through the next search
         f_tree = np.repeat(st, 2)
 
     # Within a tree, nodes were made in breadth-first id order.

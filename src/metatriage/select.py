@@ -4,6 +4,13 @@ Four indices: chi-squared, information gain, gain ratio (all over
 discretized columns) and forest mean-decrease-in-node-impurity (over raw
 values). Rankings sort descending with ties broken by ascending column
 index so they are reproducible across runs.
+
+`rank_features` sorts each column once, into value codes
+(`learn._ValueCodes`). A column's counts by (code, label) give its rank
+bins (`featurize.rank_bins`) and its one bins-by-labels table, which
+`_table_scores` scores for every filter method; the ranking forest grows
+on the same codes. The per-column `score_*` functions score a table of
+given bins with the same `_table_scores`.
 """
 
 from __future__ import annotations
@@ -14,10 +21,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ContractError
-from .featurize import FeatureMatrix, bin_column
-from .learn import ForestParams, train_forest
+from .featurize import FeatureMatrix, rank_bins
+from .learn import ForestParams, _ValueCodes, train_forest
 
 METHODS = ("chi_squared", "info_gain", "gain_ratio", "mdni", "borda")
+
+
+def _table(codes: np.ndarray, labels: np.ndarray, width: int) -> np.ndarray:
+    """The (width, 2) int64 counts of each code 0..width-1 by label."""
+    return np.bincount(codes + labels * width, minlength=2 * width).reshape(2, width).T
 
 
 def _contingency(binned: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -29,25 +41,7 @@ def _contingency(binned: np.ndarray, labels: np.ndarray) -> np.ndarray:
         )
     if binned.min() < 0:
         raise ValueError("bin ids must be non-negative")
-    n_bins = int(binned.max()) + 1
-    table = np.bincount(binned * 2 + labels, minlength=n_bins * 2)
-    return table.reshape(n_bins, 2).astype(np.float64)
-
-
-def score_chi_squared(binned: np.ndarray, labels: np.ndarray) -> float:
-    """Pearson chi-squared statistic of the bins-by-labels table.
-
-    Cells with zero expected count contribute nothing; a single-bin
-    feature scores 0.
-    """
-    table = _contingency(binned, labels)
-    n = table.sum()
-    row = table.sum(axis=1, keepdims=True)
-    col = table.sum(axis=0, keepdims=True)
-    expected = row * col / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(expected > 0, (table - expected) ** 2 / expected, 0.0)
-    return float(terms.sum())
+    return _table(binned, labels, int(binned.max()) + 1).astype(np.float64)
 
 
 def _entropy_bits(counts: np.ndarray) -> float:
@@ -58,27 +52,52 @@ def _entropy_bits(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+FILTER_METHODS = ("chi_squared", "info_gain", "gain_ratio")
+
+
+def _table_scores(table: np.ndarray, methods: Sequence[str]) -> list[float]:
+    """The score of each filter method in `methods` on one bins-by-labels
+    table of float counts.
+
+    chi_squared: the Pearson statistic; cells with zero expected count
+    contribute nothing, and a single-bin table scores 0. info_gain: the
+    mutual information I(X; y) in bits, H(y) minus the bin-weighted
+    H(y | X). gain_ratio: information gain divided by the bins' own
+    entropy, 0 when that is 0.
+    """
+    scores = {}
+    if "chi_squared" in methods:
+        n = table.sum()
+        expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(expected > 0, (table - expected) ** 2 / expected, 0.0)
+        scores["chi_squared"] = float(terms.sum())
+    if "info_gain" in methods or "gain_ratio" in methods:
+        n = table.sum()
+        h_y_given_x = 0.0
+        for row in table:
+            weight = row.sum() / n
+            if weight > 0:
+                h_y_given_x += weight * _entropy_bits(row)
+        scores["info_gain"] = max(_entropy_bits(table.sum(axis=0)) - h_y_given_x, 0.0)
+        h_x = _entropy_bits(table.sum(axis=1))
+        scores["gain_ratio"] = 0.0 if h_x == 0.0 else scores["info_gain"] / h_x
+    return [scores[m] for m in methods]
+
+
+def score_chi_squared(binned: np.ndarray, labels: np.ndarray) -> float:
+    """Pearson chi-squared statistic of the bins-by-labels table."""
+    return _table_scores(_contingency(binned, labels), ["chi_squared"])[0]
+
+
 def score_information_gain(binned: np.ndarray, labels: np.ndarray) -> float:
     """Mutual information I(X; y) in bits: H(y) minus bin-weighted H(y | X)."""
-    table = _contingency(binned, labels)
-    n = table.sum()
-    h_y = _entropy_bits(table.sum(axis=0))
-    h_y_given_x = 0.0
-    for row in table:
-        weight = row.sum() / n
-        if weight > 0:
-            h_y_given_x += weight * _entropy_bits(row)
-    ig = h_y - h_y_given_x
-    return max(ig, 0.0)
+    return _table_scores(_contingency(binned, labels), ["info_gain"])[0]
 
 
 def score_gain_ratio(binned: np.ndarray, labels: np.ndarray) -> float:
     """Information gain divided by the feature's own entropy; 0 when H(X)=0."""
-    table = _contingency(binned, labels)
-    h_x = _entropy_bits(table.sum(axis=1))
-    if h_x == 0.0:
-        return 0.0
-    return score_information_gain(binned, labels) / h_x
+    return _table_scores(_contingency(binned, labels), ["gain_ratio"])[0]
 
 
 def score_mdni(forest) -> np.ndarray:
@@ -157,23 +176,24 @@ def _borda(by_method: dict[str, FeatureScore], n: int) -> np.ndarray:
 
 
 def _filter_scores(
-    matrix: FeatureMatrix, labels: np.ndarray, methods: Sequence[str], n_bins: int
+    vc: _ValueCodes, labels: np.ndarray, methods: Sequence[str], n_bins: int
 ) -> dict[str, FeatureScore]:
     """The scores of each filter method in `methods` on the rank-binned
-    columns. The bins are freed on return, before a ranking forest grows."""
-    scorers = {
-        "chi_squared": score_chi_squared,
-        "info_gain": score_information_gain,
-        "gain_ratio": score_gain_ratio,
-    }
-    filter_methods = [m for m in methods if m in scorers]
-    if not filter_methods:
-        return {}
-    binned = [bin_column(matrix.values[:, j], n_bins) for j in range(matrix.n_columns)]
-    return {
-        m: FeatureScore(m, np.array([scorers[m](b, labels) for b in binned]))
-        for m in filter_methods
-    }
+    columns of the matrix whose value codes are `vc`.
+
+    A column's counts by (value, label) come from one bincount of its
+    codes; they give its `rank_bins`, and summed over each bin's run of
+    values, its one bins-by-labels table, which every method scores.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    scores = np.empty((len(methods), len(vc.codes)))
+    for j, codes in enumerate(vc.codes):
+        distinct = vc.distinct(j)
+        by_value = _table(codes, labels, len(distinct))
+        bins = rank_bins(distinct, by_value.sum(axis=1), n_bins)
+        table = np.add.reduceat(by_value, np.flatnonzero(np.diff(bins, prepend=-1)))
+        scores[:, j] = _table_scores(table.astype(np.float64), methods)
+    return {m: FeatureScore(m, raw) for m, raw in zip(methods, scores)}
 
 
 def rank_features(
@@ -188,8 +208,8 @@ def rank_features(
 
     Filter methods (chi_squared, info_gain, gain_ratio) run on rank-binned
     columns; mdni trains a forest on the raw matrix (by default
-    `ranking_forest(13)`). "borda" aggregates whatever other methods were
-    computed.
+    `ranking_forest(13)`). Both read one set of value codes of the matrix.
+    "borda" aggregates whatever other methods were computed.
     """
     labels = np.asarray(labels)
     if matrix.n_rows != len(labels):
@@ -207,10 +227,12 @@ def rank_features(
     if ranking_method != "borda" and ranking_method not in methods:
         methods = tuple(methods) + (ranking_method,)
 
-    by_method = _filter_scores(matrix, labels, methods, n_bins)
+    filters = [m for m in methods if m in FILTER_METHODS]
+    vc = _ValueCodes.of(matrix.values)
+    by_method = _filter_scores(vc, labels, filters, n_bins) if filters else {}
     if "mdni" in methods:
         params = forest_params if forest_params is not None else ranking_forest(13)
-        forest = train_forest(matrix, labels, params)
+        forest = train_forest(matrix, labels, params, codes=vc)
         by_method["mdni"] = FeatureScore("mdni", score_mdni(forest))
 
     if ranking_method == "borda":

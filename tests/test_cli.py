@@ -301,6 +301,31 @@ class TestCv:
         ]) == 0
         assert "warning: 1 malformed records skipped" in capsys.readouterr().err
 
+    def test_integer_past_float64_is_a_skipped_record(self, corpus_path, work, capsys):
+        # 10**400 has no float64 value; featurizing it raised OverflowError.
+        lines = corpus_path.read_text().splitlines()[:400]
+        lines[7] = re.sub(r'"size_bytes":\d+', f'"size_bytes":{10**400}', lines[7])
+        path = work / "huge-size.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        out = work / "huge-size-features.csv"
+        assert main([
+            "featurize", "--corpus", str(path), "--threshold", "1", "--out", str(out),
+        ]) == 0
+        assert "warning: 1 malformed records skipped" in capsys.readouterr().err
+
+    def test_integers_past_float64_count_against_the_error_budget(
+        self, corpus_path, work, capsys
+    ):
+        # 10**308 fits a float64 but overflows when standardized; 300 such
+        # records pass the 100-record budget and the load fails.
+        lines = corpus_path.read_text().splitlines()
+        lines[::2] = [re.sub(r'"size_bytes":\d+', f'"size_bytes":{10**308}', line)
+                      for line in lines[::2]]
+        path = work / "huge-sizes.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["cv", "--corpus", str(path), "--model", "logistic", "--k", "3"]) == 2
+        assert "more than 100 malformed records" in capsys.readouterr().err
+
     def test_single_class_corpus_is_a_data_error(self, goodware_path, capsys):
         code = main(["cv", "--corpus", str(goodware_path), "--k", "2"])
         assert code == 2

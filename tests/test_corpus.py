@@ -5,11 +5,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import metatriage.corpus
 from metatriage.corpus import (
     AMBIGUOUS,
     FIELD_ORDER,
     GOODWARE,
     MALWARE,
+    MAX_INT,
     AppRecord,
     CompositionRecipe,
     DetectionCountModel,
@@ -130,6 +132,10 @@ class TestParseFastPath:
         (_with(num_files=-2), None, ["num_files must be a non-negative integer, got -2"], []),
         (_with(star_votes=[1, -1, 0, 0, 0]), None,
          ["star_votes[1] must be a non-negative integer, got -1"], []),
+        (_with(size_bytes=MAX_INT + 1), None,
+         ["size_bytes must be at most 2**53 - 1, got 9007199254740992"], []),
+        (_with(star_votes=[1, 10**400, 0, 0, 0]), None,
+         [f"star_votes[1] must be at most 2**53 - 1, got {10**400}"], []),
         (_with(star_votes=[1, 2, 3, 4]), None, ["star_votes must have 5 entries, got 4"], []),
         (_with(star_votes=[1.0, 0, 2, 3, 10]), make_record(), [], []),
         (_with(app_id=42), make_record(app_id="42"), [], []),
@@ -139,7 +145,8 @@ class TestParseFastPath:
          [], []),
         (_with(mystery=1), make_record(), [], ["mystery"]),
         (_without("size_bytes"), None, ["missing fields: size_bytes"], []),
-    ], ids=["bool", "integral-float", "negative", "negative-vote", "four-votes", "float-vote",
+    ], ids=["bool", "integral-float", "negative", "negative-vote", "past-2**53",
+            "huge-vote", "four-votes", "float-vote",
             "numeric-id", "empty-id", "permission-string", "numeric-permission", "unknown-field",
             "missing-field"])
     def test_other_mappings_are_converted(self, obj, record, problems, unknown):
@@ -148,6 +155,14 @@ class TestParseFastPath:
         got = record_from_dict(obj)[0]
         if got is not None:
             assert type(got.size_bytes) is int
+
+    def test_largest_exact_integer_is_a_valid_count(self):
+        d = _with(size_bytes=MAX_INT, star_votes=[MAX_INT, 0, 0, 0, 0])
+        record = make_record(size_bytes=MAX_INT, star_votes=(MAX_INT, 0, 0, 0, 0))
+        assert _exact_record(d) == record
+        assert _converted_record(d) == (record, [], [])
+        # float64 holds MAX_INT exactly, but not every integer above it.
+        assert int(float(MAX_INT)) == MAX_INT and float(MAX_INT + 2) == float(MAX_INT + 1)
 
     def test_issues_and_counts_match_conversion(self):
         lines = [
@@ -169,6 +184,82 @@ class TestParseFastPath:
         assert result.unknown_fields == Counter({"mystery": 1})
         with pytest.raises(DuplicateAppIdError):
             parse_records(json.dumps(lines[0]) + "\n" + json.dumps(lines[0]) + "\n")
+
+
+class TestLineDecoder:
+    """`parse_records` decodes a line with the scanner under `json.loads`
+    and falls back to `json.loads` itself when the scan fails or stops
+    short; records, issues and their messages must be those of `json.loads`
+    alone."""
+
+    GOOD = json.dumps(record_to_dict(make_record(app_id="good")))
+
+    def parse_both(self, monkeypatch, text, max_errors=100):
+        def no_scan(line, index):
+            raise StopIteration(index)
+
+        results = []
+        for scanner in (metatriage.corpus._scan_json, no_scan):
+            monkeypatch.setattr(metatriage.corpus, "_scan_json", scanner)
+            try:
+                results.append(parse_records(text, max_errors=max_errors))
+            except ParseError as exc:
+                results.append(str(exc))
+        return results
+
+    @pytest.mark.parametrize("line", [
+        "\ufeff" + GOOD,  # a byte-order mark
+        GOOD + " x",  # trailing data
+        GOOD + GOOD,  # two objects on one line
+        json.dumps(_with(app_id="bad", size_bytes=float("nan"))),
+        json.dumps(_with(app_id="bad", size_bytes=float("inf"))),
+        json.dumps(_with(app_id="bad", star_votes=[0, float("-inf"), 0, 0, 0])),
+        GOOD[:-1] + ', 5: 1}',  # a key that is not a string
+        GOOD[:-1] + ', "extra": }',
+        '{"app_id": ',
+        "[1, 2]",
+        '"text"',
+        "5",
+        "null",
+    ], ids=["bom", "trailing", "two-objects", "nan", "infinity", "minus-infinity-vote", "bad-key",
+            "missing-value", "truncated", "array", "string", "number", "null"])
+    def test_issues_match_json_loads(self, monkeypatch, line):
+        text = f"{self.GOOD}\n  {line}  \n"
+        fast, slow = self.parse_both(monkeypatch, text)
+        assert fast.records == slow.records
+        assert [r.app_id for r in fast.records] == ["good"]
+        assert fast.issues == slow.issues and len(fast.issues) == 1
+        assert fast.issues[0].line == 2
+        assert fast.unknown_fields == slow.unknown_fields
+
+    def test_nan_is_not_an_integer(self, monkeypatch):
+        line = json.dumps(_with(size_bytes=float("nan")))
+        assert '"size_bytes": NaN' in line
+        fast, _ = self.parse_both(monkeypatch, line + "\n")
+        assert [i.message for i in fast.issues] == ["size_bytes is not an integer: nan"]
+
+    def test_bad_key_message(self, monkeypatch):
+        fast, _ = self.parse_both(monkeypatch, self.GOOD[:-1] + ', 5: 1}\n')
+        assert fast.issues[0].message.startswith(
+            "invalid JSON: Expecting property name enclosed in double quotes"
+        )
+
+    def test_integer_past_the_digit_limit_is_a_skipped_record(self, monkeypatch):
+        line = self.GOOD.replace('"size_bytes": 1000', '"size_bytes": ' + "1" * 5000)
+        assert line != self.GOOD
+        fast, slow = self.parse_both(monkeypatch, f"{line}\n{self.GOOD}\n")
+        assert fast.issues == slow.issues and len(fast.issues) == 1
+        assert fast.issues[0].line == 1
+        assert fast.issues[0].message.startswith("invalid JSON: ")
+        assert "4300" in fast.issues[0].message
+        assert [r.app_id for r in fast.records] == ["good"]
+
+    def test_error_budget_matches_json_loads(self, monkeypatch):
+        lines = [self.GOOD, self.GOOD + " x", "[1]", "\ufeff{}", "{bad", "7", "{}"]
+        fast, slow = self.parse_both(monkeypatch, "\n".join(lines) + "\n", max_errors=4)
+        assert fast == slow == "more than 4 malformed records; last at line 6"
+        fast, slow = self.parse_both(monkeypatch, "\n".join(lines) + "\n", max_errors=6)
+        assert fast.issues == slow.issues and len(fast.issues) == 6
 
 
 class TestCanonicalLines:

@@ -18,6 +18,7 @@ from metatriage.featurize import (
     feature_names,
     gather_features,
     hash_column_names,
+    rank_bins,
     reputation_block,
     standardize_fit_apply,
     static_feature_block,
@@ -363,6 +364,46 @@ class TestBinning:
     def test_n_bins_validation(self):
         with pytest.raises(ValueError):
             bin_column(np.zeros(5), n_bins=1)
+        with pytest.raises(ValueError):
+            rank_bins(np.zeros(1), np.array([5]), n_bins=1)
+
+    @pytest.mark.parametrize("n_bins", range(2, 21))
+    def test_matches_quantile_edges_exactly(self, n_bins):
+        for values in oracle_columns(300):
+            assert np.array_equal(bin_column(values, n_bins), quantile_bins(values, n_bins))
+
+    def test_value_counts_give_the_bins_of_the_values(self):
+        for values in oracle_columns(300):
+            distinct, codes, counts = np.unique(values, return_inverse=True, return_counts=True)
+            bins = rank_bins(distinct, counts, 7)
+            assert bins.dtype == np.int64
+            assert np.array_equal(bins[codes], quantile_bins(values, 7))
+
+
+def quantile_bins(values, n_bins):
+    """Equal-frequency bins from `np.quantile` edges: a value's bin is the
+    number of edges below it, renumbered 0.. over the bins present."""
+    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+    ids = np.searchsorted(np.unique(np.quantile(values, qs)), values, side="left")
+    present = np.unique(ids)
+    remap = np.zeros(int(present.max()) + 1, dtype=np.int64)
+    remap[present] = np.arange(len(present))
+    return remap[ids]
+
+
+def oracle_columns(n, seed=8):
+    """Columns of `n` values that stress the binning rule's edge cases."""
+    rng = np.random.default_rng(seed)
+    return [
+        np.full(n, 7.0),  # constant
+        rng.permutation(np.arange(n, dtype=np.float64)) / 7.0,  # all distinct
+        rng.choice([0.0, 1.0, 2.0], n, p=[0.9, 0.07, 0.03]),  # heavily tied
+        rng.choice([0.0, -0.0, 1.0, -1.0], n),  # 0.0 and -0.0 are equal
+        1e300 * (1.0 + rng.integers(0, 40, n) * 1e-15),  # near 1e300
+        -1e300 * (1.0 + rng.integers(0, 3, n) * 1e-16),
+        rng.normal(size=n).round(1),
+        rng.lognormal(10, 3, n).round(),
+    ]
 
 
 class TestStandardize:

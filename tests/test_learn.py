@@ -425,6 +425,19 @@ class TestTrees:
         assert_same_trees(big.trees, tiny.trees)
         assert np.array_equal(big.importances, tiny.importances)
 
+    def test_given_value_codes_change_nothing(self):
+        X, y = mixed_columns()
+        params = ForestParams(n_trees=6, seed=5)
+        plain = train_forest(X, y, params)
+        given = train_forest(X, y, params, codes=_ValueCodes.of(X.values))
+        assert_same_trees(plain.trees, given.trees)
+        assert np.array_equal(plain.importances, given.importances)
+
+    def test_value_codes_of_another_matrix_rejected(self):
+        X, y = mixed_columns()
+        with pytest.raises(ContractError, match="value codes"):
+            train_forest(X, y, ForestParams(n_trees=1), codes=_ValueCodes.of(X.values[:, :4]))
+
     def test_mtry_exceeding_feature_count_rejected(self):
         X, y = two_clusters(n=20)
         with pytest.raises(ContractError):
@@ -436,6 +449,43 @@ class TestTrees:
         assert model.importances.shape == (2,)
         assert (model.importances >= 0).all()
         assert model.importances.sum() > 0
+
+
+class TestValueCodes:
+    def columns(self, n, seed=0):
+        rng = np.random.default_rng(seed)
+        return np.column_stack([
+            rng.permutation(n).astype(np.float64),  # all distinct: codes reach n - 1
+            rng.integers(0, 3, n).astype(np.float64),
+            rng.normal(size=n).round(2),
+            rng.choice([0.0, -0.0, 2.5], n),
+        ])
+
+    def assert_ranks(self, vc, A):
+        for j in range(A.shape[1]):
+            distinct, inverse = np.unique(A[:, j], return_inverse=True)
+            assert np.array_equal(vc.distinct(j), distinct)
+            assert np.array_equal(vc.codes[j], inverse)
+        widths = [len(np.unique(col)) for col in A.T]
+        assert vc.offsets.tolist() == np.cumsum([0] + widths).tolist()
+
+    @pytest.mark.parametrize("n,dtype", [(32767, np.int16), (32768, np.int32)])
+    def test_codes_are_ranks_in_the_narrowest_type(self, n, dtype):
+        A = self.columns(n)
+        vc = _ValueCodes.of(A)
+        assert vc.codes.dtype == dtype
+        self.assert_ranks(vc, A)
+
+    def test_block_size_changes_nothing(self, monkeypatch):
+        A = np.hstack([self.columns(200, seed) for seed in range(5)])
+        monkeypatch.setattr(metatriage.learn, "_CODE_BLOCK", 1)
+        self.assert_ranks(_ValueCodes.of(A), A)
+
+    def test_empty_matrices(self):
+        for shape in [(0, 3), (5, 0)]:
+            vc = _ValueCodes.of(np.zeros(shape))
+            assert vc.codes.shape == shape[::-1]
+            assert vc.offsets.tolist() == [0] * (shape[1] + 1)
 
 
 class TestStandardizedOperator:

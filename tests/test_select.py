@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import metatriage.learn
 from metatriage.errors import ContractError
-from metatriage.featurize import FeatureMatrix
-from metatriage.learn import ForestParams, train_forest
+from metatriage.featurize import FeatureMatrix, bin_column, rank_bins
+from metatriage.learn import ForestParams, _ValueCodes, train_forest
 from metatriage.select import (
     FeatureScore,
     RankedFeatures,
@@ -20,6 +22,8 @@ from metatriage.select import (
     score_information_gain,
     score_mdni,
 )
+
+from test_featurize import oracle_columns, quantile_bins
 
 
 # ---------------------------------------------------------------------------
@@ -341,3 +345,68 @@ class TestRanking:
         assert lines[0] == "rank,column,method,raw,normalized"
         assert lines[1].startswith("1,x0,info_gain,")
         assert len(lines) == 1 + matrix.n_columns
+
+
+class TestSharedColumnPass:
+    """`rank_features` bins and scores each column from its value codes, in
+    one pass; every score must equal the per-column scorer on its bins."""
+
+    SCORERS = {
+        "chi_squared": score_chi_squared,
+        "info_gain": score_information_gain,
+        "gain_ratio": score_gain_ratio,
+    }
+
+    def matrix(self, n=300):
+        values = np.column_stack(oracle_columns(n))
+        labels = np.random.default_rng(4).integers(0, 2, n)
+        labels[values[:, 2] > 0] = 1  # the tied column carries some signal
+        return FeatureMatrix(tuple(f"c{j}" for j in range(values.shape[1])), values), labels
+
+    @pytest.mark.parametrize("n_bins", range(2, 21))
+    def test_bins_from_codes_match_quantile_bins(self, n_bins):
+        matrix, _ = self.matrix()
+        vc = _ValueCodes.of(matrix.values)
+        for j, codes in enumerate(vc.codes):
+            counts = np.bincount(codes, minlength=len(vc.distinct(j)))
+            bins = rank_bins(vc.distinct(j), counts, n_bins)[codes]
+            assert np.array_equal(bins, quantile_bins(matrix.values[:, j], n_bins))
+
+    @pytest.mark.parametrize("n_bins", [2, 3, 10, 20])
+    def test_scores_equal_the_per_column_scorers_exactly(self, n_bins):
+        matrix, labels = self.matrix()
+        ranked = rank_features(
+            matrix, labels, "borda", n_bins=n_bins,
+            forest_params=ForestParams(n_trees=2, max_depth=2, seed=0),
+        )
+        for method, scorer in self.SCORERS.items():
+            want = [scorer(bin_column(col, n_bins), labels) for col in matrix.values.T]
+            assert ranked.by_method[method].raw.tolist() == want
+            alone = rank_features(matrix, labels, method, n_bins=n_bins)
+            assert alone.by_method[method].raw.tolist() == want
+
+    def test_peak_memory_stays_under_the_matrix_size(self, monkeypatch):
+        # Every column's int64 bins held at once would alone take as much
+        # memory as the matrix. The pass holds int16 value codes (a quarter
+        # of it) and one block of sorted columns: its traced peak is about
+        # 0.77 of the matrix, so the bound leaves a margin of about 0.23.
+        monkeypatch.setattr(metatriage.learn, "_SEARCH_CHUNK", 4096)
+        rng = np.random.default_rng(0)
+        n, p = 20000, 48
+        values = rng.normal(size=(n, p)).round(2)
+        values[:, ::3] = rng.integers(0, 3, size=(n, p // 3))
+        labels = (values[:, 0] + rng.normal(size=n) > 1).astype(np.int64)
+        matrix = FeatureMatrix(tuple(f"c{j}" for j in range(p)), values)
+        params = ForestParams(n_trees=3, max_depth=4, min_leaf=20, seed=1)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rank_features(matrix, labels, "borda", forest_params=params)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < values.nbytes
