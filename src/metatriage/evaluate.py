@@ -24,6 +24,7 @@ from .featurize import (
     FeatureMatrix,
     HashConfig,
     ReputationTable,
+    StaticBlock,
     build_reputation_table,
     feature_names,
     gather_features,
@@ -357,15 +358,15 @@ class PreparedFold:
 @dataclass
 class FoldPlan:
     """What model kinds and rank windows share: the split, the static block
-    and each fold's fitted parts. It holds no feature matrices; `evaluate`
-    gathers one fold's at a time."""
+    (its hash part sparse) and each fold's fitted parts. It holds no feature
+    matrices; `evaluate` gathers one fold's at a time, as its entries."""
 
     dataset: LabeledDataset
     labels: np.ndarray
     k: int
     seed: int
     config: PipelineConfig
-    static_block: np.ndarray
+    static_block: StaticBlock
     folds: list[PreparedFold]
     flags: list[str]
 
@@ -443,8 +444,10 @@ def evaluate(
     """Fit, score and measure `model_kind` on every fold of `plan`, on the
     1-based (start, width) rank `window` of each fold's order (see
     `rank_window`), or on every column when folds have no order. Each
-    fold's train and test matrices are one gather of those columns; the
-    linear models standardize them inside their fits. Degenerate folds are
+    fold's train and test matrices are one gather of those columns, held as
+    their nonzero entries; the linear models standardize them inside their
+    fits, and the fit and the scoring of the training rows read the same
+    entries. Degenerate folds are
     flagged and left out, and a linear fit that did not converge is
     flagged but kept."""
     config = plan.config

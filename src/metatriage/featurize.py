@@ -3,8 +3,18 @@ entity-reputation encoding.
 
 The row layout is fixed: hash buckets f0..f{H-1}, then 15 intrinsic columns,
 then 7 social columns, then developer_rep and issuer_rep. Reputation columns
-are the only ones that depend on labels, so the rest of the block can be
-computed once per dataset and reused across folds.
+are the only ones that depend on labels, so the rest, the static block, is
+computed once per dataset (`static_feature_block`) and gathered per fold
+(`gather_features`).
+
+The static block keeps its hash part sparse, as compressed sparse rows: each
+record's nonzero buckets, increasing, with their permission counts. The 22
+intrinsic and social columns sit beside it as one dense array. A gathered
+`FeatureMatrix` holds its nonzero entries in row-major order and makes its
+dense `values` only when they are first read, by the forest or ranking; the
+linear models read the entries alone. `assemble_features`, behind the CLI's
+whole-corpus matrix, writes the same block into one dense matrix, so there
+is one hashing path.
 """
 
 from __future__ import annotations
@@ -158,40 +168,70 @@ def build_reputation_table(
 # ---------------------------------------------------------------------------
 
 
-def _count_permissions(out: np.ndarray, records: Sequence[AppRecord], config: HashConfig):
-    """Add each record's permission counts to the first `config.n_buckets`
-    columns of its row of the C-contiguous `out`; colliding permissions add
-    up. Each distinct permission is hashed once."""
+def _hash_rows(
+    records: Sequence[AppRecord], config: HashConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each record's permission counts per bucket as compressed sparse rows
+    (indptr, buckets, counts), buckets increasing within a row; colliding
+    permissions add up. Each distinct permission is hashed once."""
     permission_sets = [r.permissions for r in records]
     distinct = set().union(*permission_sets)
     bucket = {p: _hash64(p, config.seed) % config.n_buckets for p in distinct}
     tokens = chain.from_iterable(permission_sets)
-    index = np.repeat(np.arange(len(records)), list(map(len, permission_sets)))
-    index *= out.shape[1]  # flat position of each record's row ...
-    index += np.fromiter(map(bucket.__getitem__, tokens), np.intp, len(index))  # ... and bucket
-    np.add.at(out.reshape(-1), index, 1.0)
+    # One key per (record, bucket) pair, ordered as the row-major layout.
+    key = np.repeat(np.arange(len(records), dtype=np.int64), list(map(len, permission_sets)))
+    key *= config.n_buckets
+    key += np.fromiter(map(bucket.__getitem__, tokens), np.int64, len(key))
+    key, counts = np.unique(key, return_counts=True)
+    rows, buckets = np.divmod(key, config.n_buckets)
+    indptr = np.zeros(len(records) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(records)), out=indptr[1:])
+    return indptr, buckets, counts.astype(np.float64)
+
+
+@dataclass(frozen=True)
+class StaticBlock:
+    """The label-free columns of n records: `static_feature_block`'s result.
+
+    The hash part is compressed sparse rows: record i's nonzero buckets are
+    `buckets[indptr[i]:indptr[i + 1]]`, increasing, and `counts` holds their
+    permission counts at the same positions. `dense` holds the intrinsic and
+    social columns, one row per record.
+    """
+
+    n_buckets: int
+    indptr: np.ndarray
+    buckets: np.ndarray
+    counts: np.ndarray
+    dense: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.dense), self.n_buckets + self.dense.shape[1]
+
+    def write_into(self, out: np.ndarray) -> None:
+        """Write the block into the leading columns of the zeroed `out`."""
+        rows = np.repeat(np.arange(len(self.dense)), np.diff(self.indptr))
+        out[rows, self.buckets] = self.counts
+        out[:, self.n_buckets : self.shape[1]] = self.dense
 
 
 def static_feature_block(
     records: Sequence[AppRecord], hash_config: HashConfig
-) -> np.ndarray:
+) -> StaticBlock:
     """Label-free columns: hash buckets + intrinsic + social.
 
-    Safe to compute once per dataset and slice per fold.
+    Safe to compute once per dataset and gather per fold.
     """
-    width = hash_config.n_buckets + len(INTRINSIC_COLUMNS) + len(SOCIAL_COLUMNS)
-    out = np.zeros((len(records), width))
-    _fill_static(out, records, hash_config)
-    return out
+    dense = np.zeros((len(records), len(INTRINSIC_COLUMNS) + len(SOCIAL_COLUMNS)))
+    _fill_dense(dense, records)
+    return StaticBlock(hash_config.n_buckets, *_hash_rows(records, hash_config), dense)
 
 
-def _fill_static(out: np.ndarray, records: Sequence[AppRecord], hash_config: HashConfig):
-    """Write the static block into the leading columns of the zeroed,
-    C-contiguous `out`, one row per record; the columns past them are left
-    as they are."""
-    h = hash_config.n_buckets
-    _count_permissions(out, records, hash_config)
-    column = dict(zip(INTRINSIC_COLUMNS + SOCIAL_COLUMNS, out[:, h:].T))  # views into `out`
+def _fill_dense(out: np.ndarray, records: Sequence[AppRecord]):
+    """Write the intrinsic and social columns into the zeroed `out`, one
+    row per record."""
+    column = dict(zip(INTRINSIC_COLUMNS + SOCIAL_COLUMNS, out.T))  # views into `out`
     for name in INTRINSIC_COLUMNS[:10]:  # the record fields of the same name
         column[name][:] = list(map(attrgetter(name), records))
     names = [r.package_name for r in records]
@@ -226,35 +266,69 @@ def reputation_block(
     return out
 
 
-@dataclass
 class FeatureMatrix:
-    """A named, validated float matrix; the unit every model consumes."""
+    """A named, validated float matrix; the unit every model consumes.
 
-    column_names: tuple[str, ...]
-    values: np.ndarray
+    It is made from a dense array, or by `from_entries` from its nonzero
+    entries in row-major order. Either form is derived from the other when
+    first read, then kept: `values` for the forest, ranking and the CSV
+    export, `entries` for the linear models. Neither may be written to.
+    """
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ContractError(f"feature matrix must be 2-D, got {self.values.ndim}-D")
-        if self.values.shape[1] != len(self.column_names):
-            raise ContractError(
-                f"{self.values.shape[1]} columns but {len(self.column_names)} names"
-            )
+    def __init__(self, column_names: Sequence[str], values: np.ndarray):
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2:
+            raise ContractError(f"feature matrix must be 2-D, got {values.ndim}-D")
+        self._values, self._entries = values, None
+        self._validate(column_names, values.shape, values)
+
+    @classmethod
+    def from_entries(
+        cls, column_names: Sequence[str], n_rows: int,
+        rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+    ) -> "FeatureMatrix":
+        """The n_rows x len(column_names) matrix that is `vals[i]` at
+        (`rows[i]`, `cols[i]`) and 0 elsewhere. The entries must be the
+        matrix's nonzeros, each once, in row-major order."""
+        matrix = cls.__new__(cls)
+        vals = np.asarray(vals, dtype=np.float64)
+        matrix._values, matrix._entries = None, (rows, cols, vals)
+        matrix._validate(column_names, (n_rows, len(column_names)), vals)
+        return matrix
+
+    def _validate(self, column_names: Sequence[str], shape: tuple[int, int], values: np.ndarray):
+        """Set the names and shape, after checking them and that `values`,
+        the matrix's values or its nonzeros, are finite."""
+        self.column_names = tuple(column_names)
+        self.n_rows, self.n_columns = shape
+        if self.n_columns != len(self.column_names):
+            raise ContractError(f"{self.n_columns} columns but {len(self.column_names)} names")
         if len(set(self.column_names)) != len(self.column_names):
             raise ContractError("duplicate column names")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ContractError("feature matrix contains NaN or infinite values")
 
     @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
+    def values(self) -> np.ndarray:
+        """The dense n_rows x n_columns array."""
+        if self._values is None:
+            rows, cols, vals = self._entries
+            self._values = np.zeros((self.n_rows, self.n_columns))
+            self._values[rows, cols] = vals
+        return self._values
 
     @property
-    def n_columns(self) -> int:
-        return self.values.shape[1]
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of every nonzero entry, in row-major order."""
+        if self._entries is None:
+            # flatnonzero of a mask is about ten times faster than np.nonzero.
+            flat = np.flatnonzero(self._values != 0.0)
+            rows, cols = np.divmod(flat, max(self.n_columns, 1))
+            self._entries = (rows, cols, self._values[rows, cols])
+        return self._entries
 
 
+@lru_cache(maxsize=32)
 def feature_names(hash_config: HashConfig) -> tuple[str, ...]:
     return (
         hash_column_names(hash_config)
@@ -264,32 +338,37 @@ def feature_names(hash_config: HashConfig) -> tuple[str, ...]:
     )
 
 
+@lru_cache(maxsize=32)
+def _column_positions(hash_config: HashConfig) -> dict[str, int]:
+    """Each `feature_names(hash_config)` name's position; shared, so read only."""
+    return {name: j for j, name in enumerate(feature_names(hash_config))}
+
+
 def assemble_features(
     records: Sequence[AppRecord],
     hash_config: HashConfig,
     table: ReputationTable,
-    static_block: Optional[np.ndarray] = None,
+    static_block: Optional[StaticBlock] = None,
 ) -> FeatureMatrix:
-    """Full row layout: [hash | intrinsic | social | reputation].
+    """Full row layout: [hash | intrinsic | social | reputation], as one
+    dense matrix that the static block is written into.
 
     Pass a precomputed `static_block` (from `static_feature_block` on the
     same records, in the same order) to skip rehashing; only the two
-    reputation columns are recomputed. Either way the matrix is the one
-    array the columns are written into.
+    reputation columns are recomputed.
     """
     names = feature_names(hash_config)
     width = len(names) - len(REPUTATION_COLUMNS)
-    if static_block is not None and static_block.shape != (len(records), width):
+    if static_block is None:
+        static_block = static_feature_block(records, hash_config)
+    elif static_block.shape != (len(records), width):
         raise ContractError(
             f"static block shape {static_block.shape} does not match "
             f"{len(records)} records x {width} columns"
         )
-    if static_block is None:
-        values = np.zeros((len(records), len(names)))
-        _fill_static(values, records, hash_config)
-    else:
-        values = np.empty((len(records), len(names)))
-        values[:, :width] = static_block
+    values = np.zeros((len(records), len(names)))
+    static_block.write_into(values)
+    del static_block  # one built here is freed before the matrix is validated
     values[:, width:] = reputation_block(records, table)
     return FeatureMatrix(names, values)
 
@@ -298,28 +377,52 @@ def gather_features(
     records: Sequence[AppRecord],
     hash_config: HashConfig,
     table: ReputationTable,
-    static_block: np.ndarray,
+    static_block: StaticBlock,
     rows: np.ndarray,
     columns: Sequence[str],
 ) -> FeatureMatrix:
-    """The matrix of `records[rows]` over `columns`, in their order, by one
-    gather from `static_block` (of all `records`) and `table`'s reputation
-    columns, which are computed only when asked for. Names are those of
-    `feature_names(hash_config)`; an unknown one raises KeyError."""
-    names = feature_names(hash_config)
-    position = {name: j for j, name in enumerate(names)}
+    """The matrix of `records[rows]` over `columns`, in their order, as its
+    nonzero entries. Hash columns come from `static_block`'s (of all
+    `records`) sparse rows, the others from one gather of its dense columns
+    and of `table`'s reputation columns, which are computed only when asked
+    for. Names are those of `feature_names(hash_config)`; an unknown one
+    raises KeyError."""
+    position = _column_positions(hash_config)
     try:
         idx = np.array([position[name] for name in columns], dtype=np.intp)
     except KeyError as exc:
         raise KeyError(f"no such column: {exc.args[0]}") from None
-    width = len(names) - len(REPUTATION_COLUMNS)
-    # Reputation columns gather the last static column, then are overwritten.
-    values = static_block.take(rows, axis=0).take(np.minimum(idx, width - 1), axis=1)
-    reputation = idx >= width
-    if reputation.any():
-        block = reputation_block([records[i] for i in rows], table)
-        values[:, reputation] = block[:, idx[reputation] - width]
-    return FeatureMatrix(tuple(columns), values)
+    rows = np.asarray(rows, dtype=np.intp)
+    h, p = hash_config.n_buckets, max(len(idx), 1)
+    # Hash columns: the entries of the rows' sparse rows whose bucket is asked for.
+    hashed = idx < h
+    out_column = np.full(h, -1, dtype=np.intp)
+    out_column[idx[hashed]] = np.flatnonzero(hashed)
+    start = static_block.indptr[rows]
+    sizes = static_block.indptr[rows + 1] - start
+    at = np.repeat(start - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+    cols = out_column[static_block.buckets[at]]
+    keep = cols >= 0
+    key = [np.repeat(np.arange(len(rows)) * p, sizes)[keep] + cols[keep]]
+    vals = [static_block.counts[at[keep]]]
+    # The other columns: one dense gather, then its nonzeros.
+    other = np.flatnonzero(~hashed)
+    if len(other):
+        static = idx[other] - h
+        n_static = static_block.dense.shape[1]
+        # Reputation columns gather the last static column, then are overwritten.
+        part = static_block.dense.take(rows, axis=0).take(np.minimum(static, n_static - 1), axis=1)
+        reputation = static >= n_static
+        if reputation.any():
+            block = reputation_block([records[i] for i in rows], table)
+            part[:, reputation] = block[:, static[reputation] - n_static]
+        at_row, at_col = np.divmod(np.flatnonzero(part != 0.0), len(other))
+        key.append(at_row * p + other[at_col])
+        vals.append(part[at_row, at_col])
+    key, vals = np.concatenate(key), np.concatenate(vals)
+    order = np.argsort(key, kind="stable")  # merges the two row-major parts
+    entry_rows, entry_cols = np.divmod(key[order], p)
+    return FeatureMatrix.from_entries(columns, len(rows), entry_rows, entry_cols, vals[order])
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ logistic, real margins for the SVM, mean leaf fractions for the forest.
 
 The linear fits own their standardization: they minimize the objective
 over the training columns centered and scaled by their training mean and
-standard deviation, without making that matrix. `_Standardized` holds the
-columns with more than half of their rows nonzero as an explicitly
-standardized block and the rest as their nonzeros, and the solver asks it
-only for A @ v, A.T @ u and the row count. The fitted weights are mapped
+standard deviation, without making that matrix. They read only the nonzero
+entries that a `FeatureMatrix` holds in row-major order, never its dense
+`values`. The statistics come from those entries a bounded block of columns
+at a time, with numpy's bits (`_column_stats`). `_Standardized` is built
+from the same entries: the columns with more than half of their rows
+nonzero become an explicitly standardized block and the rest stay as their
+nonzeros, and the solver asks it only for A @ v, A.T @ u and the row count. The fitted weights are mapped
 back to raw units, with the bias taken at the training mean, so a
 `LinearModel` scores raw columns through the same operator.
 
@@ -110,8 +113,9 @@ def _check_training_inputs(X: FeatureMatrix, y: np.ndarray) -> np.ndarray:
 
 
 class _Standardized:
-    """The matrix (values - mean) / scale as a linear operator that, like
-    an ndarray, answers `A @ v`, `A.T @ u` and `len(A)`.
+    """The matrix (X - mean) / scale as a linear operator that, like an
+    ndarray, answers `A @ v`, `A.T @ u` and `len(A)`. It is built from the
+    nonzero entries of `X` alone and never reads a dense `X.values`.
 
     Columns with more than half of their rows nonzero are standardized
     into one dense block. The other columns keep only their nonzeros, and
@@ -120,15 +124,20 @@ class _Standardized:
     of the explicitly standardized matrix, summed in another order.
     """
 
-    def __init__(self, values: np.ndarray, mean: np.ndarray, scale: np.ndarray):
-        self._n_rows, n_cols = values.shape
-        # flatnonzero of a mask is about ten times faster than np.nonzero.
-        rows, cols = np.divmod(np.flatnonzero(values != 0.0), n_cols)
-        self._dense = np.bincount(cols, minlength=n_cols) * 2 > self._n_rows
-        self._block = (values[:, self._dense] - mean[self._dense]) / scale[self._dense]
-        sparse = ~self._dense[cols]
-        self._rows, self._cols = rows[sparse], cols[sparse]
-        self._values = values[self._rows, self._cols]
+    def __init__(self, X: FeatureMatrix, mean: np.ndarray, scale: np.ndarray):
+        rows, cols, values = X.entries
+        self._n_rows = X.n_rows
+        self._dense = np.bincount(cols, minlength=X.n_columns) * 2 > self._n_rows
+        in_block = self._dense[cols]
+        # Column-major, like the column gather `values[:, dense]`: BLAS
+        # rounds the products differently for each layout.
+        self._block = np.zeros((self._n_rows, np.count_nonzero(self._dense)), order="F")
+        at = np.cumsum(self._dense) - 1  # each dense column's place in the block
+        self._block[rows[in_block], at[cols[in_block]]] = values[in_block]
+        self._block -= mean[self._dense]
+        self._block /= scale[self._dense]
+        sparse = ~in_block
+        self._rows, self._cols, self._values = rows[sparse], cols[sparse], values[sparse]
         self._mean = np.where(self._dense, 0.0, mean)  # the sparse columns' means
         self._scale = scale
 
@@ -200,6 +209,36 @@ class LinearModel:
 
 # Newton steps before a linear fit gives up short of its tolerance.
 _MAX_NEWTON_STEPS = 100
+# Columns are densified for their statistics in blocks of about this many values.
+_STATS_BLOCK = 1 << 16
+
+
+def _column_stats(X: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's mean and standard deviation, to the bit as numpy gives
+    them for a C-ordered `X.values`, from the entries of `X`.
+
+    numpy sums each column of a C-ordered matrix down its rows in order,
+    but the column of a one-column matrix pairwise, and a sum of squared
+    deviations over the nonzeros alone would round differently. So the
+    columns with nonzeros are densified a bounded block at a time, each
+    block at least two columns wide when `X` is, and numpy gives each
+    block's statistics; an all-zero column's are 0.
+    """
+    n, p = X.n_rows, X.n_columns
+    rows, cols, values = X.entries
+    order = np.argsort(cols, kind="stable")  # by column, rows still in order
+    rows, cols, values = rows[order], cols[order], values[order]
+    present = np.unique(cols)
+    mean, std = np.zeros(p), np.zeros(p)
+    width = max(1, _STATS_BLOCK // max(n, 1))
+    for lo in range(0, len(present), width):
+        sel = present[lo : lo + width]
+        a, b = np.searchsorted(cols, [sel[0], sel[-1] + 1])
+        block = np.zeros((n, max(len(sel), min(p, 2))))
+        block[rows[a:b], np.searchsorted(sel, cols[a:b])] = values[a:b]
+        mean[sel] = block.mean(axis=0)[: len(sel)]
+        std[sel] = block.std(axis=0)[: len(sel)]
+    return mean, std
 
 
 def _newton_direction(A: _Standardized, curvature: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -258,10 +297,9 @@ def _fit_newton(
     by its weights w/sd, its bias b and the center `mean`.
     """
     y = _check_training_inputs(X, y)
-    mean = X.values.mean(axis=0)
-    scale = X.values.std(axis=0)
+    mean, scale = _column_stats(X)
     scale[scale == 0.0] = 1.0
-    A = _Standardized(X.values, mean, scale)
+    A = _Standardized(X, mean, scale)
     w = np.zeros(X.n_columns)
     b = 0.0
     penalty = 1.0 / len(y)  # C = 1
@@ -658,7 +696,7 @@ def predict_score(model: Model, X: FeatureMatrix) -> np.ndarray:
         )
     if model.kind in ("logistic", "linear_svm"):
         center = np.zeros(X.n_columns) if model.center is None else model.center
-        z = _Standardized(X.values, center, np.ones(X.n_columns)) @ model.weights + model.bias
+        z = _Standardized(X, center, np.ones(X.n_columns)) @ model.weights + model.bias
         return 1.0 / (1.0 + np.exp(-z)) if model.kind == "logistic" else z
     if model.kind == "forest":
         # Summed over axis 0, the trees' values are added in tree order.

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from metatriage.evaluate import (
     stratified_folds,
     threshold_max_f1,
 )
-from metatriage.featurize import HashConfig, build_reputation_table
+from metatriage.featurize import HashConfig, build_reputation_table, hash_column_names
 from metatriage.learn import ForestParams, Hyperparams, LogisticParams
 
 from test_corpus import make_record
@@ -446,6 +447,35 @@ class TestCrossValidate:
         # the leaky table is fitted on everything, so it never changes
         first = leaky_plan.folds[0].table
         assert all(f.table.developers == first.developers for f in leaky_plan.folds)
+
+
+class TestSparseHashFolds:
+    def test_hash_only_evaluation_stays_under_a_quarter_of_the_dense_block(self, small_corpus):
+        # The static block keeps its hash part sparse, and linear fits read
+        # a fold's nonzero entries alone. A dense 2,000 x 2,048 block would
+        # take 32.8 MB; the traced peak of the whole evaluation is about 2.3 MB
+        # (0.07 of it); holding the hash part dense makes it about 77 MB.
+        records = small_corpus[:2000]
+        labels = np.array([int(r.detection_count >= 1) for r in records])
+        hash_config = HashConfig(2048)
+        config = PipelineConfig(
+            hash_config=hash_config, frozen_ranking=hash_column_names(hash_config)
+        )
+        plan = prepare_folds(LabeledDataset(records, labels), k=3, seed=0, config=config)
+        dense_bytes = len(records) * hash_config.n_buckets * 8
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = evaluate(plan, "logistic")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(report.folds) == 3 and not report.flags
+        assert peak < dense_bytes / 4
 
 
 class TestCheckWindows:

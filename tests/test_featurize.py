@@ -37,6 +37,13 @@ def hash_permissions(permissions, config: HashConfig) -> np.ndarray:
     return out
 
 
+def densify(block) -> np.ndarray:
+    """The static block as one dense array in the row layout."""
+    out = np.zeros(block.shape)
+    block.write_into(out)
+    return out
+
+
 def reference_static_block(records, config: HashConfig) -> np.ndarray:
     """The static block built one record at a time from the row layout."""
     rows = []
@@ -212,7 +219,7 @@ class TestAssembly:
             make_record(app_id="self", developer_id="d", issuer_id="d", package_name="x"),
         ]
         block = static_feature_block(records, config)
-        assert block.tobytes() == reference_static_block(records, config).tobytes()
+        assert densify(block).tobytes() == reference_static_block(records, config).tobytes()
 
     def test_static_block_keeps_exact_means_of_huge_vote_counts(self):
         # Integers past 2**53 round in floats; the block must still hold
@@ -223,9 +230,34 @@ class TestAssembly:
             make_record(app_id="c", star_votes=(1, 2, 3, 4, 5)),
         ]
         config = HashConfig(4)
-        block = static_feature_block(records, config)
+        block = densify(static_feature_block(records, config))
         assert block.tobytes() == reference_static_block(records, config).tobytes()
         assert block[0, -1] == records[0].mean_star
+
+    def test_colliding_permissions_count_two(self):
+        config = HashConfig(16)
+        by_bucket = {}
+        for i in range(100):
+            by_bucket.setdefault(_hash64(f"perm.{i}", config.seed) % 16, []).append(f"perm.{i}")
+        bucket, (a, b, *_) = next((k, v) for k, v in by_bucket.items() if len(v) >= 2)
+        records = [make_record(permissions=frozenset({a, b}))]
+        block = static_feature_block(records, config)
+        assert block.indptr.tolist() == [0, 1]
+        assert block.buckets.tolist() == [bucket]
+        assert block.counts.tolist() == [2.0]
+        assert densify(block).tobytes() == reference_static_block(records, config).tobytes()
+
+    def test_record_without_permissions_has_an_empty_row(self):
+        records = [
+            make_record(app_id="a"),
+            make_record(app_id="none", permissions=frozenset()),
+            make_record(app_id="c"),
+        ]
+        config = HashConfig(32)
+        block = static_feature_block(records, config)
+        assert block.indptr[2] == block.indptr[1] > 0
+        assert block.indptr[3] > block.indptr[2]
+        assert densify(block).tobytes() == reference_static_block(records, config).tobytes()
 
     def test_static_block_of_no_records(self):
         assert static_feature_block([], HashConfig(8)).shape == (0, 8 + 15 + 7)
@@ -268,7 +300,11 @@ class TestAssembly:
             got = gather_features(records, config, table, static, rows, columns)
             assert got.column_names == tuple(columns)
             idx = [full.column_names.index(c) for c in columns]
-            assert got.values.tobytes() == full.values[np.ix_(rows, idx)].tobytes()
+            want = full.values[np.ix_(rows, idx)]
+            # The gather holds the nonzeros in row-major order, as a scan finds them.
+            for held, scanned in zip(got.entries, FeatureMatrix(columns, want).entries):
+                assert held.tobytes() == scanned.tobytes()
+            assert got.values.tobytes() == want.tobytes()
 
     def test_gather_missing_column_raises(self):
         records = [make_record()]

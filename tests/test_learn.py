@@ -511,7 +511,9 @@ class TestStandardizedOperator:
         scale = values.std(axis=0)
         scale[scale == 0.0] = 1.0
         dense = (values - mean) / scale
-        A = metatriage.learn._Standardized(values, mean, scale)
+        A = metatriage.learn._Standardized(
+            FeatureMatrix(tuple(f"c{j}" for j in range(values.shape[1])), values), mean, scale
+        )
         assert len(A) == len(values)
         assert A._dense.tolist() == [False, True, True, False, False, True, False, True]
         rng = np.random.default_rng(4)
@@ -523,6 +525,126 @@ class TestStandardizedOperator:
             np.testing.assert_allclose(
                 A.T @ u, want_t, rtol=1e-12, atol=1e-12 * np.abs(want_t).max()
             )
+
+
+def entries_backed(X: FeatureMatrix) -> FeatureMatrix:
+    """The same matrix built from its nonzero entries, row-major."""
+    rows, cols = np.nonzero(X.values)
+    return FeatureMatrix.from_entries(X.column_names, X.n_rows, rows, cols, X.values[rows, cols])
+
+
+def edge_columns(n=40, seed=5):
+    """All-zero, exactly-half-nonzero, near-1e15, sparse and dense columns,
+    with three rows that have no nonzeros at all."""
+    rng = np.random.default_rng(seed)
+    half = np.where(np.arange(n) % 2 == 0, rng.integers(1, 4, n), 0)  # stays sparse
+    big = np.where(rng.random(n) < 0.7, 1e15 + rng.integers(0, 1000, n), 0.0)
+    sparse = (rng.random(n) < 0.1) * rng.normal(3.0, 2.0, n)
+    dense = rng.normal(5.0, 3.0, n)
+    values = np.column_stack([np.zeros(n), half, big, sparse, dense, np.zeros(n)])
+    values[[3, 17, 31]] = 0.0  # odd rows, so `half` keeps exactly n/2 nonzeros
+    std = values.std(axis=0)
+    standardized = (values - values.mean(axis=0)) / np.where(std > 0, std, 1.0)
+    y = (standardized @ rng.normal(size=6) + rng.normal(size=n) > 0).astype(int)
+    return FeatureMatrix(tuple(f"c{j}" for j in range(6)), values), y
+
+
+def wide_columns(standardize):
+    """The 1,333 x 2,048 sparse indicator matrix of the `wide` fit check,
+    raw (every column sparse) or standardized (every column dense)."""
+    rng = np.random.default_rng(11)
+    n, p = 1333, 2048
+    A = (rng.random((n, p)) < 0.02).astype(float)
+    truth = rng.normal(size=p) * (rng.random(p) < 0.3)
+    y = (A @ truth + rng.normal(size=n) > 0).astype(int)
+    if standardize:
+        std = A.std(axis=0)
+        A = (A - A.mean(axis=0)) / np.where(std > 0, std, 1.0)
+    return FeatureMatrix(tuple(f"f{j}" for j in range(p)), A), y
+
+
+class DenseScanOperator:
+    """The standardized operator as it is built by scanning a dense matrix:
+    nonzeros by `flatnonzero`, the dense columns' block by a column gather.
+    The reference that the operator built from entries must equal bit for
+    bit."""
+
+    def __init__(self, values, mean, scale):
+        n, p = values.shape
+        rows, cols = np.divmod(np.flatnonzero(values != 0.0), p)
+        self.dense = np.bincount(cols, minlength=p) * 2 > n
+        self.block = (values[:, self.dense] - mean[self.dense]) / scale[self.dense]
+        sparse = ~self.dense[cols]
+        self.rows, self.cols = rows[sparse], cols[sparse]
+        self.values = values[self.rows, self.cols]
+        self.mean = np.where(self.dense, 0.0, mean)
+        self.scale, self.n = scale, n
+
+    def matvec(self, v):
+        s = v / self.scale
+        out = np.bincount(self.rows, self.values * s[self.cols], self.n) - self.mean @ s
+        out += self.block @ v[self.dense]
+        return out
+
+    def rmatvec(self, u):
+        sums = np.bincount(self.cols, self.values * u[self.rows], len(self.scale))
+        out = (sums - self.mean * u.sum()) / self.scale
+        out[self.dense] = self.block.T @ u
+        return out
+
+
+class TestSparseEntries:
+    """Linear fits read a matrix's nonzero entries alone. From entries or
+    from a dense array, a fit and its scores must be the same bits, and
+    those of the statistics and products of a dense scan."""
+
+    @pytest.mark.parametrize("shape", [(50, 1), (1, 3), (300, 2), (40, 6), (500, 37)])
+    @pytest.mark.parametrize("block", [1, 8, 1 << 16])
+    def test_column_stats_are_numpy_bits(self, monkeypatch, shape, block):
+        # numpy sums a one-column matrix pairwise, and a wider one row by
+        # row; `block` 1 densifies the columns one at a time.
+        monkeypatch.setattr(metatriage.learn, "_STATS_BLOCK", block)
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        n, p = shape
+        values = (rng.random(shape) < 0.4) * rng.normal(1e3, 10 ** rng.uniform(-3, 15, p), shape)
+        values[:, p // 2] = 0.0
+        X = entries_backed(FeatureMatrix(tuple(f"c{j}" for j in range(p)), values))
+        mean, std = metatriage.learn._column_stats(X)
+        assert mean.tobytes() == values.mean(axis=0).tobytes()
+        assert std.tobytes() == values.std(axis=0).tobytes()
+
+    @pytest.mark.parametrize("case", ["edge", "mixed"])
+    def test_operator_products_equal_a_dense_scan(self, case):
+        X, _ = edge_columns() if case == "edge" else mixed_columns()
+        mean, scale = X.values.mean(axis=0), X.values.std(axis=0)
+        scale[scale == 0.0] = 1.0
+        A = metatriage.learn._Standardized(entries_backed(X), mean, scale)
+        ref = DenseScanOperator(X.values, mean, scale)
+        assert A._dense.tolist() == ref.dense.tolist()
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            v, u = rng.normal(size=X.n_columns), rng.normal(size=X.n_rows)
+            assert (A @ v).tobytes() == ref.matvec(v).tobytes()
+            assert (A.T @ u).tobytes() == ref.rmatvec(u).tobytes()
+
+    @pytest.mark.parametrize("train", [train_logistic, train_linear_svm])
+    @pytest.mark.parametrize("case", ["edge", "mixed", "wide", "wide-raw"])
+    def test_fits_from_entries_equal_fits_from_dense(self, train, case):
+        if case.startswith("wide"):
+            X, y = wide_columns(standardize=case == "wide")
+        else:
+            X, y = edge_columns() if case == "edge" else mixed_columns()
+        sparse = entries_backed(X)
+        for held, scanned in zip(sparse.entries, X.entries):
+            assert held.tobytes() == scanned.tobytes()
+        a, b = train(X, y), train(sparse, y)
+        assert a.meta == b.meta
+        assert a.bias == b.bias
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.center.tobytes() == b.center.tobytes()
+        assert predict_score(a, X).tobytes() == predict_score(b, sparse).tobytes()
+        assert sparse._values is None  # no dense matrix was made
+        assert sparse.values.tobytes() == X.values.tobytes()
 
 
 class TestPredictScore:
