@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .corpus import (
     AppRecord,
     CompositionRecipe,
+    Corpus,
     DetectionLabelPolicy,
     GeneratorConfig,
     LabeledDataset,
@@ -23,6 +24,7 @@ from .select import RankedFeatures, rank_features
 __all__ = [
     "AppRecord",
     "CompositionRecipe",
+    "Corpus",
     "DetectionLabelPolicy",
     "EvalReport",
     "FeatureMatrix",

@@ -30,6 +30,7 @@ from . import reporting
 from .corpus import (
     AppRecord,
     CompositionRecipe,
+    Corpus,
     DetectionLabelPolicy,
     LabeledDataset,
     compose_subset,
@@ -193,7 +194,7 @@ def _new_report(
     experiment: str,
     config: dict,
     seed: int,
-    records: Sequence[AppRecord],
+    records: Union[Corpus, Sequence[AppRecord]],
     columns: list[str],
     flags: Sequence[str] = (),
 ) -> BenchReport:
@@ -411,7 +412,7 @@ def feature_count_curve(
 
 
 def grid_benchmark(
-    corpus: Sequence[AppRecord],
+    corpus: Union[Corpus, Sequence[AppRecord]],
     malware_fractions: Sequence[float] = (0.02, 0.25, 0.50),
     thresholds: Sequence[int] = (1, 2, 4),
     subset_size: int = 5000,
@@ -439,7 +440,7 @@ def grid_benchmark(
         leaky_reputation=leaky_reputation,
     )
     check_windows(pipeline, [(1, top_k)])
-    corpus = list(corpus)
+    corpus = Corpus.of(corpus)
     config = {
         "malware_fractions": list(malware_fractions),
         "thresholds": list(thresholds),
@@ -562,7 +563,7 @@ def grid_benchmark(
 
 
 def robustness_windows(
-    corpus: Sequence[AppRecord],
+    corpus: Union[Corpus, Sequence[AppRecord]],
     window_width: int = 15,
     step: int = 2,
     n_windows: int = 7,
@@ -592,7 +593,7 @@ def robustness_windows(
     frozen = tuple(frozen_ranking) if frozen_ranking else None
     pipeline = PipelineConfig(ranking_method=ranking_method, frozen_ranking=frozen, hyper=hyper)
     check_windows(pipeline, [(start, window_width) for start in starts])
-    corpus = list(corpus)
+    corpus = Corpus.of(corpus)
     config = {
         "window_width": window_width,
         "step": step,

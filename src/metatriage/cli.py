@@ -39,7 +39,8 @@ from .corpus import (
 from .errors import MetatriageError
 from .evaluate import PipelineConfig, cross_validate
 from .featurize import (
-    FeatureMatrix, HashConfig, assemble_features, build_reputation_table, feature_names,
+    HashConfig, ReputationTable, assemble_features, build_reputation_table, feature_names,
+    reputation_block, static_feature_block,
 )
 from .learn import MODEL_KINDS, Hyperparams
 from .select import METHODS, rank_features, ranking_forest, ranking_to_csv_text
@@ -319,14 +320,15 @@ def _load_dataset(opts: _Options) -> LabeledDataset:
     return compose_subset(records, recipe)
 
 
-def _corpus_features(opts: _Options, alpha: float = 1.0) -> tuple[FeatureMatrix, np.ndarray]:
-    """The feature matrix and labels of every admissible record, with the
-    reputation table fitted on all of them (unlike evaluation, which
-    refits it per fold)."""
+def _corpus_features(
+    opts: _Options, alpha: float = 1.0
+) -> tuple[LabeledDataset, HashConfig, ReputationTable]:
+    """Every admissible record, labeled, with the hashing layout and the
+    reputation table fitted on all of them (unlike evaluation, which refits
+    it per fold)."""
     dataset = label_dataset(_load_records(opts), _policy(opts))
-    hash_config = HashConfig(n_buckets=opts["hash_buckets"])
     table = build_reputation_table(dataset.records, dataset.labels, alpha=alpha)
-    return assemble_features(dataset.records, hash_config, table), dataset.labels
+    return dataset, HashConfig(n_buckets=opts["hash_buckets"]), table
 
 
 def _read_frozen_ranking(path: Optional[str]) -> Optional[list[str]]:
@@ -393,22 +395,29 @@ def _cmd_histogram(opts: _Options) -> int:
 
 def _cmd_featurize(opts: _Options) -> int:
     """export the feature matrix as CSV"""
-    matrix, y = _corpus_features(opts, alpha=opts["alpha"])
+    dataset, hash_config, table = _corpus_features(opts, alpha=opts["alpha"])
+    static = static_feature_block(dataset.records, hash_config)
+    rest = np.hstack([static.dense, reputation_block(dataset.records, table)])
+    names = feature_names(hash_config)
     out = opts["out"]
     parent = os.path.dirname(out)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
-        reporting.write_matrix_csv(fh, matrix.column_names + ("label",), matrix.values, y)
-    print(f"{matrix.n_rows} rows x {matrix.n_columns} features -> {out}")
+        reporting.write_matrix_csv(
+            fh, names + ("label",), rest, dataset.labels,
+            sparse=(static.indptr, static.buckets, static.counts, static.n_buckets),
+        )
+    print(f"{len(rest)} rows x {len(names)} features -> {out}")
     return 0
 
 
 def _cmd_rank(opts: _Options) -> int:
     """score and rank features"""
-    matrix, y = _corpus_features(opts)
+    dataset, hash_config, table = _corpus_features(opts)
     ranked = rank_features(
-        matrix, y, ranking_method=opts["method"], n_bins=opts["n_bins"],
+        assemble_features(dataset.records, hash_config, table), dataset.labels,
+        ranking_method=opts["method"], n_bins=opts["n_bins"],
         forest_params=ranking_forest(opts["seed"]),
     )
     _output(opts, ranking_to_csv_text(ranked), "ranking")

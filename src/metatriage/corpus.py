@@ -13,11 +13,13 @@ import gc
 import hashlib
 import io
 import json
+import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -222,24 +224,216 @@ class ParseIssue:
     message: str
 
 
+# ---------------------------------------------------------------------------
+# The columnar corpus
+# ---------------------------------------------------------------------------
+
+# The rows of `Corpus.counts`: the integer fields in line order, with
+# `star_votes` as its five entries.
+COUNT_FIELDS = _INT_FIELDS[:10] + tuple(f"star_votes[{i}]" for i in range(5)) + _INT_FIELDS[10:]
+_VOTES = slice(10, 15)
+_DETECTIONS = 15
+_COUNTS_OF = attrgetter(*_INT_FIELDS[:10])
+
+
+def row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the entries of compressed sparse rows `rows`, row
+    after row, and each of those rows' entry count."""
+    start = indptr[rows]
+    sizes = indptr[rows + 1] - start
+    return np.repeat(start - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum()), sizes
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Records as columns, in record order: what `parse_records` returns and
+    every layer up to the fold matrices reads.
+
+    `app_ids` and `package_names` are object arrays of str. Developer and
+    issuer ids are codes into `entities`, the sorted distinct ids of both,
+    so a self-signed record has equal codes. Permissions are compressed
+    sparse rows of codes into `permission_names`, sorted and distinct:
+    record i's are `permission_codes[permission_indptr[i]:permission_indptr[i + 1]]`,
+    increasing. `counts` holds the integer fields, one row per
+    `COUNT_FIELDS` entry, as int64 (as Python ints only for records made
+    directly with values past int64). `digest`, when known, is the
+    `corpus_digest`.
+
+    An index gives one record as an `AppRecord`; `take` gives the corpus
+    of the records at some indices.
+    """
+
+    app_ids: np.ndarray
+    package_names: np.ndarray
+    entities: np.ndarray
+    developer_codes: np.ndarray
+    issuer_codes: np.ndarray
+    permission_names: np.ndarray
+    permission_indptr: np.ndarray
+    permission_codes: np.ndarray
+    counts: np.ndarray
+    digest: Optional[str] = None
+
+    @staticmethod
+    def of(records: Union["Corpus", Iterable[AppRecord]]) -> "Corpus":
+        """`records` if it is a corpus, else the corpus of the records it yields."""
+        if isinstance(records, Corpus):
+            return records
+        builder = _CorpusBuilder()
+        builder.add_records(list(records))
+        return builder.finish()
+
+    def __len__(self) -> int:
+        return len(self.app_ids)
+
+    def __getitem__(self, i: int) -> AppRecord:
+        i = range(len(self))[i]
+        a, b = self.permission_indptr[i : i + 2]
+        counts = self.counts[:, i].tolist()
+        return AppRecord(
+            self.app_ids[i], self.package_names[i], self.entities[self.developer_codes[i]],
+            self.entities[self.issuer_codes[i]],
+            frozenset(self.permission_names[self.permission_codes[a:b]].tolist()),
+            *counts[:10], tuple(counts[_VOTES]), counts[_DETECTIONS],
+        )
+
+    def __iter__(self) -> Iterator[AppRecord]:
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def detection_counts(self) -> np.ndarray:
+        return self.counts[_DETECTIONS]
+
+    def take(self, rows) -> "Corpus":
+        """The corpus of records `rows`, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        at, sizes = row_positions(self.permission_indptr, rows)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        return Corpus(
+            self.app_ids[rows], self.package_names[rows], self.entities,
+            self.developer_codes[rows], self.issuer_codes[rows], self.permission_names,
+            indptr, self.permission_codes[at], self.counts[:, rows],
+        )
+
+
+def _concat(parts: list, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+class _CorpusBuilder:
+    """Collects records, a block at a time and in order, as columns; names
+    get first-seen codes, and `finish` renumbers them in sorted order."""
+
+    def __init__(self):
+        self.app_ids, self.package_names = [], []
+        self.entity_code, self.permission_code = {}, {}
+        # Per added block: developer and issuer codes, permission counts,
+        # permission codes and the (records, 16) integer fields.
+        self.developers, self.issuers, self.sizes, self.permissions = [], [], [], []
+        self.counts = []
+
+    @staticmethod
+    def _codes(code: dict, names: Sequence[str]) -> np.ndarray:
+        for name in set(names).difference(code):
+            code[name] = len(code)
+        return np.fromiter(map(code.__getitem__, names), np.intp, len(names))
+
+    @staticmethod
+    def _ranks(code: dict) -> np.ndarray:
+        """Each code's place among the names in `code`, sorted."""
+        ranks = np.empty(len(code), dtype=np.intp)
+        in_order = np.fromiter(map(code.__getitem__, sorted(code)), np.intp, len(code))
+        ranks[in_order] = np.arange(len(code))
+        return ranks
+
+    def _add(self, ids, packages, developers, issuers, sizes, permissions, counts) -> None:
+        """Add records given by their columns, permissions as codes."""
+        self.app_ids += ids
+        self.package_names += packages
+        self.developers.append(self._codes(self.entity_code, developers))
+        self.issuers.append(self._codes(self.entity_code, issuers))
+        self.sizes.append(sizes)
+        self.permissions.append(permissions)
+        self.counts.append(counts.reshape(-1, len(COUNT_FIELDS)))
+
+    def add_canonical(self, rows: list[tuple[str, ...]], seen_ids: set[str]) -> bool:
+        """Add the records of `_CANONICAL` match groups and their ids to
+        `seen_ids`; or add nothing and return False when an id is in
+        `seen_ids` or repeats, or a record's permissions are not sorted
+        and distinct."""
+        ids, packages, developers, issuers, permissions, counts = zip(*rows)
+        if len(set(ids)) != len(ids) or not seen_ids.isdisjoint(ids):
+            return False
+        # Quoted names hold no '"', so each holds two.
+        sizes = np.fromiter(map(str.count, permissions, repeat('"')), np.int64, len(rows)) // 2
+        joined = ",".join(filter(None, permissions))
+        # A block refused below is parsed line by line, and its records then
+        # hold every name added here.
+        codes = self._codes(self.permission_code, joined[1:-1].split('","') if joined else [])
+        rank = self._ranks(self.permission_code)[codes]  # must rise within a record
+        first = np.zeros(len(codes), dtype=bool)
+        first[(np.cumsum(sizes) - sizes)[sizes > 0]] = True
+        if ((rank[1:] <= rank[:-1]) & ~first[1:]).any():
+            return False
+        seen_ids.update(ids)
+        digits = ",".join(counts).encode().translate(_DIGITS)
+        counts = np.fromstring(digits, dtype=np.int64, sep=" ")
+        self._add(ids, packages, developers, issuers, sizes, codes, counts)
+        return True
+
+    def add_records(self, records: list[AppRecord]) -> None:
+        permissions = [sorted(r.permissions) for r in records]
+        rows = [(*_COUNTS_OF(r), *r.star_votes, r.detection_count) for r in records]
+        try:
+            counts = np.array(rows, dtype=np.int64)
+        except OverflowError:  # only records made directly, past the parse's bound
+            counts = np.array(rows, dtype=object)
+        self._add(
+            [r.app_id for r in records], [r.package_name for r in records],
+            [r.developer_id for r in records], [r.issuer_id for r in records],
+            np.fromiter(map(len, permissions), np.int64, len(records)),
+            self._codes(self.permission_code, list(chain.from_iterable(permissions))), counts,
+        )
+
+    def finish(self, digest: Optional[str] = None) -> Corpus:
+        entity, permission = self._ranks(self.entity_code), self._ranks(self.permission_code)
+        indptr = np.zeros(len(self.app_ids) + 1, dtype=np.int64)
+        np.cumsum(_concat(self.sizes, np.int64), out=indptr[1:])
+        counts = np.zeros((0, len(COUNT_FIELDS)), dtype=np.int64)
+        counts = np.concatenate(self.counts) if self.counts else counts
+        return Corpus(
+            np.array(self.app_ids, dtype=object), np.array(self.package_names, dtype=object),
+            np.array(sorted(self.entity_code), dtype=object),
+            entity[_concat(self.developers, np.intp)], entity[_concat(self.issuers, np.intp)],
+            np.array(sorted(self.permission_code), dtype=object), indptr,
+            permission[_concat(self.permissions, np.intp)], np.ascontiguousarray(counts.T),
+            digest,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Parsing and writing
+# ---------------------------------------------------------------------------
+
+
 @dataclass
 class ParseResult:
     """Parsed records plus non-fatal issues collected along the way."""
 
-    records: list[AppRecord]
+    records: Corpus
     issues: list[ParseIssue] = field(default_factory=list)
     unknown_fields: Counter = field(default_factory=Counter)
 
 
 def _iter_lines(stream) -> Iterator[str]:
     if isinstance(stream, (bytes, bytearray)):
-        stream = io.StringIO(stream.decode("utf-8"))
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)
-    for raw in stream:
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        yield raw
+        return io.StringIO(stream.decode("utf-8"))
+    if isinstance(stream, str):
+        return io.StringIO(stream)
+    if isinstance(stream, io.TextIOBase):
+        return iter(stream)
+    return (raw.decode("utf-8") if isinstance(raw, bytes) else raw for raw in stream)
 
 
 # The scanner `json.loads` runs, without its wrapper: (value, end index) of
@@ -247,76 +441,138 @@ def _iter_lines(stream) -> Iterator[str]:
 _scan_json = json.JSONDecoder().scan_once
 
 
+def _template(value) -> str:
+    """A record's line, `value(name)` standing for each field's value."""
+    return "{" + ",".join(f'"{name}":' + value(name) for name in FIELD_ORDER) + "}\n"
+
+
+# A record as one line of compact JSON, to be filled with its ints, its
+# strings quoted as `json.dumps` quotes them, and the items of its two lists.
+_LINE = _template(
+    lambda name: "%d" if name in _INT_FIELDS else "%s" if name in _STR_FIELDS else "[%s]"
+)
+
+_NAME = r'"[ !#-\[\]-~]*"'
+_COUNT = "(?:0|[1-9][0-9]{0,14})"
+
+
+def _pattern(name: str) -> str:
+    if name in _STR_FIELDS:
+        return r'"([ !#-\[\]-~]+)"'
+    if name == "permissions":
+        return rf"\[((?:{_NAME})(?:,{_NAME})*)?\]"
+    if name in _INT_FIELDS:
+        return _COUNT
+    return r"\[" + ",".join([_COUNT] * 5) + r"\]"
+
+
+# Exactly the lines `_LINE` gives the valid records whose strings are
+# printable ASCII without '"' or '\' (which `_quote` leaves as they are) and
+# whose integers have at most 15 digits (so are below `MAX_INT`). The
+# groups: the four id strings, the quoted permissions, and the text of the
+# integer fields.
+_CANONICAL = re.compile(
+    r"\{" + _template(_pattern)[1:-2].replace('"size_bytes"', '("size_bytes"', 1) + r")\}" + "\n"
+)
+# Each byte of the integers' text: digits stay, the rest become spaces.
+_DIGITS = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
+_BLOCK_LINES = 1024
+
+
 def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> ParseResult:
-    """Parse a corpus stream into records.
+    """Parse a corpus stream into its `Corpus`.
 
     `stream` may be a file object, a str, bytes, or an iterable of lines.
     Malformed records are skipped and reported in the result, up to
     `max_errors` of them; a duplicate app_id aborts parsing immediately.
+
+    JSON Lines are read `_BLOCK_LINES` lines at a time. A block of lines
+    that are all `_CANONICAL`, with new app ids and sorted distinct
+    permissions, goes into the columns at once, and no record object is
+    made. Any other block is parsed line by line into `AppRecord`s, with
+    the issues, unknown-field counts and errors each line gives. When every
+    block was canonical, the corpus's digest is the sha256 of the lines
+    read: for a file with line-feed line ends, of its bytes.
     """
     if format not in ("jsonlines", "csv"):
         raise ValueError(f"unknown corpus format: {format!r}")
 
-    result = ParseResult(records=[])
+    issues: list[ParseIssue] = []
+    unknown_fields: Counter = Counter()
+    builder = _CorpusBuilder()
     seen_ids: set[str] = set()
     rejected = 0
 
     def reject(line_no: int, problems: list[str]) -> None:
         nonlocal rejected
-        result.issues.extend(ParseIssue(line_no, p) for p in problems)
+        issues.extend(ParseIssue(line_no, p) for p in problems)
         rejected += 1
         if rejected > max_errors:
             raise ParseError(
                 f"more than {max_errors} malformed records; last at line {line_no}"
             )
 
-    def handle(obj: dict, line_no: int) -> None:
+    def handle(obj: dict, line_no: int, kept: list[AppRecord]) -> None:
         record, problems, unknown = record_from_dict(obj)
-        for name in unknown:
-            result.unknown_fields[name] += 1
+        unknown_fields.update(unknown)
         if problems:
             reject(line_no, problems)
             return
         if record.app_id in seen_ids:
             raise DuplicateAppIdError(f"duplicate app_id {record.app_id!r} at line {line_no}")
         seen_ids.add(record.app_id)
-        result.records.append(record)
+        kept.append(record)
 
-    # Allocating records triggers cyclic GC passes over the growing list
-    # (0.1 to 0.15 s per 30k-record load), and parsing makes no garbage
-    # cycles, so the collector is paused and its prior state restored.
+    def handle_line(line: str, line_no: int, kept: list[AppRecord]) -> None:
+        line = line.strip()
+        if not line:
+            return
+        try:
+            obj, end = _scan_json(line, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(line):  # json.loads fails too, and says why
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:  # or an integer of over 4,300 digits
+                reject(line_no, [f"invalid JSON: {exc}"])
+                return
+        if not isinstance(obj, dict):
+            reject(line_no, ["line is not a JSON object"])
+            return
+        handle(obj, line_no, kept)
+
+    # Allocating records triggers cyclic GC passes over the growing list,
+    # and parsing makes no garbage cycles, so the collector is paused and
+    # its prior state restored.
     collecting = gc.isenabled()
     gc.disable()
+    digest = None
     try:
         if format == "jsonlines":
-            for line_no, line in enumerate(_iter_lines(stream), start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj, end = _scan_json(line, 0)
-                except (StopIteration, ValueError):
-                    end = -1
-                if end != len(line):  # json.loads fails too, and says why
-                    try:
-                        obj = json.loads(line)
-                    except ValueError as exc:  # or an integer of over 4,300 digits
-                        reject(line_no, [f"invalid JSON: {exc}"])
-                        continue
-                if not isinstance(obj, dict):
-                    reject(line_no, ["line is not a JSON object"])
-                    continue
-                handle(obj, line_no)
+            lines, start, digest = _iter_lines(stream), 1, hashlib.sha256()
+            while block := list(islice(lines, _BLOCK_LINES)):
+                matches = list(map(_CANONICAL.fullmatch, block))
+                rows = [m.groups("") for m in matches] if all(matches) else None
+                if rows and builder.add_canonical(rows, seen_ids):
+                    if digest is not None:
+                        digest.update("".join(block).encode())
+                else:
+                    digest, kept = None, []
+                    for line_no, line in enumerate(block, start):
+                        handle_line(line, line_no, kept)
+                    builder.add_records(kept)
+                start += len(block)
         else:
-            reader = csv.DictReader(_iter_lines(stream))
-            if reader.fieldnames is None:
-                return result
-            for line_no, row in enumerate(reader, start=2):
-                handle({k: v for k, v in row.items() if k is not None}, line_no)
+            kept = []
+            for line_no, row in enumerate(csv.DictReader(_iter_lines(stream)), start=2):
+                handle({k: v for k, v in row.items() if k is not None}, line_no, kept)
+            builder.add_records(kept)
     finally:
         if collecting:
             gc.enable()
-    return result
+    records = builder.finish(None if digest is None else digest.hexdigest())
+    return ParseResult(records, issues, unknown_fields)
 
 
 def load_corpus(path: str, max_errors: int = 100) -> ParseResult:
@@ -324,14 +580,6 @@ def load_corpus(path: str, max_errors: int = 100) -> ParseResult:
     fmt = "csv" if str(path).endswith(".csv") else "jsonlines"
     with open(path, "r", encoding="utf-8") as fh:
         return parse_records(fh, fmt, max_errors=max_errors)
-
-
-# A record as one line of compact JSON, to be filled with its ints, its
-# strings quoted as `json.dumps` quotes them, and the items of its two lists.
-_LINE = "{" + ",".join(
-    f'"{name}":' + ("%d" if name in _INT_FIELDS else "%s" if name in _STR_FIELDS else "[%s]")
-    for name in FIELD_ORDER
-) + "}\n"
 
 
 def _canonical_line(record: AppRecord) -> str:
@@ -372,14 +620,36 @@ def write_corpus(records: Iterable[AppRecord], path: str) -> str:
     return corpus_digest(records)
 
 
-def corpus_digest(records: Iterable[AppRecord]) -> str:
+def corpus_digest(records: Union["Corpus", Iterable[AppRecord]]) -> str:
     """sha256 over the canonical serialization, each record's
     `record_to_dict` as compact JSON on its own line; stable across
-    processes."""
+    processes. A parsed corpus whose lines were all canonical holds it
+    already; otherwise the lines are formatted from the columns."""
+    corpus = Corpus.of(records)
+    if corpus.digest is not None:
+        return corpus.digest
     h = hashlib.sha256()
-    for line in map(_canonical_line, records):
+    for line in _canonical_lines(corpus):
         h.update(line.encode())
     return h.hexdigest()
+
+
+def _canonical_lines(corpus: "Corpus") -> Iterator[str]:
+    """Each record's `_canonical_line`, formatted from the columns."""
+    entities = [_quote(name) for name in corpus.entities.tolist()]
+    quoted = np.array([_quote(name) for name in corpus.permission_names.tolist()], dtype=object)
+    permissions = quoted[corpus.permission_codes].tolist()
+    bounds = corpus.permission_indptr.tolist()
+    rows = zip(
+        corpus.app_ids.tolist(), corpus.package_names.tolist(), corpus.developer_codes.tolist(),
+        corpus.issuer_codes.tolist(), bounds, bounds[1:], corpus.counts.T.tolist(),
+    )
+    for app_id, package, developer, issuer, a, b, counts in rows:
+        yield _LINE % (
+            _quote(app_id), _quote(package), entities[developer], entities[issuer],
+            ",".join(permissions[a:b]), *counts[:10], ",".join(map(str, counts[_VOTES])),
+            counts[_DETECTIONS],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -433,36 +703,49 @@ class LabeledDataset:
     """A composed subset: raw records plus binary labels (1 = malware).
 
     Feature matrices are assembled later (per training fold) so that
-    entity-reputation statistics never see held-out rows.
+    entity-reputation statistics never see held-out rows. Records given as
+    `AppRecord`s are held as their `Corpus`.
     """
 
-    records: list[AppRecord]
+    records: Corpus
     labels: np.ndarray
     flags: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.records = Corpus.of(self.records)
 
     def __len__(self) -> int:
         return len(self.records)
 
 
+def _pools(corpus: Corpus, policy: DetectionLabelPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the records `label_record` calls malware, and of those the
+    policy admits as goodware."""
+    detections = corpus.detection_counts
+    malware = detections >= policy.threshold
+    goodware = ~malware if policy.ambiguous_handling == "goodware" else detections == 0
+    return malware, goodware
+
+
 def label_dataset(
-    records: Iterable[AppRecord], policy: DetectionLabelPolicy
+    records: Union[Corpus, Iterable[AppRecord]], policy: DetectionLabelPolicy
 ) -> LabeledDataset:
     """Every record admissible under `policy`, in input order, labeled 1 for
     malware and 0 for goodware; ambiguous records count as goodware when
     the policy says so and are dropped otherwise."""
-    kept, labels = [], []
-    for record in records:
-        lab = label_record(record, policy)
-        if lab == AMBIGUOUS and policy.ambiguous_handling != "goodware":
-            continue
-        kept.append(record)
-        labels.append(lab == MALWARE)
-    if not kept:
+    corpus = Corpus.of(records)
+    malware, goodware = _pools(corpus, policy)
+    kept = malware | goodware
+    if not kept.any():
         raise MetatriageError("no records admissible under the label policy")
-    return LabeledDataset(records=kept, labels=np.array(labels, dtype=np.int8))
+    if not kept.all():
+        corpus, malware = corpus.take(np.flatnonzero(kept)), malware[kept]
+    return LabeledDataset(records=corpus, labels=malware.astype(np.int8))
 
 
-def compose_subset(corpus: list[AppRecord], recipe: CompositionRecipe) -> LabeledDataset:
+def compose_subset(
+    corpus: Union[Corpus, Iterable[AppRecord]], recipe: CompositionRecipe
+) -> LabeledDataset:
     """Draw a seeded subset with the requested malware share.
 
     Malware is sampled from records meeting the policy threshold, goodware
@@ -471,19 +754,15 @@ def compose_subset(corpus: list[AppRecord], recipe: CompositionRecipe) -> Labele
     preserving the requested fraction, and the result is flagged.
     """
     policy = recipe.policy
-    mal_pool, good_pool = [], []
-    for i, record in enumerate(corpus):
-        lab = label_record(record, policy)
-        if lab == MALWARE:
-            mal_pool.append(i)
-        elif lab == GOODWARE or policy.ambiguous_handling == "goodware":
-            good_pool.append(i)
+    corpus = Corpus.of(corpus)
+    malware, goodware = _pools(corpus, policy)
+    mal_pool, good_pool = np.flatnonzero(malware), np.flatnonzero(goodware)
 
-    if not mal_pool:
+    if not len(mal_pool):
         raise CompositionError(
             f"no malware available at threshold {policy.threshold}"
         )
-    if not good_pool:
+    if not len(good_pool):
         raise CompositionError("no goodware available in the corpus")
 
     f = recipe.malware_fraction
@@ -501,8 +780,8 @@ def compose_subset(corpus: list[AppRecord], recipe: CompositionRecipe) -> Labele
         raise CompositionError("target composition leaves a class empty")
 
     rng = np.random.default_rng(np.random.SeedSequence([recipe.seed & 0xFFFFFFFFFFFFFFFF, 0x5EED]))
-    mal_idx = rng.choice(np.asarray(mal_pool), size=n_mal, replace=False)
-    good_idx = rng.choice(np.asarray(good_pool), size=n_good, replace=False)
+    mal_idx = rng.choice(mal_pool, size=n_mal, replace=False)
+    good_idx = rng.choice(good_pool, size=n_good, replace=False)
 
     chosen = np.concatenate([mal_idx, good_idx])
     labels = np.concatenate([np.ones(n_mal, dtype=np.int8), np.zeros(n_good, dtype=np.int8)])
@@ -515,17 +794,14 @@ def compose_subset(corpus: list[AppRecord], recipe: CompositionRecipe) -> Labele
             f"shrunk to {n_mal + n_good} rows (requested {recipe.target_size}): "
             f"pools malware={len(mal_pool)} goodware={len(good_pool)}"
         )
-    return LabeledDataset(
-        records=[corpus[i] for i in chosen],
-        labels=labels,
-        flags=flags,
-    )
+    return LabeledDataset(records=corpus.take(chosen), labels=labels, flags=flags)
 
 
-def detection_histogram(corpus: Iterable[AppRecord]) -> dict[int, int]:
+def detection_histogram(corpus: Union[Corpus, Iterable[AppRecord]]) -> dict[int, int]:
     """Frequency of each detection count over flagged records (count >= 1)."""
-    counts = Counter(r.detection_count for r in corpus if r.detection_count >= 1)
-    return dict(sorted(counts.items()))
+    detections = Corpus.of(corpus).detection_counts
+    counts, apps = np.unique(detections[detections >= 1], return_counts=True)
+    return dict(zip(counts.tolist(), apps.tolist()))
 
 
 # ---------------------------------------------------------------------------

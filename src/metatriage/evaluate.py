@@ -414,9 +414,7 @@ def prepare_folds(
             continue
 
         rep_rows = all_idx if config.leaky_reputation else fold.train_idx
-        fold.table = build_reputation_table(
-            [dataset.records[i] for i in rep_rows], labels[rep_rows]
-        )
+        fold.table = build_reputation_table(dataset.records.take(rep_rows), labels[rep_rows])
         if config.frozen_ranking is not None:
             fold.order = config.frozen_ranking
         elif config.ranking_method is not None:

@@ -21,14 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
-from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .corpus import AppRecord
+from .corpus import AppRecord, Corpus, row_positions
 from .errors import ContractError
+
+# The records a block is built from: a corpus, or records to make one of.
+Records = Union[Corpus, Iterable[AppRecord]]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -120,19 +121,15 @@ class ReputationTable:
     developers: dict[str, float] = field(default_factory=dict)
     issuers: dict[str, float] = field(default_factory=dict)
 
-    def developer_rep(self, developer_id: str) -> float:
-        return self.developers.get(developer_id, self.global_prior)
-
-    def issuer_rep(self, issuer_id: str) -> float:
-        return self.issuers.get(issuer_id, self.global_prior)
-
 
 def build_reputation_table(
-    records: Sequence[AppRecord],
+    records: Records,
     labels: np.ndarray,
     alpha: float = 1.0,
 ) -> ReputationTable:
-    """Fit reputation statistics from (records, labels) pairs."""
+    """Fit reputation statistics from (records, labels) pairs: per entity,
+    a count of its records and of their malware labels."""
+    records = Corpus.of(records)
     if len(records) != len(labels):
         raise ContractError(
             f"records/labels length mismatch: {len(records)} vs {len(labels)}"
@@ -142,25 +139,18 @@ def build_reputation_table(
     labels = np.asarray(labels)
     n = len(records)
     global_prior = (float(labels.sum()) + alpha) / (n + 2.0 * alpha)
+    malware = labels == 1
 
-    dev_total: dict[str, int] = {}
-    dev_mal: dict[str, int] = {}
-    iss_total: dict[str, int] = {}
-    iss_mal: dict[str, int] = {}
-    for record, y in zip(records, labels):
-        dev_total[record.developer_id] = dev_total.get(record.developer_id, 0) + 1
-        iss_total[record.issuer_id] = iss_total.get(record.issuer_id, 0) + 1
-        if y == 1:
-            dev_mal[record.developer_id] = dev_mal.get(record.developer_id, 0) + 1
-            iss_mal[record.issuer_id] = iss_mal.get(record.issuer_id, 0) + 1
+    def rates(codes: np.ndarray) -> dict[str, float]:
+        total = np.bincount(codes, minlength=len(records.entities))
+        seen = np.flatnonzero(total)
+        mal = np.bincount(codes[malware], minlength=len(total))[seen]
+        rate = (mal + alpha) / (total[seen] + 2.0 * alpha)
+        return dict(zip(records.entities[seen].tolist(), rate.tolist()))
 
-    developers = {
-        d: (dev_mal.get(d, 0) + alpha) / (t + 2.0 * alpha) for d, t in dev_total.items()
-    }
-    issuers = {
-        s: (iss_mal.get(s, 0) + alpha) / (t + 2.0 * alpha) for s, t in iss_total.items()
-    }
-    return ReputationTable(global_prior=global_prior, developers=developers, issuers=issuers)
+    return ReputationTable(
+        global_prior, rates(records.developer_codes), rates(records.issuer_codes)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +159,19 @@ def build_reputation_table(
 
 
 def _hash_rows(
-    records: Sequence[AppRecord], config: HashConfig
+    records: Corpus, config: HashConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each record's permission counts per bucket as compressed sparse rows
     (indptr, buckets, counts), buckets increasing within a row; colliding
     permissions add up. Each distinct permission is hashed once."""
-    permission_sets = [r.permissions for r in records]
-    distinct = set().union(*permission_sets)
-    bucket = {p: _hash64(p, config.seed) % config.n_buckets for p in distinct}
-    tokens = chain.from_iterable(permission_sets)
+    bucket = np.fromiter(
+        (_hash64(p, config.seed) % config.n_buckets for p in records.permission_names.tolist()),
+        np.int64, len(records.permission_names),
+    )
     # One key per (record, bucket) pair, ordered as the row-major layout.
-    key = np.repeat(np.arange(len(records), dtype=np.int64), list(map(len, permission_sets)))
+    key = np.repeat(np.arange(len(records), dtype=np.int64), np.diff(records.permission_indptr))
     key *= config.n_buckets
-    key += np.fromiter(map(bucket.__getitem__, tokens), np.int64, len(key))
+    key += bucket[records.permission_codes]
     key, counts = np.unique(key, return_counts=True)
     rows, buckets = np.divmod(key, config.n_buckets)
     indptr = np.zeros(len(records) + 1, dtype=np.int64)
@@ -216,33 +206,31 @@ class StaticBlock:
         out[:, self.n_buckets : self.shape[1]] = self.dense
 
 
-def static_feature_block(
-    records: Sequence[AppRecord], hash_config: HashConfig
-) -> StaticBlock:
+def static_feature_block(records: Records, hash_config: HashConfig) -> StaticBlock:
     """Label-free columns: hash buckets + intrinsic + social.
 
     Safe to compute once per dataset and gather per fold.
     """
+    records = Corpus.of(records)
     dense = np.zeros((len(records), len(INTRINSIC_COLUMNS) + len(SOCIAL_COLUMNS)))
     _fill_dense(dense, records)
     return StaticBlock(hash_config.n_buckets, *_hash_rows(records, hash_config), dense)
 
 
-def _fill_dense(out: np.ndarray, records: Sequence[AppRecord]):
+def _fill_dense(out: np.ndarray, records: Corpus):
     """Write the intrinsic and social columns into the zeroed `out`, one
     row per record."""
     column = dict(zip(INTRINSIC_COLUMNS + SOCIAL_COLUMNS, out.T))  # views into `out`
-    for name in INTRINSIC_COLUMNS[:10]:  # the record fields of the same name
-        column[name][:] = list(map(attrgetter(name), records))
-    names = [r.package_name for r in records]
-    column["num_permissions"][:] = [len(r.permissions) for r in records]
-    column["self_signed"][:] = [r.issuer_id == r.developer_id for r in records]
+    # The record's ten counts of the same names, then its five star votes.
+    for name, counts in zip(INTRINSIC_COLUMNS[:10] + SOCIAL_COLUMNS[:5], records.counts):
+        column[name][:] = counts
+    names = records.package_names.tolist()
+    column["num_permissions"][:] = np.diff(records.permission_indptr)
+    column["self_signed"][:] = records.issuer_codes == records.developer_codes
     column["package_name_length"][:] = list(map(len, names))
     column["package_depth"][:] = [name.count(".") for name in names]
     column["update_rate"][:] = column["version_code"] / (column["age_in_market_days"] + 1.0)
     votes = [column[name] for name in SOCIAL_COLUMNS[:5]]
-    for i, star in enumerate(votes):
-        star[:] = [r.star_votes[i] for r in records]
     total, mean = column["total_votes"], column["mean_star"]
     total[:] = sum(votes)
     stars = sum(i * star for i, star in enumerate(votes, start=1))
@@ -254,15 +242,17 @@ def _fill_dense(out: np.ndarray, records: Sequence[AppRecord]):
         mean[:] = [r.mean_star for r in records]
 
 
-def reputation_block(
-    records: Sequence[AppRecord], table: ReputationTable
-) -> np.ndarray:
-    """developer_rep and issuer_rep columns from a fitted table."""
-    prior = table.global_prior
-    developer, issuer = table.developers.get, table.issuers.get
+def reputation_block(records: Records, table: ReputationTable) -> np.ndarray:
+    """developer_rep and issuer_rep columns from a fitted table: each
+    entity's rate, gathered by the records' codes."""
+    records = Corpus.of(records)
     out = np.empty((len(records), 2), dtype=np.float64)
-    out[:, 0] = [developer(r.developer_id, prior) for r in records]
-    out[:, 1] = [issuer(r.issuer_id, prior) for r in records]
+    entities = records.entities.tolist()
+    for j, (rates, codes) in enumerate(
+        ((table.developers, records.developer_codes), (table.issuers, records.issuer_codes))
+    ):
+        rate = np.array([rates.get(e, table.global_prior) for e in entities], dtype=np.float64)
+        out[:, j] = rate[codes]
     return out
 
 
@@ -345,36 +335,20 @@ def _column_positions(hash_config: HashConfig) -> dict[str, int]:
 
 
 def assemble_features(
-    records: Sequence[AppRecord],
-    hash_config: HashConfig,
-    table: ReputationTable,
-    static_block: Optional[StaticBlock] = None,
+    records: Records, hash_config: HashConfig, table: ReputationTable
 ) -> FeatureMatrix:
     """Full row layout: [hash | intrinsic | social | reputation], as one
-    dense matrix that the static block is written into.
-
-    Pass a precomputed `static_block` (from `static_feature_block` on the
-    same records, in the same order) to skip rehashing; only the two
-    reputation columns are recomputed.
-    """
+    dense matrix that the static block is written into."""
+    records = Corpus.of(records)
     names = feature_names(hash_config)
-    width = len(names) - len(REPUTATION_COLUMNS)
-    if static_block is None:
-        static_block = static_feature_block(records, hash_config)
-    elif static_block.shape != (len(records), width):
-        raise ContractError(
-            f"static block shape {static_block.shape} does not match "
-            f"{len(records)} records x {width} columns"
-        )
     values = np.zeros((len(records), len(names)))
-    static_block.write_into(values)
-    del static_block  # one built here is freed before the matrix is validated
-    values[:, width:] = reputation_block(records, table)
+    static_feature_block(records, hash_config).write_into(values)
+    values[:, len(names) - len(REPUTATION_COLUMNS) :] = reputation_block(records, table)
     return FeatureMatrix(names, values)
 
 
 def gather_features(
-    records: Sequence[AppRecord],
+    records: Records,
     hash_config: HashConfig,
     table: ReputationTable,
     static_block: StaticBlock,
@@ -398,9 +372,7 @@ def gather_features(
     hashed = idx < h
     out_column = np.full(h, -1, dtype=np.intp)
     out_column[idx[hashed]] = np.flatnonzero(hashed)
-    start = static_block.indptr[rows]
-    sizes = static_block.indptr[rows + 1] - start
-    at = np.repeat(start - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+    at, sizes = row_positions(static_block.indptr, rows)
     cols = out_column[static_block.buckets[at]]
     keep = cols >= 0
     key = [np.repeat(np.arange(len(rows)) * p, sizes)[keep] + cols[keep]]
@@ -414,7 +386,7 @@ def gather_features(
         part = static_block.dense.take(rows, axis=0).take(np.minimum(static, n_static - 1), axis=1)
         reputation = static >= n_static
         if reputation.any():
-            block = reputation_block([records[i] for i in rows], table)
+            block = reputation_block(records, table)[rows]
             part[:, reputation] = block[:, static[reputation] - n_static]
         at_row, at_col = np.divmod(np.flatnonzero(part != 0.0), len(other))
         key.append(at_row * p + other[at_col])

@@ -20,6 +20,8 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
+from .errors import ContractError
+
 # (model kind, malware fraction, detection threshold) ->
 #   metric -> (train, test) as published.
 GRID_REFERENCE: dict[tuple[str, float, int], dict[str, tuple[float, float]]] = {
@@ -96,35 +98,81 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _distinct_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bit patterns of float64 `values`, increasing, and
+    `repr` of each as an object array."""
+    ordered = np.sort(values.view(np.uint64))
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    return distinct, np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+
+
+def _texts(values: np.ndarray, suffix: str = "") -> np.ndarray:
+    """`repr` of each of float64 `values`, plus `suffix`, as an object array;
+    each distinct bit pattern is formatted once."""
+    distinct, texts = _distinct_texts(values)
+    if suffix:
+        texts = texts + suffix
+    return texts[np.searchsorted(distinct, values.view(np.uint64))]
+
+
 def write_matrix_csv(
     fh: TextIO, header: Sequence[str], values: np.ndarray, labels: np.ndarray,
+    sparse: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = None,
     block_rows: int = 2048,
 ) -> None:
     """Write the lines `csv_text(header, rows)` would give, where each row is
-    a row of `values` followed by its int label: every value is written as
-    `repr(float(v))`. Each column's distinct values (by bit pattern, so 0.0
-    and -0.0 keep their own text) are formatted once; rows are joined and
-    written `block_rows` at a time, so the text is never held whole."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    distinct, texts = [], []
-    for column in bits.T:
-        ordered = np.sort(column)
-        first = np.ones(len(ordered), dtype=bool)
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        distinct.append(ordered[first])
-        floats = ordered[first].view(np.float64).tolist()
-        texts.append(np.array(list(map(repr, floats)), dtype=object))
-    label_ints = np.asarray(labels, dtype=np.int64).tolist()
-    label_texts = np.array(list(map(str, label_ints)), dtype=object)
+    the row's `sparse` cells, then its row of `values`, then its int label:
+    every value is written as `repr(float(v))`. `sparse`, when given, is
+    (indptr, columns, data, width): `width` leading columns as compressed
+    sparse rows, row i's entries at `indptr[i]:indptr[i + 1]` with columns
+    increasing. A value that is not finite raises ContractError.
+
+    Each column's distinct values (by bit pattern, so 0.0 and -0.0 keep
+    their own text) are formatted once, and a row's run of sparse zeros is
+    written as one repeated string. Rows are joined and written
+    `block_rows` at a time, so the text is never held whole."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    n = len(values)
+    if sparse is None:
+        sparse = (np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), 0)
+    indptr, columns, data, width = sparse
+    data = np.asarray(data, dtype=np.float64)
+    if not (np.isfinite(values).all() and np.isfinite(data).all()):
+        raise ContractError("feature matrix contains NaN or infinite values")
+    dense = [_distinct_texts(column) for column in values.T]
+    labels = np.asarray(labels, dtype=np.int64).tolist()
+    label_texts = np.array([f"{label}\n" for label in labels], dtype=object)
     fh.write(",".join(header) + "\n")
-    cells = np.empty((min(block_rows, len(bits)), bits.shape[1] + 1), dtype=object)
-    for start in range(0, len(bits), block_rows):
-        rows = bits[start : start + block_rows]
-        block = cells[: len(rows)]
-        for j, (column_distinct, column_texts) in enumerate(zip(distinct, texts)):
-            block[:, j] = column_texts[np.searchsorted(column_distinct, rows[:, j])]
-        block[:, -1] = label_texts[start : start + block_rows]
-        fh.write("\n".join(map(",".join, block.tolist())) + "\n")
+    cells = np.empty((min(block_rows, n), values.shape[1] + 1), dtype=object)
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        block = cells[: stop - start]
+        for j, (distinct, texts) in enumerate(dense):
+            block[:, j] = texts[np.searchsorted(distinct, values[start:stop, j].view(np.uint64))]
+        block[:, -1] = label_texts[start:stop]
+        tails = np.array(list(map(",".join, block.tolist())), dtype=object)
+        # Sparse rows: each entry is its run of zeros and its text; each
+        # row's last run of zeros goes before the rest of the row.
+        bounds = indptr[start : stop + 1] - indptr[start]
+        cols = columns[indptr[start] : indptr[stop]]
+        row = np.repeat(np.arange(stop - start), np.diff(bounds))
+        filled = bounds[1:] > bounds[:-1]
+        previous = np.empty_like(cols)
+        previous[1:] = cols[:-1]
+        previous[bounds[:-1][filled]] = -1
+        last = np.full(stop - start, -1, dtype=np.int64)
+        last[filled] = cols[bounds[1:][filled] - 1]
+        runs = np.concatenate([cols - previous - 1, width - 1 - last])
+        kinds, run_of = np.unique(runs, return_inverse=True)
+        zeros = np.array(["0.0," * k for k in kinds.tolist()], dtype=object)[run_of]
+        pieces = np.empty(len(runs), dtype=object)
+        at_entry = np.arange(len(cols)) + row
+        at_tail = bounds[1:] + np.arange(stop - start)
+        pieces[at_entry] = zeros[: len(cols)] + _texts(data[indptr[start] : indptr[stop]], ",")
+        pieces[at_tail] = zeros[len(cols) :] + tails
+        fh.write("".join(pieces.tolist()))
 
 
 def markdown_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

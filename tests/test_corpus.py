@@ -226,7 +226,7 @@ class TestLineDecoder:
     def test_issues_match_json_loads(self, monkeypatch, line):
         text = f"{self.GOOD}\n  {line}  \n"
         fast, slow = self.parse_both(monkeypatch, text)
-        assert fast.records == slow.records
+        assert list(fast.records) == list(slow.records)
         assert [r.app_id for r in fast.records] == ["good"]
         assert fast.issues == slow.issues and len(fast.issues) == 1
         assert fast.issues[0].line == 2
@@ -311,7 +311,7 @@ class TestParsing:
         d = record_to_dict(make_record())
         del d["size_bytes"]
         result = parse_records(json.dumps(d) + "\n")
-        assert result.records == []
+        assert list(result.records) == []
         assert "size_bytes" in result.issues[0].message
 
     def test_unknown_fields_counted(self):
@@ -336,7 +336,7 @@ class TestParsing:
         bad["size_bytes"] = "big"
         lines = [json.dumps(dict(bad, app_id=f"b{i}")) + "\n" for i in range(101)]
         result = parse_records("".join(lines[:51]))
-        assert result.records == []
+        assert list(result.records) == []
         # one issue per record: the bad field is not reported again by validation
         assert [i.line for i in result.issues] == list(range(1, 52))
         assert result.issues[0].message == "size_bytes is not an integer: 'big'"
@@ -357,7 +357,7 @@ class TestParsing:
             d["star_votes"] = ";".join(str(v) for v in d["star_votes"])
             lines.append(",".join(str(d[k]) for k in header))
         result = parse_records("\n".join(lines) + "\n", format="csv")
-        assert result.records == recs
+        assert list(result.records) == recs
 
     @pytest.mark.parametrize("field,value", [
         ("size_bytes", "Infinity"), ("num_files", "-Infinity"), ("version_code", "1e999"),
@@ -382,7 +382,7 @@ class TestParsing:
         bad = record_to_dict(make_record(app_id="bad"))
         bad[field] = "VALUE"
         result = parse_records(json.dumps(bad).replace('"VALUE"', value) + "\n")
-        assert result.records == []
+        assert list(result.records) == []
         assert len(result.issues) == 1
         assert result.issues[0].message.startswith(f"{field} is not ")
 
@@ -399,7 +399,7 @@ class TestParsing:
         assert path.read_text().splitlines()[0] == ",".join(FIELD_ORDER)
         result = load_corpus(str(path))
         assert result.issues == []
-        assert result.records == recs
+        assert list(result.records) == recs
         assert corpus_digest(result.records) == corpus_digest(recs)
 
     def test_file_round_trip(self, tmp_path):
@@ -407,7 +407,7 @@ class TestParsing:
         path = tmp_path / "corpus.jsonl"
         write_corpus(recs, str(path))
         result = load_corpus(str(path))
-        assert result.records == recs
+        assert list(result.records) == recs
 
     def test_digest_is_stable_and_content_sensitive(self):
         a = [make_record(app_id="x")]

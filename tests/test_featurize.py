@@ -126,26 +126,24 @@ class TestReputation:
         records, labels = self.records()
         table = build_reputation_table(records, labels, alpha=1.0)
         # dev.a: 2 malware of 3 -> (2+1)/(3+2); dev.b: 0 of 2 -> (0+1)/(2+2)
-        assert table.developer_rep("dev.a") == pytest.approx(3 / 5)
-        assert table.developer_rep("dev.b") == pytest.approx(1 / 4)
+        assert table.developers == pytest.approx({"dev.a": 3 / 5, "dev.b": 1 / 4})
         # iss.x: 2 of 2 -> 3/4; iss.y: 0 of 3 -> 1/5
-        assert table.issuer_rep("iss.x") == pytest.approx(3 / 4)
-        assert table.issuer_rep("iss.y") == pytest.approx(1 / 5)
+        assert table.issuers == pytest.approx({"iss.x": 3 / 4, "iss.y": 1 / 5})
 
     def test_global_prior_fallback_for_unseen(self):
         records, labels = self.records()
         table = build_reputation_table(records, labels, alpha=1.0)
         # 2 malware of 5 -> (2+1)/(5+2)
         assert table.global_prior == pytest.approx(3 / 7)
-        assert table.developer_rep("dev.never-seen") == pytest.approx(3 / 7)
-        assert table.issuer_rep("iss.never-seen") == pytest.approx(3 / 7)
+        unseen = make_record(developer_id="dev.never-seen", issuer_id="iss.never-seen")
+        assert reputation_block([unseen], table).tolist() == [[table.global_prior] * 2]
 
     def test_alpha_shrinks_toward_half(self):
         records, labels = self.records()
         weak = build_reputation_table(records, labels, alpha=0.01)
         strong = build_reputation_table(records, labels, alpha=100.0)
-        assert weak.developer_rep("dev.a") > strong.developer_rep("dev.a")
-        assert abs(strong.developer_rep("dev.a") - 0.5) < 0.01
+        assert weak.developers["dev.a"] > strong.developers["dev.a"]
+        assert abs(strong.developers["dev.a"] - 0.5) < 0.01
 
     def test_values_stay_in_unit_interval(self):
         records, labels = self.records()
@@ -201,16 +199,6 @@ class TestAssembly:
         matrix = assemble_features([record], HashConfig(8), table)
         assert matrix.values[0, matrix.column_names.index("self_signed")] == 1.0
 
-    def test_static_block_reuse_matches_fresh_assembly(self):
-        records = [make_record(app_id=f"r{i}", detection_count=i % 2) for i in range(6)]
-        labels = np.array([r.detection_count for r in records])
-        config = HashConfig(32)
-        table = build_reputation_table(records, labels)
-        static = static_feature_block(records, config)
-        fresh = assemble_features(records, config, table)
-        reused = assemble_features(records, config, table, static_block=static)
-        assert np.array_equal(fresh.values, reused.values)
-
     @pytest.mark.parametrize("config", [HashConfig(), HashConfig(64, seed=7), HashConfig(1)])
     def test_static_block_matches_per_record_reference(self, config):
         records = generate_synthetic(GeneratorConfig(n_apps=300), seed=4) + [
@@ -261,13 +249,6 @@ class TestAssembly:
 
     def test_static_block_of_no_records(self):
         assert static_feature_block([], HashConfig(8)).shape == (0, 8 + 15 + 7)
-
-    def test_static_block_shape_mismatch_raises(self):
-        records = [make_record(app_id=f"r{i}") for i in range(3)]
-        table = build_reputation_table(records, np.array([0, 1, 0]))
-        wrong = np.zeros((3, 5))
-        with pytest.raises(ContractError):
-            assemble_features(records, HashConfig(32), table, static_block=wrong)
 
     def test_reputation_block_reads_table(self):
         records = [
@@ -366,6 +347,31 @@ class TestMatrixCsv:
 
     def test_no_rows(self):
         assert self.render(("a", "label"), np.zeros((0, 1)), np.zeros(0)) == "a,label\n"
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 2048])
+    def test_sparse_leading_columns_read_as_dense(self, block_rows):
+        rng = np.random.default_rng(3)
+        leading = (rng.random((9, 7)) < 0.3) * rng.choice([1.0, 2.0, 0.5, 1e-05], (9, 7))
+        leading[2] = 0.0  # a row without entries
+        leading[4, [0, 6]] = [3.0, 1e16]  # entries in the first and last columns
+        rows, cols = np.nonzero(leading)
+        indptr = np.searchsorted(rows, np.arange(10))
+        values = np.column_stack([rng.normal(size=9), np.zeros(9)])
+        labels = rng.integers(0, 2, 9)
+        header = tuple(f"c{j}" for j in range(9)) + ("label",)
+        text = self.render(
+            header, values, labels, sparse=(indptr, cols, leading[rows, cols], 7),
+            block_rows=block_rows,
+        )
+        assert text == self.reference(header, np.hstack([leading, values]), labels)
+
+    @pytest.mark.parametrize("where", ["dense", "sparse"])
+    def test_non_finite_value_is_refused(self, where):
+        values, data = np.zeros((2, 1)), np.array([1.0])
+        (values if where == "dense" else data)[0] = np.nan
+        sparse = (np.array([0, 1, 1]), np.array([0]), data, 1)
+        with pytest.raises(ContractError, match="NaN or infinite"):
+            self.render(("s", "d", "label"), values, np.zeros(2), sparse=sparse)
 
 
 class TestBinning:

@@ -526,6 +526,18 @@ class TestStandardizedOperator:
                 A.T @ u, want_t, rtol=1e-12, atol=1e-12 * np.abs(want_t).max()
             )
 
+    def test_dense_block_is_column_major(self):
+        # BLAS rounds the block's products differently for each layout, so
+        # every linear result hangs on it: a C-ordered block moves scores
+        # in their last bits.
+        values = self.columns()
+        mean, scale = values.mean(axis=0), values.std(axis=0)
+        scale[scale == 0.0] = 1.0
+        X = FeatureMatrix(tuple(f"c{j}" for j in range(values.shape[1])), values)
+        block = metatriage.learn._Standardized(X, mean, scale)._block
+        assert block.shape == (len(values), 4)
+        assert block.flags.f_contiguous and not block.flags.c_contiguous
+
 
 def entries_backed(X: FeatureMatrix) -> FeatureMatrix:
     """The same matrix built from its nonzero entries, row-major."""

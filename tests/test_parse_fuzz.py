@@ -1,0 +1,218 @@
+"""Differential fuzzing of the columnar corpus parse.
+
+`parse_records` takes whole blocks of canonical lines into its columns and
+parses any other block line by line. `reference_parse` below is the parse
+as it was before the columns: every line through `json.loads` and
+`record_from_dict` into an `AppRecord`. Seeded mutations of a few lines of a
+small generated corpus must give both the same rows, issues, unknown-field
+counts and raised error, and a digest equal to the hash of the rows'
+canonical lines.
+"""
+
+import hashlib
+import io
+import json
+import math
+import random
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import metatriage.corpus
+from metatriage import cli
+from metatriage.corpus import (
+    _INT_FIELDS,
+    Corpus,
+    DuplicateAppIdError,
+    GeneratorConfig,
+    ParseError,
+    _canonical_line,
+    corpus_digest,
+    generate_synthetic,
+    load_corpus,
+    parse_records,
+    record_from_dict,
+    record_to_dict,
+    write_corpus,
+)
+
+CASES = 500
+N_RECORDS = 24
+
+
+def reference_parse(lines, max_errors=100):
+    """(records, [(line, message)], unknown-field counts) of `lines`, one
+    line at a time; raises what the parse raises."""
+    records, issues, unknown_fields, seen, rejected = [], [], Counter(), set(), 0
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            problems = [] if isinstance(obj, dict) else ["line is not a JSON object"]
+        except ValueError as exc:
+            obj, problems = None, [f"invalid JSON: {exc}"]
+        record = None
+        if not problems:
+            record, problems, unknown = record_from_dict(obj)
+            unknown_fields.update(unknown)
+        if problems:
+            issues.extend((line_no, p) for p in problems)
+            rejected += 1
+            if rejected > max_errors:
+                raise ParseError(
+                    f"more than {max_errors} malformed records; last at line {line_no}"
+                )
+            continue
+        if record.app_id in seen:
+            raise DuplicateAppIdError(f"duplicate app_id {record.app_id!r} at line {line_no}")
+        seen.add(record.app_id)
+        records.append(record)
+    return records, issues, unknown_fields
+
+
+def compact(d: dict, **kwargs) -> str:
+    return json.dumps(d, separators=(",", ":"), **kwargs) + "\n"
+
+
+def with_value(d: dict, name: str, text: str) -> str:
+    """The compact line of `d` with field `name`'s value written as `text`."""
+    return compact(dict(d, **{name: "VALUE"})).replace('"VALUE"', text)
+
+
+def int_field(rng) -> str:
+    return rng.choice(_INT_FIELDS)
+
+
+def dropped(rng, d: dict) -> dict:
+    name = rng.choice(list(d))
+    return {k: v for k, v in d.items() if k != name}
+
+
+# Each mutation maps (rng, the line's record dict, every record dict, the
+# line) to the text that replaces the line.
+MUTATIONS = {
+    "drop-key": lambda rng, d, ds, line: compact(dropped(rng, d)),
+    "unknown-key": lambda rng, d, ds, line: compact(dict(d, extra=rng.choice([1, "x", None]))),
+    "reordered-keys": lambda rng, d, ds, line: compact(dict(rng.sample(list(d.items()), len(d)))),
+    "string-int": lambda rng, d, ds, line: compact(dict(d, **{(f := int_field(rng)): str(d[f])})),
+    "float-int": lambda rng, d, ds, line: compact(dict(d, **{(f := int_field(rng)): float(d[f])})),
+    "bool-int": lambda rng, d, ds, line: compact(dict(d, **{int_field(rng): True})),
+    "nan": lambda rng, d, ds, line: compact(dict(d, **{int_field(rng): math.nan})),
+    "infinity": lambda rng, d, ds, line: compact(dict(d, **{int_field(rng): -math.inf})),
+    "negative": lambda rng, d, ds, line: compact(dict(d, **{(f := int_field(rng)): -d[f] - 1})),
+    "2**53": lambda rng, d, ds, line: compact(dict(d, **{int_field(rng): 2**53})),
+    "2**53-1": lambda rng, d, ds, line: compact(dict(d, **{int_field(rng): 2**53 - 1})),
+    "huge-int": lambda rng, d, ds, line: with_value(d, int_field(rng), "9" * 4400),
+    "vote-2**53": lambda rng, d, ds, line: compact(dict(d, star_votes=[2**53, 0, 0, 0, 0])),
+    "15-digit-int": lambda rng, d, ds, line: compact(dict(d, **{int_field(rng): 10**15 - 1})),
+    "leading-zero": lambda rng, d, ds, line: with_value(d, int_field(rng), "07"),
+    "negative-zero": lambda rng, d, ds, line: with_value(d, int_field(rng), "-0"),
+    "empty-permission-name": lambda rng, d, ds, line: compact(
+        dict(d, permissions=[""] + d["permissions"])),
+    "escaped-quote": lambda rng, d, ds, line: compact(dict(d, app_id=d["app_id"] + '"q')),
+    "escaped-e-acute": lambda rng, d, ds, line: compact(dict(d, package_name="café")),
+    "raw-utf8": lambda rng, d, ds, line: compact(dict(d, developer_id="dév"), ensure_ascii=False),
+    "unsorted-permissions": lambda rng, d, ds, line: compact(
+        dict(d, permissions=d["permissions"][::-1])),
+    "duplicate-permission": lambda rng, d, ds, line: compact(
+        dict(d, permissions=d["permissions"] + d["permissions"][:1])),
+    "no-permissions": lambda rng, d, ds, line: compact(dict(d, permissions=[])),
+    "four-votes": lambda rng, d, ds, line: compact(dict(d, star_votes=d["star_votes"][:4])),
+    "six-votes": lambda rng, d, ds, line: compact(dict(d, star_votes=d["star_votes"] + [1])),
+    "inner-whitespace": lambda rng, d, ds, line: json.dumps(d) + "\n",
+    "trailing-spaces": lambda rng, d, ds, line: line[:-1] + "  \n",
+    "crlf": lambda rng, d, ds, line: line[:-1] + "\r\n",
+    "blank-lines": lambda rng, d, ds, line: rng.choice(["\n", "  \n", "\n\n"]) + line,
+    "truncated": lambda rng, d, ds, line: line[: rng.randrange(1, len(line) - 1)] + "\n",
+    "array": lambda rng, d, ds, line: "[1,2]\n",
+    "duplicate-app-id": lambda rng, d, ds, line: compact(dict(d, app_id=rng.choice(ds)["app_id"])),
+}
+
+
+def make_case(rng):
+    """(name, text, max_errors, block lines) of one seeded case."""
+    records = generate_synthetic(
+        GeneratorConfig(n_apps=N_RECORDS, n_developers=5, n_issuers=4), seed=rng.randrange(50)
+    )
+    dicts = [record_to_dict(r) for r in records]
+    lines = [_canonical_line(r) for r in records]
+    kinds = rng.sample(sorted(MUTATIONS), rng.randrange(0, 4))
+    for kind in kinds:
+        i = rng.randrange(len(lines))
+        lines[i] = MUTATIONS[kind](rng, dicts[i], dicts, lines[i])
+    text = "".join(lines)
+    if rng.random() < 0.2:
+        kinds.append("no-final-newline")
+        text = text.rstrip("\n")
+    max_errors, block = rng.choice([0, 1, 2, 100]), rng.choice([1, 3, 8, 1024])
+    return "+".join(kinds) or "canonical", text, max_errors, block
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except (ParseError, DuplicateAppIdError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(CASES // 25))
+def test_columns_match_the_per_line_parse(seed, tmp_path, monkeypatch, capsys):
+    rng = random.Random(seed)
+    path = tmp_path / "corpus.jsonl"
+    for _ in range(25):
+        name, text, max_errors, block = make_case(rng)
+        monkeypatch.setattr(metatriage.corpus, "_BLOCK_LINES", block)
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            inputs = [(text, io.StringIO(text)), (str(path), fh)]
+            for source, lines in inputs:
+                got = outcome(
+                    lambda: (load_corpus(source, max_errors) if source == str(path)
+                             else parse_records(source, max_errors=max_errors))
+                )
+                want = outcome(reference_parse, lines, max_errors)
+                if isinstance(want[0], type):
+                    assert got == want, name
+                    continue
+                records, issues, unknown = want
+                rows = [record_to_dict(r) for r in got.records]
+                assert rows == [record_to_dict(r) for r in records], name
+                assert [(i.line, i.message) for i in got.issues] == issues, name
+                assert got.unknown_fields == unknown, name
+                canonical = "".join(map(_canonical_line, records)).encode()
+                assert corpus_digest(got.records) == hashlib.sha256(canonical).hexdigest(), name
+        code = cli.main(["histogram", "--corpus", str(path)])
+        assert code in (0, 1, 2), name
+        capsys.readouterr()
+
+
+def test_canonical_corpus_constructs_no_record(tmp_path, monkeypatch):
+    records = generate_synthetic(GeneratorConfig(n_apps=3000), seed=3)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(records, str(path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the load made an AppRecord")
+
+    monkeypatch.setattr(metatriage.corpus, "AppRecord", refuse)
+    corpus = load_corpus(str(path)).records
+    monkeypatch.undo()
+    assert corpus.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert list(corpus) == records
+
+
+def test_csv_corpus_gives_the_same_columns(tmp_path):
+    records = generate_synthetic(GeneratorConfig(n_apps=400), seed=8)
+    write_corpus(records, str(tmp_path / "corpus.jsonl"))
+    write_corpus(records, str(tmp_path / "corpus.csv"))
+    a = load_corpus(str(tmp_path / "corpus.jsonl")).records
+    b = load_corpus(str(tmp_path / "corpus.csv")).records
+    assert b.digest is None
+    for name in Corpus.__dataclass_fields__:
+        if name != "digest":
+            left, right = getattr(a, name), getattr(b, name)
+            assert left.dtype == right.dtype and np.array_equal(left, right), name
+    assert corpus_digest(a) == corpus_digest(b) == corpus_digest(records)
