@@ -1,24 +1,26 @@
 """Benchmark experiments: hash-size sweep, feature-count curve, the
 nine-cell composition grid, and ranked-window robustness.
 
-Every experiment consumes raw records, derives all randomness from its
-seed, and produces a BenchReport; `emit_report` renders it to
-byte-identical files through `reporting`. The four experiments share one
-scaffold: `_new_report` pins config, corpus digest and provenance,
-`_prepare` builds one fold plan per dataset and seed, `_evaluate` runs
-each model kind or rank window on it and turns a failed run into a flag
-message, and `_completed` runs the cells or points in forked worker
-processes and merges their results in task order, so the worker count
-never changes output bytes. The three that train on rank windows call
-`check_windows` first, so a window past the column order fails before
-any work.
+Every experiment consumes a `Corpus` or a labeled dataset, derives all
+randomness from its seed, and produces a BenchReport; `emit_report`
+renders it to byte-identical files through `reporting`. The four
+experiments share one scaffold: `_new_report` pins the columns, config,
+corpus digest and provenance, `_prepare` builds one fold plan per
+dataset and seed, `_evaluate` runs each model kind or rank window on it
+and turns a failed run into a flag message, and `_completed` runs the
+cells or points in forked worker processes and merges their results in
+task order, so the worker count never changes output bytes. The three
+that train on rank windows call `check_windows` first, so a window past
+the column order fails before any work.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import sys
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -28,7 +30,6 @@ import numpy as np
 
 from . import reporting
 from .corpus import (
-    AppRecord,
     CompositionRecipe,
     Corpus,
     DetectionLabelPolicy,
@@ -54,6 +55,27 @@ DEFAULT_KS = (1, 2, 3, 5, 7, 10, 15, 20, 27, 40)
 # Default hyperparameters of the experiments and of `cv`: a 60-tree forest.
 DEFAULT_HYPER = Hyperparams(forest=ForestParams(n_trees=60))
 
+# Each experiment's result columns, in order.
+COLUMNS = {
+    "hash-size-sweep": ("size", "pooled_auc", "mean_test_auc", "std_test_auc", "mean_test_f1"),
+    "feature-count-curve": ("model", "top_k", "mean_train_f1", "mean_test_f1", "std_test_f1"),
+    "benchmark-grid": (
+        "model", "malware_fraction", "threshold", "n_rows",
+        "mean_train_precision", "mean_train_recall", "mean_train_f1",
+        "mean_test_precision", "mean_test_recall", "mean_test_f1",
+        "std_test_f1",
+        "reference_train_f1", "reference_test_f1",
+    ),
+    "robustness-windows": (
+        "model", "threshold", "window_start", "window_end",
+        "mean_train_f1", "mean_test_f1", "std_test_f1",
+        "reference_train_f1", "reference_test_f1",
+    ),
+}
+# The columns that hold null where a point has no pooled ROC or no
+# published figure. `model` holds a string, every other column a number.
+_NULLABLE = ("pooled_auc", "reference_train_f1", "reference_test_f1")
+
 
 @dataclass
 class BenchReport:
@@ -73,7 +95,8 @@ class BenchReport:
     @staticmethod
     def from_json(obj: dict) -> "BenchReport":
         """The report `obj` holds; a missing required key or a value of the
-        wrong type, down to the items of a list, raises ParseError."""
+        wrong type, down to the items of a list, raises ParseError. So does
+        content that no experiment writes (see `_check_content`)."""
         if not isinstance(obj, dict):
             raise ParseError("a report must be a JSON object")
         missing = [k for k in ("experiment", "config", "columns", "rows") if k not in obj]
@@ -90,7 +113,51 @@ class BenchReport:
                 what = kind if item else kind.__name__
                 raise ParseError(f"report key {name!r} must be a {what}, got {value!r:.60}")
             kwargs[name] = value
-        return BenchReport(**kwargs)
+        report = BenchReport(**kwargs)
+        _check_content(report)
+        return report
+
+
+def _number(value) -> bool:
+    """Whether `value` is a JSON number, not a bool, that a float holds."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
+def _check_content(report: BenchReport) -> None:
+    """Raise ParseError unless `report` is laid out as its experiment writes
+    it: one of the four experiments, its `COLUMNS`, each row holding every
+    column, curves with a name, a kind, finite x values (positive on a
+    log2 axis) and y values that are numbers or null, and string digests."""
+    columns = COLUMNS.get(report.experiment)
+    if columns is None:
+        raise ParseError(
+            f"unknown experiment {report.experiment!r:.60}; expected one of {', '.join(COLUMNS)}"
+        )
+    if report.columns != list(columns):
+        raise ParseError(f"a {report.experiment} report has the columns {', '.join(columns)}")
+    for i, row in enumerate(report.rows):
+        for name in columns:
+            value = row.get(name, ...)
+            if not (
+                isinstance(value, str) if name == "model"
+                else _number(value) or value is None and name in _NULLABLE
+            ):
+                raise ParseError(f"report row {i} lacks a valid {name!r}")
+    log_x = {spec[0] for spec in reporting.CHART_SPECS[report.experiment] if spec[-1]}
+    for i, curve in enumerate(report.curves):
+        x, y = curve.get("x"), curve.get("y")
+        if not (
+            isinstance(curve.get("name"), str) and isinstance(curve.get("kind"), str)
+            and isinstance(x, list) and isinstance(y, list)
+            and all(_number(v) and math.isfinite(v) and (v > 0 or curve["kind"] not in log_x)
+                    for v in x)
+            and all(v is None or _number(v) for v in y)
+        ):
+            raise ParseError(f"report curve {i} must hold a name, a kind, finite x values "
+                             "(positive on a log2 axis) and y values that are numbers or null")
+    for key in ("config_digest", "corpus_digest"):
+        if not isinstance(report.provenance.get(key, ""), str):
+            raise ParseError(f"report provenance {key!r} must be a string")
 
 
 def _config_digest(config: dict) -> str:
@@ -191,21 +258,17 @@ def _map_ordered(tasks: Sequence, fn: Callable, threads: int) -> list:
 
 
 def _new_report(
-    experiment: str,
-    config: dict,
-    seed: int,
-    records: Union[Corpus, Sequence[AppRecord]],
-    columns: list[str],
-    flags: Sequence[str] = (),
+    experiment: str, config: dict, seed: int, corpus: Corpus, flags: Sequence[str] = ()
 ) -> BenchReport:
-    """An empty report whose provenance pins the config, seed and corpus."""
+    """An empty report with the experiment's columns, whose provenance pins
+    the config, seed and corpus."""
     report = BenchReport(
         experiment=experiment,
         config=config,
-        columns=columns,
+        columns=list(COLUMNS[experiment]),
         rows=[],
         flags=list(flags),
-        provenance=_provenance(experiment, config, seed, corpus_digest(records)),
+        provenance=_provenance(experiment, config, seed, corpus_digest(corpus)),
     )
     if config.get("frozen_ranking"):
         report.flags.append("frozen-ranking: fixed feature order reused across folds")
@@ -291,11 +354,7 @@ def hash_size_sweep(
         "seed": seed,
         "hyper": hyper.to_json(),
     }
-    report = _new_report(
-        "hash-size-sweep", config, seed, dataset.records,
-        ["size", "pooled_auc", "mean_test_auc", "std_test_auc", "mean_test_f1"],
-        flags=dataset.flags,
-    )
+    report = _new_report("hash-size-sweep", config, seed, dataset.records, dataset.flags)
 
     def run_point(size: int):
         hash_config = HashConfig(n_buckets=size, seed=0)
@@ -375,11 +434,7 @@ def feature_count_curve(
         "frozen_ranking": list(frozen) if frozen else None,
         "hyper": hyper.to_json(),
     }
-    report = _new_report(
-        "feature-count-curve", config, seed, dataset.records,
-        ["model", "top_k", "mean_train_f1", "mean_test_f1", "std_test_f1"],
-        flags=dataset.flags,
-    )
+    report = _new_report("feature-count-curve", config, seed, dataset.records, dataset.flags)
 
     plan = _prepare(dataset, k, seed, pipeline)
     tasks = [(model_kind, top_k) for model_kind in model_kinds for top_k in ks]
@@ -412,7 +467,7 @@ def feature_count_curve(
 
 
 def grid_benchmark(
-    corpus: Union[Corpus, Sequence[AppRecord]],
+    corpus: Corpus,
     malware_fractions: Sequence[float] = (0.02, 0.25, 0.50),
     thresholds: Sequence[int] = (1, 2, 4),
     subset_size: int = 5000,
@@ -440,7 +495,6 @@ def grid_benchmark(
         leaky_reputation=leaky_reputation,
     )
     check_windows(pipeline, [(1, top_k)])
-    corpus = Corpus.of(corpus)
     config = {
         "malware_fractions": list(malware_fractions),
         "thresholds": list(thresholds),
@@ -456,16 +510,7 @@ def grid_benchmark(
         "leaky_reputation": leaky_reputation,
         "hyper": hyper.to_json(),
     }
-    report = _new_report(
-        "benchmark-grid", config, seed, corpus,
-        [
-            "model", "malware_fraction", "threshold", "n_rows",
-            "mean_train_precision", "mean_train_recall", "mean_train_f1",
-            "mean_test_precision", "mean_test_recall", "mean_test_f1",
-            "std_test_f1",
-            "reference_train_f1", "reference_test_f1",
-        ],
-    )
+    report = _new_report("benchmark-grid", config, seed, corpus)
     if leaky_reputation:
         report.flags.append("leaky-reputation: tables fitted on full subsets")
     cells = [
@@ -563,7 +608,7 @@ def grid_benchmark(
 
 
 def robustness_windows(
-    corpus: Union[Corpus, Sequence[AppRecord]],
+    corpus: Corpus,
     window_width: int = 15,
     step: int = 2,
     n_windows: int = 7,
@@ -593,7 +638,6 @@ def robustness_windows(
     frozen = tuple(frozen_ranking) if frozen_ranking else None
     pipeline = PipelineConfig(ranking_method=ranking_method, frozen_ranking=frozen, hyper=hyper)
     check_windows(pipeline, [(start, window_width) for start in starts])
-    corpus = Corpus.of(corpus)
     config = {
         "window_width": window_width,
         "step": step,
@@ -609,14 +653,7 @@ def robustness_windows(
         "frozen_ranking": list(frozen) if frozen else None,
         "hyper": hyper.to_json(),
     }
-    report = _new_report(
-        "robustness-windows", config, seed, corpus,
-        [
-            "model", "threshold", "window_start", "window_end",
-            "mean_train_f1", "mean_test_f1", "std_test_f1",
-            "reference_train_f1", "reference_test_f1",
-        ],
-    )
+    report = _new_report("robustness-windows", config, seed, corpus)
 
     tasks = []
     for ti, threshold in enumerate(thresholds):

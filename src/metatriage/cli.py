@@ -171,7 +171,10 @@ def _value(name: str, raw, from_flag: bool):
         elif opt.kind is int and isinstance(x, float) and x.is_integer():
             x = int(x)
         elif opt.kind is float and isinstance(x, int):
-            x = float(x)
+            try:
+                x = float(x)
+            except OverflowError:  # past the float range
+                return None
         if (
             isinstance(x, opt.kind)
             and (not opt.choices or x in opt.choices)
@@ -247,7 +250,7 @@ class _Options:
                     config = json.load(fh)
             except FileNotFoundError:
                 raise UsageError(f"config file not found: {args.config}") from None
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # or an integer of over 4,300 digits
                 raise UsageError(f"config file is not valid JSON: {exc}") from None
             if not isinstance(config, dict):
                 raise UsageError("config file must hold a JSON object")
@@ -521,7 +524,7 @@ def _cmd_report(opts: _Options) -> int:
             doc = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"report file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # or an integer of over 4,300 digits
         raise MetatriageError(f"report file is not valid JSON: {exc}") from None
     report = bench.BenchReport.from_json(doc)
     return _emit(report, opts, opts["formats"])

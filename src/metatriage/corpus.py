@@ -1,15 +1,21 @@
-"""App-metadata corpus: record schema, parsing, labeling, subset composition,
-and a deterministic synthetic-corpus generator.
+"""App-metadata corpus: record schema, the columnar `Corpus`, parsing and
+writing, labeling, subset composition, and a deterministic synthetic-corpus
+generator.
 
 Records carry store metadata only (no code-derived features): package facts,
 market/social counters, developer and certificate-issuer identity, and the
 number of antivirus engines that flagged the app.
+
+A `Corpus` holds records as columns, and it is what passes between layers:
+`generate_synthetic` and `parse_records` return one, and labeling,
+composition, digests and every feature block read one. `AppRecord` is one
+record: what the per-line parse validates, and what `Corpus[i]` gives.
+`Corpus.of` makes a corpus of hand-made records.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import hashlib
 import io
 import json
@@ -19,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -246,8 +252,8 @@ def row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """Records as columns, in record order: what `parse_records` returns and
-    every layer up to the fold matrices reads.
+    """Records as columns, in record order: what `generate_synthetic` and
+    `parse_records` return and every layer up to the fold matrices reads.
 
     `app_ids` and `package_names` are object arrays of str. Developer and
     issuer ids are codes into `entities`, the sorted distinct ids of both,
@@ -255,8 +261,7 @@ class Corpus:
     sparse rows of codes into `permission_names`, sorted and distinct:
     record i's are `permission_codes[permission_indptr[i]:permission_indptr[i + 1]]`,
     increasing. `counts` holds the integer fields, one row per
-    `COUNT_FIELDS` entry, as int64 (as Python ints only for records made
-    directly with values past int64). `digest`, when known, is the
+    `COUNT_FIELDS` entry, as int64. `digest`, when known, is the
     `corpus_digest`.
 
     An index gives one record as an `AppRecord`; `take` gives the corpus
@@ -275,12 +280,15 @@ class Corpus:
     digest: Optional[str] = None
 
     @staticmethod
-    def of(records: Union["Corpus", Iterable[AppRecord]]) -> "Corpus":
-        """`records` if it is a corpus, else the corpus of the records it yields."""
-        if isinstance(records, Corpus):
-            return records
+    def of(records: Iterable[AppRecord]) -> "Corpus":
+        """The corpus of hand-made records, in order. A record that
+        `validation_errors` rejects raises ValueError."""
+        records = list(records)
+        for record in records:
+            if problems := record.validation_errors():
+                raise ValueError(f"invalid record {record.app_id!r}: {'; '.join(problems)}")
         builder = _CorpusBuilder()
-        builder.add_records(list(records))
+        builder.add_records(records)
         return builder.finish()
 
     def __len__(self) -> int:
@@ -317,10 +325,6 @@ class Corpus:
         )
 
 
-def _concat(parts: list, dtype) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
-
-
 class _CorpusBuilder:
     """Collects records, a block at a time and in order, as columns; names
     get first-seen codes, and `finish` renumbers them in sorted order."""
@@ -328,10 +332,12 @@ class _CorpusBuilder:
     def __init__(self):
         self.app_ids, self.package_names = [], []
         self.entity_code, self.permission_code = {}, {}
-        # Per added block: developer and issuer codes, permission counts,
-        # permission codes and the (records, 16) integer fields.
-        self.developers, self.issuers, self.sizes, self.permissions = [], [], [], []
-        self.counts = []
+        # Per added block, after an empty one: developer and issuer codes,
+        # permission counts, permission codes and the (records, 16) integer fields.
+        self.developers, self.issuers, self.sizes, self.permissions = (
+            [np.zeros(0, dtype=np.intp)] for _ in range(4)
+        )
+        self.counts = [np.zeros((0, len(COUNT_FIELDS)), dtype=np.int64)]
 
     @staticmethod
     def _codes(code: dict, names: Sequence[str]) -> np.ndarray:
@@ -382,32 +388,35 @@ class _CorpusBuilder:
         self._add(ids, packages, developers, issuers, sizes, codes, counts)
         return True
 
+    def add_columns(self, ids, packages, developers, issuers, sizes, permissions, counts) -> None:
+        """Add records given by their columns: `permissions` holds each
+        record's names, sorted and distinct, record after record, and
+        `sizes` how many each has."""
+        codes = self._codes(self.permission_code, permissions)
+        self._add(ids, packages, developers, issuers, sizes, codes, counts)
+
     def add_records(self, records: list[AppRecord]) -> None:
         permissions = [sorted(r.permissions) for r in records]
-        rows = [(*_COUNTS_OF(r), *r.star_votes, r.detection_count) for r in records]
-        try:
-            counts = np.array(rows, dtype=np.int64)
-        except OverflowError:  # only records made directly, past the parse's bound
-            counts = np.array(rows, dtype=object)
-        self._add(
+        self.add_columns(
             [r.app_id for r in records], [r.package_name for r in records],
             [r.developer_id for r in records], [r.issuer_id for r in records],
             np.fromiter(map(len, permissions), np.int64, len(records)),
-            self._codes(self.permission_code, list(chain.from_iterable(permissions))), counts,
+            list(chain.from_iterable(permissions)),
+            np.array([(*_COUNTS_OF(r), *r.star_votes, r.detection_count) for r in records],
+                     dtype=np.int64),
         )
 
     def finish(self, digest: Optional[str] = None) -> Corpus:
         entity, permission = self._ranks(self.entity_code), self._ranks(self.permission_code)
         indptr = np.zeros(len(self.app_ids) + 1, dtype=np.int64)
-        np.cumsum(_concat(self.sizes, np.int64), out=indptr[1:])
-        counts = np.zeros((0, len(COUNT_FIELDS)), dtype=np.int64)
-        counts = np.concatenate(self.counts) if self.counts else counts
+        np.cumsum(np.concatenate(self.sizes), out=indptr[1:])
         return Corpus(
             np.array(self.app_ids, dtype=object), np.array(self.package_names, dtype=object),
             np.array(sorted(self.entity_code), dtype=object),
-            entity[_concat(self.developers, np.intp)], entity[_concat(self.issuers, np.intp)],
+            entity[np.concatenate(self.developers)], entity[np.concatenate(self.issuers)],
             np.array(sorted(self.permission_code), dtype=object), indptr,
-            permission[_concat(self.permissions, np.intp)], np.ascontiguousarray(counts.T),
+            permission[np.concatenate(self.permissions)],
+            np.ascontiguousarray(np.concatenate(self.counts).T),
             digest,
         )
 
@@ -542,35 +551,26 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
             return
         handle(obj, line_no, kept)
 
-    # Allocating records triggers cyclic GC passes over the growing list,
-    # and parsing makes no garbage cycles, so the collector is paused and
-    # its prior state restored.
-    collecting = gc.isenabled()
-    gc.disable()
     digest = None
-    try:
-        if format == "jsonlines":
-            lines, start, digest = _iter_lines(stream), 1, hashlib.sha256()
-            while block := list(islice(lines, _BLOCK_LINES)):
-                matches = list(map(_CANONICAL.fullmatch, block))
-                rows = [m.groups("") for m in matches] if all(matches) else None
-                if rows and builder.add_canonical(rows, seen_ids):
-                    if digest is not None:
-                        digest.update("".join(block).encode())
-                else:
-                    digest, kept = None, []
-                    for line_no, line in enumerate(block, start):
-                        handle_line(line, line_no, kept)
-                    builder.add_records(kept)
-                start += len(block)
-        else:
-            kept = []
-            for line_no, row in enumerate(csv.DictReader(_iter_lines(stream)), start=2):
-                handle({k: v for k, v in row.items() if k is not None}, line_no, kept)
-            builder.add_records(kept)
-    finally:
-        if collecting:
-            gc.enable()
+    if format == "jsonlines":
+        lines, start, digest = _iter_lines(stream), 1, hashlib.sha256()
+        while block := list(islice(lines, _BLOCK_LINES)):
+            matches = list(map(_CANONICAL.fullmatch, block))
+            rows = [m.groups("") for m in matches] if all(matches) else None
+            if rows and builder.add_canonical(rows, seen_ids):
+                if digest is not None:
+                    digest.update("".join(block).encode())
+            else:
+                digest, kept = None, []
+                for line_no, line in enumerate(block, start):
+                    handle_line(line, line_no, kept)
+                builder.add_records(kept)
+            start += len(block)
+    else:
+        kept = []
+        for line_no, row in enumerate(csv.DictReader(_iter_lines(stream)), start=2):
+            handle({k: v for k, v in row.items() if k is not None}, line_no, kept)
+        builder.add_records(kept)
     records = builder.finish(None if digest is None else digest.hexdigest())
     return ParseResult(records, issues, unknown_fields)
 
@@ -582,50 +582,34 @@ def load_corpus(path: str, max_errors: int = 100) -> ParseResult:
         return parse_records(fh, fmt, max_errors=max_errors)
 
 
-def _canonical_line(record: AppRecord) -> str:
-    """`json.dumps(record_to_dict(record), separators=(",", ":"))` plus a
-    newline, formatted directly from the fields."""
-    return _LINE % (
-        _quote(record.app_id), _quote(record.package_name), _quote(record.developer_id),
-        _quote(record.issuer_id), ",".join(map(_quote, sorted(record.permissions))),
-        record.size_bytes, record.num_files, record.num_images, record.version_code,
-        record.age_in_market_days, record.last_update_days, record.last_signature_update_days,
-        record.time_for_creation_days, record.cert_validity_days, record.num_downloads,
-        ",".join(map(str, record.star_votes)), record.detection_count,
-    )
-
-
-def write_corpus(records: Iterable[AppRecord], path: str) -> str:
-    """Write records with canonical field order: CSV for a `.csv` path, with
+def write_corpus(corpus: Corpus, path: str) -> str:
+    """Write a corpus with canonical field order: CSV for a `.csv` path, with
     `permissions` and `star_votes` joined by `;`, otherwise JSON Lines.
-    Returns `corpus_digest(records)`; for JSON Lines it is the hash of the
+    Returns `corpus_digest(corpus)`; for JSON Lines it is the hash of the
     bytes written."""
     if not str(path).endswith(".csv"):
-        h = hashlib.sha256()
+        h, lines = hashlib.sha256(), _canonical_lines(corpus)
         with open(path, "wb") as fh:
-            for line in map(_canonical_line, records):
-                data = line.encode()
+            while data := "".join(islice(lines, _BLOCK_LINES)).encode():
                 fh.write(data)
                 h.update(data)
         return h.hexdigest()
-    records = list(records)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(FIELD_ORDER)
-        for record in records:
+        for record in corpus:
             row = record_to_dict(record)
             row["permissions"] = ";".join(row["permissions"])
             row["star_votes"] = ";".join(map(str, row["star_votes"]))
             writer.writerow(row.values())
-    return corpus_digest(records)
+    return corpus_digest(corpus)
 
 
-def corpus_digest(records: Union["Corpus", Iterable[AppRecord]]) -> str:
+def corpus_digest(corpus: Corpus) -> str:
     """sha256 over the canonical serialization, each record's
     `record_to_dict` as compact JSON on its own line; stable across
     processes. A parsed corpus whose lines were all canonical holds it
     already; otherwise the lines are formatted from the columns."""
-    corpus = Corpus.of(records)
     if corpus.digest is not None:
         return corpus.digest
     h = hashlib.sha256()
@@ -634,8 +618,9 @@ def corpus_digest(records: Union["Corpus", Iterable[AppRecord]]) -> str:
     return h.hexdigest()
 
 
-def _canonical_lines(corpus: "Corpus") -> Iterator[str]:
-    """Each record's `_canonical_line`, formatted from the columns."""
+def _canonical_lines(corpus: Corpus) -> Iterator[str]:
+    """Each record's line: `json.dumps(record_to_dict(record),
+    separators=(",", ":"))` plus a newline, formatted from the columns."""
     entities = [_quote(name) for name in corpus.entities.tolist()]
     quoted = np.array([_quote(name) for name in corpus.permission_names.tolist()], dtype=object)
     permissions = quoted[corpus.permission_codes].tolist()
@@ -703,16 +688,12 @@ class LabeledDataset:
     """A composed subset: raw records plus binary labels (1 = malware).
 
     Feature matrices are assembled later (per training fold) so that
-    entity-reputation statistics never see held-out rows. Records given as
-    `AppRecord`s are held as their `Corpus`.
+    entity-reputation statistics never see held-out rows.
     """
 
     records: Corpus
     labels: np.ndarray
     flags: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.records = Corpus.of(self.records)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -727,13 +708,10 @@ def _pools(corpus: Corpus, policy: DetectionLabelPolicy) -> tuple[np.ndarray, np
     return malware, goodware
 
 
-def label_dataset(
-    records: Union[Corpus, Iterable[AppRecord]], policy: DetectionLabelPolicy
-) -> LabeledDataset:
+def label_dataset(corpus: Corpus, policy: DetectionLabelPolicy) -> LabeledDataset:
     """Every record admissible under `policy`, in input order, labeled 1 for
     malware and 0 for goodware; ambiguous records count as goodware when
     the policy says so and are dropped otherwise."""
-    corpus = Corpus.of(records)
     malware, goodware = _pools(corpus, policy)
     kept = malware | goodware
     if not kept.any():
@@ -743,9 +721,7 @@ def label_dataset(
     return LabeledDataset(records=corpus, labels=malware.astype(np.int8))
 
 
-def compose_subset(
-    corpus: Union[Corpus, Iterable[AppRecord]], recipe: CompositionRecipe
-) -> LabeledDataset:
+def compose_subset(corpus: Corpus, recipe: CompositionRecipe) -> LabeledDataset:
     """Draw a seeded subset with the requested malware share.
 
     Malware is sampled from records meeting the policy threshold, goodware
@@ -754,7 +730,6 @@ def compose_subset(
     preserving the requested fraction, and the result is flagged.
     """
     policy = recipe.policy
-    corpus = Corpus.of(corpus)
     malware, goodware = _pools(corpus, policy)
     mal_pool, good_pool = np.flatnonzero(malware), np.flatnonzero(goodware)
 
@@ -797,9 +772,9 @@ def compose_subset(
     return LabeledDataset(records=corpus.take(chosen), labels=labels, flags=flags)
 
 
-def detection_histogram(corpus: Union[Corpus, Iterable[AppRecord]]) -> dict[int, int]:
+def detection_histogram(corpus: Corpus) -> dict[int, int]:
     """Frequency of each detection count over flagged records (count >= 1)."""
-    detections = Corpus.of(corpus).detection_counts
+    detections = corpus.detection_counts
     counts, apps = np.unique(detections[detections >= 1], return_counts=True)
     return dict(zip(counts.tolist(), apps.tolist()))
 
@@ -918,8 +893,9 @@ def _mix_lognormal(rng, y, strength, base_mu, base_sigma, alt_mu, alt_sigma):
     return np.floor(np.where(affected, alt, base)).astype(np.int64)
 
 
-def generate_synthetic(config: GeneratorConfig, seed: int) -> list[AppRecord]:
-    """Deterministically generate a corpus with configurable planted signals.
+def generate_synthetic(config: GeneratorConfig, seed: int) -> Corpus:
+    """Deterministically generate a corpus with configurable planted signals,
+    built from the drawn columns.
 
     Label first, features second: each feature group is drawn from a
     label-conditional mixture whose mixing weight is that group's signal
@@ -997,7 +973,6 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> list[AppRecord]:
 
     # Permissions: a handful of near-universal entries plus extras whose
     # identity (not count) is tilted toward a malware-leaning vocabulary slice.
-    vocab = [f"perm.{i:04d}" for i in range(config.permission_vocabulary_size)]
     n_base = 5
     base_popularity = np.array([0.96, 0.91, 0.55, 0.54, 0.40])
     pool = np.arange(n_base, config.permission_vocabulary_size)
@@ -1013,40 +988,32 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> list[AppRecord]:
     cap = min(len(mal_pool), len(good_pool)) - 1
     n_extra = np.minimum(rng.poisson(7.0, n), cap)
     k_mal = rng.binomial(n_extra, q)
-    permissions: list[frozenset[str]] = []
-    for i in range(n):
-        chosen = [vocab[j] for j in range(n_base) if base_mask[i, j]]
-        km = int(k_mal[i])
-        kg = int(n_extra[i]) - km
+    extras = []
+    for km, kg in zip(k_mal.tolist(), (n_extra - k_mal).tolist()):
         if km:
-            chosen.extend(vocab[j] for j in rng.choice(mal_pool, km, replace=False))
+            extras.append(rng.choice(mal_pool, km, replace=False))
         if kg:
-            chosen.extend(vocab[j] for j in rng.choice(good_pool, kg, replace=False))
-        permissions.append(frozenset(chosen))
+            extras.append(rng.choice(good_pool, kg, replace=False))
+    # Each app's permission names, sorted within the app.
+    vocab = np.array([f"perm.{i:04d}" for i in range(config.permission_vocabulary_size)])
+    base_rows, base_perms = np.nonzero(base_mask)
+    rows = np.concatenate([base_rows, np.repeat(np.arange(n), n_extra)])
+    names = vocab[np.concatenate([base_perms, *extras])]
+    names = names[np.lexsort((names, rows))]
 
-    records = []
-    for i in range(n):
-        dev = f"dev.{dev_idx[i]:05d}"
-        issuer = dev if self_signed[i] else f"iss.{iss_idx[i]:05d}"
-        records.append(
-            AppRecord(
-                app_id=f"app.{i:07d}",
-                package_name=f"com.d{dev_idx[i]}.app{i}",
-                developer_id=dev,
-                issuer_id=issuer,
-                permissions=permissions[i],
-                size_bytes=int(size_bytes[i]),
-                num_files=int(num_files[i]),
-                num_images=int(num_images[i]),
-                version_code=int(version[i]),
-                age_in_market_days=int(age[i]),
-                last_update_days=int(last_upd[i]),
-                last_signature_update_days=int(last_sig[i]),
-                time_for_creation_days=int(creation[i]),
-                cert_validity_days=int(cert[i]),
-                num_downloads=int(downloads[i]),
-                star_votes=tuple(int(v) for v in star_votes[i]),
-                detection_count=int(detection[i]),
-            )
-        )
-    return records
+    developers = [f"dev.{d:05d}" for d in dev_idx.tolist()]
+    builder = _CorpusBuilder()
+    builder.add_columns(
+        [f"app.{i:07d}" for i in range(n)],
+        [f"com.d{d}.app{i}" for i, d in enumerate(dev_idx.tolist())],
+        developers,
+        [dev if own else f"iss.{i:05d}"
+         for dev, own, i in zip(developers, self_signed.tolist(), iss_idx.tolist())],
+        np.bincount(rows, minlength=n),
+        names.tolist(),
+        np.column_stack([
+            size_bytes, num_files, num_images, version, age, last_upd, last_sig, creation,
+            cert, downloads, star_votes, detection,
+        ]),
+    )
+    return builder.finish()

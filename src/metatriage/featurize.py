@@ -1,5 +1,5 @@
 """Feature assembly: permission hashing, intrinsic/social columns, and
-entity-reputation encoding.
+entity-reputation encoding, all read from the columns of a `Corpus`.
 
 The row layout is fixed: hash buckets f0..f{H-1}, then 15 intrinsic columns,
 then 7 social columns, then developer_rep and issuer_rep. Reputation columns
@@ -21,15 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import AppRecord, Corpus, row_positions
+from .corpus import Corpus, row_positions
 from .errors import ContractError
-
-# The records a block is built from: a corpus, or records to make one of.
-Records = Union[Corpus, Iterable[AppRecord]]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -123,13 +120,12 @@ class ReputationTable:
 
 
 def build_reputation_table(
-    records: Records,
+    records: Corpus,
     labels: np.ndarray,
     alpha: float = 1.0,
 ) -> ReputationTable:
     """Fit reputation statistics from (records, labels) pairs: per entity,
     a count of its records and of their malware labels."""
-    records = Corpus.of(records)
     if len(records) != len(labels):
         raise ContractError(
             f"records/labels length mismatch: {len(records)} vs {len(labels)}"
@@ -206,12 +202,11 @@ class StaticBlock:
         out[:, self.n_buckets : self.shape[1]] = self.dense
 
 
-def static_feature_block(records: Records, hash_config: HashConfig) -> StaticBlock:
+def static_feature_block(records: Corpus, hash_config: HashConfig) -> StaticBlock:
     """Label-free columns: hash buckets + intrinsic + social.
 
     Safe to compute once per dataset and gather per fold.
     """
-    records = Corpus.of(records)
     dense = np.zeros((len(records), len(INTRINSIC_COLUMNS) + len(SOCIAL_COLUMNS)))
     _fill_dense(dense, records)
     return StaticBlock(hash_config.n_buckets, *_hash_rows(records, hash_config), dense)
@@ -242,10 +237,9 @@ def _fill_dense(out: np.ndarray, records: Corpus):
         mean[:] = [r.mean_star for r in records]
 
 
-def reputation_block(records: Records, table: ReputationTable) -> np.ndarray:
+def reputation_block(records: Corpus, table: ReputationTable) -> np.ndarray:
     """developer_rep and issuer_rep columns from a fitted table: each
     entity's rate, gathered by the records' codes."""
-    records = Corpus.of(records)
     out = np.empty((len(records), 2), dtype=np.float64)
     entities = records.entities.tolist()
     for j, (rates, codes) in enumerate(
@@ -335,11 +329,10 @@ def _column_positions(hash_config: HashConfig) -> dict[str, int]:
 
 
 def assemble_features(
-    records: Records, hash_config: HashConfig, table: ReputationTable
+    records: Corpus, hash_config: HashConfig, table: ReputationTable
 ) -> FeatureMatrix:
     """Full row layout: [hash | intrinsic | social | reputation], as one
     dense matrix that the static block is written into."""
-    records = Corpus.of(records)
     names = feature_names(hash_config)
     values = np.zeros((len(records), len(names)))
     static_feature_block(records, hash_config).write_into(values)
@@ -348,7 +341,7 @@ def assemble_features(
 
 
 def gather_features(
-    records: Records,
+    records: Corpus,
     hash_config: HashConfig,
     table: ReputationTable,
     static_block: StaticBlock,

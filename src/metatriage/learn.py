@@ -547,6 +547,11 @@ def best_split(
 
 @dataclass
 class ForestModel:
+    """A trained forest. `importances` is each column's mean decrease in
+    node impurity (mdni): the weighted Gini decreases of the nodes that
+    split on it, summed per tree and averaged over trees; 0 for a column
+    no node splits on."""
+
     kind: str
     trees: list[Tree]
     column_names: tuple[str, ...]

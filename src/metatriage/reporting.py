@@ -222,8 +222,8 @@ def svg_line_chart(
     xs_all = [tx(x) for _, xs, _ in series for x in xs] or [0.0, 1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = y_range
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
+    if x_hi <= x_lo:  # past 2**53, adding 1.0 leaves x_lo as it is
+        x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
 
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
@@ -307,7 +307,7 @@ FORMATS = ("csv", "markdown", "svg")
 
 # experiment -> charts: (curve kind, file name, title, x label, y label,
 # y range, log2 x axis).
-_CHART_SPECS = {
+CHART_SPECS = {
     "hash-size-sweep": [
         ("roc", "roc_curves.svg", "Held-out ROC by hash size",
          "false positive rate", "true positive rate", (0.0, 1.0), False),
@@ -354,7 +354,7 @@ def report_markdown(report) -> str:
                 rows = []
                 for r in (x for x in report.rows if x["model"] == model):
                     ref = ""
-                    if r["reference_train_f1"] is not None:
+                    if None not in (r["reference_train_f1"], r["reference_test_f1"]):
                         ref = (f"{r['reference_train_f1']:.2f}/"
                                f"{r['reference_test_f1']:.2f}")
                     rows.append([
@@ -405,7 +405,7 @@ def report_files(report, formats: Sequence[str] = FORMATS) -> dict[str, str]:
     if "markdown" in formats:
         files["report.md"] = report_markdown(report)
     if "svg" in formats:
-        for kind, name, title, xl, yl, y_range, log_x in _CHART_SPECS.get(
+        for kind, name, title, xl, yl, y_range, log_x in CHART_SPECS.get(
             report.experiment, []
         ):
             series = [

@@ -100,18 +100,6 @@ def score_gain_ratio(binned: np.ndarray, labels: np.ndarray) -> float:
     return _table_scores(_contingency(binned, labels), ["gain_ratio"])[0]
 
 
-def score_mdni(forest) -> np.ndarray:
-    """Per-feature impurity-decrease mass of a trained forest.
-
-    Sum of weighted Gini decreases at every node splitting on the feature,
-    averaged over trees; features never chosen for a split score 0.
-    """
-    importances = getattr(forest, "importances", None)
-    if importances is None:
-        raise ContractError("score_mdni expects a trained forest with importances")
-    return np.asarray(importances, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class FeatureScore:
     """One method's scores for every column, raw and max-normalized."""
@@ -233,7 +221,7 @@ def rank_features(
     if "mdni" in methods:
         params = forest_params if forest_params is not None else ranking_forest(13)
         forest = train_forest(matrix, labels, params, codes=vc)
-        by_method["mdni"] = FeatureScore("mdni", score_mdni(forest))
+        by_method["mdni"] = FeatureScore("mdni", forest.importances)
 
     if ranking_method == "borda":
         raw = _borda(by_method, matrix.n_columns)

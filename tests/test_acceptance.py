@@ -424,7 +424,7 @@ def test_cli_determinism(tmp_path):
 
 
 def test_leakage_guard(small_corpus):
-    records = small_corpus[:100]
+    records = small_corpus.take(np.arange(100))
     labels = np.array([1 if r.detection_count >= 1 else 0 for r in records])
     dataset = LabeledDataset(records=records, labels=labels)
     plan = prepare_folds(dataset, k=5, seed=17, config=PipelineConfig())

@@ -26,6 +26,7 @@ from metatriage.bench import (
 )
 from metatriage.corpus import (
     CompositionRecipe,
+    Corpus,
     DetectionLabelPolicy,
     compose_subset,
 )
@@ -188,8 +189,9 @@ class TestBenchReport:
         return BenchReport(
             experiment="hash-size-sweep",
             config={"sizes": [8]},
-            columns=["size", "pooled_auc"],
-            rows=[{"size": 8, "pooled_auc": 0.75}],
+            columns=["size", "pooled_auc", "mean_test_auc", "std_test_auc", "mean_test_f1"],
+            rows=[{"size": 8, "pooled_auc": 0.75, "mean_test_auc": 0.7, "std_test_auc": 0.01,
+                   "mean_test_f1": 0.5}],
             curves=[{"name": "a", "kind": "roc", "x": [0.0, 1.0], "y": [0.0, 1.0]}],
             flags=["note"],
             provenance={"tool": "metatriage test", "config_digest": "x",
@@ -216,8 +218,8 @@ class TestEmitReport:
                 "report.json"} <= names
         assert "roc_curves.svg" in names
         csv_lines = (tmp_path / "results.csv").read_text().splitlines()
-        assert csv_lines[0] == "size,pooled_auc"
-        assert csv_lines[1] == "8,0.75"
+        assert csv_lines[0] == "size,pooled_auc,mean_test_auc,std_test_auc,mean_test_f1"
+        assert csv_lines[1] == "8,0.75,0.7,0.01,0.5"
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_emission_is_byte_identical(self, tmp_path):
@@ -378,13 +380,13 @@ class TestGridBenchmark:
 
     def test_infeasible_cell_is_flagged_and_skipped(self):
         # detection counts never reach 4, so the 4-AV pool is empty
-        corpus = [
+        corpus = Corpus.of(
             make_record(app_id=f"r{i}", developer_id=f"d{i % 7}",
                         issuer_id=f"i{i % 5}",
                         detection_count=(1 if i % 2 else 0),
                         size_bytes=1000 + 13 * i)
             for i in range(120)
-        ]
+        )
         grid = dict(
             malware_fractions=(0.5,), thresholds=(1, 4), subset_size=150,
             model_kinds=("logistic", "forest"), seed=2,
@@ -566,7 +568,7 @@ class TestRobustnessWindows:
             malware_fraction=0.5, policy=DetectionLabelPolicy(threshold=1),
             target_size=200, seed=_derive_seed(6, 0),
         )
-        subset = compose_subset(list(small_corpus), recipe)
+        subset = compose_subset(small_corpus, recipe)
         ev = cross_validate(
             subset, "forest", k=3, seed=_derive_seed(6, 0, 1),
             config=PipelineConfig(frozen_ranking=tuple(frozen), hyper=small_hyper()),

@@ -9,7 +9,7 @@ import pytest
 from metatriage import bench
 from metatriage.cli import main
 from metatriage.corpus import (
-    DetectionLabelPolicy, corpus_digest, label_dataset, load_corpus, write_corpus,
+    Corpus, DetectionLabelPolicy, corpus_digest, label_dataset, load_corpus, write_corpus,
 )
 from metatriage.featurize import HashConfig, assemble_features, build_reputation_table
 
@@ -34,11 +34,11 @@ def corpus_path(work):
 @pytest.fixture(scope="module")
 def goodware_path(work):
     """A corpus with no detections at all."""
-    records = [
+    records = Corpus.of(
         make_record(app_id=f"clean{i}", developer_id=f"d{i % 5}",
                     size_bytes=900 + 31 * i)
         for i in range(40)
-    ]
+    )
     path = work / "goodware.jsonl"
     write_corpus(records, str(path))
     return path
@@ -166,9 +166,9 @@ class TestFeaturize:
 
     def test_no_admissible_records_is_a_data_error(self, work, capsys):
         # every record sits between goodware (0) and the 4-AV threshold
-        records = [
+        records = Corpus.of(
             make_record(app_id=f"amb{i}", detection_count=2) for i in range(10)
-        ]
+        )
         path = work / "ambiguous.jsonl"
         write_corpus(records, str(path))
         for command in ("featurize", "rank"):
@@ -431,6 +431,8 @@ class TestOptionTypes:
         ("curve-features", {"ks": "1,2"}),
         ("sweep-hashes", {"threads": True}),
         ("report", {"formats": "csv"}),
+        ("featurize", {"alpha": 10**400}),
+        ("benchmark-grid", {"fractions": [0.5, -(10**309)]}),
     ])
     def test_bad_config_value_is_a_usage_error(self, corpus_path, work, capsys, command, config):
         (key,) = config
@@ -658,6 +660,70 @@ class TestBenchCommands:
         assert main(["report", "--input", str(path), "--out", str(work / "mistyped")]) == 2
         assert f"error: report key {key!r} must be a " in capsys.readouterr().err
         assert not (work / "mistyped").exists()
+
+    @staticmethod
+    def sweep_report() -> dict:
+        """A hash-size-sweep report.json as `sweep-hashes` writes it."""
+        return {
+            "experiment": "hash-size-sweep", "config": {"sizes": [8, 16]},
+            "columns": ["size", "pooled_auc", "mean_test_auc", "std_test_auc", "mean_test_f1"],
+            "rows": [
+                {"size": size, "pooled_auc": auc, "mean_test_auc": 0.7,
+                 "std_test_auc": 0.01, "mean_test_f1": 0.6}
+                for size, auc in ((8, 0.71), (16, None))
+            ],
+            "curves": [
+                {"name": "ROC 8 buckets", "kind": "roc", "x": [0.0, 0.5, 1.0],
+                 "y": [0.0, 0.75, 1.0]},
+                {"name": "pooled AUC", "kind": "auc-vs-size", "x": [8.0], "y": [0.71]},
+            ],
+            "provenance": {"config_digest": "c", "corpus_digest": "d"},
+        }
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda doc: doc["rows"][0].pop("mean_test_f1"),
+         "report row 0 lacks a valid 'mean_test_f1'"),
+        (lambda doc: doc["curves"][0].pop("y"), "report curve 0 must hold"),
+        (lambda doc: doc["curves"][0].update(x=["0", "1"], y=["a", "b"]), "report curve 0 must hold"),
+        (lambda doc: doc["curves"][1].update(x=[0.0, 8.0], y=[0.5, 0.71]),
+         "report curve 1 must hold a name, a kind, finite x values (positive on a log2 axis)"),
+    ], ids=["row-lacks-a-column", "curve-without-y", "curve-of-strings", "log-x-at-zero"])
+    def test_report_that_cannot_render_is_a_data_error(self, work, capsys, mutate, message):
+        doc = self.sweep_report()
+        mutate(doc)
+        path = work / "bad-report.json"
+        path.write_text(json.dumps(doc))
+        out = work / "bad-report"
+        assert main(["report", "--input", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_with_an_overlong_integer_is_a_data_error(self, work, capsys):
+        path = work / "overlong-report.json"
+        path.write_text(json.dumps(self.sweep_report()).replace("0.71", "9" * 5000, 1))
+        assert main(["report", "--input", str(path), "--out", str(work / "overlong")]) == 2
+        assert "error: report file is not valid JSON" in capsys.readouterr().err
+
+    def test_report_curve_at_one_huge_x_renders(self, work, capsys):
+        doc = self.sweep_report()
+        doc["curves"][0].update(x=[1e30, 1e30])
+        path = work / "huge-x-report.json"
+        path.write_text(json.dumps(doc))
+        out = work / "huge-x"
+        assert main(["report", "--input", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert "<polyline" in (out / "roc_curves.svg").read_text()
+
+    def test_report_of_an_unknown_experiment_writes_nothing(self, work, capsys, monkeypatch):
+        doc = dict(self.sweep_report(), experiment="../escaped")
+        path = work / "escaping-report.json"
+        path.write_text(json.dumps(doc))
+        cwd = work / "escape-cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["report", "--input", str(path)]) == 2
+        assert "unknown experiment '../escaped'" in capsys.readouterr().err
+        assert list(cwd.iterdir()) == []
 
     def test_tiny_benchmark_grid(self, corpus_path, work, capsys):
         out = work / "grid"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from collections import Counter
 
@@ -14,6 +15,7 @@ from metatriage.corpus import (
     MAX_INT,
     AppRecord,
     CompositionRecipe,
+    Corpus,
     DetectionCountModel,
     DetectionLabelPolicy,
     GeneratorConfig,
@@ -28,7 +30,7 @@ from metatriage.corpus import (
     record_to_dict,
     write_corpus,
     load_corpus,
-    _canonical_line,
+    _canonical_lines,
     _converted_record,
     _exact_record,
 )
@@ -118,7 +120,7 @@ class TestParseFastPath:
     converts any other one; both must give what conversion gives."""
 
     def test_canonical_mappings_take_the_fast_path(self):
-        records = generate_synthetic(GeneratorConfig(n_apps=200), seed=2) + [
+        records = list(generate_synthetic(GeneratorConfig(n_apps=200), seed=2)) + [
             make_record(permissions=frozenset(), star_votes=(0, 0, 0, 0, 0)),
         ]
         for record in records:
@@ -264,22 +266,22 @@ class TestLineDecoder:
 
 class TestCanonicalLines:
     def records(self):
-        return generate_synthetic(GeneratorConfig(n_apps=200), seed=3) + [
+        return list(generate_synthetic(GeneratorConfig(n_apps=200), seed=3)) + [
             make_record(app_id='quote"back\\slash', package_name="tab\tnew\nline",
                         developer_id="caf\u00e9", issuer_id="\U0001f600",
                         permissions=frozenset({"z", "\u00e9", "a,b"}),
-                        star_votes=(0, 0, 0, 0, 0), size_bytes=2**70),
+                        star_votes=(0, 0, 0, 0, 0), size_bytes=MAX_INT),
             make_record(permissions=frozenset()),
         ]
 
     def test_line_is_compact_json_of_the_canonical_dict(self):
-        for record in self.records():
-            expected = json.dumps(record_to_dict(record), separators=(",", ":")) + "\n"
-            assert _canonical_line(record) == expected
+        records = self.records()
+        expected = [json.dumps(record_to_dict(r), separators=(",", ":")) + "\n" for r in records]
+        assert list(_canonical_lines(Corpus.of(records))) == expected
 
     @pytest.mark.parametrize("name", ["corpus.jsonl", "corpus.csv"])
     def test_write_returns_the_digest_of_what_it_wrote(self, tmp_path, name):
-        records = self.records()[:-2] + [make_record(app_id="plain")]
+        records = Corpus.of(self.records()[:-2] + [make_record(app_id="plain")])
         path = tmp_path / name
         digest = write_corpus(records, str(path))
         assert digest == corpus_digest(records) == corpus_digest(load_corpus(str(path)).records)
@@ -399,19 +401,26 @@ class TestParsing:
         assert path.read_text().splitlines()[0] == ",".join(FIELD_ORDER)
         result = load_corpus(str(path))
         assert result.issues == []
-        assert list(result.records) == recs
+        assert list(result.records) == list(recs)
         assert corpus_digest(result.records) == corpus_digest(recs)
 
     def test_file_round_trip(self, tmp_path):
         recs = [make_record(app_id=f"a{i}") for i in range(5)]
         path = tmp_path / "corpus.jsonl"
-        write_corpus(recs, str(path))
+        write_corpus(Corpus.of(recs), str(path))
         result = load_corpus(str(path))
         assert list(result.records) == recs
 
+    def test_corpus_of_refuses_an_invalid_record(self):
+        records = [make_record(app_id="ok"), make_record(app_id="big", size_bytes=2**70)]
+        with pytest.raises(ValueError, match="invalid record 'big': size_bytes must be at most"):
+            Corpus.of(records)
+        corpus = Corpus.of(records[:1])
+        assert corpus.counts.dtype == np.int64 and list(corpus) == records[:1]
+
     def test_digest_is_stable_and_content_sensitive(self):
-        a = [make_record(app_id="x")]
-        b = [make_record(app_id="y")]
+        a = Corpus.of([make_record(app_id="x")])
+        b = Corpus.of([make_record(app_id="y")])
         assert corpus_digest(a) == corpus_digest(a)
         assert corpus_digest(a) != corpus_digest(b)
 
@@ -506,13 +515,13 @@ class TestComposition:
         assert len(b) >= len(a)
 
     def test_no_malware_raises(self):
-        records = [make_record(app_id=f"a{i}") for i in range(30)]
+        records = Corpus.of(make_record(app_id=f"a{i}") for i in range(30))
         recipe = CompositionRecipe(0.5, DetectionLabelPolicy(1), 20, seed=1)
         with pytest.raises(CompositionError):
             compose_subset(records, recipe)
 
     def test_no_goodware_raises(self):
-        records = [make_record(app_id=f"a{i}", detection_count=5) for i in range(30)]
+        records = Corpus.of(make_record(app_id=f"a{i}", detection_count=5) for i in range(30))
         recipe = CompositionRecipe(0.5, DetectionLabelPolicy(1), 20, seed=1)
         with pytest.raises(CompositionError):
             compose_subset(records, recipe)
@@ -525,6 +534,33 @@ class TestComposition:
 
 
 class TestGenerator:
+    @pytest.mark.parametrize("n_apps,seed,vocabulary,jsonl,csv", [
+        (2000, 1, 800, "84c0dac195c400146f3a12ae3f00da826232e9bdd968527c2bbdf26b49c8d2cb",
+         "cbd190e9ef3e9afdf3e67edf1e2ba47aebc13acb6fa71a10c05dd6c2d6a12353"),
+        (2000, 7, 800, "05c9148b5bb2f2150f909ea6fe3d25b088691ac674f4ac2ba12c34944103b8b9",
+         "f8080a924cd8190b013bf4e55272bbdc9cc90b1a0636fe423e57bc75fab0ef91"),
+        # Past 10,000 names the sorted names leave index order: perm.10000 < perm.1001.
+        (300, 3, 12000, "5b5be262925e0fdd90f205cd7aa70630141b22d86f289ac8ab8091f7b223f9cd",
+         "1b45bd2674815519f96e14c055361a9147a4763d71e4dfb7039ae9f5c37142e2"),
+    ])
+    def test_written_bytes_are_pinned(self, tmp_path, n_apps, seed, vocabulary, jsonl, csv):
+        config = GeneratorConfig(n_apps=n_apps, permission_vocabulary_size=vocabulary)
+        corpus = generate_synthetic(config, seed)
+        names = corpus.permission_names.tolist()
+        assert (names == sorted(names, key=lambda name: int(name[5:]))) == (vocabulary <= 10_000)
+        for name, want in (("corpus.jsonl", jsonl), ("corpus.csv", csv)):
+            path = tmp_path / name
+            assert write_corpus(corpus, str(path)) == jsonl
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+    def test_generation_makes_no_record(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the generator made an AppRecord")
+
+        monkeypatch.setattr(metatriage.corpus, "AppRecord", refuse)
+        corpus = generate_synthetic(GeneratorConfig(n_apps=300), seed=5)
+        assert isinstance(corpus, Corpus) and len(corpus) == 300
+
     def test_deterministic(self):
         config = GeneratorConfig(n_apps=300)
         a = generate_synthetic(config, seed=5)

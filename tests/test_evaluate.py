@@ -7,6 +7,7 @@ import pytest
 
 from metatriage.corpus import (
     CompositionRecipe,
+    Corpus,
     DetectionLabelPolicy,
     LabeledDataset,
     compose_subset,
@@ -343,18 +344,18 @@ class TestCrossValidate:
         assert 0.5 < pooled_auc <= 1.0
 
     def test_single_class_dataset_rejected(self):
-        records = [make_record(app_id=f"r{i}") for i in range(20)]
+        records = Corpus.of(make_record(app_id=f"r{i}") for i in range(20))
         dataset = LabeledDataset(records=records, labels=np.zeros(20, dtype=int))
         with pytest.raises(DegenerateLabelsError):
             cross_validate(dataset, "forest", k=2, seed=0)
 
     def test_single_class_fold_flagged_and_excluded(self):
         # 2 positives, k=3: the last fold's test chunk has no positive
-        records = [
+        records = Corpus.of(
             make_record(app_id=f"r{i}", developer_id=f"d{i % 4}",
                         detection_count=(5 if i < 2 else 0))
             for i in range(12)
-        ]
+        )
         labels = np.array([1 if r.detection_count else 0 for r in records])
         dataset = LabeledDataset(records=records, labels=labels)
         report = cross_validate(dataset, "forest", k=3, seed=0, config=quick_config())
@@ -407,7 +408,7 @@ class TestCrossValidate:
             evaluate(plan, "logistic", (535, 3))
 
     def test_reputation_tables_are_train_only(self, small_corpus):
-        records = small_corpus[:100]
+        records = small_corpus.take(np.arange(100))
         labels = np.array([1 if r.detection_count >= 1 else 0 for r in records])
         dataset = LabeledDataset(records=records, labels=labels)
         plan = prepare_folds(dataset, k=4, seed=6, config=quick_config())
@@ -416,7 +417,7 @@ class TestCrossValidate:
         for fold in fitted:
             train_idx = fold.train_idx
             rebuilt = build_reputation_table(
-                [records[i] for i in train_idx], labels[train_idx], alpha=1.0
+                Corpus.of(records[i] for i in train_idx), labels[train_idx], alpha=1.0
             )
             assert fold.table.developers == rebuilt.developers
             assert fold.table.issuers == rebuilt.issuers
@@ -429,7 +430,7 @@ class TestCrossValidate:
                     assert dev not in fold.table.developers
 
     def test_leaky_mode_differs_and_is_flagged(self, small_corpus):
-        records = small_corpus[:100]
+        records = small_corpus.take(np.arange(100))
         labels = np.array([1 if r.detection_count >= 1 else 0 for r in records])
         dataset = LabeledDataset(records=records, labels=labels)
         safe_plan = prepare_folds(dataset, k=4, seed=6, config=quick_config())
@@ -455,7 +456,7 @@ class TestSparseHashFolds:
         # a fold's nonzero entries alone. A dense 2,000 x 2,048 block would
         # take 32.8 MB; the traced peak of the whole evaluation is about 2.3 MB
         # (0.07 of it); holding the hash part dense makes it about 77 MB.
-        records = small_corpus[:2000]
+        records = small_corpus.take(np.arange(2000))
         labels = np.array([int(r.detection_count >= 1) for r in records])
         hash_config = HashConfig(2048)
         config = PipelineConfig(

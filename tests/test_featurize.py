@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from metatriage.corpus import GeneratorConfig, generate_synthetic
+from metatriage.corpus import MAX_INT, Corpus, GeneratorConfig, generate_synthetic
 from metatriage.errors import ContractError
 from metatriage.featurize import (
     INTRINSIC_COLUMNS,
@@ -120,7 +120,7 @@ class TestReputation:
             for i, (d, s, _) in enumerate(rows)
         ]
         labels = np.array([y for _, _, y in rows])
-        return records, labels
+        return Corpus.of(records), labels
 
     def test_laplace_smoothed_values(self):
         records, labels = self.records()
@@ -136,7 +136,7 @@ class TestReputation:
         # 2 malware of 5 -> (2+1)/(5+2)
         assert table.global_prior == pytest.approx(3 / 7)
         unseen = make_record(developer_id="dev.never-seen", issuer_id="iss.never-seen")
-        assert reputation_block([unseen], table).tolist() == [[table.global_prior] * 2]
+        assert reputation_block(Corpus.of([unseen]), table).tolist() == [[table.global_prior] * 2]
 
     def test_alpha_shrinks_toward_half(self):
         records, labels = self.records()
@@ -164,7 +164,7 @@ class TestReputation:
 
 class TestAssembly:
     def test_row_layout(self):
-        records = [make_record(app_id=f"r{i}") for i in range(3)]
+        records = Corpus.of(make_record(app_id=f"r{i}") for i in range(3))
         labels = np.array([1, 0, 0])
         config = HashConfig(16)
         table = build_reputation_table(records, labels)
@@ -177,16 +177,16 @@ class TestAssembly:
         assert matrix.values.shape == (3, 16 + 15 + 7 + 2)
 
     def test_default_width_is_536(self):
-        records = [make_record(app_id=f"r{i}") for i in range(2)]
+        records = Corpus.of(make_record(app_id=f"r{i}") for i in range(2))
         table = build_reputation_table(records, np.array([1, 0]))
         matrix = assemble_features(records, HashConfig(), table)
         assert matrix.n_columns == 512 + 15 + 7 + 2 == 536
 
     def test_intrinsic_values(self):
-        record = make_record(package_name="com.a.b", version_code=10,
-                             age_in_market_days=4)
-        table = build_reputation_table([record], np.array([0]))
-        matrix = assemble_features([record], HashConfig(8), table)
+        records = Corpus.of([make_record(package_name="com.a.b", version_code=10,
+                                         age_in_market_days=4)])
+        table = build_reputation_table(records, np.array([0]))
+        matrix = assemble_features(records, HashConfig(8), table)
         assert matrix.values[0, matrix.column_names.index("num_permissions")] == 2.0
         assert matrix.values[0, matrix.column_names.index("package_depth")] == 2.0
         assert matrix.values[0, matrix.column_names.index("package_name_length")] == 7.0
@@ -194,31 +194,31 @@ class TestAssembly:
         assert matrix.values[0, matrix.column_names.index("self_signed")] == 0.0
 
     def test_self_signed_flag(self):
-        record = make_record(developer_id="d", issuer_id="d")
-        table = build_reputation_table([record], np.array([0]))
-        matrix = assemble_features([record], HashConfig(8), table)
+        records = Corpus.of([make_record(developer_id="d", issuer_id="d")])
+        table = build_reputation_table(records, np.array([0]))
+        matrix = assemble_features(records, HashConfig(8), table)
         assert matrix.values[0, matrix.column_names.index("self_signed")] == 1.0
 
     @pytest.mark.parametrize("config", [HashConfig(), HashConfig(64, seed=7), HashConfig(1)])
     def test_static_block_matches_per_record_reference(self, config):
-        records = generate_synthetic(GeneratorConfig(n_apps=300), seed=4) + [
+        records = list(generate_synthetic(GeneratorConfig(n_apps=300), seed=4)) + [
             make_record(app_id="no-perms", permissions=frozenset()),
             make_record(app_id="no-votes", star_votes=(0, 0, 0, 0, 0)),
             make_record(app_id="self", developer_id="d", issuer_id="d", package_name="x"),
         ]
-        block = static_feature_block(records, config)
+        block = static_feature_block(Corpus.of(records), config)
         assert densify(block).tobytes() == reference_static_block(records, config).tobytes()
 
     def test_static_block_keeps_exact_means_of_huge_vote_counts(self):
-        # Integers past 2**53 round in floats; the block must still hold
-        # float() of each field and each record's exact total and mean.
+        # Sums of votes past 2**53 round in floats; the block must still
+        # hold float() of each field and each record's exact total and mean.
         records = [
-            make_record(app_id="a", star_votes=(2**60 + 1, 3, 0, 0, 2**55 + 7), size_bytes=2**70 + 1),
+            make_record(app_id="a", star_votes=(MAX_INT, 3, 0, 0, MAX_INT - 6), size_bytes=MAX_INT),
             make_record(app_id="b", star_votes=(0, 0, 0, 0, 0)),
             make_record(app_id="c", star_votes=(1, 2, 3, 4, 5)),
         ]
         config = HashConfig(4)
-        block = densify(static_feature_block(records, config))
+        block = densify(static_feature_block(Corpus.of(records), config))
         assert block.tobytes() == reference_static_block(records, config).tobytes()
         assert block[0, -1] == records[0].mean_star
 
@@ -229,7 +229,7 @@ class TestAssembly:
             by_bucket.setdefault(_hash64(f"perm.{i}", config.seed) % 16, []).append(f"perm.{i}")
         bucket, (a, b, *_) = next((k, v) for k, v in by_bucket.items() if len(v) >= 2)
         records = [make_record(permissions=frozenset({a, b}))]
-        block = static_feature_block(records, config)
+        block = static_feature_block(Corpus.of(records), config)
         assert block.indptr.tolist() == [0, 1]
         assert block.buckets.tolist() == [bucket]
         assert block.counts.tolist() == [2.0]
@@ -242,13 +242,13 @@ class TestAssembly:
             make_record(app_id="c"),
         ]
         config = HashConfig(32)
-        block = static_feature_block(records, config)
+        block = static_feature_block(Corpus.of(records), config)
         assert block.indptr[2] == block.indptr[1] > 0
         assert block.indptr[3] > block.indptr[2]
         assert densify(block).tobytes() == reference_static_block(records, config).tobytes()
 
     def test_static_block_of_no_records(self):
-        assert static_feature_block([], HashConfig(8)).shape == (0, 8 + 15 + 7)
+        assert static_feature_block(Corpus.of([]), HashConfig(8)).shape == (0, 8 + 15 + 7)
 
     def test_reputation_block_reads_table(self):
         records = [
@@ -258,7 +258,7 @@ class TestAssembly:
         table = ReputationTable(
             global_prior=0.4, developers={"dev.a": 0.9}, issuers={"iss.x": 0.8}
         )
-        block = reputation_block(records, table)
+        block = reputation_block(Corpus.of(records), table)
         assert block.tolist() == [[0.9, 0.8], [0.4, 0.4]]
 
     def test_gather_columns(self):
@@ -269,7 +269,8 @@ class TestAssembly:
         ]
         labels = np.array([r.detection_count for r in records])
         config = HashConfig(16)
-        table = build_reputation_table(records[:5], labels[:5])
+        table = build_reputation_table(Corpus.of(records[:5]), labels[:5])
+        records = Corpus.of(records)
         full = assemble_features(records, config, table)
         static = static_feature_block(records, config)
         rows = np.array([6, 1, 3])
@@ -288,7 +289,7 @@ class TestAssembly:
             assert got.values.tobytes() == want.tobytes()
 
     def test_gather_missing_column_raises(self):
-        records = [make_record()]
+        records = Corpus.of([make_record()])
         config = HashConfig(4)
         table = build_reputation_table(records, np.array([0]))
         static = static_feature_block(records, config)

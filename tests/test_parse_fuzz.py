@@ -27,7 +27,7 @@ from metatriage.corpus import (
     DuplicateAppIdError,
     GeneratorConfig,
     ParseError,
-    _canonical_line,
+    _canonical_lines,
     corpus_digest,
     generate_synthetic,
     load_corpus,
@@ -138,7 +138,7 @@ def make_case(rng):
         GeneratorConfig(n_apps=N_RECORDS, n_developers=5, n_issuers=4), seed=rng.randrange(50)
     )
     dicts = [record_to_dict(r) for r in records]
-    lines = [_canonical_line(r) for r in records]
+    lines = list(_canonical_lines(records))
     kinds = rng.sample(sorted(MUTATIONS), rng.randrange(0, 4))
     for kind in kinds:
         i = rng.randrange(len(lines))
@@ -182,7 +182,7 @@ def test_columns_match_the_per_line_parse(seed, tmp_path, monkeypatch, capsys):
                 assert rows == [record_to_dict(r) for r in records], name
                 assert [(i.line, i.message) for i in got.issues] == issues, name
                 assert got.unknown_fields == unknown, name
-                canonical = "".join(map(_canonical_line, records)).encode()
+                canonical = "".join(compact(record_to_dict(r)) for r in records).encode()
                 assert corpus_digest(got.records) == hashlib.sha256(canonical).hexdigest(), name
         code = cli.main(["histogram", "--corpus", str(path)])
         assert code in (0, 1, 2), name
@@ -201,7 +201,7 @@ def test_canonical_corpus_constructs_no_record(tmp_path, monkeypatch):
     corpus = load_corpus(str(path)).records
     monkeypatch.undo()
     assert corpus.digest == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert list(corpus) == records
+    assert list(corpus) == list(records)
 
 
 def test_csv_corpus_gives_the_same_columns(tmp_path):

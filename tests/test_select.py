@@ -20,7 +20,6 @@ from metatriage.select import (
     score_chi_squared,
     score_gain_ratio,
     score_information_gain,
-    score_mdni,
 )
 
 from test_featurize import oracle_columns, quantile_bins
@@ -222,7 +221,7 @@ class TestMdni:
     def test_perfect_feature_dominates(self):
         matrix, labels = planted_matrix()
         forest = train_forest(matrix, labels, ForestParams(n_trees=10, seed=4))
-        scores = score_mdni(forest)
+        scores = forest.importances
         assert scores[0] > 10 * scores[1]
         assert scores[0] > 10 * scores[2]
 
@@ -232,13 +231,9 @@ class TestMdni:
         # sides, so noise columns are never chosen.
         params = ForestParams(n_trees=5, max_depth=2, mtry=3, seed=4)
         forest = train_forest(matrix, labels, params)
-        scores = score_mdni(forest)
+        scores = forest.importances
         assert scores[1] == 0.0
         assert scores[2] == 0.0
-
-    def test_requires_trained_forest(self):
-        with pytest.raises(ContractError):
-            score_mdni(object())
 
 
 def ordered(ranked):
