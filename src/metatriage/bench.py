@@ -3,20 +3,21 @@ nine-cell composition grid, and ranked-window robustness.
 
 Every experiment consumes a `Corpus` or a labeled dataset, derives all
 randomness from its seed, and produces a BenchReport; `emit_report`
-renders it to byte-identical files through `reporting`. The four
-experiments share one scaffold: `_new_report` pins the columns, config,
-corpus digest and provenance, `_prepare` builds one fold plan per
-dataset and seed, `_evaluate` runs each model kind or rank window on it
-and turns a failed run into a flag message, and `_completed` runs the
-cells or points in forked worker processes and merges their results in
-task order, so the worker count never changes output bytes. The three
-that train on rank windows call `check_windows` first, so a window past
-the column order fails before any work.
+renders it to byte-identical files through `reporting`. Each experiment
+states only its tasks, its rows' key fields, and how its rows sort and
+group; one runner does the rest. `_new_report` pins the columns, config
+and provenance; `_ranked_pipeline` checks every rank window before any
+work; `_compose` draws a seeded subset; `_run` evaluates one model kind or
+rank window on a fold plan and flags a failure; `_run_tasks` runs the
+tasks in forked worker processes and adds their results in task order, so
+the worker count never changes output bytes. `_rows`, `_reference` and
+`_curves` build every row, published entry and curve by one rule each.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import sys
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -160,25 +161,6 @@ def _check_content(report: BenchReport) -> None:
             raise ParseError(f"report provenance {key!r} must be a string")
 
 
-def _config_digest(config: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
-def _provenance(experiment: str, config: dict, seed: int, digest: str) -> dict:
-    from . import __version__
-
-    return {
-        "tool": f"metatriage {__version__}",
-        "experiment": experiment,
-        "seed": seed,
-        "corpus_digest": digest,
-        "config_digest": _config_digest(config),
-        "config": config,
-    }
-
-
 def _derive_seed(seed: int, *path: int) -> int:
     return int(
         np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, *path]).generate_state(1)[0]
@@ -253,26 +235,74 @@ def _map_ordered(tasks: Sequence, fn: Callable, threads: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The shared experiment scaffold
+# The experiment runner
 # ---------------------------------------------------------------------------
+
+# The published table of each experiment that has one, and the row fields
+# that key it (see `reporting`).
+_REFERENCES = {
+    "benchmark-grid": (reporting.GRID_REFERENCE, ("model", "malware_fraction", "threshold")),
+    "robustness-windows": (reporting.WINDOW_REFERENCE, ("threshold", "window_start")),
+}
 
 
 def _new_report(
-    experiment: str, config: dict, seed: int, corpus: Corpus, flags: Sequence[str] = ()
+    experiment: str, corpus: Corpus, flags: Sequence[str] = (), **params
 ) -> BenchReport:
-    """An empty report with the experiment's columns, whose provenance pins
-    the config, seed and corpus."""
+    """An empty report with the experiment's columns and `params` as its
+    config, as JSON holds them (sequences as lists, hyperparameters as
+    their JSON), whose provenance pins that config, its seed and the corpus."""
+    from . import __version__
+
+    config = json.loads(json.dumps(params, default=Hyperparams.to_json))
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True, separators=(",", ":")).encode())
     report = BenchReport(
-        experiment=experiment,
-        config=config,
-        columns=list(COLUMNS[experiment]),
-        rows=[],
+        experiment=experiment, config=config, columns=list(COLUMNS[experiment]), rows=[],
         flags=list(flags),
-        provenance=_provenance(experiment, config, seed, corpus_digest(corpus)),
+        provenance={
+            "tool": f"metatriage {__version__}", "experiment": experiment, "seed": config["seed"],
+            "corpus_digest": corpus_digest(corpus), "config_digest": digest.hexdigest(),
+            "config": config,
+        },
     )
     if config.get("frozen_ranking"):
         report.flags.append("frozen-ranking: fixed feature order reused across folds")
+    if config.get("leaky_reputation"):
+        report.flags.append("leaky-reputation: tables fitted on full subsets")
     return report
+
+
+def _ranked_pipeline(
+    ranking_method: str, frozen_ranking: Optional[Sequence[str]], hyper: Hyperparams,
+    windows: Sequence[tuple[int, int]], leaky_reputation: bool = False,
+) -> PipelineConfig:
+    """The pipeline that orders each training fold's columns by
+    `ranking_method`, or by `frozen_ranking` when that is given. A window of
+    `windows` past that order raises ValueError here, before any work."""
+    frozen = tuple(frozen_ranking) if frozen_ranking else None
+    pipeline = PipelineConfig(
+        ranking_method=ranking_method, frozen_ranking=frozen, hyper=hyper,
+        leaky_reputation=leaky_reputation,
+    )
+    check_windows(pipeline, windows)
+    return pipeline
+
+
+def _compose(
+    corpus: Corpus, seed: int, index: int, fraction: float, threshold: int, size: int,
+    label: str, infeasible: str, ambiguous_handling: str = "exclude",
+) -> tuple[Optional[LabeledDataset], list[str]]:
+    """The `index`-th subset of an experiment seeded with `seed`, and its
+    flags prefixed with `label`; or None and the flag that `infeasible`
+    cannot be composed from `corpus`."""
+    policy = DetectionLabelPolicy(threshold, ambiguous_handling)
+    try:
+        subset = compose_subset(
+            corpus, CompositionRecipe(fraction, policy, size, seed=_derive_seed(seed, index))
+        )
+    except CompositionError as exc:
+        return None, [f"{infeasible} infeasible: {exc}"]
+    return subset, [f"{label}: {f}" for f in subset.flags]
 
 
 def _prepare(
@@ -285,44 +315,84 @@ def _prepare(
         return exc
 
 
-def _evaluate(
+def _run(
     label: str, plan: Union[FoldPlan, Exception], model_kind: str,
     window: Optional[tuple[int, int]] = None,
-) -> tuple[Optional[EvalReport], Optional[str]]:
-    """(evaluate(plan, model_kind, window), None), or (None, a flag naming
-    `label`) when that run or the preparation of `plan` failed; a failed
-    preparation is flagged for every run that shares it."""
+) -> tuple[Optional[EvalReport], list[str]]:
+    """evaluate(plan, model_kind, window) and its fold flags prefixed with
+    `label`; or None and a flag naming `label` when that run or the
+    preparation of `plan` failed, so a failed preparation is flagged for
+    every run that shares it."""
     if isinstance(plan, Exception):
-        return None, f"{label} failed: {plan}"
+        return None, [f"{label} failed: {plan}"]
     try:
-        return evaluate(plan, model_kind, window), None
+        ev = evaluate(plan, model_kind, window)
     except (MetatriageError, ValueError) as exc:
-        return None, f"{label} failed: {exc}"
+        return None, [f"{label} failed: {exc}"]
+    return ev, [f"{label}: {f}" for f in ev.fold_flags()]
 
 
-def _completed(
-    report: BenchReport, tasks: Sequence, fn: Callable, threads: int
-) -> Iterator[tuple]:
-    """Yield (task, outcome) in task order for every task that succeeded.
-
-    The tasks run in up to `threads` worker processes (see `_map_ordered`).
-    `fn` returns (outcome, error message); each error becomes a report flag,
-    in task order with whatever flags the caller adds per outcome.
-    """
-    for task, (outcome, error) in zip(tasks, _map_ordered(tasks, fn, threads)):
-        if error is None:
-            yield task, outcome
+def _rows(experiment: str, ev: Optional[EvalReport], **keys) -> list[dict]:
+    """No row for a failed run (`ev` None), else the one row of `ev`: each
+    of `experiment`'s columns is its value in `keys`, or the run's
+    `<mean|std>_<split>_<metric>`, or the published
+    `reference_<split>_<metric>` for the row's keys (None where none is)."""
+    if ev is None:
+        return []
+    table, fields = _REFERENCES.get(experiment, ({}, ()))
+    published = table.get(tuple(keys[f] for f in fields), {})
+    row = {}
+    for column in COLUMNS[experiment]:
+        if column in keys:
+            row[column] = keys[column]
+            continue
+        stat, split, metric = column.split("_", 2)
+        if stat == "reference":
+            row[column] = published.get(metric, (None, None))[split == "test"]
         else:
-            report.flags.append(error)
+            row[column] = (ev.mean if stat == "mean" else ev.std)(split, metric)
+    return [row]
 
 
-def _curve(name: str, kind: str, rows: list[dict], x: str, y: str = "mean_test_f1") -> dict:
-    return {
-        "name": name,
-        "kind": kind,
-        "x": [float(r[x]) for r in rows],
-        "y": [r[y] for r in rows],
-    }
+def _reference(experiment: str, *values: Sequence) -> list[dict]:
+    """The published entries, in order, for every combination of `values`
+    of the key fields of `experiment`'s table."""
+    table, fields = _REFERENCES[experiment]
+    return [
+        {
+            **dict(zip(fields, key)),
+            **{metric: {"train": pair[0], "test": pair[1]} for metric, pair in sorted(ref.items())},
+        }
+        for key in itertools.product(*values)
+        if (ref := table.get(key))
+    ]
+
+
+def _curves(
+    rows: list[dict], kind: str, x: str, groups: Sequence[tuple[str, dict]],
+    y: str = "mean_test_f1",
+) -> list[dict]:
+    """One curve of `y` against `x` per (name, fields) of `groups` over the
+    rows that match those fields; a group with no rows has no curve."""
+    curves = []
+    for name, fields in groups:
+        points = [r for r in rows if all(r[f] == v for f, v in fields.items())]
+        if points:
+            curves.append({
+                "name": name, "kind": kind,
+                "x": [float(r[x]) for r in points], "y": [r[y] for r in points],
+            })
+    return curves
+
+
+def _run_tasks(report: BenchReport, tasks: Sequence, fn: Callable, threads: int) -> None:
+    """Add the (rows, flags, curves) that `fn` returns for each task to
+    `report`, in task order; the tasks run in up to `threads` worker
+    processes (see `_map_ordered`)."""
+    for rows, flags, curves in _map_ordered(tasks, fn, threads):
+        report.rows.extend(rows)
+        report.flags.extend(flags)
+        report.curves.extend(curves)
 
 
 # ---------------------------------------------------------------------------
@@ -343,54 +413,33 @@ def hash_size_sweep(
 
     Models see ONLY the f* columns, so the curve isolates how much identity
     information survives hashing at each size. ROC points are pooled from
-    held-out scores across folds.
+    held-out scores across folds. A size that `HashConfig` refuses raises
+    ValueError before any point runs.
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
-    config = {
-        "sizes": list(sizes),
-        "model_kind": model_kind,
-        "k": k,
-        "seed": seed,
-        "hyper": hyper.to_json(),
-    }
-    report = _new_report("hash-size-sweep", config, seed, dataset.records, dataset.flags)
+    hash_configs = [HashConfig(n_buckets=size, seed=0) for size in sizes]
+    report = _new_report(
+        "hash-size-sweep", dataset.records, dataset.flags,
+        sizes=sizes, model_kind=model_kind, k=k, seed=seed, hyper=hyper,
+    )
 
-    def run_point(size: int):
-        hash_config = HashConfig(n_buckets=size, seed=0)
+    def run_point(hash_config: HashConfig):
+        size = hash_config.n_buckets
         pipeline = PipelineConfig(
             hash_config=hash_config, frozen_ranking=hash_column_names(hash_config), hyper=hyper
         )
         plan = _prepare(dataset, k, _derive_seed(seed, size), pipeline)
-        ev, error = _evaluate(f"size {size}", plan, model_kind)
-        if ev is None:
-            return None, error
-        if ev.pooled_scores is None:
-            return (ev, None), None
-        return (ev, roc_and_auc(ev.pooled_scores, ev.pooled_labels)), None
+        ev, flags = _run(f"size {size}", plan, model_kind)
+        if ev is None or ev.pooled_scores is None:
+            return _rows(report.experiment, ev, size=size, pooled_auc=None), flags, []
+        roc = roc_and_auc(ev.pooled_scores, ev.pooled_labels)
+        x, y = _downsample_curve(roc.points).T.tolist()
+        curve = {"name": f"ROC {size} buckets", "kind": "roc", "x": x, "y": y}
+        return _rows(report.experiment, ev, size=size, pooled_auc=roc.auc), flags, [curve]
 
-    for size, (ev, roc) in _completed(report, list(sizes), run_point, threads):
-        report.rows.append(
-            {
-                "size": size,
-                "pooled_auc": None if roc is None else roc.auc,
-                "mean_test_auc": ev.mean("test", "auc"),
-                "std_test_auc": ev.std("test", "auc"),
-                "mean_test_f1": ev.mean("test", "f1"),
-            }
-        )
-        if roc is not None:
-            points = _downsample_curve(roc.points)
-            report.curves.append(
-                {
-                    "name": f"ROC {size} buckets",
-                    "kind": "roc",
-                    "x": [float(p) for p in points[:, 0]],
-                    "y": [float(p) for p in points[:, 1]],
-                }
-            )
-        report.flags.extend(f"size {size}: {f}" for f in ev.fold_flags())
-    report.curves.append(_curve("pooled AUC", "auc-vs-size", report.rows, "size", "pooled_auc"))
+    _run_tasks(report, hash_configs, run_point, threads)
+    report.curves += _curves(report.rows, "auc-vs-size", "size", [("pooled AUC", {})], "pooled_auc")
     return report
 
 
@@ -419,45 +468,26 @@ def feature_count_curve(
     """
     if not ks:
         raise ValueError("ks must be non-empty")
+    pipeline = _ranked_pipeline(ranking_method, frozen_ranking, hyper, [(1, top_k) for top_k in ks])
+    report = _new_report(
+        "feature-count-curve", dataset.records, dataset.flags,
+        ks=ks, model_kinds=model_kinds, ranking_method=ranking_method, k=k, seed=seed,
+        hash_buckets=pipeline.hash_config.n_buckets, frozen_ranking=pipeline.frozen_ranking,
+        hyper=hyper,
+    )
     # One plan orders each training fold's columns once; every (model,
     # top-k) run then takes its top-k of that order.
-    frozen = tuple(frozen_ranking) if frozen_ranking else None
-    pipeline = PipelineConfig(ranking_method=ranking_method, frozen_ranking=frozen, hyper=hyper)
-    check_windows(pipeline, [(1, top_k) for top_k in ks])
-    config = {
-        "ks": list(ks),
-        "model_kinds": list(model_kinds),
-        "ranking_method": ranking_method,
-        "k": k,
-        "seed": seed,
-        "hash_buckets": HashConfig().n_buckets,
-        "frozen_ranking": list(frozen) if frozen else None,
-        "hyper": hyper.to_json(),
-    }
-    report = _new_report("feature-count-curve", config, seed, dataset.records, dataset.flags)
-
     plan = _prepare(dataset, k, seed, pipeline)
-    tasks = [(model_kind, top_k) for model_kind in model_kinds for top_k in ks]
 
     def run(task):
         model_kind, top_k = task
-        return _evaluate(f"model {model_kind} top_k {top_k}", plan, model_kind, (1, top_k))
+        ev, flags = _run(f"model {model_kind} top_k {top_k}", plan, model_kind, (1, top_k))
+        return _rows(report.experiment, ev, model=model_kind, top_k=top_k), flags, []
 
-    for (model_kind, top_k), ev in _completed(report, tasks, run, threads):
-        report.flags.extend(f"model {model_kind} top_k {top_k}: {f}" for f in ev.fold_flags())
-        report.rows.append(
-            {
-                "model": model_kind,
-                "top_k": top_k,
-                "mean_train_f1": ev.mean("train", "f1"),
-                "mean_test_f1": ev.mean("test", "f1"),
-                "std_test_f1": ev.std("test", "f1"),
-            }
-        )
-    for model_kind in model_kinds:
-        rows = [r for r in report.rows if r["model"] == model_kind]
-        label = reporting.MODEL_LABELS.get(model_kind, model_kind)
-        report.curves.append(_curve(label, "f1-vs-k", rows, "top_k"))
+    _run_tasks(report, [(m, top_k) for m in model_kinds for top_k in ks], run, threads)
+    report.curves += _curves(report.rows, "f1-vs-k", "top_k", [
+        (reporting.MODEL_LABELS.get(m, m), {"model": m}) for m in model_kinds
+    ])
     return report
 
 
@@ -489,116 +519,46 @@ def grid_benchmark(
     too small even after shrinking) are flagged and skipped while the rest
     of the grid proceeds.
     """
-    frozen = tuple(frozen_ranking) if frozen_ranking else None
-    pipeline = PipelineConfig(
-        ranking_method=ranking_method, frozen_ranking=frozen, hyper=hyper,
-        leaky_reputation=leaky_reputation,
+    pipeline = _ranked_pipeline(
+        ranking_method, frozen_ranking, hyper, [(1, top_k)], leaky_reputation
     )
-    check_windows(pipeline, [(1, top_k)])
-    config = {
-        "malware_fractions": list(malware_fractions),
-        "thresholds": list(thresholds),
-        "subset_size": subset_size,
-        "model_kinds": list(model_kinds),
-        "seed": seed,
-        "top_k": top_k,
-        "ranking_method": ranking_method,
-        "k": k,
-        "hash_buckets": HashConfig().n_buckets,
-        "frozen_ranking": list(frozen) if frozen else None,
-        "ambiguous_handling": ambiguous_handling,
-        "leaky_reputation": leaky_reputation,
-        "hyper": hyper.to_json(),
-    }
-    report = _new_report("benchmark-grid", config, seed, corpus)
-    if leaky_reputation:
-        report.flags.append("leaky-reputation: tables fitted on full subsets")
-    cells = [
-        (ci, fraction, threshold)
-        for ci, (fraction, threshold) in enumerate(
-            (f, t) for f in malware_fractions for t in thresholds
-        )
-    ]
+    report = _new_report(
+        "benchmark-grid", corpus,
+        malware_fractions=malware_fractions, thresholds=thresholds, subset_size=subset_size,
+        model_kinds=model_kinds, seed=seed, top_k=top_k, ranking_method=ranking_method, k=k,
+        hash_buckets=pipeline.hash_config.n_buckets, frozen_ranking=pipeline.frozen_ranking,
+        ambiguous_handling=ambiguous_handling, leaky_reputation=leaky_reputation, hyper=hyper,
+    )
+    cells = list(enumerate(itertools.product(malware_fractions, thresholds)))
 
     def run_cell(cell):
-        ci, fraction, threshold = cell
+        ci, (fraction, threshold) = cell
         where = f"cell ({fraction}, {threshold}-AV)"
-        recipe = CompositionRecipe(
-            malware_fraction=fraction,
-            policy=DetectionLabelPolicy(threshold=threshold, ambiguous_handling=ambiguous_handling),
-            target_size=subset_size,
-            seed=_derive_seed(seed, ci),
+        subset, flags = _compose(
+            corpus, seed, ci, fraction, threshold, subset_size, where, where, ambiguous_handling
         )
-        try:
-            subset = compose_subset(corpus, recipe)
-        except CompositionError as exc:
-            return None, f"{where} infeasible: {exc}"
+        if subset is None:
+            return [], flags, []
         plan = _prepare(subset, k, _derive_seed(seed, ci, 1), pipeline)
-        cell_rows, cell_flags = [], [f"{where}: {f}" for f in subset.flags]
+        rows = []
         for model_kind in model_kinds:
-            ev, error = _evaluate(f"{where} {model_kind}", plan, model_kind, (1, top_k))
-            if ev is None:
-                cell_flags.append(error)
-                continue
-            ref = reporting.GRID_REFERENCE.get((model_kind, fraction, threshold), {})
-            ref_f1 = ref.get("f1", (None, None))
-            cell_rows.append(
-                {
-                    "model": model_kind,
-                    "malware_fraction": fraction,
-                    "threshold": threshold,
-                    "n_rows": len(subset),
-                    "mean_train_precision": ev.mean("train", "precision"),
-                    "mean_train_recall": ev.mean("train", "recall"),
-                    "mean_train_f1": ev.mean("train", "f1"),
-                    "mean_test_precision": ev.mean("test", "precision"),
-                    "mean_test_recall": ev.mean("test", "recall"),
-                    "mean_test_f1": ev.mean("test", "f1"),
-                    "std_test_f1": ev.std("test", "f1"),
-                    "reference_train_f1": ref_f1[0],
-                    "reference_test_f1": ref_f1[1],
-                }
+            ev, run_flags = _run(f"{where} {model_kind}", plan, model_kind, (1, top_k))
+            flags += run_flags
+            rows += _rows(
+                report.experiment, ev, model=model_kind, malware_fraction=fraction,
+                threshold=threshold, n_rows=len(subset),
             )
-            cell_flags.extend(f"{where} {model_kind}: {f}" for f in ev.fold_flags())
-        return (cell_rows, cell_flags), None
+        return rows, flags, []
 
-    for _, (cell_rows, cell_flags) in _completed(report, cells, run_cell, threads):
-        report.rows.extend(cell_rows)
-        report.flags.extend(cell_flags)
-
+    _run_tasks(report, cells, run_cell, threads)
     # Model-major ordering like the published table: model, fraction, threshold.
     order = {m: i for i, m in enumerate(model_kinds)}
-    report.rows.sort(
-        key=lambda r: (order[r["model"]], r["malware_fraction"], r["threshold"])
-    )
-    for model_kind in model_kinds:
-        for fraction in malware_fractions:
-            for threshold in thresholds:
-                ref = reporting.GRID_REFERENCE.get((model_kind, fraction, threshold))
-                if ref:
-                    report.reference.append(
-                        {
-                            "model": model_kind,
-                            "malware_fraction": fraction,
-                            "threshold": threshold,
-                            **{
-                                metric: {"train": pair[0], "test": pair[1]}
-                                for metric, pair in sorted(ref.items())
-                            },
-                        }
-                    )
-    for model_kind in model_kinds:
-        label = reporting.MODEL_LABELS.get(model_kind, model_kind)
-        for threshold in thresholds:
-            rows = [
-                r
-                for r in report.rows
-                if r["model"] == model_kind and r["threshold"] == threshold
-            ]
-            if rows:
-                report.curves.append(
-                    _curve(f"{label}, {threshold}-AV", "f1-vs-fraction", rows, "malware_fraction")
-                )
+    report.rows.sort(key=lambda r: (order[r["model"]], r["malware_fraction"], r["threshold"]))
+    report.reference = _reference(report.experiment, model_kinds, malware_fractions, thresholds)
+    report.curves += _curves(report.rows, "f1-vs-fraction", "malware_fraction", [
+        (f"{reporting.MODEL_LABELS.get(m, m)}, {t}-AV", {"model": m, "threshold": t})
+        for m in model_kinds for t in thresholds
+    ])
     return report
 
 
@@ -632,84 +592,45 @@ def robustness_windows(
     for name, value in (("window_width", window_width), ("step", step), ("n_windows", n_windows)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    # The last window ends furthest down the order, so it is the one to check.
+    pipeline = _ranked_pipeline(
+        ranking_method, frozen_ranking, hyper, [(1 + step * (n_windows - 1), window_width)]
+    )
     starts = [1 + step * i for i in range(n_windows)]
+    report = _new_report(
+        "robustness-windows", corpus,
+        window_width=window_width, step=step, starts=starts, model_kind=model_kind,
+        thresholds=thresholds, malware_fraction=malware_fraction, subset_size=subset_size, k=k,
+        seed=seed, ranking_method=ranking_method, hash_buckets=pipeline.hash_config.n_buckets,
+        frozen_ranking=pipeline.frozen_ranking, hyper=hyper,
+    )
     # Each threshold's plan orders each training fold's columns once; every
     # window then takes its own ranks of that order.
-    frozen = tuple(frozen_ranking) if frozen_ranking else None
-    pipeline = PipelineConfig(ranking_method=ranking_method, frozen_ranking=frozen, hyper=hyper)
-    check_windows(pipeline, [(start, window_width) for start in starts])
-    config = {
-        "window_width": window_width,
-        "step": step,
-        "starts": starts,
-        "model_kind": model_kind,
-        "thresholds": list(thresholds),
-        "malware_fraction": malware_fraction,
-        "subset_size": subset_size,
-        "k": k,
-        "seed": seed,
-        "ranking_method": ranking_method,
-        "hash_buckets": HashConfig().n_buckets,
-        "frozen_ranking": list(frozen) if frozen else None,
-        "hyper": hyper.to_json(),
-    }
-    report = _new_report("robustness-windows", config, seed, corpus)
-
     tasks = []
     for ti, threshold in enumerate(thresholds):
-        recipe = CompositionRecipe(
-            malware_fraction=malware_fraction,
-            policy=DetectionLabelPolicy(threshold=threshold),
-            target_size=subset_size,
-            seed=_derive_seed(seed, ti),
+        subset, flags = _compose(
+            corpus, seed, ti, malware_fraction, threshold, subset_size,
+            f"{threshold}-AV", f"threshold {threshold}-AV",
         )
-        try:
-            subset = compose_subset(corpus, recipe)
-        except CompositionError as exc:
-            report.flags.append(f"threshold {threshold}-AV infeasible: {exc}")
-            continue
-        report.flags.extend(f"{threshold}-AV: {f}" for f in subset.flags)
-        plan = _prepare(subset, k, _derive_seed(seed, ti, 1), pipeline)
-        tasks.extend((threshold, start, plan) for start in starts)
+        report.flags += flags
+        if subset is not None:
+            plan = _prepare(subset, k, _derive_seed(seed, ti, 1), pipeline)
+            tasks += [(threshold, start, plan) for start in starts]
 
     def run_window(task):
         threshold, start, plan = task
-        return _evaluate(
-            f"{threshold}-AV window {start}", plan, model_kind, (start, window_width)
-        )
+        ev, flags = _run(f"{threshold}-AV window {start}", plan, model_kind, (start, window_width))
+        return _rows(
+            report.experiment, ev, model=model_kind, threshold=threshold, window_start=start,
+            window_end=start + window_width - 1,
+        ), flags, []
 
-    for (threshold, start, _), ev in _completed(report, tasks, run_window, threads):
-        report.flags.extend(f"{threshold}-AV window {start}: {f}" for f in ev.fold_flags())
-        ref = reporting.WINDOW_REFERENCE.get((threshold, start), (None, None))
-        report.rows.append(
-            {
-                "model": model_kind,
-                "threshold": threshold,
-                "window_start": start,
-                "window_end": start + window_width - 1,
-                "mean_train_f1": ev.mean("train", "f1"),
-                "mean_test_f1": ev.mean("test", "f1"),
-                "std_test_f1": ev.std("test", "f1"),
-                "reference_train_f1": ref[0],
-                "reference_test_f1": ref[1],
-            }
-        )
+    _run_tasks(report, tasks, run_window, threads)
     report.rows.sort(key=lambda r: (r["threshold"], r["window_start"]))
-    for threshold in thresholds:
-        for start in starts:
-            pair = reporting.WINDOW_REFERENCE.get((threshold, start))
-            if pair:
-                report.reference.append(
-                    {
-                        "threshold": threshold,
-                        "window_start": start,
-                        "f1": {"train": pair[0], "test": pair[1]},
-                    }
-                )
-    for threshold in thresholds:
-        rows = [r for r in report.rows if r["threshold"] == threshold]
-        if rows:
-            report.curves.append(_curve(f"{threshold}-AV", "f1-vs-window", rows, "window_start"))
+    report.reference = _reference(report.experiment, thresholds, starts)
+    report.curves += _curves(report.rows, "f1-vs-window", "window_start", [
+        (f"{t}-AV", {"threshold": t}) for t in thresholds
+    ])
     return report
 
 

@@ -282,11 +282,15 @@ class Corpus:
     @staticmethod
     def of(records: Iterable[AppRecord]) -> "Corpus":
         """The corpus of hand-made records, in order. A record that
-        `validation_errors` rejects raises ValueError."""
-        records = list(records)
+        `validation_errors` rejects, or that repeats an app id, raises
+        ValueError."""
+        records, seen = list(records), set()
         for record in records:
             if problems := record.validation_errors():
                 raise ValueError(f"invalid record {record.app_id!r}: {'; '.join(problems)}")
+            if record.app_id in seen:
+                raise ValueError(f"duplicate app_id {record.app_id!r}")
+            seen.add(record.app_id)
         builder = _CorpusBuilder()
         builder.add_records(records)
         return builder.finish()

@@ -61,6 +61,9 @@ SOCIAL_COLUMNS = (
 )
 
 REPUTATION_COLUMNS = ("developer_rep", "issuer_rep")
+# The most permission-hash buckets a layout may have: 32 times the largest
+# default of the hash-size sweep.
+MAX_HASH_BUCKETS = 2**16
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,10 @@ class HashConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_buckets < 1:
-            raise ValueError("n_buckets must be positive")
+        if not 1 <= self.n_buckets <= MAX_HASH_BUCKETS:
+            raise ValueError(
+                f"n_buckets must be between 1 and {MAX_HASH_BUCKETS}, got {self.n_buckets}"
+            )
 
 
 @lru_cache(maxsize=65536)

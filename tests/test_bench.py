@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import json
 import multiprocessing
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import metatriage
+import metatriage.bench
 from metatriage.bench import (
     BenchReport,
     _derive_seed,
@@ -28,7 +30,9 @@ from metatriage.corpus import (
     CompositionRecipe,
     Corpus,
     DetectionLabelPolicy,
+    GeneratorConfig,
     compose_subset,
+    generate_synthetic,
 )
 from metatriage.errors import ContractError, MetatriageError
 from metatriage.evaluate import PipelineConfig, cross_validate
@@ -284,6 +288,14 @@ class TestHashSizeSweep:
         with pytest.raises(ValueError):
             hash_size_sweep(permission_dataset, sizes=())
 
+    @pytest.mark.parametrize("bad", [0, 2**16 + 1])
+    def test_refused_size_fails_before_any_point(self, permission_dataset, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr("metatriage.bench.prepare_folds", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match=f"n_buckets must be between 1 and 65536, got {bad}"):
+            hash_size_sweep(permission_dataset, sizes=(16, bad), threads=2)
+        assert calls == []
+
 
 class TestFeatureCountCurve:
     def test_curve_rows_per_model_and_k(self, bench_dataset):
@@ -493,6 +505,28 @@ def test_logistic_not_converged_is_flagged_in_every_experiment(
             assert all(v == v for v in report.rows[0].values() if isinstance(v, float))
 
 
+def test_a_group_whose_runs_all_failed_has_no_curve(
+    bench_dataset, permission_dataset, monkeypatch
+):
+    real = metatriage.bench.evaluate
+
+    def evaluate(plan, model_kind, window=None):
+        if model_kind == "logistic":
+            raise ValueError("refused")
+        return real(plan, model_kind, window)
+
+    monkeypatch.setattr(metatriage.bench, "evaluate", evaluate)
+    curve = feature_count_curve(
+        bench_dataset, ks=(2,), model_kinds=("logistic", "forest"),
+        ranking_method="info_gain", k=3, hyper=small_hyper(),
+    )
+    assert curve.flags == ["model logistic top_k 2 failed: refused"]
+    assert [c["name"] for c in curve.curves] == ["Random Forest"]
+    sweep = hash_size_sweep(permission_dataset, sizes=(8,), k=3, hyper=small_hyper())
+    assert sweep.flags == ["size 8 failed: refused"]
+    assert sweep.rows == [] and sweep.curves == []
+
+
 class TestRobustnessWindows:
     @pytest.mark.parametrize("bad", [
         {"step": 0}, {"n_windows": 0}, {"window_width": 0}, {"step": -2},
@@ -576,3 +610,70 @@ class TestRobustnessWindows:
         )
         row = [r for r in report.rows if r["window_start"] == 3][0]
         assert row["mean_test_f1"] == ev.mean("test", "f1")
+
+
+# sha256 of results.csv and report.json per experiment. Forest runs only:
+# the linear fits' last bits depend on the BLAS build. The grid has one
+# infeasible cell and robustness one infeasible threshold.
+PINNED_OUTPUTS = {
+    1: {
+        "hash-size-sweep": (
+            "82b0e8cc5b5f72efe97f085ce338899381d56946b7c53712a19222df0692092b",
+            "9b8b7c511d5208a0488a62d96371c0f31f6fe5c2b0a9da818ea1ba798a25009b"),
+        "feature-count-curve": (
+            "dd5133c953c86fde13758d5fe2a590ad6346f08dda12a975eb4dc8085b4ba062",
+            "65dcddfd4b009907983c60dcf827f54b8e899e669b7098f2ae5eefcc2b53ce6a"),
+        "benchmark-grid": (
+            "cddff32a4950e6dbc9eb93754ff7f6d0c795a7a6106a4ee0f570feb36ff3acfb",
+            "8f339aa18d771481f476e9dbba145c95caa64b56b6db87800db478efc7590b0e"),
+        "robustness-windows": (
+            "a1ceedad6978777c9c45cd75da02c1290d1825134c69865f258e23d69d9899f2",
+            "5d9317fd21e33feea748ea2a9b48ce20da00c9271aff19c35642db7619aef44c"),
+    },
+    7: {
+        "hash-size-sweep": (
+            "6cf82c19b72b749dbda777864ba19e9977e19ebbabb6f81b71b8fad764eee3f3",
+            "595594242ca4d334c15cf2572824c3dd14f58375a011af06d4ac7613ce4bdaad"),
+        "feature-count-curve": (
+            "426d4ba9df9d8e181c61deda169c91996060e7ab5adcf5ef90f5dbbba85333c1",
+            "4da3bf664d25124157ebde9457ad0fb23f62c2972e3b0e4a19f179747b102015"),
+        "benchmark-grid": (
+            "22d89bb15f14d5b37057047fced5f7509b49ca221eacc34dad817e5b3c6345b2",
+            "efeee11595b89abdc80565fae87e94b83ad67bf52692720835bc9d5a32128d1d"),
+        "robustness-windows": (
+            "9be416b0e9c21c7169f7c14312161295429cf3111ce9a39d2f1f99014531f067",
+            "c60b62b1b1c5ee592d7604f806b66ee2b77cab81978565c13d7094c3789a6831"),
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_OUTPUTS))
+def test_experiment_output_bytes_are_pinned(tmp_path, seed):
+    corpus = generate_synthetic(GeneratorConfig(n_apps=600), seed)
+    dataset = compose_subset(
+        corpus, CompositionRecipe(0.5, DetectionLabelPolicy(1), 300, seed=seed)
+    )
+    shared = dict(
+        k=3, seed=seed, hyper=Hyperparams(forest=ForestParams(n_trees=5, max_depth=6, min_leaf=3))
+    )
+    reports = [
+        hash_size_sweep(dataset, sizes=(16, 64), model_kind="forest", **shared),
+        feature_count_curve(dataset, ks=(2, 6), model_kinds=("forest",), **shared),
+        grid_benchmark(
+            corpus, malware_fractions=(0.5,), thresholds=(1, 4, 10_000), subset_size=200,
+            model_kinds=("forest",), top_k=5, **shared,
+        ),
+        robustness_windows(
+            corpus, window_width=3, step=2, n_windows=2, thresholds=(4, 10_000),
+            subset_size=200, **shared,
+        ),
+    ]
+    assert sum("infeasible" in f for r in reports for f in r.flags) == 2
+    for report in reports:
+        out = tmp_path / report.experiment
+        emit_report(report, str(out), formats=("csv",))
+        digests = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("results.csv", "report.json")
+        )
+        assert digests == PINNED_OUTPUTS[seed][report.experiment], report.experiment

@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import json
 import os
@@ -14,6 +15,30 @@ from metatriage.corpus import (
 from metatriage.featurize import HashConfig, assemble_features, build_reputation_table
 
 from test_corpus import make_record
+
+
+@contextlib.contextmanager
+def address_space_headroom(extra=2 << 30):
+    """Cap this process's address space at its current size plus `extra`
+    bytes while the body runs, so a check that fails too late raises
+    MemoryError instead of exhausting the host's memory."""
+    try:
+        import resource
+
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except (ImportError, OSError):
+        yield
+        return
+    previous = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + extra
+    if previous[1] != resource.RLIM_INFINITY:
+        cap = min(cap, previous[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, previous[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, previous)
 
 
 @pytest.fixture(scope="module")
@@ -834,6 +859,27 @@ class TestBenchCommands:
         first = 2 if command == "robustness" else 1
         assert err.startswith(f"usage error: ranks {first}-{last} are out of range")
         assert f"the column order has {n} columns" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags,message", [
+        # each once ended in a traceback: OverflowError in the hashing, and
+        # MemoryError in naming 10**9 columns and in listing 10**12 starts
+        ("featurize", ["--hash-buckets", str(10**20)],
+         "n_buckets must be between 1 and 65536, got 100000000000000000000"),
+        ("sweep-hashes", ["--sizes", "32," + str(10**9)],
+         "n_buckets must be between 1 and 65536, got 1000000000"),
+        ("robustness", ["--n-windows", str(10**12), "--thresholds", "1"],
+         "ranks 1999999999999-2000000000013 are out of range"),
+    ])
+    def test_huge_counts_fail_before_any_work(self, corpus_path, work, capsys, command, flags,
+                                              message):
+        out = work / f"huge-{command}"
+        with address_space_headroom():
+            code = main([command, "--corpus", str(corpus_path), "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"usage error: {message}")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_frozen_ranking_file_missing(self, corpus_path, capsys):

@@ -418,6 +418,16 @@ class TestParsing:
         corpus = Corpus.of(records[:1])
         assert corpus.counts.dtype == np.int64 and list(corpus) == records[:1]
 
+    def test_corpus_of_refuses_a_repeated_app_id(self, tmp_path):
+        # load_corpus refuses a file with a repeated id, so Corpus.of must
+        # not make a corpus that write_corpus would write as one
+        records = [make_record(app_id="a"), make_record(app_id="b"), make_record(app_id="a")]
+        with pytest.raises(ValueError, match="duplicate app_id 'a'"):
+            Corpus.of(records)
+        path = tmp_path / "two.jsonl"
+        write_corpus(Corpus.of(records[:2]), str(path))
+        assert [r.app_id for r in load_corpus(str(path)).records] == ["a", "b"]
+
     def test_digest_is_stable_and_content_sensitive(self):
         a = Corpus.of([make_record(app_id="x")])
         b = Corpus.of([make_record(app_id="y")])

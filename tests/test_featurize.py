@@ -81,6 +81,12 @@ class TestHashing:
         assert vec.sum() == 50
         assert vec.min() >= 0
 
+    @pytest.mark.parametrize("n_buckets", [0, 2**16 + 1, 10**20])
+    def test_bucket_count_outside_the_declared_range_is_refused(self, n_buckets):
+        with pytest.raises(ValueError, match=f"between 1 and 65536, got {n_buckets}"):
+            HashConfig(n_buckets)
+        assert HashConfig(2**16).n_buckets == 2**16
+
     def test_collisions_accumulate(self):
         vec = hash_permissions(["p1"], HashConfig(1))
         assert vec.shape == (1,)
