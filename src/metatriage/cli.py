@@ -14,7 +14,6 @@ the same snake_case name, else the default.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -36,7 +35,7 @@ from .corpus import (
     load_corpus,
     write_corpus,
 )
-from .errors import MetatriageError
+from .errors import MetatriageError, decode_json
 from .evaluate import PipelineConfig, cross_validate
 from .featurize import (
     HashConfig, ReputationTable, assemble_features, build_reputation_table, feature_names,
@@ -156,8 +155,8 @@ def _build_parser() -> _Parser:
 
 def _value(name: str, raw, from_flag: bool):
     """Option `name`'s value from its flag text or its config-file JSON
-    value; a value of another type, or outside its choices or minimum, is a
-    usage error naming the flag or key."""
+    value; a value of another type, or outside its choices or minimum, or a
+    repeated item of a list, is a usage error naming the flag or key."""
     opt = OPTIONS[name]
 
     def item(x):
@@ -190,14 +189,19 @@ def _value(name: str, raw, from_flag: bool):
         values = [item(x) for x in raw.split(",") if x]
     else:
         values = [item(x) for x in raw] if isinstance(raw, list) else [None]
+    where = _flag(name) if from_flag else f"config key {name!r}"
     if None not in values:
-        return values if opt.many else values[0]
+        if not opt.many:
+            return values[0]
+        for i, x in enumerate(values):
+            if x in values[:i]:
+                raise UsageError(f"{where} repeats {x!r}")
+        return values
     expected = f"one of {', '.join(opt.choices)}" if opt.choices else _EXPECTED[opt.kind]
     if opt.minimum is not None:
         expected += f" of at least {opt.minimum}"
     if opt.many:
         expected = f"a list whose items are each {expected}"
-    where = _flag(name) if from_flag else f"config key {name!r}"
     raise UsageError(f"{where} must be {expected}, got {raw!r}")
 
 
@@ -247,10 +251,10 @@ class _Options:
         if args.config:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
-                    config = json.load(fh)
+                    config = decode_json(fh.read())
             except FileNotFoundError:
                 raise UsageError(f"config file not found: {args.config}") from None
-            except ValueError as exc:  # or an integer of over 4,300 digits
+            except ValueError as exc:
                 raise UsageError(f"config file is not valid JSON: {exc}") from None
             if not isinstance(config, dict):
                 raise UsageError("config file must hold a JSON object")
@@ -521,10 +525,10 @@ def _cmd_report(opts: _Options) -> int:
     path = opts["input"]
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = decode_json(fh.read())
     except FileNotFoundError:
         raise UsageError(f"report file not found: {path}") from None
-    except ValueError as exc:  # or an integer of over 4,300 digits
+    except ValueError as exc:
         raise MetatriageError(f"report file is not valid JSON: {exc}") from None
     report = bench.BenchReport.from_json(doc)
     return _emit(report, opts, opts["formats"])

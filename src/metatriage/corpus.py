@@ -9,7 +9,8 @@ number of antivirus engines that flagged the app.
 A `Corpus` holds records as columns, and it is what passes between layers:
 `generate_synthetic` and `parse_records` return one, and labeling,
 composition, digests and every feature block read one. `AppRecord` is one
-record: what the per-line parse validates, and what `Corpus[i]` gives.
+record: what `Corpus[i]` gives, and what `record_from_dict` builds from a
+parsed line whose values pass the rule of `AppRecord.validation_errors`.
 `Corpus.of` makes a corpus of hand-made records.
 """
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
@@ -36,6 +36,7 @@ from .errors import (
     MetatriageError,
     ParseError,
     check_number_fields,
+    decode_json,
 )
 
 MALWARE = "malware"
@@ -57,6 +58,7 @@ _INT_FIELDS = (
 )
 
 _STR_FIELDS = ("app_id", "package_name", "developer_id", "issuer_id")
+_VOTE_NAMES = tuple(f"star_votes[{i}]" for i in range(5))
 
 # The largest integer a record may hold. Features are float64, which holds
 # every integer up to it exactly; a larger one may round, or overflow.
@@ -97,42 +99,42 @@ class AppRecord:
         return sum((i + 1) * v for i, v in enumerate(self.star_votes)) / total
 
     def validation_errors(self) -> list[str]:
-        problems = []
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                problems.append(f"{name} must be a non-negative integer, got {value!r}")
-            elif value > MAX_INT:
-                problems.append(f"{name} must be at most 2**53 - 1, got {value!r}")
-        if len(self.star_votes) != 5:
-            problems.append(f"star_votes must have 5 entries, got {len(self.star_votes)}")
-        else:
-            for i, v in enumerate(self.star_votes):
-                if not isinstance(v, int) or v < 0:
-                    problems.append(f"star_votes[{i}] must be a non-negative integer, got {v!r}")
-                elif v > MAX_INT:
-                    problems.append(f"star_votes[{i}] must be at most 2**53 - 1, got {v!r}")
-        for name in _STR_FIELDS:
-            if not getattr(self, name):
-                problems.append(f"{name} must be a non-empty string")
-        return problems
+        return _value_errors(_IDS_OF(self), _INTS_OF(self), self.star_votes)
 
 
 # The canonical key order of a serialized record, and the order of the
 # record's constructor arguments.
 FIELD_ORDER = tuple(f.name for f in fields(AppRecord))
+_FIELD_SET = frozenset(FIELD_ORDER)
+_IDS_OF, _INTS_OF = attrgetter(*_STR_FIELDS), attrgetter(*_INT_FIELDS)
+_COUNT_VALUES = itemgetter(*_INT_FIELDS)
+
+
+def _value_errors(ids, counts, votes) -> list[str]:
+    """The problems of a record's values by the rule every record keeps:
+    `ids` and `counts` hold its `_STR_FIELDS` and `_INT_FIELDS` values."""
+    values = (*counts, *votes)
+    try:  # only ints sum to an int: another number does not, and a str or None raises
+        ints = type(sum(values)) is int
+    except TypeError:
+        ints = False
+    if ints and len(votes) == 5 and all(ids) and min(values) >= 0 and max(values) <= MAX_INT:
+        return []
+    problems = [
+        f"{name} must be a non-negative integer, got {v!r}" if not isinstance(v, int) or v < 0
+        else f"{name} must be at most 2**53 - 1, got {v!r}"
+        for name, v in zip(_INT_FIELDS + _VOTE_NAMES, values if len(votes) == 5 else counts)
+        if not isinstance(v, int) or not 0 <= v <= MAX_INT
+    ]
+    if len(votes) != 5:
+        problems.append(f"star_votes must have 5 entries, got {len(votes)}")
+    return problems + [f"{name} must be a non-empty string" for name, v in zip(_STR_FIELDS, ids) if not v]
 
 
 def record_to_dict(record: AppRecord) -> dict:
     """Canonical JSON-safe mapping with stable key order and sorted permissions."""
-    out = {}
-    for name in FIELD_ORDER:
-        value = getattr(record, name)
-        if name == "permissions":
-            value = sorted(value)
-        elif name == "star_votes":
-            value = list(value)
-        out[name] = value
+    out = {name: getattr(record, name) for name in FIELD_ORDER}
+    out.update(permissions=sorted(record.permissions), star_votes=list(record.star_votes))
     return out
 
 
@@ -144,83 +146,51 @@ def _integer(value) -> int:
     return int(value)
 
 
-_FIELD_VALUES = itemgetter(*FIELD_ORDER)
-_FIELD_SET = frozenset(FIELD_ORDER)
-_STR, _INT = {str}, {int}
-
-
-def _exact_record(obj: dict) -> Optional[AppRecord]:
-    """The record of a mapping that holds exactly the `FIELD_ORDER` keys with
-    every value already of its exact type and valid, as `record_to_dict`
-    writes it; None for any other mapping."""
-    if obj.keys() != _FIELD_SET:
-        return None
-    values = _FIELD_VALUES(obj)
-    ids, perms, votes = values[:4], values[4], values[15]
-    if not (type(perms) is list and type(votes) is list and len(votes) == 5):
-        return None
-    counts = (*values[5:15], *votes, values[16])
-    if not (
-        all(ids)
-        and set(map(type, ids)) == _STR
-        and set(map(type, perms)) <= _STR
-        and set(map(type, counts)) == _INT
-        and min(counts) >= 0
-        and max(counts) <= MAX_INT
-    ):
-        return None
-    return AppRecord(*ids, frozenset(perms), *values[5:15], tuple(votes), values[16])
-
-
 def record_from_dict(obj: dict) -> tuple[Optional[AppRecord], list[str], list[str]]:
-    """Build a record from a parsed mapping.
+    """(record_or_None, problems, unknown_field_names) of a parsed mapping:
+    a JSON object, or a CSV row with `permissions` and `star_votes` joined
+    by `;`.
 
-    Returns (record_or_None, problems, unknown_field_names). A mapping that
-    `_exact_record` accepts needs no conversion and no validation; any other
-    one is converted field by field and then validated."""
-    record = _exact_record(obj)
-    if record is not None:
-        return record, [], []
-    return _converted_record(obj)
-
-
-def _converted_record(obj: dict) -> tuple[Optional[AppRecord], list[str], list[str]]:
-    """`record_from_dict` for any mapping: each field converted, then the
-    record validated."""
-    problems = []
-    unknown = [k for k in obj if k not in FIELD_ORDER]
-    missing = [k for k in FIELD_ORDER if k not in obj]
-    if missing:
+    Each field is converted once, and a value of its exact type is taken as
+    it is. One that does not convert is a problem, with a placeholder that
+    passes the rule of `validation_errors`. That rule then checks the
+    values, and the record is built only when there is no problem."""
+    unknown = [] if obj.keys() == _FIELD_SET else [k for k in obj if k not in _FIELD_SET]
+    if len(obj) - len(unknown) < len(FIELD_ORDER):
+        missing = [k for k in FIELD_ORDER if k not in obj]
         return None, [f"missing fields: {', '.join(missing)}"], unknown
 
-    kwargs = {}
-    for name in _STR_FIELDS:
-        kwargs[name] = str(obj[name])
-    perms = obj["permissions"]
-    if isinstance(perms, str):
-        perms = [p for p in perms.split(";") if p]
-    kwargs["permissions"] = frozenset(str(p) for p in perms)
-    # A field that does not convert is reported here and gets a placeholder
-    # that `validation_errors` accepts, so it is reported once.
-    for name in _INT_FIELDS:
-        try:
-            kwargs[name] = _integer(obj[name])
-        except (TypeError, ValueError):
-            problems.append(f"{name} is not an integer: {obj[name]!r}")
-            kwargs[name] = 0
-    votes = obj["star_votes"]
+    problems = []
+    ids = [str(obj[name]) for name in _STR_FIELDS]
+    counts, votes = list(_COUNT_VALUES(obj)), obj["star_votes"]
     if isinstance(votes, str):
         votes = [v for v in votes.split(";") if v != ""]
-    try:
-        kwargs["star_votes"] = tuple(_integer(v) for v in votes)
-    except (TypeError, ValueError):
-        problems.append(f"star_votes is not a list of integers: {votes!r}")
-        kwargs["star_votes"] = (0,) * 5
+    if type(votes) is list and {int}.issuperset(map(type, counts + votes)):
+        votes = tuple(votes)
+    else:
+        for i, value in enumerate(counts):
+            try:
+                counts[i] = _integer(value)
+            except (TypeError, ValueError):
+                problems.append(f"{_INT_FIELDS[i]} is not an integer: {value!r}")
+                counts[i] = 0
+        try:
+            votes = tuple(map(_integer, votes))
+        except (TypeError, ValueError):
+            problems.append(f"star_votes is not a list of integers: {votes!r}")
+            votes = (0,) * 5
+    permissions = obj["permissions"]
+    if isinstance(permissions, str):
+        permissions = [p for p in permissions.split(";") if p]
+    if not isinstance(permissions, list):
+        problems.append(f"permissions is not a list: {permissions!r}")
 
-    record = AppRecord(**kwargs)
-    problems.extend(record.validation_errors())
+    problems += _value_errors(ids, counts, votes)
     if problems:
         return None, problems, unknown
+    if not {str}.issuperset(map(type, permissions)):
+        permissions = map(str, permissions)
+    record = AppRecord(*ids, frozenset(permissions), *counts[:10], votes, counts[10])
     return record, [], unknown
 
 
@@ -236,7 +206,7 @@ class ParseIssue:
 
 # The rows of `Corpus.counts`: the integer fields in line order, with
 # `star_votes` as its five entries.
-COUNT_FIELDS = _INT_FIELDS[:10] + tuple(f"star_votes[{i}]" for i in range(5)) + _INT_FIELDS[10:]
+COUNT_FIELDS = _INT_FIELDS[:10] + _VOTE_NAMES + _INT_FIELDS[10:]
 _VOTES = slice(10, 15)
 _DETECTIONS = 15
 _COUNTS_OF = attrgetter(*_INT_FIELDS[:10])
@@ -449,11 +419,6 @@ def _iter_lines(stream) -> Iterator[str]:
     return (raw.decode("utf-8") if isinstance(raw, bytes) else raw for raw in stream)
 
 
-# The scanner `json.loads` runs, without its wrapper: (value, end index) of
-# the JSON value at an index, or StopIteration or JSONDecodeError.
-_scan_json = json.JSONDecoder().scan_once
-
-
 def _template(value) -> str:
     """A record's line, `value(name)` standing for each field's value."""
     return "{" + ",".join(f'"{name}":' + value(name) for name in FIELD_ORDER) + "}\n"
@@ -502,8 +467,10 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
     JSON Lines are read `_BLOCK_LINES` lines at a time. A block of lines
     that are all `_CANONICAL`, with new app ids and sorted distinct
     permissions, goes into the columns at once, and no record object is
-    made. Any other block is parsed line by line into `AppRecord`s, with
-    the issues, unknown-field counts and errors each line gives. When every
+    made. Any other block is parsed line by line, each line through
+    `decode_json` and `record_from_dict` into an `AppRecord`, with the
+    issues, unknown-field counts and errors each line gives. A CSV that the
+    `csv` module cannot read raises ParseError. When every
     block was canonical, the corpus's digest is the sha256 of the lines
     read: for a file with line-feed line ends, of its bytes.
     """
@@ -527,7 +494,8 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
 
     def handle(obj: dict, line_no: int, kept: list[AppRecord]) -> None:
         record, problems, unknown = record_from_dict(obj)
-        unknown_fields.update(unknown)
+        if unknown:
+            unknown_fields.update(unknown)
         if problems:
             reject(line_no, problems)
             return
@@ -541,15 +509,10 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
         if not line:
             return
         try:
-            obj, end = _scan_json(line, 0)
-        except (StopIteration, ValueError):
-            end = -1
-        if end != len(line):  # json.loads fails too, and says why
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # or an integer of over 4,300 digits
-                reject(line_no, [f"invalid JSON: {exc}"])
-                return
+            obj = decode_json(line)
+        except ValueError as exc:
+            reject(line_no, [f"invalid JSON: {exc}"])
+            return
         if not isinstance(obj, dict):
             reject(line_no, ["line is not a JSON object"])
             return
@@ -571,9 +534,12 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
                 builder.add_records(kept)
             start += len(block)
     else:
-        kept = []
-        for line_no, row in enumerate(csv.DictReader(_iter_lines(stream)), start=2):
-            handle({k: v for k, v in row.items() if k is not None}, line_no, kept)
+        kept, rows = [], csv.DictReader(_iter_lines(stream))
+        try:
+            for line_no, row in enumerate(rows, start=2):
+                handle({k: v for k, v in row.items() if k is not None}, line_no, kept)
+        except csv.Error as exc:  # e.g. a field past the csv module's size limit
+            raise ParseError(f"unreadable CSV at line {rows.reader.line_num}: {exc}") from None
         builder.add_records(kept)
     records = builder.finish(None if digest is None else digest.hexdigest())
     return ParseResult(records, issues, unknown_fields)
@@ -788,6 +754,13 @@ def detection_histogram(corpus: Corpus) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
+# The largest sizes a generator config may ask for, checked before any
+# array is drawn: about 7 times the apps of the paper's 140k-app corpus, and
+# far more distinct permissions and detecting engines than a store or a
+# scanner has.
+MAX_APPS, MAX_PERMISSIONS, MAX_DETECTIONS = 10**6, 10**5, 10**4
+
+
 @dataclass(frozen=True)
 class SignalStrengths:
     """Per-group weights in [0, 1] controlling feature/label coupling.
@@ -820,6 +793,8 @@ class DetectionCountModel:
         check_number_fields(self)
         if self.exponent <= 0 or self.max_count < 1:
             raise ValueError("invalid detection-count distribution")
+        if self.max_count > MAX_DETECTIONS:
+            raise ValueError(f"max_count must be at most {MAX_DETECTIONS}, got {self.max_count}")
 
 
 @dataclass(frozen=True)
@@ -844,6 +819,9 @@ class GeneratorConfig:
             raise ValueError("malware_rate must be in [0, 1]")
         if self.permission_vocabulary_size < 10:
             raise ValueError("permission_vocabulary_size must be at least 10")
+        for name, bound in (("n_apps", MAX_APPS), ("permission_vocabulary_size", MAX_PERMISSIONS)):
+            if getattr(self, name) > bound:
+                raise ValueError(f"{name} must be at most {bound}, got {getattr(self, name)}")
 
     @staticmethod
     def from_json(obj: dict) -> "GeneratorConfig":

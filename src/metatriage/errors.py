@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the type check of the
-number fields of its config dataclasses."""
+"""Exception types shared across the package, the type check of the
+number fields of its config dataclasses, and the one decoder of JSON
+documents from outside the program."""
 
+import json
 import math
 from typing import Optional, get_type_hints
 
@@ -22,6 +24,17 @@ def check_number_fields(obj) -> None:
         ):
             what = "a finite number" if kind is float else "an integer"
             raise TypeError(f"{name} must be {what}, got {value!r}")
+
+
+def decode_json(text: str):
+    """The value of JSON document `text`, as `json.loads` gives it. Any
+    document that does not decode raises ValueError: a syntax error, an
+    integer of over 4,300 digits, or nesting too deep for the decoder's
+    recursion."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 class MetatriageError(Exception):

@@ -25,6 +25,9 @@ from .featurize import FeatureMatrix, rank_bins
 from .learn import ForestParams, _ValueCodes, train_forest
 
 METHODS = ("chi_squared", "info_gain", "gain_ratio", "mdni", "borda")
+# The most rank bins a column may be cut into. Bins past a column's row
+# count change nothing, and this is over twice the rows of a 30k corpus.
+MAX_BINS = 2**16
 
 
 def _table(codes: np.ndarray, labels: np.ndarray, width: int) -> np.ndarray:
@@ -197,7 +200,8 @@ def rank_features(
     Filter methods (chi_squared, info_gain, gain_ratio) run on rank-binned
     columns; mdni trains a forest on the raw matrix (by default
     `ranking_forest(13)`). Both read one set of value codes of the matrix.
-    "borda" aggregates whatever other methods were computed.
+    "borda" aggregates whatever other methods were computed. `n_bins`
+    outside 2..`MAX_BINS` raises ValueError before any column is sorted.
     """
     labels = np.asarray(labels)
     if matrix.n_rows != len(labels):
@@ -206,6 +210,8 @@ def rank_features(
         )
     if ranking_method not in METHODS:
         raise ValueError(f"unknown ranking method: {ranking_method!r}")
+    if not 2 <= n_bins <= MAX_BINS:
+        raise ValueError(f"n_bins must be between 2 and {MAX_BINS}, got {n_bins}")
     if methods is None:
         methods = (
             ("chi_squared", "info_gain", "gain_ratio", "mdni")

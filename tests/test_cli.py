@@ -513,6 +513,28 @@ class TestOptionTypes:
         assert err.startswith("usage error: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,args,config,message", [
+        ("robustness", ["--thresholds", "1,1", "--n-windows", "2", "--window-width", "3"], None,
+         "--thresholds repeats 1"),
+        ("sweep-hashes", ["--sizes", "16,16"], None, "--sizes repeats 16"),
+        ("benchmark-grid", [], {"fractions": [0.25, 0.5, 0.25]},
+         "config key 'fractions' repeats 0.25"),
+        ("curve-features", [], {"models": ["forest", "logistic", "forest"]},
+         "config key 'models' repeats 'forest'"),
+    ])
+    def test_repeated_list_items_are_usage_errors(
+        self, corpus_path, work, capsys, command, args, config, message
+    ):
+        if config is not None:
+            path = work / "repeated.json"
+            path.write_text(json.dumps(config))
+            args = ["--config", str(path)]
+        out = work / f"repeated-{command}"
+        assert main([command, "--corpus", str(corpus_path), "--out", str(out), *args]) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: {message}\n"
+        assert not out.exists()
+
     def test_dry_run_prints_the_options_a_run_records(self, corpus_path, work, capsys):
         out = work / "cv-dry"
         argv = ["cv", "--corpus", str(corpus_path), "--model", "logistic", "--k", "2",
@@ -876,6 +898,30 @@ class TestBenchCommands:
         out = work / f"huge-{command}"
         with address_space_headroom():
             code = main([command, "--corpus", str(corpus_path), "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"usage error: {message}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags,message", [
+        # each once ended in a traceback (MemoryError) or in numpy's
+        # "Maximum allowed size exceeded", which names no option
+        ("generate", ["--n-apps", str(10**12)], "n_apps must be at most 1000000"),
+        ("generate", ["--permission-vocabulary-size", str(10**10)],
+         "permission_vocabulary_size must be at most 100000"),
+        ("generate", ["--zipf-max", str(10**19)], "max_count must be at most 10000"),
+        ("rank", ["--method", "borda", "--n-bins", str(10**12)],
+         "n_bins must be between 2 and 65536, got 1000000000000"),
+        ("rank", ["--n-bins", "1"], "n_bins must be between 2 and 65536, got 1"),
+    ])
+    def test_sizes_past_their_maximum_fail_before_any_work(
+        self, corpus_path, work, capsys, command, flags, message
+    ):
+        out = work / f"past-maximum-{command}"
+        source = [] if command == "generate" else ["--corpus", str(corpus_path)]
+        with address_space_headroom():
+            code = main([command, *source, "--out", str(out), *flags])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"usage error: {message}")

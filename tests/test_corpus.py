@@ -31,8 +31,6 @@ from metatriage.corpus import (
     write_corpus,
     load_corpus,
     _canonical_lines,
-    _converted_record,
-    _exact_record,
 )
 from metatriage.errors import (
     CompositionError,
@@ -116,8 +114,9 @@ def _without(name: str) -> dict:
 
 
 class TestParseFastPath:
-    """`record_from_dict` builds a mapping in canonical form directly and
-    converts any other one; both must give what conversion gives."""
+    """`record_from_dict` converts each field once, takes a value of its
+    exact type as it is, and checks the converted values by the rule of
+    `validation_errors`."""
 
     def test_canonical_mappings_take_the_fast_path(self):
         records = list(generate_synthetic(GeneratorConfig(n_apps=200), seed=2)) + [
@@ -125,8 +124,7 @@ class TestParseFastPath:
         ]
         for record in records:
             d = json.loads(json.dumps(record_to_dict(record)))
-            assert _exact_record(d) == record
-            assert record_from_dict(d) == _converted_record(d) == (record, [], [])
+            assert record_from_dict(d) == (record, [], [])
 
     @pytest.mark.parametrize("obj,record,problems,unknown", [
         (_with(size_bytes=True), None, ["size_bytes is not an integer: True"], []),
@@ -147,22 +145,31 @@ class TestParseFastPath:
          [], []),
         (_with(mystery=1), make_record(), [], ["mystery"]),
         (_without("size_bytes"), None, ["missing fields: size_bytes"], []),
+        (_with(permissions=None), None, ["permissions is not a list: None"], []),
+        (_with(permissions=True), None, ["permissions is not a list: True"], []),
+        (_with(permissions=5.5), None, ["permissions is not a list: 5.5"], []),
+        (_with(permissions={"perm.a": 1}), None, ["permissions is not a list: {'perm.a': 1}"],
+         []),
+        (_with(num_files=-2, star_votes=None, permissions=None, size_bytes="x", app_id=""), None,
+         ["size_bytes is not an integer: 'x'", "star_votes is not a list of integers: None",
+          "permissions is not a list: None", "num_files must be a non-negative integer, got -2",
+          "app_id must be a non-empty string"], []),
     ], ids=["bool", "integral-float", "negative", "negative-vote", "past-2**53",
             "huge-vote", "four-votes", "float-vote",
             "numeric-id", "empty-id", "permission-string", "numeric-permission", "unknown-field",
-            "missing-field"])
+            "missing-field", "null-permissions", "bool-permissions", "number-permissions",
+            "object-permissions", "message-order"])
     def test_other_mappings_are_converted(self, obj, record, problems, unknown):
-        assert _exact_record(obj) is None
-        assert record_from_dict(obj) == _converted_record(obj) == (record, problems, unknown)
+        assert record_from_dict(obj) == (record, problems, unknown)
         got = record_from_dict(obj)[0]
         if got is not None:
             assert type(got.size_bytes) is int
+            assert got.validation_errors() == []
 
     def test_largest_exact_integer_is_a_valid_count(self):
         d = _with(size_bytes=MAX_INT, star_votes=[MAX_INT, 0, 0, 0, 0])
         record = make_record(size_bytes=MAX_INT, star_votes=(MAX_INT, 0, 0, 0, 0))
-        assert _exact_record(d) == record
-        assert _converted_record(d) == (record, [], [])
+        assert record_from_dict(d) == (record, [], [])
         # float64 holds MAX_INT exactly, but not every integer above it.
         assert int(float(MAX_INT)) == MAX_INT and float(MAX_INT + 2) == float(MAX_INT + 1)
 
@@ -189,25 +196,27 @@ class TestParseFastPath:
 
 
 class TestLineDecoder:
-    """`parse_records` decodes a line with the scanner under `json.loads`
-    and falls back to `json.loads` itself when the scan fails or stops
-    short; records, issues and their messages must be those of `json.loads`
-    alone."""
+    """`parse_records` decodes each line with `json.loads`, through
+    `errors.decode_json`: a line that does not decode is skipped with
+    `json.loads`'s own message, and one nested too deeply for the decoder
+    is invalid JSON too."""
 
     GOOD = json.dumps(record_to_dict(make_record(app_id="good")))
 
-    def parse_both(self, monkeypatch, text, max_errors=100):
-        def no_scan(line, index):
-            raise StopIteration(index)
+    def parse(self, text, max_errors=100):
+        try:
+            return parse_records(text, max_errors=max_errors)
+        except ParseError as exc:
+            return str(exc)
 
-        results = []
-        for scanner in (metatriage.corpus._scan_json, no_scan):
-            monkeypatch.setattr(metatriage.corpus, "_scan_json", scanner)
-            try:
-                results.append(parse_records(text, max_errors=max_errors))
-            except ParseError as exc:
-                results.append(str(exc))
-        return results
+    @staticmethod
+    def expected_problems(line: str) -> list[str]:
+        """The problems of one line, decoded by `json.loads` alone."""
+        try:
+            obj = json.loads(line.strip())
+        except ValueError as exc:
+            return [f"invalid JSON: {exc}"]
+        return record_from_dict(obj)[1] if isinstance(obj, dict) else ["line is not a JSON object"]
 
     @pytest.mark.parametrize("line", [
         "\ufeff" + GOOD,  # a byte-order mark
@@ -225,43 +234,60 @@ class TestLineDecoder:
         "null",
     ], ids=["bom", "trailing", "two-objects", "nan", "infinity", "minus-infinity-vote", "bad-key",
             "missing-value", "truncated", "array", "string", "number", "null"])
-    def test_issues_match_json_loads(self, monkeypatch, line):
-        text = f"{self.GOOD}\n  {line}  \n"
-        fast, slow = self.parse_both(monkeypatch, text)
-        assert list(fast.records) == list(slow.records)
-        assert [r.app_id for r in fast.records] == ["good"]
-        assert fast.issues == slow.issues and len(fast.issues) == 1
-        assert fast.issues[0].line == 2
-        assert fast.unknown_fields == slow.unknown_fields
+    def test_issues_match_json_loads(self, line):
+        result = self.parse(f"{self.GOOD}\n  {line}  \n")
+        assert [r.app_id for r in result.records] == ["good"]
+        assert [(i.line, i.message) for i in result.issues] == [
+            (2, p) for p in self.expected_problems(line)
+        ]
+        assert len(result.issues) == 1
+        assert result.unknown_fields == Counter()
 
-    def test_nan_is_not_an_integer(self, monkeypatch):
+    def test_nan_is_not_an_integer(self):
         line = json.dumps(_with(size_bytes=float("nan")))
         assert '"size_bytes": NaN' in line
-        fast, _ = self.parse_both(monkeypatch, line + "\n")
-        assert [i.message for i in fast.issues] == ["size_bytes is not an integer: nan"]
+        result = self.parse(line + "\n")
+        assert [i.message for i in result.issues] == ["size_bytes is not an integer: nan"]
 
-    def test_bad_key_message(self, monkeypatch):
-        fast, _ = self.parse_both(monkeypatch, self.GOOD[:-1] + ', 5: 1}\n')
-        assert fast.issues[0].message.startswith(
+    def test_bad_key_message(self):
+        result = self.parse(self.GOOD[:-1] + ', 5: 1}\n')
+        assert result.issues[0].message.startswith(
             "invalid JSON: Expecting property name enclosed in double quotes"
         )
 
-    def test_integer_past_the_digit_limit_is_a_skipped_record(self, monkeypatch):
+    def test_integer_past_the_digit_limit_is_a_skipped_record(self):
         line = self.GOOD.replace('"size_bytes": 1000', '"size_bytes": ' + "1" * 5000)
         assert line != self.GOOD
-        fast, slow = self.parse_both(monkeypatch, f"{line}\n{self.GOOD}\n")
-        assert fast.issues == slow.issues and len(fast.issues) == 1
-        assert fast.issues[0].line == 1
-        assert fast.issues[0].message.startswith("invalid JSON: ")
-        assert "4300" in fast.issues[0].message
-        assert [r.app_id for r in fast.records] == ["good"]
+        result = self.parse(f"{line}\n{self.GOOD}\n")
+        assert len(result.issues) == 1
+        assert result.issues[0].line == 1
+        assert result.issues[0].message.startswith("invalid JSON: ")
+        assert "4300" in result.issues[0].message
+        assert [r.app_id for r in result.records] == ["good"]
 
-    def test_error_budget_matches_json_loads(self, monkeypatch):
+    @pytest.mark.parametrize("line", [
+        "[" * 100_000,
+        "[" * 100_000 + "]" * 100_000,
+        '{"app_id": ' + "[" * 100_000,
+        json.dumps(_with(app_id="deep", permissions="P")).replace('"P"', "[" * 10**5 + "]" * 10**5),
+    ], ids=["open", "closed", "in-object", "in-permissions"])
+    def test_too_deep_nesting_is_invalid_json(self, line):
+        result = self.parse(f"{line}\n{self.GOOD}\n")
+        assert [(i.line, i.message) for i in result.issues] == [
+            (1, "invalid JSON: JSON nested too deeply")
+        ]
+        assert [r.app_id for r in result.records] == ["good"]
+
+    def test_error_budget_matches_json_loads(self):
         lines = [self.GOOD, self.GOOD + " x", "[1]", "\ufeff{}", "{bad", "7", "{}"]
-        fast, slow = self.parse_both(monkeypatch, "\n".join(lines) + "\n", max_errors=4)
-        assert fast == slow == "more than 4 malformed records; last at line 6"
-        fast, slow = self.parse_both(monkeypatch, "\n".join(lines) + "\n", max_errors=6)
-        assert fast.issues == slow.issues and len(fast.issues) == 6
+        assert self.parse("\n".join(lines) + "\n", max_errors=4) == (
+            "more than 4 malformed records; last at line 6"
+        )
+        result = self.parse("\n".join(lines) + "\n", max_errors=6)
+        assert [(i.line, i.message) for i in result.issues] == [
+            (n, p) for n, line in enumerate(lines[1:], 2) for p in self.expected_problems(line)
+        ]
+        assert len(result.issues) == 6
 
 
 class TestCanonicalLines:
@@ -360,6 +386,12 @@ class TestParsing:
             lines.append(",".join(str(d[k]) for k in header))
         result = parse_records("\n".join(lines) + "\n", format="csv")
         assert list(result.records) == recs
+
+    def test_csv_field_past_the_reader_limit_is_a_parse_error(self):
+        header = ",".join(FIELD_ORDER)
+        row = ",".join(["a" * 200_000] + ["x"] * (len(FIELD_ORDER) - 1))
+        with pytest.raises(ParseError, match="unreadable CSV at line 2: field larger than"):
+            parse_records(f"{header}\n{row}\n", format="csv")
 
     @pytest.mark.parametrize("field,value", [
         ("size_bytes", "Infinity"), ("num_files", "-Infinity"), ("version_code", "1e999"),
@@ -644,6 +676,16 @@ class TestGenerator:
             SignalStrengths(reputation=-0.1)
         with pytest.raises(ValueError):
             DetectionCountModel(exponent=0.0)
+
+    def test_sizes_are_refused_past_their_maximum(self):
+        GeneratorConfig(n_apps=10**6, permission_vocabulary_size=10**5)
+        DetectionCountModel(max_count=10**4)
+        with pytest.raises(ValueError, match="^n_apps must be at most 1000000, got 1000001$"):
+            GeneratorConfig(n_apps=10**6 + 1)
+        with pytest.raises(ValueError, match="^permission_vocabulary_size must be at most 100000"):
+            GeneratorConfig(permission_vocabulary_size=10**5 + 1)
+        with pytest.raises(ValueError, match="^max_count must be at most 10000, got 10001$"):
+            DetectionCountModel(max_count=10**4 + 1)
 
     def test_config_json_round_trip(self):
         config = GeneratorConfig(

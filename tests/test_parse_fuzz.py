@@ -6,9 +6,13 @@ as it was before the columns: every line through `json.loads` and
 `record_from_dict` into an `AppRecord`. Seeded mutations of a few lines of a
 small generated corpus must give both the same rows, issues, unknown-field
 counts and raised error, and a digest equal to the hash of the rows'
-canonical lines.
+canonical lines. The mutations change the lines' text, and, in a second
+set, set a field to a value of any JSON kind; CSV rows get the same values
+and also lose or gain fields. No input may raise anything but a parse
+error, and every record kept must be valid.
 """
 
+import csv
 import hashlib
 import io
 import json
@@ -23,6 +27,7 @@ import metatriage.corpus
 from metatriage import cli
 from metatriage.corpus import (
     _INT_FIELDS,
+    FIELD_ORDER,
     Corpus,
     DuplicateAppIdError,
     GeneratorConfig,
@@ -54,6 +59,8 @@ def reference_parse(lines, max_errors=100):
             problems = [] if isinstance(obj, dict) else ["line is not a JSON object"]
         except ValueError as exc:
             obj, problems = None, [f"invalid JSON: {exc}"]
+        except RecursionError:
+            obj, problems = None, ["invalid JSON: JSON nested too deeply"]
         record = None
         if not problems:
             record, problems, unknown = record_from_dict(obj)
@@ -132,17 +139,43 @@ MUTATIONS = {
 }
 
 
-def make_case(rng):
+def nested(rng) -> str:
+    depth = rng.choice([2, 60, 100_000])  # the last is too deep to decode
+    return "[" * depth + "]" * depth
+
+
+# The JSON text of a value of each kind, drawn from `rng`.
+VALUES = {
+    "null": lambda rng: "null",
+    "bool": lambda rng: rng.choice(["true", "false"]),
+    "int": lambda rng: str(rng.choice([0, 1, -1, 5, 2**53, 10**30])),
+    "float": lambda rng: rng.choice(["0.0", "3.0", "2.5", "-1.0", "1e308"]),
+    "nan": lambda rng: rng.choice(["NaN", "Infinity", "-Infinity"]),
+    "string": lambda rng: json.dumps(rng.choice(["", "x", "12", " 7 ", "a;b", "1;2;3;4;5"])),
+    "list": lambda rng: rng.choice(["[]", "[1,2,3,4,5]", '["a",1,null]', "[[1]]", "[1.5,0,0,0,0]"]),
+    "object": lambda rng: rng.choice(["{}", '{"a":1}', '{"1":1,"2":2,"3":3,"4":4,"5":5}']),
+    "nested": nested,
+}
+
+# Each sets one field of the line's record to a value of one kind.
+VALUE_MUTATIONS = {
+    f"value-{kind}": lambda rng, d, ds, line, value=value: with_value(
+        d, rng.choice(FIELD_ORDER), value(rng))
+    for kind, value in VALUES.items()
+}
+
+
+def make_case(rng, mutations=MUTATIONS):
     """(name, text, max_errors, block lines) of one seeded case."""
     records = generate_synthetic(
         GeneratorConfig(n_apps=N_RECORDS, n_developers=5, n_issuers=4), seed=rng.randrange(50)
     )
     dicts = [record_to_dict(r) for r in records]
     lines = list(_canonical_lines(records))
-    kinds = rng.sample(sorted(MUTATIONS), rng.randrange(0, 4))
+    kinds = rng.sample(sorted(mutations), rng.randrange(0, 4))
     for kind in kinds:
         i = rng.randrange(len(lines))
-        lines[i] = MUTATIONS[kind](rng, dicts[i], dicts, lines[i])
+        lines[i] = mutations[kind](rng, dicts[i], dicts, lines[i])
     text = "".join(lines)
     if rng.random() < 0.2:
         kinds.append("no-final-newline")
@@ -158,12 +191,11 @@ def outcome(parse, *args):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("seed", range(CASES // 25))
-def test_columns_match_the_per_line_parse(seed, tmp_path, monkeypatch, capsys):
-    rng = random.Random(seed)
-    path = tmp_path / "corpus.jsonl"
+def check_cases(rng, mutations, path, monkeypatch, capsys):
+    """Parse 25 cases of `mutations` both ways, from text and from a file,
+    and compare."""
     for _ in range(25):
-        name, text, max_errors, block = make_case(rng)
+        name, text, max_errors, block = make_case(rng, mutations)
         monkeypatch.setattr(metatriage.corpus, "_BLOCK_LINES", block)
         path.write_bytes(text.encode("utf-8"))
         with open(path, encoding="utf-8") as fh:
@@ -180,6 +212,7 @@ def test_columns_match_the_per_line_parse(seed, tmp_path, monkeypatch, capsys):
                 records, issues, unknown = want
                 rows = [record_to_dict(r) for r in got.records]
                 assert rows == [record_to_dict(r) for r in records], name
+                assert all(r.validation_errors() == [] for r in got.records), name
                 assert [(i.line, i.message) for i in got.issues] == issues, name
                 assert got.unknown_fields == unknown, name
                 canonical = "".join(compact(record_to_dict(r)) for r in records).encode()
@@ -187,6 +220,56 @@ def test_columns_match_the_per_line_parse(seed, tmp_path, monkeypatch, capsys):
         code = cli.main(["histogram", "--corpus", str(path)])
         assert code in (0, 1, 2), name
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", range(CASES // 25))
+def test_columns_match_the_per_line_parse(seed, tmp_path, monkeypatch, capsys):
+    check_cases(random.Random(seed), MUTATIONS, tmp_path / "corpus.jsonl", monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_values_of_every_kind_match_the_per_line_parse(seed, tmp_path, monkeypatch, capsys):
+    rng = random.Random(1000 + seed)
+    check_cases(rng, VALUE_MUTATIONS, tmp_path / "corpus.jsonl", monkeypatch, capsys)
+
+
+def csv_value(rng) -> str:
+    """A CSV cell: the text of a JSON value of any kind, or a text CSV
+    itself could hold."""
+    if rng.random() < 0.5:
+        return rng.choice(list(VALUES.values()))(rng)
+    return rng.choice(["", "x", "-3", "1.5", "1e3", "nan", "True", " 4 ", "1;2;3", "a;;b", "9" * 5000])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_csv_rows_with_values_of_every_kind_parse_or_are_skipped(seed, tmp_path, capsys):
+    rng = random.Random(2000 + seed)
+    path = tmp_path / "corpus.csv"
+    for _ in range(25):
+        records = generate_synthetic(
+            GeneratorConfig(n_apps=N_RECORDS, n_developers=5, n_issuers=4),
+            seed=rng.randrange(50),
+        )
+        write_corpus(records, str(path))
+        rows = list(csv.reader(io.StringIO(path.read_text())))
+        for _ in range(rng.randrange(1, 5)):
+            row = rows[rng.randrange(1, len(rows))]
+            kind = rng.choice(["value", "short", "long"])
+            if kind == "value":
+                row[rng.randrange(len(row))] = csv_value(rng)
+            elif kind == "short":
+                del row[rng.randrange(1, len(row)):]
+            else:
+                row += [csv_value(rng) for _ in range(rng.randrange(1, 4))]
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        path.write_text(out.getvalue())
+        result = outcome(lambda: load_corpus(str(path), max_errors=rng.choice([0, 2, 100])))
+        if not isinstance(result, tuple):  # not a raised parse error
+            assert all(r.validation_errors() == [] for r in result.records)
+            assert len(result.records) + len({i.line for i in result.issues}) == len(rows) - 1
+        assert cli.main(["histogram", "--corpus", str(path)]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_canonical_corpus_constructs_no_record(tmp_path, monkeypatch):
@@ -216,3 +299,54 @@ def test_csv_corpus_gives_the_same_columns(tmp_path):
             left, right = getattr(a, name), getattr(b, name)
             assert left.dtype == right.dtype and np.array_equal(left, right), name
     assert corpus_digest(a) == corpus_digest(b) == corpus_digest(records)
+
+
+GOOD = compact(record_to_dict(next(iter(generate_synthetic(GeneratorConfig(n_apps=2), seed=1)))))
+
+
+def good_lines(n: int) -> str:
+    corpus = generate_synthetic(GeneratorConfig(n_apps=n), seed=5)
+    return "".join(compact(record_to_dict(r)) for r in corpus)
+
+
+@pytest.mark.parametrize("bad", [
+    with_value(json.loads(GOOD), "permissions", "null"),
+    with_value(json.loads(GOOD), "permissions", "true"),
+    with_value(json.loads(GOOD), "permissions", "7"),
+    "[" * 100_000 + "\n",
+], ids=["null-permissions", "true-permissions", "number-permissions", "nested"])
+def test_corpus_line_that_once_raised_is_a_skipped_record(bad, tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(good_lines(40) + bad)
+    assert cli.main(["histogram", "--corpus", str(path)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: 1 malformed records skipped" in err
+    assert "Traceback" not in err
+
+
+def test_csv_row_shorter_than_its_header_is_a_skipped_record(tmp_path, capsys):
+    path = tmp_path / "corpus.csv"
+    write_corpus(generate_synthetic(GeneratorConfig(n_apps=40), seed=5), str(path))
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text(header + first + ",".join(first.split(",")[:6]) + "\n" + "".join(rest))
+    assert cli.main(["histogram", "--corpus", str(path)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: 1 malformed records skipped" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,code,message", [
+    (["histogram", "--corpus", "CORPUS", "--config", "DEEP"], 1,
+     "usage error: config file is not valid JSON: JSON nested too deeply"),
+    (["report", "--input", "DEEP"], 2,
+     "error: report file is not valid JSON: JSON nested too deeply"),
+])
+def test_too_deeply_nested_json_file_is_an_error(command, code, message, tmp_path, capsys):
+    deep, corpus = tmp_path / "deep.json", tmp_path / "corpus.jsonl"
+    deep.write_text("[" * 100_000)
+    corpus.write_text(good_lines(10))
+    names = {"DEEP": str(deep), "CORPUS": str(corpus)}
+    assert cli.main([names.get(a, a) for a in command]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err

@@ -367,7 +367,7 @@ class TestSharedColumnPass:
             bins = rank_bins(vc.distinct(j), counts, n_bins)[codes]
             assert np.array_equal(bins, quantile_bins(matrix.values[:, j], n_bins))
 
-    @pytest.mark.parametrize("n_bins", [2, 3, 10, 20])
+    @pytest.mark.parametrize("n_bins", [2, 3, 10, 20, 2**16])
     def test_scores_equal_the_per_column_scorers_exactly(self, n_bins):
         matrix, labels = self.matrix()
         ranked = rank_features(
