@@ -14,6 +14,7 @@ the same snake_case name, else the default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -35,7 +36,7 @@ from .corpus import (
     load_corpus,
     write_corpus,
 )
-from .errors import MetatriageError, decode_json
+from .errors import MetatriageError, UsageError, decode_json, file_error
 from .evaluate import PipelineConfig, cross_validate
 from .featurize import (
     HashConfig, ReputationTable, assemble_features, build_reputation_table, feature_names,
@@ -43,10 +44,6 @@ from .featurize import (
 )
 from .learn import MODEL_KINDS, Hyperparams
 from .select import METHODS, rank_features, ranking_forest, ranking_to_csv_text
-
-
-class UsageError(Exception):
-    """Bad flags or flag combinations; exits 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -250,10 +247,7 @@ class _Options:
         config = {}
         if args.config:
             try:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    config = decode_json(fh.read())
-            except FileNotFoundError:
-                raise UsageError(f"config file not found: {args.config}") from None
+                config = decode_json(_read_text("config file", args.config))
             except ValueError as exc:
                 raise UsageError(f"config file is not valid JSON: {exc}") from None
             if not isinstance(config, dict):
@@ -302,12 +296,23 @@ def _policy(opts: _Options) -> DetectionLabelPolicy:
     return DetectionLabelPolicy(threshold=opts["threshold"], ambiguous_handling=handling)
 
 
-def _load_records(opts: _Options):
-    path = opts["corpus"]
+@contextlib.contextmanager
+def _reading(what: str, path: str):
+    """The one input file rule: an unreadable or non-UTF-8 file is a usage error."""
     try:
-        result = load_corpus(path)
-    except FileNotFoundError:
-        raise UsageError(f"corpus file not found: {path}") from None
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise file_error(f"read {what}", path, exc) from None
+
+
+def _read_text(what: str, path: str) -> str:
+    with _reading(what, path), open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _load_records(opts: _Options):
+    with _reading("corpus file", opts["corpus"]):
+        result = load_corpus(opts["corpus"])
     if result.issues:
         skipped = len({issue.line for issue in result.issues})
         print(f"warning: {skipped} malformed records skipped", file=sys.stderr)
@@ -343,11 +348,7 @@ def _read_frozen_ranking(path: Optional[str]) -> Optional[list[str]]:
     column of the experiments' feature matrix, and appear once."""
     if path is None:
         return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            names = [line.strip() for line in fh if line.strip()]
-    except FileNotFoundError:
-        raise UsageError(f"frozen ranking file not found: {path}") from None
+    names = [n for n in map(str.strip, _read_text("frozen ranking file", path).split("\n")) if n]
     if not names:
         raise UsageError(f"frozen ranking file is empty: {path}")
     columns = set(feature_names(HashConfig()))
@@ -360,11 +361,7 @@ def _read_frozen_ranking(path: Optional[str]) -> Optional[list[str]]:
 
 
 def _write_text(path: str, text: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    reporting.write_file(path, text)
 
 
 def _output(opts: _Options, text: str, what: str) -> None:
@@ -406,16 +403,11 @@ def _cmd_featurize(opts: _Options) -> int:
     static = static_feature_block(dataset.records, hash_config)
     rest = np.hstack([static.dense, reputation_block(dataset.records, table)])
     names = feature_names(hash_config)
-    out = opts["out"]
-    parent = os.path.dirname(out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        reporting.write_matrix_csv(
-            fh, names + ("label",), rest, dataset.labels,
-            sparse=(static.indptr, static.buckets, static.counts, static.n_buckets),
-        )
-    print(f"{len(rest)} rows x {len(names)} features -> {out}")
+    reporting.write_file(opts["out"], lambda fh: reporting.write_matrix_csv(
+        fh, names + ("label",), rest, dataset.labels,
+        sparse=(static.indptr, static.buckets, static.counts, static.n_buckets),
+    ))
+    print(f"{len(rest)} rows x {len(names)} features -> {opts['out']}")
     return 0
 
 
@@ -522,12 +514,8 @@ def _cmd_robustness(opts: _Options) -> int:
 
 def _cmd_report(opts: _Options) -> int:
     """re-render a saved report.json"""
-    path = opts["input"]
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = decode_json(fh.read())
-    except FileNotFoundError:
-        raise UsageError(f"report file not found: {path}") from None
+        doc = decode_json(_read_text("report file", opts["input"]))
     except ValueError as exc:
         raise MetatriageError(f"report file is not valid JSON: {exc}") from None
     report = bench.BenchReport.from_json(doc)

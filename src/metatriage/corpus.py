@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import reporting
 from .errors import (
     CompositionError,
     DuplicateAppIdError,
@@ -409,16 +410,6 @@ class ParseResult:
     unknown_fields: Counter = field(default_factory=Counter)
 
 
-def _iter_lines(stream) -> Iterator[str]:
-    if isinstance(stream, (bytes, bytearray)):
-        return io.StringIO(stream.decode("utf-8"))
-    if isinstance(stream, str):
-        return io.StringIO(stream)
-    if isinstance(stream, io.TextIOBase):
-        return iter(stream)
-    return (raw.decode("utf-8") if isinstance(raw, bytes) else raw for raw in stream)
-
-
 def _template(value) -> str:
     """A record's line, `value(name)` standing for each field's value."""
     return "{" + ",".join(f'"{name}":' + value(name) for name in FIELD_ORDER) + "}\n"
@@ -460,7 +451,7 @@ _BLOCK_LINES = 1024
 def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> ParseResult:
     """Parse a corpus stream into its `Corpus`.
 
-    `stream` may be a file object, a str, bytes, or an iterable of lines.
+    `stream` may be a str, a text file object, or an iterable of str lines.
     Malformed records are skipped and reported in the result, up to
     `max_errors` of them; a duplicate app_id aborts parsing immediately.
 
@@ -476,6 +467,7 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
     """
     if format not in ("jsonlines", "csv"):
         raise ValueError(f"unknown corpus format: {format!r}")
+    lines = iter(io.StringIO(stream) if isinstance(stream, str) else stream)
 
     issues: list[ParseIssue] = []
     unknown_fields: Counter = Counter()
@@ -520,7 +512,7 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
 
     digest = None
     if format == "jsonlines":
-        lines, start, digest = _iter_lines(stream), 1, hashlib.sha256()
+        start, digest = 1, hashlib.sha256()
         while block := list(islice(lines, _BLOCK_LINES)):
             matches = list(map(_CANONICAL.fullmatch, block))
             rows = [m.groups("") for m in matches] if all(matches) else None
@@ -534,7 +526,7 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
                 builder.add_records(kept)
             start += len(block)
     else:
-        kept, rows = [], csv.DictReader(_iter_lines(stream))
+        kept, rows = [], csv.DictReader(lines)
         try:
             for line_no, row in enumerate(rows, start=2):
                 handle({k: v for k, v in row.items() if k is not None}, line_no, kept)
@@ -557,14 +549,15 @@ def write_corpus(corpus: Corpus, path: str) -> str:
     `permissions` and `star_votes` joined by `;`, otherwise JSON Lines.
     Returns `corpus_digest(corpus)`; for JSON Lines it is the hash of the
     bytes written."""
-    if not str(path).endswith(".csv"):
-        h, lines = hashlib.sha256(), _canonical_lines(corpus)
-        with open(path, "wb") as fh:
-            while data := "".join(islice(lines, _BLOCK_LINES)).encode():
-                fh.write(data)
-                h.update(data)
-        return h.hexdigest()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    h = hashlib.sha256()
+
+    def jsonl(fh) -> None:
+        lines = _canonical_lines(corpus)
+        while data := "".join(islice(lines, _BLOCK_LINES)).encode():
+            fh.buffer.write(data)
+            h.update(data)
+
+    def rows(fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(FIELD_ORDER)
         for record in corpus:
@@ -572,7 +565,10 @@ def write_corpus(corpus: Corpus, path: str) -> str:
             row["permissions"] = ";".join(row["permissions"])
             row["star_votes"] = ";".join(map(str, row["star_votes"]))
             writer.writerow(row.values())
-    return corpus_digest(corpus)
+
+    is_csv = str(path).endswith(".csv")
+    reporting.write_file(path, rows if is_csv else jsonl)
+    return corpus_digest(corpus) if is_csv else h.hexdigest()
 
 
 def corpus_digest(corpus: Corpus) -> str:

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the type check of the
 number fields of its config dataclasses, and the one decoder of JSON
-documents from outside the program."""
+documents and the one error of files from outside the program."""
 
 import json
 import math
@@ -35,6 +35,15 @@ def decode_json(text: str):
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+
+
+class UsageError(Exception):
+    """Bad flags, flag combinations, or files they name; exits 1."""
+
+
+def file_error(action: str, path, exc: Exception) -> UsageError:
+    """The usage error of `action` ("read <what>", "write") failing on `path`."""
+    return UsageError(f"cannot {action} {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
 class MetatriageError(Exception):

@@ -1,5 +1,6 @@
 """Deterministic report rendering and writing: CSV, Markdown, JSON, a
-minimal SVG plotter, and the staged all-or-nothing file writer.
+minimal SVG plotter, and `write_files`, the one writer of every file the
+package writes: parents made, each file staged, all or nothing.
 
 Rendering is pure string generation: no timestamps, no locale, no float
 formatting that could drift between runs, so identical inputs give
@@ -14,13 +15,16 @@ proprietary, so local numbers come from synthetic corpora.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, file_error
+
+Content = Union[str, Callable[[TextIO], None]]  # a file's text, or a function writing it
 
 # (model kind, malware fraction, detection threshold) ->
 #   metric -> (train, test) as published.
@@ -120,7 +124,7 @@ def _texts(values: np.ndarray, suffix: str = "") -> np.ndarray:
 def write_matrix_csv(
     fh: TextIO, header: Sequence[str], values: np.ndarray, labels: np.ndarray,
     sparse: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = None,
-    block_rows: int = 2048,
+    block_rows: Optional[int] = None,
 ) -> None:
     """Write the lines `csv_text(header, rows)` would give, where each row is
     the row's `sparse` cells, then its row of `values`, then its int label:
@@ -132,12 +136,14 @@ def write_matrix_csv(
     Each column's distinct values (by bit pattern, so 0.0 and -0.0 keep
     their own text) are formatted once, and a row's run of sparse zeros is
     written as one repeated string. Rows are joined and written
-    `block_rows` at a time, so the text is never held whole."""
+    `block_rows` at a time, by default as many as hold about 2**20 cells,
+    so the text is never held whole, however wide."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = len(values)
     if sparse is None:
         sparse = (np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), 0)
     indptr, columns, data, width = sparse
+    block_rows = block_rows or max(1, 2**20 // (width + values.shape[1] + 1))
     data = np.asarray(data, dtype=np.float64)
     if not (np.isfinite(values).all() and np.isfinite(data).all()):
         raise ContractError("feature matrix contains NaN or infinite values")
@@ -250,14 +256,13 @@ def svg_line_chart(
             f'<text x="{_ML - 8}" y="{y + 4}" text-anchor="end" font-size="11">'
             f"{_tick_label(v)}</text>"
         )
-    x_tick_vals: list[float]
     if log_x:
         lo_p, hi_p = math.ceil(x_lo - 1e-9), math.floor(x_hi + 1e-9)
         x_tick_vals = [float(2**p) for p in range(int(lo_p), int(hi_p) + 1)]
     else:
         x_tick_vals = _ticks(x_lo, x_hi)
     for v in x_tick_vals:
-        x = px(v) if not log_x else round(_ML + (math.log2(v) - x_lo) / (x_hi - x_lo) * pw, 2)
+        x = px(v)
         parts.append(
             f'<line x1="{x}" y1="{_MT}" x2="{x}" y2="{_H - _MB}" '
             f'stroke="#eeeeee" stroke-width="1"/>'
@@ -339,38 +344,32 @@ def report_markdown(report) -> str:
     if not report.rows:
         lines.append("_No results: every point failed or was infeasible "
                      "(see flags below)._")
-        lines.append("")
+    elif report.experiment == "benchmark-grid":
+        for model in dict.fromkeys(row["model"] for row in report.rows):
+            lines.append(f"## {MODEL_LABELS.get(model, model)} (train/test)")
+            lines.append("")
+            header = ["malware", "threshold", "F1", "precision", "recall",
+                      "reference F1"]
+            rows = []
+            for r in (x for x in report.rows if x["model"] == model):
+                ref = ""
+                if None not in (r["reference_train_f1"], r["reference_test_f1"]):
+                    ref = (f"{r['reference_train_f1']:.2f}/"
+                           f"{r['reference_test_f1']:.2f}")
+                rows.append([
+                    f"{r['malware_fraction']:.0%}",
+                    f"{r['threshold']}-AV",
+                    f"{fmt4(r['mean_train_f1'])}/{fmt4(r['mean_test_f1'])}",
+                    f"{fmt4(r['mean_train_precision'])}/{fmt4(r['mean_test_precision'])}",
+                    f"{fmt4(r['mean_train_recall'])}/{fmt4(r['mean_test_recall'])}",
+                    ref,
+                ])
+            lines.append(markdown_table(header, rows))
     else:
-        if report.experiment == "benchmark-grid":
-            model_order = []
-            for row in report.rows:
-                if row["model"] not in model_order:
-                    model_order.append(row["model"])
-            for model in model_order:
-                lines.append(f"## {MODEL_LABELS.get(model, model)} (train/test)")
-                lines.append("")
-                header = ["malware", "threshold", "F1", "precision", "recall",
-                          "reference F1"]
-                rows = []
-                for r in (x for x in report.rows if x["model"] == model):
-                    ref = ""
-                    if None not in (r["reference_train_f1"], r["reference_test_f1"]):
-                        ref = (f"{r['reference_train_f1']:.2f}/"
-                               f"{r['reference_test_f1']:.2f}")
-                    rows.append([
-                        f"{r['malware_fraction']:.0%}",
-                        f"{r['threshold']}-AV",
-                        f"{fmt4(r['mean_train_f1'])}/{fmt4(r['mean_test_f1'])}",
-                        f"{fmt4(r['mean_train_precision'])}/{fmt4(r['mean_test_precision'])}",
-                        f"{fmt4(r['mean_train_recall'])}/{fmt4(r['mean_test_recall'])}",
-                        ref,
-                    ])
-                lines.append(markdown_table(header, rows))
-        else:
-            rows = [[fmt4(r[c]) if isinstance(r[c], float) else ("" if r[c] is None else str(r[c]))
-                     for c in report.columns] for r in report.rows]
-            lines.append(markdown_table(report.columns, rows))
-        lines.append("")
+        rows = [[fmt4(r[c]) if isinstance(r[c], float) else ("" if r[c] is None else str(r[c]))
+                 for c in report.columns] for r in report.rows]
+        lines.append(markdown_table(report.columns, rows))
+    lines.append("")
     if report.reference:
         lines.append("## Published reference values")
         lines.append("")
@@ -422,27 +421,36 @@ def report_files(report, formats: Sequence[str] = FORMATS) -> dict[str, str]:
     return files
 
 
-def write_files(out_dir: str, files: dict[str, str]) -> list[str]:
-    """Write every file into `out_dir`, all or nothing; returns the paths.
+def write_file(path: str, content: Content) -> None:
+    """Write one file through `write_files`, into `path`'s directory."""
+    write_files(os.path.dirname(path), {os.path.basename(path): content})
 
-    All content is staged to temporary files first and moved into place
-    together, so a failure leaves no partial outputs behind.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    staged = []
-    written = []
+
+def write_files(out_dir: str, files: dict[str, Content]) -> list[str]:
+    """Write every file into `out_dir`, made if missing, and return the paths.
+    A value is the file's text, or a function writing it to the UTF-8 text
+    handle it is given (bytes go to its `buffer`). Files are staged beside
+    their final paths and moved into place once all are written; any
+    exception removes the staged files. An OSError is a usage error."""
+    staged, path = [], out_dir
     try:
-        for name, text in files.items():
-            tmp = os.path.join(out_dir, name + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            staged.append((tmp, os.path.join(out_dir, name)))
-        for tmp, final in staged:
-            os.replace(tmp, final)
-            written.append(final)
-    except OSError:
-        for tmp, _ in staged:
+        os.makedirs(out_dir or ".", exist_ok=True)
+        for name, content in files.items():
+            path = os.path.join(out_dir, name)
+            if os.path.isdir(path):  # refused before any file moves
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            with open(path + ".tmp", "w", encoding="utf-8", newline="") as fh:
+                staged.append(path)
+                if callable(content):
+                    content(fh)
+                else:
+                    fh.write(content)
+        for path in staged:
+            os.replace(path + ".tmp", path)
+    except OSError as exc:
+        raise file_error("write", path, exc) from None
+    finally:
+        for tmp in (p + ".tmp" for p in staged):
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        raise
-    return written
+    return staged

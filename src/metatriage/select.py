@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ContractError
 from .featurize import FeatureMatrix, rank_bins
 from .learn import ForestParams, _ValueCodes, train_forest
+from .reporting import csv_text
 
 METHODS = ("chi_squared", "info_gain", "gain_ratio", "mdni", "borda")
 # The most rank bins a column may be cut into. Bins past a column's row
@@ -246,13 +247,11 @@ def rank_features(
 
 def ranking_to_csv_text(ranked: RankedFeatures) -> str:
     """rank,column,method,raw,normalized rows for every computed method."""
-    lines = ["rank,column,method,raw,normalized"]
+    rows = []
     for method in sorted(ranked.by_method):
         score = ranked.by_method[method]
         order = _order_by(score.raw)
-        for rank, j in enumerate(order, start=1):
-            lines.append(
-                f"{rank},{ranked.column_names[j]},{method},"
-                f"{repr(float(score.raw[j]))},{repr(float(score.normalized[j]))}"
-            )
-    return "\n".join(lines) + "\n"
+        names = [ranked.column_names[j] for j in order]
+        rows += zip(range(1, len(names) + 1), names, [method] * len(names),
+                    score.raw[order].tolist(), score.normalized[order].tolist())
+    return csv_text(["rank", "column", "method", "raw", "normalized"], rows)

@@ -34,11 +34,11 @@ from metatriage.corpus import (
     compose_subset,
     generate_synthetic,
 )
-from metatriage.errors import ContractError, MetatriageError
+from metatriage.errors import ContractError, MetatriageError, UsageError
 from metatriage.evaluate import PipelineConfig, cross_validate
 from metatriage.featurize import HashConfig
 from metatriage.learn import ForestParams, Hyperparams, LogisticParams
-from metatriage.reporting import report_markdown
+from metatriage.reporting import report_markdown, write_files
 
 from test_corpus import make_record
 
@@ -211,6 +211,48 @@ class TestBenchReport:
         grid = inspect.signature(grid_benchmark).parameters
         assert len(grid["malware_fractions"].default) * len(grid["thresholds"].default) == 9
         assert grid["subset_size"].default == 5000
+
+
+class TestWriteFiles:
+    """`write_files` moves no file into place until every file is written,
+    and removes every staged file on any failure."""
+
+    def existing(self, tmp_path):
+        (tmp_path / "a.txt").write_text("old a\n")
+        (tmp_path / "b.txt").write_text("old b\n")
+        return {"a.txt": "new a\n"}
+
+    def assert_untouched(self, tmp_path):
+        assert (tmp_path / "a.txt").read_text() == "old a\n"
+        assert (tmp_path / "b.txt").read_text() == "old b\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("second", ["missing/b.txt", "a-directory"])
+    def test_second_file_not_writable(self, tmp_path, second):
+        files = {**self.existing(tmp_path), second: "new\n"}
+        (tmp_path / "a-directory").mkdir()
+        with pytest.raises(UsageError, match=f"cannot write {tmp_path / second}: "):
+            write_files(str(tmp_path), files)
+        self.assert_untouched(tmp_path)
+
+    def test_writing_function_raises(self, tmp_path):
+        def fails(fh):
+            fh.write("partial")
+            raise RuntimeError("refused")
+
+        with pytest.raises(RuntimeError, match="refused"):
+            write_files(str(tmp_path), {**self.existing(tmp_path), "b.txt": fails})
+        self.assert_untouched(tmp_path)
+
+    def test_text_and_functions_make_parents(self, tmp_path):
+        out = tmp_path / "x" / "y"
+        written = write_files(str(out), {
+            "t.txt": "caf\u00e9\n", "f.bin": lambda fh: fh.buffer.write(b"\x00\r\n"),
+        })
+        assert written == [str(out / "t.txt"), str(out / "f.bin")]
+        assert (out / "t.txt").read_bytes() == "caf\u00e9\n".encode()
+        assert (out / "f.bin").read_bytes() == b"\x00\r\n"
+        assert sorted(os.listdir(out)) == ["f.bin", "t.txt"]
 
 
 class TestEmitReport:

@@ -389,7 +389,8 @@ class TestExitCodes:
 
     def test_nonexistent_corpus_file(self, capsys):
         assert main(["cv", "--corpus", "/no/such/file.jsonl"]) == 1
-        assert "not found" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot read corpus file /no/such/file.jsonl: No such file or directory" in err
 
     def test_invalid_config_json(self, work, capsys):
         bad = work / "bad-config.json"
@@ -934,3 +935,83 @@ class TestBenchCommands:
             "--frozen-ranking", "/no/such/frozen.txt",
         ]) == 1
         capsys.readouterr()
+
+
+class TestFileBoundary:
+    """Every input file is read by one rule and every output written by one
+    staged writer: a path that cannot be read or written ends in exit 1 and
+    one stderr line naming it, with no traceback and nothing partial left."""
+
+    def refused(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert err.startswith(f"usage error: {message}"), err
+
+    @pytest.fixture(scope="class")
+    def report_path(self, corpus_path, work):
+        out = work / "boundary-sweep"
+        assert main([
+            "sweep-hashes", "--corpus", str(corpus_path), "--sizes", "8", "--k", "2",
+            "--subset-size", "200", "--out", str(out),
+        ]) == 0
+        return out / "report.json"
+
+    @pytest.mark.parametrize("command,flags", [
+        ("generate", ["--n-apps", "200"]),
+        ("histogram", ["--corpus", "{corpus}"]),
+        ("rank", ["--corpus", "{corpus}", "--method", "info_gain"]),
+        ("featurize", ["--corpus", "{corpus}"]),
+    ])
+    def test_a_directory_as_output_file(self, corpus_path, work, capsys, command, flags):
+        target = work / f"{command}-out-dir"
+        target.mkdir()
+        argv = [command, *(f.format(corpus=corpus_path) for f in flags), "--out", str(target)]
+        self.refused(capsys, argv, f"cannot write {target}: Is a directory")
+        assert not list(target.iterdir()) and not list(work.glob("*.tmp"))
+
+    @pytest.mark.parametrize("command,flags", [
+        ("cv", ["--corpus", "{corpus}", "--model", "logistic", "--k", "2"]),
+        ("robustness", [
+            "--corpus", "{corpus}", "--thresholds", "1", "--n-windows", "1", "--window-width",
+            "3", "--subset-size", "200", "--k", "2", "--method", "info_gain",
+        ]),
+        ("report", ["--input", "{report}"]),
+    ])
+    def test_a_file_as_output_directory(
+        self, corpus_path, report_path, work, capsys, command, flags
+    ):
+        target = work / f"{command}-out-file"
+        target.write_text("kept\n")
+        flags = [f.format(corpus=corpus_path, report=report_path) for f in flags]
+        self.refused(capsys, [command, *flags, "--out", str(target)],
+                     f"cannot write {target}: File exists")
+        assert target.read_text() == "kept\n"
+
+    def test_generate_makes_missing_parents(self, work, capsys):
+        out = work / "no-such-dir" / "deeper" / "c.jsonl"
+        assert main(["generate", "--out", str(out), "--n-apps", "200"]) == 0
+        digest = capsys.readouterr().out.split("corpus digest: ")[1].strip()
+        assert corpus_digest(load_corpus(str(out)).records) == digest
+        assert os.listdir(out.parent) == ["c.jsonl"]
+
+    @pytest.mark.parametrize("what,argv", [
+        ("corpus file", ["histogram", "--corpus", "{path}"]),
+        ("config file", ["histogram", "--corpus", "{corpus}", "--config", "{path}"]),
+        ("frozen ranking file", [
+            "curve-features", "--corpus", "{corpus}", "--ks", "2", "--frozen-ranking", "{path}",
+        ]),
+        ("report file", ["report", "--input", "{path}"]),
+    ])
+    @pytest.mark.parametrize("kind", ["directory", "non-UTF-8", "missing"])
+    def test_an_unreadable_input_file(self, corpus_path, work, capsys, what, argv, kind):
+        path = work / f"{what.replace(' ', '-')}-{kind}"
+        reason = "No such file or directory"
+        if kind == "directory":
+            path.mkdir(exist_ok=True)
+            reason = "Is a directory"
+        elif kind == "non-UTF-8":
+            path.write_bytes(b'{"app_id": "\xff"}\n')
+            reason = "'utf-8' codec can't decode byte 0xff"
+        argv = [a.format(path=path, corpus=corpus_path) for a in argv]
+        self.refused(capsys, argv, f"cannot read {what} {path}: {reason}")

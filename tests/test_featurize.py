@@ -372,6 +372,24 @@ class TestMatrixCsv:
         )
         assert text == self.reference(header, np.hstack([leading, values]), labels)
 
+    def test_largest_write_is_bounded_however_wide(self):
+        class Recorder:
+            largest = 0
+
+            def write(self, text):
+                self.largest = max(self.largest, len(text))
+
+        n, width = 64, 65536
+        indptr = np.arange(n + 1)  # one entry per row, in column 7 * row
+        fh = Recorder()
+        write_matrix_csv(
+            fh, [f"c{j}" for j in range(width + 2)] + ["label"], np.ones((n, 2)), np.zeros(n),
+            sparse=(indptr, 7 * np.arange(n), np.full(n, 2.0), width),
+        )
+        # Each row is about 4 * 65,536 characters: 64 rows written at once
+        # would be 16.8M.
+        assert fh.largest < 5 * 2**20
+
     @pytest.mark.parametrize("where", ["dense", "sparse"])
     def test_non_finite_value_is_refused(self, where):
         values, data = np.zeros((2, 1)), np.array([1.0])

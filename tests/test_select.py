@@ -341,6 +341,20 @@ class TestRanking:
         assert lines[1].startswith("1,x0,info_gain,")
         assert len(lines) == 1 + matrix.n_columns
 
+    def test_csv_export_writes_each_score_as_its_float_repr(self):
+        matrix, labels = planted_matrix()
+        ranked = rank_features(matrix, labels, ranking_method="borda")
+        want = ["rank,column,method,raw,normalized"]
+        for method in sorted(ranked.by_method):
+            score = ranked.by_method[method]
+            order = np.lexsort((np.arange(len(score.raw)), -score.raw))
+            want += [
+                f"{rank},{ranked.column_names[j]},{method},"
+                f"{repr(float(score.raw[j]))},{repr(float(score.normalized[j]))}"
+                for rank, j in enumerate(order, start=1)
+            ]
+        assert ranking_to_csv_text(ranked) == "\n".join(want) + "\n"
+
 
 class TestSharedColumnPass:
     """`rank_features` bins and scores each column from its value codes, in
