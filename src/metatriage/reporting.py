@@ -1,6 +1,6 @@
 """Deterministic report rendering and writing: CSV, Markdown, JSON, a
 minimal SVG plotter, and `write_files`, the one writer of every file the
-package writes: parents made, each file staged, all or nothing.
+package writes: parents made, regular files staged, all or nothing.
 
 Rendering is pure string generation: no timestamps, no locale, no float
 formatting that could drift between runs, so identical inputs give
@@ -15,9 +15,9 @@ proprietary, so local numbers come from synthetic corpora.
 
 from __future__ import annotations
 
-import errno
 import json
 import os
+import stat
 from typing import Callable, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -429,28 +429,38 @@ def write_file(path: str, content: Content) -> None:
 def write_files(out_dir: str, files: dict[str, Content]) -> list[str]:
     """Write every file into `out_dir`, made if missing, and return the paths.
     A value is the file's text, or a function writing it to the UTF-8 text
-    handle it is given (bytes go to its `buffer`). Files are staged beside
-    their final paths and moved into place once all are written; any
-    exception removes the staged files. An OSError is a usage error."""
-    staged, path = [], out_dir
+    handle it is given (bytes go to its `buffer`). A new or regular file is
+    staged under a new name beside the file its path resolves to (a symlink
+    is written through, not replaced), given that file's mode if it exists,
+    and moved into place once all are written; any exception removes the
+    staged files. Any other path (a device, a FIFO) is written directly, and
+    a directory is refused. An OSError is a usage error naming the path."""
+    written, staged, path = [], [], out_dir  # staged: (temp, target, path)
     try:
         os.makedirs(out_dir or ".", exist_ok=True)
         for name, content in files.items():
             path = os.path.join(out_dir, name)
-            if os.path.isdir(path):  # refused before any file moves
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            with open(path + ".tmp", "w", encoding="utf-8", newline="") as fh:
-                staged.append(path)
+            st = os.stat(path) if os.path.exists(path) else None  # symlinks followed
+            stage = st is None or stat.S_ISREG(st.st_mode)
+            if stage:
+                target = os.path.realpath(path)
+                tmp = f"{target}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                staged.append((tmp, target, path))
+            with open(fd if stage else path, "w", encoding="utf-8", newline="") as fh:
+                if stage and st:
+                    os.fchmod(fd, stat.S_IMODE(st.st_mode))
                 if callable(content):
                     content(fh)
                 else:
                     fh.write(content)
-        for path in staged:
-            os.replace(path + ".tmp", path)
+            written.append(path)
+        for tmp, target, path in staged:
+            os.replace(tmp, target)
     except OSError as exc:
         raise file_error("write", path, exc) from None
     finally:
-        for tmp in (p + ".tmp" for p in staged):
+        for tmp, _, _ in staged:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    return staged
+    return written

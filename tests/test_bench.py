@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import shutil
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -253,6 +254,45 @@ class TestWriteFiles:
         assert (out / "t.txt").read_bytes() == "caf\u00e9\n".encode()
         assert (out / "f.bin").read_bytes() == b"\x00\r\n"
         assert sorted(os.listdir(out)) == ["f.bin", "t.txt"]
+
+    def test_symlink_is_written_through_with_its_targets_mode(self, tmp_path):
+        target = tmp_path / "real.txt"
+        target.write_text("old\n")
+        target.chmod(0o600)
+        (tmp_path / "out").mkdir()
+        link = tmp_path / "out" / "link.txt"
+        link.symlink_to(target)
+        write_files(str(tmp_path / "out"), {"link.txt": "new\n"})
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == "new\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_new_file_gets_the_umask_default_mode(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            write_files(str(tmp_path), {"a.txt": "a\n"})
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "a.txt").stat().st_mode) == 0o640
+
+    def test_fifo_is_written_through_not_replaced(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open
+        try:
+            write_files(str(tmp_path), {"out.fifo": "through\n"})
+            assert os.read(reader, 100) == b"through\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["out.fifo"]
+
+    def test_staged_name_never_takes_an_existing_file(self, tmp_path):
+        (tmp_path / "a.txt.tmp").write_text("mine\n")
+        write_files(str(tmp_path), {"a.txt": "new a\n"})
+        assert (tmp_path / "a.txt.tmp").read_text() == "mine\n"
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "a.txt.tmp"]
 
 
 class TestEmitReport:

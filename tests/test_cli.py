@@ -995,6 +995,18 @@ class TestFileBoundary:
         assert corpus_digest(load_corpus(str(out)).records) == digest
         assert os.listdir(out.parent) == ["c.jsonl"]
 
+    def test_a_symlinked_output_is_written_through(self, corpus_path, work, capsys):
+        target = work / "histogram-target.csv"
+        target.write_text("old\n")
+        target.chmod(0o600)
+        link = work / "histogram-link.csv"
+        link.symlink_to(target)
+        assert main(["histogram", "--corpus", str(corpus_path), "--out", str(link)]) == 0
+        capsys.readouterr()
+        assert link.is_symlink() and target.read_text().startswith("detections,apps\n")
+        assert target.stat().st_mode & 0o777 == 0o600
+        assert not list(work.glob("*.tmp"))
+
     @pytest.mark.parametrize("what,argv", [
         ("corpus file", ["histogram", "--corpus", "{path}"]),
         ("config file", ["histogram", "--corpus", "{corpus}", "--config", "{path}"]),
