@@ -251,10 +251,10 @@ def _new_report(
 ) -> BenchReport:
     """An empty report with the experiment's columns and `params` as its
     config, as JSON holds them (sequences as lists, hyperparameters as
-    their JSON), whose provenance pins that config, its seed and the corpus."""
+    objects of their fields), whose provenance pins that config, its seed and the corpus."""
     from . import __version__
 
-    config = json.loads(json.dumps(params, default=Hyperparams.to_json))
+    config = json.loads(json.dumps(params, default=asdict))
     digest = hashlib.sha256(json.dumps(config, sort_keys=True, separators=(",", ":")).encode())
     report = BenchReport(
         experiment=experiment, config=config, columns=list(COLUMNS[experiment]), rows=[],

@@ -18,6 +18,7 @@ import contextlib
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -36,13 +37,13 @@ from .corpus import (
     load_corpus,
     write_corpus,
 )
-from .errors import MetatriageError, UsageError, decode_json, file_error
+from .errors import MetatriageError, UsageError, decode_json, decode_section, file_error
 from .evaluate import PipelineConfig, cross_validate
 from .featurize import (
     HashConfig, ReputationTable, assemble_features, build_reputation_table, feature_names,
     reputation_block, static_feature_block,
 )
-from .learn import MODEL_KINDS, Hyperparams
+from .learn import MODEL_KINDS
 from .select import METHODS, rank_features, ranking_forest, ranking_to_csv_text
 
 
@@ -202,43 +203,6 @@ def _value(name: str, raw, from_flag: bool):
     raise UsageError(f"{where} must be {expected}, got {raw!r}")
 
 
-def _hyper(section) -> Hyperparams:
-    """`bench.DEFAULT_HYPER` with the keys that the `hyper` section names
-    replaced; a model or key it lacks is an error."""
-    merged = bench.DEFAULT_HYPER.to_json()
-    if not isinstance(section, dict):
-        raise UsageError("config key 'hyper' must hold a JSON object")
-    for model, values in section.items():
-        if model not in merged:
-            raise UsageError(
-                f"unknown hyper section {model!r}; expected one of {', '.join(merged)}"
-            )
-        if not isinstance(values, dict):
-            raise UsageError(f"hyper section {model!r} must hold a JSON object")
-        unknown = sorted(set(values) - set(merged[model]))
-        if unknown:
-            raise UsageError(f"unknown {model} hyperparameter(s): {', '.join(unknown)}")
-        merged[model].update(values)
-    try:
-        return Hyperparams.from_json(merged)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid hyper section: {exc}") from None
-
-
-def _generator(section, given: dict) -> GeneratorConfig:
-    """The `generator` section's config, with each field option in `given`
-    that is not None in place of its field."""
-    try:
-        doc = GeneratorConfig.from_json(section).to_json()
-    except TypeError as exc:
-        raise UsageError(f"invalid generator section: {exc}") from None
-    for name, value in given.items():
-        if value is not None:
-            *parent, key = OPTIONS[name].field.split(".")  # at most one level deep
-            (doc[parent[0]] if parent else doc)[key] = value
-    return GeneratorConfig.from_json(doc)
-
-
 class _Options:
     """Every option and config section of one subcommand, resolved."""
 
@@ -267,10 +231,16 @@ class _Options:
             if value is _REQUIRED:
                 raise UsageError(f"{_flag(name)} is required")
             self.values[name] = value
-        given = {n: self.values.pop(n) for n in list(self.values) if OPTIONS[n].field}
+        flags = {}  # the generator field options given, as one nested section
+        for name in [n for n in self.values if OPTIONS[n].field]:
+            value = self.values.pop(name)
+            if value is not None:
+                *parent, key = OPTIONS[name].field.split(".")  # at most one level deep
+                (flags.setdefault(parent[0], {}) if parent else flags)[key] = value
+        generator = decode_section(GeneratorConfig(), config.get("generator", {}), "generator")
         sections = {
-            "hyper": _hyper(config.get("hyper", {})),
-            "generator": _generator(config.get("generator", {}), given),
+            "hyper": decode_section(bench.DEFAULT_HYPER, config.get("hyper", {}), "hyper"),
+            "generator": decode_section(generator, flags, ""),
         }
         self.values.update((name, value) for name, value in sections.items() if name in defaults)
 
@@ -284,7 +254,7 @@ class _Options:
     def run_record(self) -> dict:
         """The tool, the subcommand and every resolved option."""
         options = {
-            name: value.to_json() if name in ("hyper", "generator") else value
+            name: asdict(value) if name in ("hyper", "generator") else value
             for name, value in self.values.items()
         }
         tool = f"metatriage {__version__}"
@@ -588,7 +558,13 @@ def dispatch(argv: Sequence[str]) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        return dispatch(sys.argv[1:] if argv is None else list(argv))
+        code = dispatch(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()  # a stdout the reader closed fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # What is left of stdout goes to devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ import hashlib
 import io
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter
@@ -751,9 +751,9 @@ def detection_histogram(corpus: Corpus) -> dict[int, int]:
 
 
 # The largest sizes a generator config may ask for, checked before any
-# array is drawn: about 7 times the apps of the paper's 140k-app corpus, and
-# far more distinct permissions and detecting engines than a store or a
-# scanner has.
+# array is drawn: about 7 times the apps of the paper's 140k-app corpus (and
+# as many developers or issuers), and far more distinct permissions and
+# detecting engines than a store or a scanner has.
 MAX_APPS, MAX_PERMISSIONS, MAX_DETECTIONS = 10**6, 10**5, 10**4
 
 
@@ -815,32 +815,12 @@ class GeneratorConfig:
             raise ValueError("malware_rate must be in [0, 1]")
         if self.permission_vocabulary_size < 10:
             raise ValueError("permission_vocabulary_size must be at least 10")
-        for name, bound in (("n_apps", MAX_APPS), ("permission_vocabulary_size", MAX_PERMISSIONS)):
+        for name, bound in (
+            ("n_apps", MAX_APPS), ("n_developers", MAX_APPS), ("n_issuers", MAX_APPS),
+            ("permission_vocabulary_size", MAX_PERMISSIONS),
+        ):
             if getattr(self, name) > bound:
                 raise ValueError(f"{name} must be at most {bound}, got {getattr(self, name)}")
-
-    @staticmethod
-    def from_json(obj: dict) -> "GeneratorConfig":
-        """The config a JSON object describes. A section that is not an
-        object, an unknown key or a value of the wrong type raises TypeError
-        naming it; a value out of range raises ValueError."""
-
-        def section(where: str, value) -> dict:
-            if not isinstance(value, dict):
-                raise TypeError(f"config key {where!r} must hold a JSON object, got {value!r:.60}")
-            return value
-
-        obj = dict(section("generator", obj))
-        for key, cls in (
-            ("signal_strengths", SignalStrengths),
-            ("engine_count_distribution", DetectionCountModel),
-        ):
-            if key in obj:
-                obj[key] = cls(**section(f"generator.{key}", obj[key]))
-        return GeneratorConfig(**obj)
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _zipf_multiset(n: int, model: DetectionCountModel) -> np.ndarray:

@@ -1,17 +1,19 @@
 """Exception types shared across the package, the type check of the
-number fields of its config dataclasses, and the one decoder of JSON
-documents and the one error of files from outside the program."""
+number fields of its config dataclasses, the one decoder of JSON documents
+and the one decoder of their config sections, and the one error of files
+from outside the program."""
 
+import dataclasses
 import json
-import math
+import sys
 from typing import Optional, get_type_hints
 
 
 def check_number_fields(obj) -> None:
     """Raise TypeError for a field of dataclass `obj` that does not hold its
     declared number type: an int field takes an integer, a float field any
-    finite number, and an Optional[int] field also None. A bool is not a
-    number here."""
+    finite number within the float range, and an Optional[int] field also
+    None. A bool is not a number here."""
     for name, kind in get_type_hints(type(obj)).items():
         value = getattr(obj, name)
         if kind == Optional[int] and value is not None:
@@ -20,10 +22,10 @@ def check_number_fields(obj) -> None:
             continue
         number = (int, float) if kind is float else int
         if isinstance(value, bool) or not isinstance(value, number) or (
-            isinstance(value, float) and not math.isfinite(value)
+            kind is float and not abs(value) <= sys.float_info.max  # NaN, inf, 10**400
         ):
             what = "a finite number" if kind is float else "an integer"
-            raise TypeError(f"{name} must be {what}, got {value!r}")
+            raise TypeError(f"{name} must be {what}, got {value!r:.60}")
 
 
 def decode_json(text: str):
@@ -39,6 +41,32 @@ def decode_json(text: str):
 
 class UsageError(Exception):
     """Bad flags, flag combinations, or files they name; exits 1."""
+
+
+def decode_section(default, section, path: str):
+    """Frozen config dataclass `default` with each field that JSON object
+    `section` names replaced. A field whose default is itself such a
+    dataclass is decoded from its own object by this same rule, and a key
+    the section lacks keeps its default. A non-object, an unknown key, or a
+    value the dataclass refuses is a UsageError naming its key path, of
+    which `path` is the section's own. The empty path, for values from
+    flags, whose keys are all known, leaves the dataclass's message as it
+    is."""
+    if not isinstance(section, dict):
+        raise UsageError(f"config key {path!r} must hold a JSON object, got {section!r:.60}")
+    fields = {f.name for f in dataclasses.fields(default)}
+    changes = {}
+    for key, value in section.items():
+        if key not in fields:
+            raise UsageError(f"unknown config key {f'{path}.{key}'!r}")
+        inner = getattr(default, key)
+        if dataclasses.is_dataclass(inner):
+            value = decode_section(inner, value, path and f"{path}.{key}")
+        changes[key] = value
+    try:
+        return dataclasses.replace(default, **changes)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config key {path!r}: {exc}" if path else str(exc)) from None
 
 
 def file_error(action: str, path, exc: Exception) -> UsageError:

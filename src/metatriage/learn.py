@@ -11,13 +11,14 @@ The linear fits own their standardization: they minimize the objective
 over the training columns centered and scaled by their training mean and
 standard deviation, without making that matrix. They read only the nonzero
 entries that a `FeatureMatrix` holds in row-major order, never its dense
-`values`. The statistics come from those entries a bounded block of columns
-at a time, with numpy's bits (`_column_stats`). `_Standardized` is built
-from the same entries: the columns with more than half of their rows
-nonzero become an explicitly standardized block and the rest stay as their
-nonzeros, and the solver asks it only for A @ v, A.T @ u and the row count. The fitted weights are mapped
-back to raw units, with the bias taken at the training mean, so a
-`LinearModel` scores raw columns through the same operator.
+`values`. Each column's statistics are sums over its own entries in row
+order (`_column_stats`), so they do not depend on the matrix's width.
+`_Standardized` is built from the same entries: the columns with more than
+half of their rows nonzero become an explicitly standardized block and the
+rest stay as their nonzeros, and the solver asks it only for A @ v, A.T @ u
+and the row count. The fitted weights are mapped back to raw units, with
+the bias taken at the training mean, so a `LinearModel` scores raw columns
+through the same operator.
 
 The forest grows all of its trees together, one depth level per pass, over
 value codes: each value's rank among its column's distinct values, found by
@@ -33,7 +34,7 @@ within each tree.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -64,6 +65,12 @@ class SvmParams:
             raise ValueError("svm tolerance must be positive")
 
 
+# The most trees a forest may have, checked before anything is drawn: the
+# bootstrap counts alone take trees x rows int64, about 216 MB at 1,000
+# trees on a 27k-row fold.
+MAX_TREES = 1_000
+
+
 @dataclass(frozen=True)
 class ForestParams:
     n_trees: int = 100
@@ -78,6 +85,8 @@ class ForestParams:
             raise ValueError("forest hyperparameters must be positive")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be positive when set")
+        if self.n_trees > MAX_TREES:
+            raise ValueError(f"n_trees must be at most {MAX_TREES}, got {self.n_trees}")
 
 
 @dataclass(frozen=True)
@@ -85,17 +94,6 @@ class Hyperparams:
     logistic: LogisticParams = field(default_factory=LogisticParams)
     svm: SvmParams = field(default_factory=SvmParams)
     forest: ForestParams = field(default_factory=ForestParams)
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json(obj: dict) -> "Hyperparams":
-        return Hyperparams(
-            logistic=LogisticParams(**obj.get("logistic", {})),
-            svm=SvmParams(**obj.get("svm", {})),
-            forest=ForestParams(**obj.get("forest", {})),
-        )
 
 
 def _check_training_inputs(X: FeatureMatrix, y: np.ndarray) -> np.ndarray:
@@ -209,36 +207,21 @@ class LinearModel:
 
 # Newton steps before a linear fit gives up short of its tolerance.
 _MAX_NEWTON_STEPS = 100
-# Columns are densified for their statistics in blocks of about this many values.
-_STATS_BLOCK = 1 << 16
 
 
 def _column_stats(X: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's mean and standard deviation, to the bit as numpy gives
-    them for a C-ordered `X.values`, from the entries of `X`.
-
-    numpy sums each column of a C-ordered matrix down its rows in order,
-    but the column of a one-column matrix pairwise, and a sum of squared
-    deviations over the nonzeros alone would round differently. So the
-    columns with nonzeros are densified a bounded block at a time, each
-    block at least two columns wide when `X` is, and numpy gives each
-    block's statistics; an all-zero column's are 0.
-    """
+    """Each column's mean and standard deviation from the nonzero entries of
+    `X`, summed per column in their row-major order: the mean is sum(x) / n,
+    and the variance adds zeros * mean**2 to the sum of (x - mean)**2 over
+    the nonzeros. A column's bits depend on its own entries alone, not on
+    the matrix's width, layout or other columns."""
     n, p = X.n_rows, X.n_columns
-    rows, cols, values = X.entries
-    order = np.argsort(cols, kind="stable")  # by column, rows still in order
-    rows, cols, values = rows[order], cols[order], values[order]
-    present = np.unique(cols)
-    mean, std = np.zeros(p), np.zeros(p)
-    width = max(1, _STATS_BLOCK // max(n, 1))
-    for lo in range(0, len(present), width):
-        sel = present[lo : lo + width]
-        a, b = np.searchsorted(cols, [sel[0], sel[-1] + 1])
-        block = np.zeros((n, max(len(sel), min(p, 2))))
-        block[rows[a:b], np.searchsorted(sel, cols[a:b])] = values[a:b]
-        mean[sel] = block.mean(axis=0)[: len(sel)]
-        std[sel] = block.std(axis=0)[: len(sel)]
-    return mean, std
+    _, cols, values = X.entries
+    mean = np.bincount(cols, values, minlength=p) / n
+    dev = values - mean[cols]
+    zeros = n - np.bincount(cols, minlength=p)
+    variance = (np.bincount(cols, dev * dev, minlength=p) + zeros * mean**2) / n
+    return mean, np.sqrt(variance)
 
 
 def _newton_direction(A: _Standardized, curvature: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -3,10 +3,14 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import metatriage
 from metatriage import bench
 from metatriage.cli import main
 from metatriage.corpus import (
@@ -111,12 +115,13 @@ class TestGenerate:
         ({"engine_count_distribution": "zipf"},
          "'generator.engine_count_distribution' must hold a JSON object"),
         (5, "'generator' must hold a JSON object"),
-        ({"n_appz": 10}, "unexpected keyword argument 'n_appz'"),
+        ({"n_appz": 10}, "unknown config key 'generator.n_appz'"),
         ({"n_apps": "10"}, "n_apps must be an integer"),
         ({"n_apps": 10.5}, "n_apps must be an integer"),
         ({"malware_rate": True}, "malware_rate must be a finite number"),
         ({"signal_strengths": {"social": None}}, "social must be a finite number"),
-        ({"engine_count_distribution": {"max": 3}}, "unexpected keyword argument 'max'"),
+        ({"engine_count_distribution": {"max": 3}},
+         "unknown config key 'generator.engine_count_distribution.max'"),
     ])
     def test_bad_generator_config_is_a_usage_error(self, work, capsys, generator, message):
         config = work / "bad-generator.json"
@@ -271,7 +276,7 @@ class TestCv:
             "cv", "--corpus", str(corpus_path), "--model", "logistic",
             "--k", "2", "--subset-size", "200", "--config", str(config),
         ]) == 1
-        assert f"unknown {model} hyperparameter(s): {removed}" in capsys.readouterr().err
+        assert f"unknown config key 'hyper.{model}.{removed}'" in capsys.readouterr().err
 
     def test_logistic_not_converged_is_flagged(self, corpus_path, work, capsys, monkeypatch):
         monkeypatch.setattr("metatriage.learn._MAX_NEWTON_STEPS", 1)
@@ -571,7 +576,7 @@ class TestOptionTypes:
                 expected["ambiguous_as_goodware"] = default == "goodware"
             else:
                 expected[self.OPTION_OF.get(name, name)] = (
-                    default.to_json() if name == "hyper" else default)
+                    asdict(default) if name == "hyper" else default)
         expected = json.loads(json.dumps(expected))
         assert {name: options[name] for name in expected} == expected
 
@@ -592,6 +597,65 @@ class TestConfigPrecedence:
         # subset size came from the config file
         prov = json.loads((out / "provenance.json").read_text())
         assert prov["options"]["subset_size"] == 200
+
+
+class TestConfigSections:
+    """`hyper` and `generator` are decoded by one rule: a bad key or value
+    is a usage error that names its full path, in every subcommand."""
+
+    def run(self, work, corpus_path, capsys, doc, command="cv"):
+        config = work / "sections.json"
+        config.write_text(json.dumps(doc))
+        argv = ["generate", "--out", str(work / "sections.jsonl")] if command == "generate" else [
+            "cv", "--corpus", str(corpus_path), "--model", "logistic", "--k", "2",
+            "--subset-size", "200"]
+        code = main([*argv, "--config", str(config)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cv", "generate"])
+    @pytest.mark.parametrize("doc,path", [
+        ({"generator": {"n_appz": 10}}, "generator.n_appz"),
+        ({"generator": {"signal_strengths": {"socail": 0.1}}},
+         "generator.signal_strengths.socail"),
+        ({"hyper": {"forest": {"n_treez": 5}}}, "hyper.forest.n_treez"),
+        ({"hyper": {"svm": {"C": 1}}}, "hyper.svm.C"),
+        ({"hyper": {"boosting": {"n_trees": 5}}}, "hyper.boosting"),
+    ])
+    def test_unknown_key_is_named_by_its_full_path(
+        self, work, corpus_path, capsys, command, doc, path
+    ):
+        code, err = self.run(work, corpus_path, capsys, doc, command)
+        assert code == 1
+        assert err == f"usage error: unknown config key {path!r}\n"
+
+    @pytest.mark.parametrize("doc,path", [
+        ({"hyper": 5}, "hyper"),
+        ({"hyper": {"forest": [1]}}, "hyper.forest"),
+        ({"generator": "zipf"}, "generator"),
+        ({"generator": {"engine_count_distribution": None}}, "generator.engine_count_distribution"),
+    ])
+    def test_non_object_section_is_named_by_its_path(self, work, corpus_path, capsys, doc, path):
+        code, err = self.run(work, corpus_path, capsys, doc)
+        assert code == 1
+        assert err.startswith(f"usage error: config key {path!r} must hold a JSON object, got ")
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"hyper": {"forest": {"min_leaf": 0}}},
+         "config key 'hyper.forest': forest hyperparameters must be positive"),
+        ({"hyper": {"logistic": {"tolerance": True}}},
+         "config key 'hyper.logistic': tolerance must be a finite number, got True"),
+        ({"generator": {"n_developers": 10**30}},
+         f"config key 'generator': n_developers must be at most 1000000, got {10**30}"),
+        ({"generator": {"signal_strengths": {"social": 2}}},
+         "config key 'generator.signal_strengths': signal strength social must be in [0, 1]"),
+        # once an OverflowError traceback from the detection-count law
+        ({"generator": {"engine_count_distribution": {"exponent": 10**400}}},
+         "config key 'generator.engine_count_distribution': exponent must be a finite number"),
+    ])
+    def test_refused_value_is_named_by_its_section(self, work, corpus_path, capsys, doc, message):
+        code, err = self.run(work, corpus_path, capsys, doc)
+        assert code == 1
+        assert err.startswith(f"usage error: {message}")
 
 
 class TestBenchCommands:
@@ -915,6 +979,11 @@ class TestBenchCommands:
         ("rank", ["--method", "borda", "--n-bins", str(10**12)],
          "n_bins must be between 2 and 65536, got 1000000000000"),
         ("rank", ["--n-bins", "1"], "n_bins must be between 2 and 65536, got 1"),
+        # numpy's "high is out of bounds for int64", which names no option
+        ("generate", ["--n-apps", "50", "--n-developers", str(10**30)],
+         "n_developers must be at most 1000000"),
+        ("generate", ["--n-apps", "50", "--n-issuers", str(10**30)],
+         "n_issuers must be at most 1000000"),
     ])
     def test_sizes_past_their_maximum_fail_before_any_work(
         self, corpus_path, work, capsys, command, flags, message
@@ -928,6 +997,41 @@ class TestBenchCommands:
         assert err.startswith(f"usage error: {message}")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_tree_count_past_its_maximum_fails_before_any_work(self, corpus_path, work, capsys):
+        # 10**8 trees once ran past a 30 s timeout under a 2 GB address-space cap
+        config = work / "huge-forest.json"
+        config.write_text(json.dumps({"hyper": {"forest": {"n_trees": 10**8}}}))
+        out = work / "huge-forest"
+        with address_space_headroom():
+            code = main(["cv", "--corpus", str(corpus_path), "--subset-size", "200", "--k", "2",
+                         "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(
+            "usage error: config key 'hyper.forest': n_trees must be at most 1000, got 100000000")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_1_without_a_traceback(self, corpus_path, unbuffered):
+        # buffered, the write fails only when stdout is flushed
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first byte
+        src = os.path.dirname(os.path.dirname(metatriage.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "metatriage.cli", "histogram", "--corpus", str(corpus_path)],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert child.returncode == 1
+        assert "Traceback" not in child.stderr
+        assert "Exception ignored" not in child.stderr
 
     def test_frozen_ranking_file_missing(self, corpus_path, capsys):
         assert main([

@@ -37,6 +37,8 @@ from metatriage.errors import (
     DuplicateAppIdError,
     GenerationError,
     ParseError,
+    UsageError,
+    decode_section,
 )
 
 
@@ -678,10 +680,12 @@ class TestGenerator:
             DetectionCountModel(exponent=0.0)
 
     def test_sizes_are_refused_past_their_maximum(self):
-        GeneratorConfig(n_apps=10**6, permission_vocabulary_size=10**5)
+        GeneratorConfig(n_apps=10**6, n_developers=10**6, n_issuers=10**6,
+                        permission_vocabulary_size=10**5)
         DetectionCountModel(max_count=10**4)
-        with pytest.raises(ValueError, match="^n_apps must be at most 1000000, got 1000001$"):
-            GeneratorConfig(n_apps=10**6 + 1)
+        for name in ("n_apps", "n_developers", "n_issuers"):
+            with pytest.raises(ValueError, match=f"^{name} must be at most 1000000, got 1000001$"):
+                GeneratorConfig(**{name: 10**6 + 1})
         with pytest.raises(ValueError, match="^permission_vocabulary_size must be at most 100000"):
             GeneratorConfig(permission_vocabulary_size=10**5 + 1)
         with pytest.raises(ValueError, match="^max_count must be at most 10000, got 10001$"):
@@ -693,14 +697,14 @@ class TestGenerator:
             signal_strengths=SignalStrengths(0.1, 0.2, 0.3, 0.4),
             engine_count_distribution=DetectionCountModel(exponent=2.0, max_count=9),
         )
-        assert GeneratorConfig.from_json(config.to_json()) == config
+        assert decode_section(GeneratorConfig(), dataclasses.asdict(config), "generator") == config
 
     @pytest.mark.parametrize("obj,message", [
         (5, "'generator' must hold a JSON object"),
         ({"signal_strengths": 5}, "'generator.signal_strengths' must hold a JSON object"),
         ({"engine_count_distribution": [1]},
          "'generator.engine_count_distribution' must hold a JSON object"),
-        ({"n_app": 5}, "unexpected keyword argument 'n_app'"),
+        ({"n_app": 5}, "unknown config key 'generator.n_app'"),
         ({"n_apps": "5"}, "n_apps must be an integer"),
         ({"n_apps": 5.0}, "n_apps must be an integer"),
         ({"n_apps": False}, "n_apps must be an integer"),
@@ -709,12 +713,13 @@ class TestGenerator:
         ({"engine_count_distribution": {"max_count": 2.5}}, "max_count must be an integer"),
     ])
     def test_config_from_json_names_a_bad_key(self, obj, message):
-        with pytest.raises(TypeError) as info:
-            GeneratorConfig.from_json(obj)
+        with pytest.raises(UsageError) as info:
+            decode_section(GeneratorConfig(), obj, "generator")
         assert message in str(info.value)
 
     def test_config_from_json_takes_an_integer_for_a_real(self):
-        assert GeneratorConfig.from_json({"malware_rate": 1}).malware_rate == 1
+        config = decode_section(GeneratorConfig(), {"malware_rate": 1}, "generator")
+        assert config.malware_rate == 1
 
     def test_self_signed_apps_share_issuer_and_developer(self, small_corpus):
         shared = sum(1 for r in small_corpus if r.issuer_id == r.developer_id)

@@ -1,8 +1,11 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import metatriage.learn
-from metatriage.errors import ContractError
+from metatriage.errors import ContractError, decode_section
 from metatriage.featurize import FeatureMatrix
 from metatriage.learn import (
     ForestModel,
@@ -607,23 +610,43 @@ class DenseScanOperator:
 
 class TestSparseEntries:
     """Linear fits read a matrix's nonzero entries alone. From entries or
-    from a dense array, a fit and its scores must be the same bits, and
-    those of the statistics and products of a dense scan."""
+    from a dense array, a fit and its scores must be the same bits; its
+    column statistics must be those of exact sums, and its products those
+    of a dense scan."""
 
     @pytest.mark.parametrize("shape", [(50, 1), (1, 3), (300, 2), (40, 6), (500, 37)])
-    @pytest.mark.parametrize("block", [1, 8, 1 << 16])
-    def test_column_stats_are_numpy_bits(self, monkeypatch, shape, block):
-        # numpy sums a one-column matrix pairwise, and a wider one row by
-        # row; `block` 1 densifies the columns one at a time.
-        monkeypatch.setattr(metatriage.learn, "_STATS_BLOCK", block)
+    @pytest.mark.parametrize("density", [0.05, 0.4, 1.0])
+    def test_column_stats_match_an_fsum_oracle(self, shape, density):
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         n, p = shape
-        values = (rng.random(shape) < 0.4) * rng.normal(1e3, 10 ** rng.uniform(-3, 15, p), shape)
+        values = (rng.random(shape) < density) * rng.normal(1e3, 10 ** rng.uniform(-3, 15, p), shape)
         values[:, p // 2] = 0.0
         X = entries_backed(FeatureMatrix(tuple(f"c{j}" for j in range(p)), values))
         mean, std = metatriage.learn._column_stats(X)
-        assert mean.tobytes() == values.mean(axis=0).tobytes()
-        assert std.tobytes() == values.std(axis=0).tobytes()
+        for j, column in enumerate(values.T.tolist()):
+            m = math.fsum(column) / n
+            sd = math.sqrt(math.fsum((x - m) ** 2 for x in column) / n)
+            assert mean[j] == pytest.approx(m, rel=1e-12, abs=0)
+            assert std[j] == pytest.approx(sd, rel=1e-12, abs=0)
+
+    def test_column_stats_do_not_depend_on_the_other_columns(self):
+        rng = np.random.default_rng(11)
+        n, p = 300, 9
+        values = (rng.random((n, p)) < 0.3) * rng.normal(1e3, 10 ** rng.uniform(-3, 6, p), (n, p))
+
+        def stats(v):
+            X = entries_backed(FeatureMatrix(tuple(f"c{j}" for j in range(v.shape[1])), v))
+            return metatriage.learn._column_stats(X)
+
+        mean, std = stats(values)
+        order = rng.permutation(p)
+        shuffled = stats(values[:, order])
+        assert shuffled[0].tobytes() == mean[order].tobytes()
+        assert shuffled[1].tobytes() == std[order].tobytes()
+        for j in range(p):
+            alone = stats(values[:, [j]])
+            assert alone[0].tobytes() == mean[[j]].tobytes()
+            assert alone[1].tobytes() == std[[j]].tobytes()
 
     @pytest.mark.parametrize("case", ["edge", "mixed"])
     def test_operator_products_equal_a_dense_scan(self, case):
@@ -732,7 +755,7 @@ class TestHyperparams:
             svm=SvmParams(tolerance=1e-5),
             forest=ForestParams(n_trees=9, max_depth=3, min_leaf=2, seed=8),
         )
-        back = Hyperparams.from_json(hyper.to_json())
+        back = decode_section(Hyperparams(), dataclasses.asdict(hyper), "hyper")
         assert back == hyper
 
     def test_validation(self):
@@ -742,6 +765,9 @@ class TestHyperparams:
             SvmParams(tolerance=0.0)
         with pytest.raises(ValueError):
             ForestParams(n_trees=0)
+        ForestParams(n_trees=1000)
+        with pytest.raises(ValueError, match="^n_trees must be at most 1000, got 1001$"):
+            ForestParams(n_trees=1001)
 
     @pytest.mark.parametrize("make", [
         lambda: ForestParams(n_trees=True),
@@ -753,6 +779,7 @@ class TestHyperparams:
         lambda: LogisticParams(tolerance=True),
         lambda: SvmParams(tolerance=float("inf")),
         lambda: SvmParams(tolerance=None),
+        lambda: LogisticParams(tolerance=10**400),  # past the float range
     ])
     def test_wrong_types_rejected(self, make):
         with pytest.raises(TypeError):

@@ -2,9 +2,11 @@
 
 Integer options run at 0, 1, their bound, bound + 1 and 10**12. The bound is
 the option's declared maximum, or, for an option that only the data bounds,
-the size the tiny corpus gives it. Path options name a directory, a file
-under a missing directory, a file under an existing file, or a file that is
-not UTF-8. Each case has a directory of its own, holding those files.
+the size the tiny corpus gives it. The integer fields of the config file's
+`hyper` and `generator` sections run the same way, and at 10**30, from a
+`--config` file. Path options name a directory, a file under a missing
+directory, a file under an existing file, or a file that is not UTF-8. Each
+case has a directory of its own, holding those files and its config file.
 
 Each batch of cases runs in one child process. It caps its own address
 space (RLIMIT_AS), so a case that allocates without bound raises
@@ -26,6 +28,7 @@ import metatriage
 from metatriage.cli import main
 from metatriage.corpus import MAX_APPS, MAX_DETECTIONS, MAX_PERMISSIONS, DetectionCountModel
 from metatriage.featurize import MAX_HASH_BUCKETS, HashConfig, feature_names
+from metatriage.learn import MAX_TREES
 from metatriage.select import MAX_BINS
 
 TINY = 90  # apps in the corpus every case reads
@@ -79,6 +82,21 @@ INTEGERS = {
     "n_windows": ("robustness", COLUMNS),
 }
 
+# Config section integer field -> its bound. The forest's fields run through
+# `cv --model forest`, the generator's through `generate` of 60 apps.
+SECTION_INTEGERS = {
+    "hyper.forest.n_trees": MAX_TREES,
+    "hyper.forest.max_depth": TINY,
+    "hyper.forest.min_leaf": TINY,
+    "hyper.forest.mtry": COLUMNS,
+    "hyper.forest.seed": 2**64 - 1,
+    "generator.n_apps": MAX_APPS,
+    "generator.n_developers": MAX_APPS,
+    "generator.n_issuers": MAX_APPS,
+    "generator.permission_vocabulary_size": MAX_PERMISSIONS,
+    "generator.engine_count_distribution.max_count": MAX_DETECTIONS,
+}
+
 # Path option -> the commands that take it. `--out` names a file for the
 # first four and a directory for the rest.
 PATHS = {
@@ -100,14 +118,30 @@ def flag(name):
     return "--" + name.replace("_", "-")
 
 
+def section_case(path, value):
+    """The argv and the config document that set section field `path`."""
+    doc = value
+    for key in reversed(path.split(".")):
+        doc = {key: doc}
+    if "generator" in doc:
+        doc["generator"].setdefault("n_apps", 60)
+        return ["generate", "--out", "{dir}/g.jsonl", "--config", "{dir}/config.json"], doc
+    return BASE["cv"] + ["--model", "forest", "--config", "{dir}/config.json"], doc
+
+
 def cases():
+    """Each case's argv, and the config document it reads, or None."""
     out = []
     for name, (command, bound) in INTEGERS.items():
         # A million apps would take minutes to generate; only its bound + 1 runs.
         values = [0, 1, bound + 1, 10**12] + ([bound] if bound != MAX_APPS else [])
-        out += [BASE[command] + [flag(name), str(v)] for v in values]
+        out += [(BASE[command] + [flag(name), str(v)], None) for v in values]
+    for path, bound in SECTION_INTEGERS.items():
+        values = [0, 1, bound + 1, 10**12, 10**30] + ([bound] if path != "generator.n_apps" else [])
+        out += [section_case(path, v) for v in values]
     for name, commands in PATHS.items():
-        out += [BASE[c] + [flag(name), path] for c in commands for path in PATH_KINDS.values()]
+        out += [(BASE[c] + [flag(name), path], None)
+                for c in commands for path in PATH_KINDS.values()]
     random.Random(24).shuffle(out)
     return out
 
@@ -145,11 +179,14 @@ def inputs(tmp_path_factory):
     return {"corpus": corpus, "report": str(root / "sweep" / "report.json")}
 
 
-def case_dir(path):
-    """A directory holding a directory, a file and a file that is not UTF-8."""
+def case_dir(path, config):
+    """A directory holding a directory, a file, a file that is not UTF-8 and
+    the case's config file, if it has one."""
     (path / "a-directory").mkdir(parents=True)
     (path / "a-file").write_text("a file\n")
     (path / "latin1.txt").write_bytes("café\n".encode("latin-1"))
+    if config is not None:
+        (path / "config.json").write_text(json.dumps(config))
     return str(path)
 
 
@@ -157,8 +194,8 @@ def case_dir(path):
 @pytest.mark.parametrize("batch", range(BATCHES))
 def test_batch_ends_in_an_exit_code(inputs, tmp_path, batch):
     argvs = []
-    for i, argv in enumerate(cases()[batch::BATCHES]):
-        fill = {**inputs, "dir": case_dir(tmp_path / str(i))}
+    for i, (argv, config) in enumerate(cases()[batch::BATCHES]):
+        fill = {**inputs, "dir": case_dir(tmp_path / str(i), config)}
         argvs.append([a.format(**fill) for a in argv])
     src = os.path.dirname(os.path.dirname(metatriage.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
