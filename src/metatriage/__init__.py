@@ -12,7 +12,6 @@ from .corpus import (
     SignalStrengths,
     compose_subset,
     generate_synthetic,
-    label_record,
     parse_records,
 )
 from .errors import MetatriageError
@@ -42,7 +41,6 @@ __all__ = [
     "compose_subset",
     "cross_validate",
     "generate_synthetic",
-    "label_record",
     "parse_records",
     "predict_score",
     "rank_features",

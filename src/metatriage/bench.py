@@ -6,12 +6,13 @@ randomness from its seed, and produces a BenchReport; `emit_report`
 renders it to byte-identical files through `reporting`. Each experiment
 states only its tasks, its rows' key fields, and how its rows sort and
 group; one runner does the rest. `_new_report` pins the columns, config
-and provenance; `_ranked_pipeline` checks every rank window before any
-work; `_compose` draws a seeded subset; `_run` evaluates one model kind or
-rank window on a fold plan and flags a failure; `_run_tasks` runs the
-tasks in forked worker processes and adds their results in task order, so
-the worker count never changes output bytes. `_rows`, `_reference` and
-`_curves` build every row, published entry and curve by one rule each.
+and provenance; `_ranked_pipeline` checks every rank window, and a
+forest's `mtry` against it, before any work; `_compose` draws a seeded
+subset; `_run` evaluates one model kind or rank window on a fold plan and
+flags a failure; `_run_tasks` runs the tasks in forked worker processes
+and adds their results in task order, so the worker count never changes
+output bytes. `_rows`, `_reference` and `_curves` build every row,
+published entry and curve by one rule each.
 """
 
 from __future__ import annotations
@@ -274,17 +275,18 @@ def _new_report(
 
 def _ranked_pipeline(
     ranking_method: str, frozen_ranking: Optional[Sequence[str]], hyper: Hyperparams,
-    windows: Sequence[tuple[int, int]], leaky_reputation: bool = False,
+    windows: Sequence[tuple[int, int]], model_kinds: Sequence[str], leaky_reputation: bool = False,
 ) -> PipelineConfig:
     """The pipeline that orders each training fold's columns by
     `ranking_method`, or by `frozen_ranking` when that is given. A window of
-    `windows` past that order raises ValueError here, before any work."""
+    `windows` past that order, or narrower than the `mtry` of a forest among
+    `model_kinds`, raises ValueError here, before any work."""
     frozen = tuple(frozen_ranking) if frozen_ranking else None
     pipeline = PipelineConfig(
         ranking_method=ranking_method, frozen_ranking=frozen, hyper=hyper,
         leaky_reputation=leaky_reputation,
     )
-    check_windows(pipeline, windows)
+    check_windows(pipeline, windows, model_kinds)
     return pipeline
 
 
@@ -413,22 +415,22 @@ def hash_size_sweep(
 
     Models see ONLY the f* columns, so the curve isolates how much identity
     information survives hashing at each size. ROC points are pooled from
-    held-out scores across folds. A size that `HashConfig` refuses raises
-    ValueError before any point runs.
+    held-out scores across folds. A size that `HashConfig` refuses, or one
+    below a forest's `mtry`, raises ValueError before any point runs.
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
-    hash_configs = [HashConfig(n_buckets=size, seed=0) for size in sizes]
+    pipelines = [PipelineConfig(c, frozen_ranking=hash_column_names(c), hyper=hyper)
+                 for c in map(HashConfig, sizes)]
+    for pipeline in pipelines:
+        check_windows(pipeline, [None], [model_kind])
     report = _new_report(
         "hash-size-sweep", dataset.records, dataset.flags,
         sizes=sizes, model_kind=model_kind, k=k, seed=seed, hyper=hyper,
     )
 
-    def run_point(hash_config: HashConfig):
-        size = hash_config.n_buckets
-        pipeline = PipelineConfig(
-            hash_config=hash_config, frozen_ranking=hash_column_names(hash_config), hyper=hyper
-        )
+    def run_point(pipeline: PipelineConfig):
+        size = pipeline.hash_config.n_buckets
         plan = _prepare(dataset, k, _derive_seed(seed, size), pipeline)
         ev, flags = _run(f"size {size}", plan, model_kind)
         if ev is None or ev.pooled_scores is None:
@@ -438,7 +440,7 @@ def hash_size_sweep(
         curve = {"name": f"ROC {size} buckets", "kind": "roc", "x": x, "y": y}
         return _rows(report.experiment, ev, size=size, pooled_auc=roc.auc), flags, [curve]
 
-    _run_tasks(report, hash_configs, run_point, threads)
+    _run_tasks(report, pipelines, run_point, threads)
     report.curves += _curves(report.rows, "auc-vs-size", "size", [("pooled AUC", {})], "pooled_auc")
     return report
 
@@ -468,7 +470,8 @@ def feature_count_curve(
     """
     if not ks:
         raise ValueError("ks must be non-empty")
-    pipeline = _ranked_pipeline(ranking_method, frozen_ranking, hyper, [(1, top_k) for top_k in ks])
+    windows = [(1, top_k) for top_k in ks]
+    pipeline = _ranked_pipeline(ranking_method, frozen_ranking, hyper, windows, model_kinds)
     report = _new_report(
         "feature-count-curve", dataset.records, dataset.flags,
         ks=ks, model_kinds=model_kinds, ranking_method=ranking_method, k=k, seed=seed,
@@ -520,7 +523,7 @@ def grid_benchmark(
     of the grid proceeds.
     """
     pipeline = _ranked_pipeline(
-        ranking_method, frozen_ranking, hyper, [(1, top_k)], leaky_reputation
+        ranking_method, frozen_ranking, hyper, [(1, top_k)], model_kinds, leaky_reputation
     )
     report = _new_report(
         "benchmark-grid", corpus,
@@ -593,9 +596,8 @@ def robustness_windows(
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     # The last window ends furthest down the order, so it is the one to check.
-    pipeline = _ranked_pipeline(
-        ranking_method, frozen_ranking, hyper, [(1 + step * (n_windows - 1), window_width)]
-    )
+    last = (1 + step * (n_windows - 1), window_width)
+    pipeline = _ranked_pipeline(ranking_method, frozen_ranking, hyper, [last], [model_kind])
     starts = [1 + step * i for i in range(n_windows)]
     report = _new_report(
         "robustness-windows", corpus,

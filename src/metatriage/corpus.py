@@ -8,10 +8,11 @@ number of antivirus engines that flagged the app.
 
 A `Corpus` holds records as columns, and it is what passes between layers:
 `generate_synthetic` and `parse_records` return one, and labeling,
-composition, digests and every feature block read one. `AppRecord` is one
-record: what `Corpus[i]` gives, and what `record_from_dict` builds from a
-parsed line whose values pass the rule of `AppRecord.validation_errors`.
-`Corpus.of` makes a corpus of hand-made records.
+composition, digests and every feature block read one. A parsed line, a CSV
+row and a hand-made record each reach the columns as one row, a plain tuple
+(see `record_from_dict`), and `write_corpus` formats its lines and CSV rows
+from the columns. `AppRecord` is one record: what `Corpus[i]` gives, and
+what `Corpus.of` makes a corpus of.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ from .errors import (
     check_number_fields,
     decode_json,
 )
-
-MALWARE = "malware"
-GOODWARE = "goodware"
-AMBIGUOUS = "ambiguous"
 
 _INT_FIELDS = (
     "size_bytes",
@@ -147,15 +144,16 @@ def _integer(value) -> int:
     return int(value)
 
 
-def record_from_dict(obj: dict) -> tuple[Optional[AppRecord], list[str], list[str]]:
-    """(record_or_None, problems, unknown_field_names) of a parsed mapping:
+def record_from_dict(obj: dict) -> tuple[Optional[tuple], list[str], list[str]]:
+    """(row_or_None, problems, unknown_field_names) of a parsed mapping:
     a JSON object, or a CSV row with `permissions` and `star_votes` joined
-    by `;`.
+    by `;`. The row is (app_id, package_name, developer_id, issuer_id, the
+    sorted distinct permission names, the `COUNT_FIELDS` ints as a list).
 
     Each field is converted once, and a value of its exact type is taken as
     it is. One that does not convert is a problem, with a placeholder that
     passes the rule of `validation_errors`. That rule then checks the
-    values, and the record is built only when there is no problem."""
+    values, and the row is made only when there is no problem."""
     unknown = [] if obj.keys() == _FIELD_SET else [k for k in obj if k not in _FIELD_SET]
     if len(obj) - len(unknown) < len(FIELD_ORDER):
         missing = [k for k in FIELD_ORDER if k not in obj]
@@ -191,8 +189,8 @@ def record_from_dict(obj: dict) -> tuple[Optional[AppRecord], list[str], list[st
         return None, problems, unknown
     if not {str}.issuperset(map(type, permissions)):
         permissions = map(str, permissions)
-    record = AppRecord(*ids, frozenset(permissions), *counts[:10], votes, counts[10])
-    return record, [], unknown
+    counts[10:10] = votes
+    return (*ids, sorted(set(permissions)), counts), [], unknown
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,6 @@ class ParseIssue:
 COUNT_FIELDS = _INT_FIELDS[:10] + _VOTE_NAMES + _INT_FIELDS[10:]
 _VOTES = slice(10, 15)
 _DETECTIONS = 15
-_COUNTS_OF = attrgetter(*_INT_FIELDS[:10])
 
 
 def row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,15 +252,18 @@ class Corpus:
         """The corpus of hand-made records, in order. A record that
         `validation_errors` rejects, or that repeats an app id, raises
         ValueError."""
-        records, seen = list(records), set()
+        rows, seen = [], set()
         for record in records:
             if problems := record.validation_errors():
                 raise ValueError(f"invalid record {record.app_id!r}: {'; '.join(problems)}")
             if record.app_id in seen:
                 raise ValueError(f"duplicate app_id {record.app_id!r}")
             seen.add(record.app_id)
+            ints = _INTS_OF(record)
+            counts = [*ints[:10], *record.star_votes, ints[10]]
+            rows.append((*_IDS_OF(record), sorted(record.permissions), counts))
         builder = _CorpusBuilder()
-        builder.add_records(records)
+        builder.add_rows(rows)
         return builder.finish()
 
     def __len__(self) -> int:
@@ -370,16 +370,15 @@ class _CorpusBuilder:
         codes = self._codes(self.permission_code, permissions)
         self._add(ids, packages, developers, issuers, sizes, codes, counts)
 
-    def add_records(self, records: list[AppRecord]) -> None:
-        permissions = [sorted(r.permissions) for r in records]
-        self.add_columns(
-            [r.app_id for r in records], [r.package_name for r in records],
-            [r.developer_id for r in records], [r.issuer_id for r in records],
-            np.fromiter(map(len, permissions), np.int64, len(records)),
-            list(chain.from_iterable(permissions)),
-            np.array([(*_COUNTS_OF(r), *r.star_votes, r.detection_count) for r in records],
-                     dtype=np.int64),
-        )
+    def add_rows(self, rows: list[tuple]) -> None:
+        """Add records given as `record_from_dict` rows."""
+        if rows:
+            ids, packages, developers, issuers, permissions, counts = zip(*rows)
+            self.add_columns(
+                ids, packages, developers, issuers,
+                np.fromiter(map(len, permissions), np.int64, len(rows)),
+                list(chain.from_iterable(permissions)), np.array(counts, dtype=np.int64),
+            )
 
     def finish(self, digest: Optional[str] = None) -> Corpus:
         entity, permission = self._ranks(self.entity_code), self._ranks(self.permission_code)
@@ -457,10 +456,10 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
 
     JSON Lines are read `_BLOCK_LINES` lines at a time. A block of lines
     that are all `_CANONICAL`, with new app ids and sorted distinct
-    permissions, goes into the columns at once, and no record object is
-    made. Any other block is parsed line by line, each line through
-    `decode_json` and `record_from_dict` into an `AppRecord`, with the
-    issues, unknown-field counts and errors each line gives. A CSV that the
+    permissions, goes into the columns at once. Any other block is parsed
+    line by line, each line through `decode_json` and `record_from_dict`
+    into a row, with the issues, unknown-field counts and errors each line
+    gives; so is each CSV row. No `AppRecord` is made. A CSV that the
     `csv` module cannot read raises ParseError. When every
     block was canonical, the corpus's digest is the sha256 of the lines
     read: for a file with line-feed line ends, of its bytes.
@@ -484,19 +483,19 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
                 f"more than {max_errors} malformed records; last at line {line_no}"
             )
 
-    def handle(obj: dict, line_no: int, kept: list[AppRecord]) -> None:
-        record, problems, unknown = record_from_dict(obj)
+    def handle(obj: dict, line_no: int, kept: list[tuple]) -> None:
+        row, problems, unknown = record_from_dict(obj)
         if unknown:
             unknown_fields.update(unknown)
         if problems:
             reject(line_no, problems)
             return
-        if record.app_id in seen_ids:
-            raise DuplicateAppIdError(f"duplicate app_id {record.app_id!r} at line {line_no}")
-        seen_ids.add(record.app_id)
-        kept.append(record)
+        if row[0] in seen_ids:
+            raise DuplicateAppIdError(f"duplicate app_id {row[0]!r} at line {line_no}")
+        seen_ids.add(row[0])
+        kept.append(row)
 
-    def handle_line(line: str, line_no: int, kept: list[AppRecord]) -> None:
+    def handle_line(line: str, line_no: int, kept: list[tuple]) -> None:
         line = line.strip()
         if not line:
             return
@@ -523,7 +522,7 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
                 digest, kept = None, []
                 for line_no, line in enumerate(block, start):
                     handle_line(line, line_no, kept)
-                builder.add_records(kept)
+                builder.add_rows(kept)
             start += len(block)
     else:
         kept, rows = [], csv.DictReader(lines)
@@ -532,7 +531,7 @@ def parse_records(stream, format: str = "jsonlines", max_errors: int = 100) -> P
                 handle({k: v for k, v in row.items() if k is not None}, line_no, kept)
         except csv.Error as exc:  # e.g. a field past the csv module's size limit
             raise ParseError(f"unreadable CSV at line {rows.reader.line_num}: {exc}") from None
-        builder.add_records(kept)
+        builder.add_rows(kept)
     records = builder.finish(None if digest is None else digest.hexdigest())
     return ParseResult(records, issues, unknown_fields)
 
@@ -560,11 +559,7 @@ def write_corpus(corpus: Corpus, path: str) -> str:
     def rows(fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(FIELD_ORDER)
-        for record in corpus:
-            row = record_to_dict(record)
-            row["permissions"] = ";".join(row["permissions"])
-            row["star_votes"] = ";".join(map(str, row["star_votes"]))
-            writer.writerow(row.values())
+        writer.writerows(_rows(corpus, str, ";"))
 
     is_csv = str(path).endswith(".csv")
     reporting.write_file(path, rows if is_csv else jsonl)
@@ -584,23 +579,31 @@ def corpus_digest(corpus: Corpus) -> str:
     return h.hexdigest()
 
 
-def _canonical_lines(corpus: Corpus) -> Iterator[str]:
-    """Each record's line: `json.dumps(record_to_dict(record),
-    separators=(",", ":"))` plus a newline, formatted from the columns."""
-    entities = [_quote(name) for name in corpus.entities.tolist()]
-    quoted = np.array([_quote(name) for name in corpus.permission_names.tolist()], dtype=object)
-    permissions = quoted[corpus.permission_codes].tolist()
+def _rows(corpus: Corpus, quote, sep: str) -> Iterator[tuple]:
+    """Each record's values in `FIELD_ORDER`, from the columns: every string
+    through `quote`, and the permission names and the star votes each
+    joined by `sep`."""
+    entities = list(map(quote, corpus.entities.tolist()))
+    names = np.array(list(map(quote, corpus.permission_names.tolist())), dtype=object)
+    permissions = names[corpus.permission_codes].tolist()
     bounds = corpus.permission_indptr.tolist()
+    votes = sep.join(["%d"] * 5)  # formats faster than joining each vote's str
     rows = zip(
         corpus.app_ids.tolist(), corpus.package_names.tolist(), corpus.developer_codes.tolist(),
         corpus.issuer_codes.tolist(), bounds, bounds[1:], corpus.counts.T.tolist(),
     )
     for app_id, package, developer, issuer, a, b, counts in rows:
-        yield _LINE % (
-            _quote(app_id), _quote(package), entities[developer], entities[issuer],
-            ",".join(permissions[a:b]), *counts[:10], ",".join(map(str, counts[_VOTES])),
+        yield (
+            quote(app_id), quote(package), entities[developer], entities[issuer],
+            sep.join(permissions[a:b]), *counts[:10], votes % tuple(counts[_VOTES]),
             counts[_DETECTIONS],
         )
+
+
+def _canonical_lines(corpus: Corpus) -> Iterator[str]:
+    """Each record's line: `json.dumps(record_to_dict(record),
+    separators=(",", ":"))` plus a newline, formatted from the columns."""
+    return map(_LINE.__mod__, _rows(corpus, _quote, ","))
 
 
 # ---------------------------------------------------------------------------
@@ -620,19 +623,6 @@ class DetectionLabelPolicy:
             raise ValueError("threshold must be a positive integer")
         if self.ambiguous_handling not in ("exclude", "goodware"):
             raise ValueError(f"unknown ambiguous_handling: {self.ambiguous_handling!r}")
-
-
-def label_record(record: AppRecord, policy: DetectionLabelPolicy) -> str:
-    """Classify one record as malware/goodware/ambiguous under a policy.
-
-    Goodware is strictly zero detections; counts in (0, threshold) are
-    ambiguous.
-    """
-    if record.detection_count >= policy.threshold:
-        return MALWARE
-    if record.detection_count == 0:
-        return GOODWARE
-    return AMBIGUOUS
 
 
 @dataclass(frozen=True)
@@ -666,8 +656,8 @@ class LabeledDataset:
 
 
 def _pools(corpus: Corpus, policy: DetectionLabelPolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the records `label_record` calls malware, and of those the
-    policy admits as goodware."""
+    """Masks of the records the policy calls malware, and of those it
+    admits as goodware."""
     detections = corpus.detection_counts
     malware = detections >= policy.threshold
     goodware = ~malware if policy.ambiguous_handling == "goodware" else detections == 0

@@ -210,14 +210,21 @@ class PipelineConfig:
     leaky_reputation: bool = False
 
 
-def check_windows(config: PipelineConfig, windows: Sequence[tuple[int, int]]) -> None:
-    """Raise the ValueError of the first of `windows` that the folds'
-    orders under `config` would not hold, before any fold is ranked."""
+def check_windows(
+    config: PipelineConfig, windows: Sequence[Optional[tuple[int, int]]],
+    model_kinds: Sequence[str] = (),
+) -> None:
+    """Raise the ValueError of the first of `windows` (None: the whole order)
+    that the folds' orders under `config` would not hold, or that gives a
+    forest among `model_kinds` fewer columns than its `mtry`; before any work."""
     order = config.frozen_ranking
     if order is None:
         order = feature_names(config.hash_config)
+    mtry = config.hyper.forest.mtry if "forest" in model_kinds else 0
     for window in windows:
-        rank_window(order, window)
+        width = len(rank_window(order, window))
+        if mtry > width:
+            raise ValueError(f"hyper.forest.mtry {mtry} exceeds the {width} columns a forest sees")
 
 
 @dataclass
@@ -518,6 +525,5 @@ def cross_validate(
 ) -> EvalReport:
     """Stratified k-fold evaluation of one model kind on raw records, on
     the rank `window` of each fold's order (see `evaluate`)."""
-    if window is not None:
-        check_windows(config, [window])
+    check_windows(config, [window], [model_kind])
     return evaluate(prepare_folds(dataset, k, seed, config), model_kind, window)

@@ -68,10 +68,9 @@ MAX_HASH_BUCKETS = 2**16
 
 @dataclass(frozen=True)
 class HashConfig:
-    """Feature-hashing layout: bucket count and hash seed."""
+    """Feature-hashing layout: the bucket count."""
 
     n_buckets: int = 512
-    seed: int = 0
 
     def __post_init__(self):
         if not 1 <= self.n_buckets <= MAX_HASH_BUCKETS:
@@ -81,13 +80,13 @@ class HashConfig:
 
 
 @lru_cache(maxsize=65536)
-def _hash64(token: str, seed: int) -> int:
-    """Seeded 64-bit FNV-1a with an avalanche finalizer.
+def _hash64(token: str) -> int:
+    """64-bit FNV-1a with an avalanche finalizer.
 
     The finalizer (splitmix64 style) spreads low-entropy FNV outputs so
     that modulo small bucket counts stays close to uniform.
     """
-    h = (_FNV_OFFSET ^ (seed & _MASK)) & _MASK
+    h = _FNV_OFFSET
     for byte in token.encode("utf-8"):
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK
@@ -166,7 +165,7 @@ def _hash_rows(
     (indptr, buckets, counts), buckets increasing within a row; colliding
     permissions add up. Each distinct permission is hashed once."""
     bucket = np.fromiter(
-        (_hash64(p, config.seed) % config.n_buckets for p in records.permission_names.tolist()),
+        (_hash64(p) % config.n_buckets for p in records.permission_names.tolist()),
         np.int64, len(records.permission_names),
     )
     # One key per (record, bucket) pair, ordered as the row-major layout.

@@ -21,7 +21,7 @@ from metatriage.corpus import (
     DetectionLabelPolicy,
     LabeledDataset,
     compose_subset,
-    label_record,
+    label_dataset,
 )
 from metatriage.evaluate import (
     PipelineConfig,
@@ -253,19 +253,14 @@ def test_label_monotonicity(small_corpus, permission_corpus):
     violations = 0
     total = 0
     for corpus in (small_corpus, permission_corpus):
-        policies = {t: DetectionLabelPolicy(threshold=t) for t in (1, 2, 4)}
-        mal = {
-            t: {r.app_id for r in corpus if label_record(r, pol) == "malware"}
-            for t, pol in policies.items()
-        }
+        # each record's malware flag under `label_dataset` at each threshold
+        mal = {}
+        for t in (1, 2, 4):
+            dataset = label_dataset(corpus, DetectionLabelPolicy(threshold=t))
+            mal[t] = np.isin(corpus.app_ids, dataset.records.app_ids[dataset.labels == 1])
         total += len(corpus)
-        if not (mal[4] <= mal[2] <= mal[1]):
-            violations += 1
         # exhaustive per record: flagged at a high bar implies flagged lower
-        for r in corpus:
-            flags = [label_record(r, policies[t]) == "malware" for t in (1, 2, 4)]
-            if flags[2] and not flags[1] or flags[1] and not flags[0]:
-                violations += 1
+        violations += int((mal[4] & ~mal[2]).sum() + (mal[2] & ~mal[1]).sum())
     ok = violations == 0
     _report(
         "label-monotonicity",

@@ -998,6 +998,36 @@ class TestBenchCommands:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flags,mtry,bound", [
+        # the first two once exited 2 at fit time; the third exited 0 with
+        # no rows and a "failed" flag
+        ("cv", ["--k", "3"], 10**12, 536),
+        ("cv", ["--k", "3", "--top-k", "15"], 16, 15),
+        ("robustness", ["--subset-size", "60", "--k", "2", "--thresholds", "1",
+                        "--n-windows", "1"], 16, 15),
+        ("benchmark-grid", ["--models", "logistic,forest", "--top-k", "4"], 5, 4),
+        ("curve-features", ["--models", "forest", "--ks", "8,3"], 4, 3),
+        ("sweep-hashes", ["--model", "forest", "--sizes", "64,32"], 33, 32),
+    ])
+    def test_mtry_past_a_forests_columns_fails_before_any_fold(
+        self, corpus_path, work, capsys, monkeypatch, command, flags, mtry, bound
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fold was prepared")
+
+        monkeypatch.setattr("metatriage.evaluate.prepare_folds", refuse)
+        monkeypatch.setattr("metatriage.bench.prepare_folds", refuse)
+        config = work / f"mtry-{command}.json"
+        config.write_text(json.dumps({"hyper": {"forest": {"mtry": mtry}}}))
+        out = work / f"mtry-{command}"
+        code = main([command, "--corpus", str(corpus_path), "--config", str(config),
+                     "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(
+            f"usage error: hyper.forest.mtry {mtry} exceeds the {bound} columns a forest sees")
+        assert not out.exists()
+
     def test_tree_count_past_its_maximum_fails_before_any_work(self, corpus_path, work, capsys):
         # 10**8 trees once ran past a 30 s timeout under a 2 GB address-space cap
         config = work / "huge-forest.json"

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 from collections import Counter
 
@@ -8,10 +10,8 @@ import pytest
 
 import metatriage.corpus
 from metatriage.corpus import (
-    AMBIGUOUS,
+    _INT_FIELDS,
     FIELD_ORDER,
-    GOODWARE,
-    MALWARE,
     MAX_INT,
     AppRecord,
     CompositionRecipe,
@@ -24,7 +24,7 @@ from metatriage.corpus import (
     corpus_digest,
     detection_histogram,
     generate_synthetic,
-    label_record,
+    label_dataset,
     parse_records,
     record_from_dict,
     record_to_dict,
@@ -66,6 +66,21 @@ def make_record(**overrides) -> AppRecord:
     return AppRecord(**base)
 
 
+def row_of(record: AppRecord) -> tuple:
+    """The `record_from_dict` row of a record: its four ids, its sorted
+    permission names, and its `COUNT_FIELDS` ints."""
+    counts = [getattr(record, name) for name in _INT_FIELDS]
+    counts[10:10] = record.star_votes
+    return (record.app_id, record.package_name, record.developer_id, record.issuer_id,
+            sorted(record.permissions), counts)
+
+
+def record_of(row: tuple) -> AppRecord:
+    """The record of a `record_from_dict` row."""
+    *ids, permissions, counts = row
+    return AppRecord(*ids, frozenset(permissions), *counts[:10], tuple(counts[10:15]), counts[15])
+
+
 class TestAppRecord:
     def test_derived_vote_stats(self):
         record = make_record(star_votes=(2, 0, 0, 0, 2))
@@ -87,7 +102,7 @@ class TestAppRecord:
         record = make_record()
         back, problems, unknown = record_from_dict(record_to_dict(record))
         assert problems == [] and unknown == []
-        assert back == record
+        assert back == row_of(record) and record_of(back) == record
 
     def test_dict_form_is_canonical(self):
         d = record_to_dict(make_record(permissions=frozenset({"z", "a", "m"})))
@@ -99,8 +114,8 @@ class TestAppRecord:
         d["star_votes"] = "1;0;2;3;10"
         back, problems, _ = record_from_dict(d)
         assert problems == []
-        assert back.permissions == frozenset({"perm.a", "perm.b"})
-        assert back.star_votes == (1, 0, 2, 3, 10)
+        assert back[4] == ["perm.a", "perm.b"]
+        assert back[5][10:15] == [1, 0, 2, 3, 10]
 
 
 def _with(**changes) -> dict:
@@ -126,7 +141,7 @@ class TestParseFastPath:
         ]
         for record in records:
             d = json.loads(json.dumps(record_to_dict(record)))
-            assert record_from_dict(d) == (record, [], [])
+            assert record_from_dict(d) == (row_of(record), [], [])
 
     @pytest.mark.parametrize("obj,record,problems,unknown", [
         (_with(size_bytes=True), None, ["size_bytes is not an integer: True"], []),
@@ -162,16 +177,16 @@ class TestParseFastPath:
             "missing-field", "null-permissions", "bool-permissions", "number-permissions",
             "object-permissions", "message-order"])
     def test_other_mappings_are_converted(self, obj, record, problems, unknown):
-        assert record_from_dict(obj) == (record, problems, unknown)
+        assert record_from_dict(obj) == (record and row_of(record), problems, unknown)
         got = record_from_dict(obj)[0]
         if got is not None:
-            assert type(got.size_bytes) is int
-            assert got.validation_errors() == []
+            assert {type(v) for v in got[5]} == {int}
+            assert record_of(got).validation_errors() == []
 
     def test_largest_exact_integer_is_a_valid_count(self):
         d = _with(size_bytes=MAX_INT, star_votes=[MAX_INT, 0, 0, 0, 0])
         record = make_record(size_bytes=MAX_INT, star_votes=(MAX_INT, 0, 0, 0, 0))
-        assert record_from_dict(d) == (record, [], [])
+        assert record_from_dict(d) == (row_of(record), [], [])
         # float64 holds MAX_INT exactly, but not every integer above it.
         assert int(float(MAX_INT)) == MAX_INT and float(MAX_INT + 2) == float(MAX_INT + 1)
 
@@ -318,6 +333,33 @@ class TestCanonicalLines:
                 json.dumps(record_to_dict(r), separators=(",", ":")) + "\n" for r in records
             )
             assert path.read_text() == expected
+
+
+def csv_oracle(records) -> str:
+    """A corpus as CSV, one `csv.writer` row per record's `record_to_dict`
+    with its two lists joined by `;`."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(FIELD_ORDER)
+    for record in records:
+        row = record_to_dict(record)
+        row["permissions"] = ";".join(row["permissions"])
+        row["star_votes"] = ";".join(map(str, row["star_votes"]))
+        writer.writerow(row.values())
+    return out.getvalue()
+
+
+class TestCsvWrite:
+    def test_bytes_match_the_per_record_writer(self, tmp_path):
+        records = TestCanonicalLines().records() + [
+            make_record(app_id="none", permissions=frozenset(), star_votes=(0, 0, 0, 0, 0)),
+            make_record(app_id="semi", permissions=frozenset({'p;q', 'r"s', "t u"})),
+        ]
+        path = tmp_path / "corpus.csv"
+        for some in (records, []):
+            corpus = Corpus.of(some)
+            assert write_corpus(corpus, str(path)) == corpus_digest(corpus)
+            assert path.read_bytes() == csv_oracle(some).encode()
 
 
 class TestParsing:
@@ -469,23 +511,53 @@ class TestParsing:
         assert corpus_digest(a) != corpus_digest(b)
 
 
+MALWARE, GOODWARE, AMBIGUOUS = "malware", "goodware", "ambiguous"
+
+
+def label_record(record: AppRecord, policy: DetectionLabelPolicy) -> str:
+    """Per-record oracle of the label rule: malware at `threshold`
+    detections or more, goodware at zero, ambiguous in between."""
+    if record.detection_count >= policy.threshold:
+        return MALWARE
+    return GOODWARE if record.detection_count == 0 else AMBIGUOUS
+
+
+def dataset_labels(*detection_counts: int, threshold: int) -> list[str]:
+    """The label `label_dataset` gives each record of a corpus with these
+    detection counts, ambiguous records excluded: AMBIGUOUS where it drops
+    the record."""
+    corpus = Corpus.of(
+        make_record(app_id=f"a{i}", detection_count=c) for i, c in enumerate(detection_counts)
+    )
+    dataset = label_dataset(corpus, DetectionLabelPolicy(threshold))
+    kept = dict(zip((r.app_id for r in dataset.records), dataset.labels.tolist()))
+    return [
+        AMBIGUOUS if r.app_id not in kept else MALWARE if kept[r.app_id] else GOODWARE
+        for r in corpus
+    ]
+
+
 class TestLabeling:
     def test_zero_detections_is_goodware(self):
         policy = DetectionLabelPolicy(threshold=4)
         assert label_record(make_record(detection_count=0), policy) == GOODWARE
+        assert dataset_labels(0, threshold=4) == [GOODWARE]
 
     def test_at_threshold_is_malware(self):
         policy = DetectionLabelPolicy(threshold=4)
         assert label_record(make_record(detection_count=4), policy) == MALWARE
+        assert dataset_labels(4, threshold=4) == [MALWARE]
 
     def test_between_is_ambiguous(self):
         policy = DetectionLabelPolicy(threshold=4)
         for c in (1, 2, 3):
             assert label_record(make_record(detection_count=c), policy) == AMBIGUOUS
+        assert dataset_labels(0, 1, 2, 3, threshold=4) == [GOODWARE] + [AMBIGUOUS] * 3
 
     def test_threshold_one_has_no_ambiguous_zone(self):
         policy = DetectionLabelPolicy(threshold=1)
         assert label_record(make_record(detection_count=1), policy) == MALWARE
+        assert dataset_labels(0, 1, 2, threshold=1) == [GOODWARE, MALWARE, MALWARE]
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -493,14 +565,23 @@ class TestLabeling:
         with pytest.raises(ValueError):
             DetectionLabelPolicy(ambiguous_handling="drop-table")
 
+    @pytest.mark.parametrize("handling", ["exclude", "goodware"])
+    def test_label_dataset_matches_the_per_record_rule(self, small_corpus, handling):
+        for threshold in (1, 2, 4):
+            policy = DetectionLabelPolicy(threshold, handling)
+            dataset = label_dataset(small_corpus, policy)
+            want = [
+                (r.app_id, int(label == MALWARE)) for r in small_corpus
+                if (label := label_record(r, policy)) != AMBIGUOUS or handling == "goodware"
+            ]
+            assert list(zip((r.app_id for r in dataset.records), dataset.labels.tolist())) == want
+
     def test_malware_sets_nest_across_thresholds(self, small_corpus):
         sets = {}
         for t in (1, 2, 4):
-            policy = DetectionLabelPolicy(threshold=t)
-            sets[t] = {
-                r.app_id for r in small_corpus if label_record(r, policy) == MALWARE
-            }
-        assert sets[4] <= sets[2] <= sets[1]
+            dataset = label_dataset(small_corpus, DetectionLabelPolicy(threshold=t))
+            sets[t] = set(dataset.records.app_ids[dataset.labels == 1].tolist())
+        assert sets[4] < sets[2] < sets[1]
 
 
 class TestComposition:

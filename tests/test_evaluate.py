@@ -500,6 +500,21 @@ class TestCheckWindows:
                 with pytest.raises(ValueError, match=f"ranks {start}-{end} .* has {n} columns"):
                     check_windows(config, [(1, 1), (start, width)])
 
+    def test_mtry_is_checked_against_each_forests_columns(self):
+        def config(mtry, **kwargs):
+            return PipelineConfig(hyper=Hyperparams(forest=ForestParams(mtry=mtry)), **kwargs)
+
+        check_windows(config(16), [None, (1, 16), (3, 16)], ["forest"])
+        check_windows(config(16), [(1, 15)], ["logistic", "linear_svm"])  # no forest
+        for pipeline, windows, width in (
+            (config(16), [(1, 16), (2, 15)], 15),
+            (config(537), [None], 536),
+            (config(3, frozen_ranking=("f0", "f1")), [None], 2),
+        ):
+            mtry = pipeline.hyper.forest.mtry
+            with pytest.raises(ValueError, match=f"mtry {mtry} exceeds the {width} columns"):
+                check_windows(pipeline, windows, ["logistic", "forest"])
+
     def test_window_needs_an_order(self, small_dataset):
         bare = prepare_folds(small_dataset, k=3, seed=4, config=quick_config())
         assert all(fold.order is None for fold in bare.folds)

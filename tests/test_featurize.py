@@ -33,7 +33,7 @@ def hash_permissions(permissions, config: HashConfig) -> np.ndarray:
     """Reference hashing of one permission set: bucket counts, collisions add."""
     out = np.zeros(config.n_buckets, dtype=np.float64)
     for perm in permissions:
-        out[_hash64(perm, config.seed) % config.n_buckets] += 1.0
+        out[_hash64(perm) % config.n_buckets] += 1.0
     return out
 
 
@@ -63,16 +63,7 @@ def reference_static_block(records, config: HashConfig) -> np.ndarray:
 
 class TestHashing:
     def test_hash_is_deterministic(self):
-        assert _hash64("android.permission.INTERNET", 0) == _hash64(
-            "android.permission.INTERNET", 0
-        )
-
-    def test_seed_changes_bucket_assignment(self):
-        config_a, config_b = HashConfig(64, seed=0), HashConfig(64, seed=1)
-        perms = [f"perm.{i}" for i in range(200)]
-        a = [_hash64(p, config_a.seed) % 64 for p in perms]
-        b = [_hash64(p, config_b.seed) % 64 for p in perms]
-        assert a != b
+        assert _hash64("android.permission.INTERNET") == _hash64("android.permission.INTERNET")
 
     def test_bucket_counts_sum_to_permission_count(self):
         config = HashConfig(32)
@@ -99,7 +90,7 @@ class TestHashing:
         config = HashConfig(128)
         counts = np.zeros(128)
         for i in range(5000):
-            counts[_hash64(f"com.vendor.perm.{i}", config.seed) % 128] += 1
+            counts[_hash64(f"com.vendor.perm.{i}") % 128] += 1
         mean = 5000 / 128
         assert counts.max() < 2.0 * mean
         assert counts.min() > 0.3 * mean
@@ -205,7 +196,7 @@ class TestAssembly:
         matrix = assemble_features(records, HashConfig(8), table)
         assert matrix.values[0, matrix.column_names.index("self_signed")] == 1.0
 
-    @pytest.mark.parametrize("config", [HashConfig(), HashConfig(64, seed=7), HashConfig(1)])
+    @pytest.mark.parametrize("config", [HashConfig(), HashConfig(64), HashConfig(1)])
     def test_static_block_matches_per_record_reference(self, config):
         records = list(generate_synthetic(GeneratorConfig(n_apps=300), seed=4)) + [
             make_record(app_id="no-perms", permissions=frozenset()),
@@ -232,7 +223,7 @@ class TestAssembly:
         config = HashConfig(16)
         by_bucket = {}
         for i in range(100):
-            by_bucket.setdefault(_hash64(f"perm.{i}", config.seed) % 16, []).append(f"perm.{i}")
+            by_bucket.setdefault(_hash64(f"perm.{i}") % 16, []).append(f"perm.{i}")
         bucket, (a, b, *_) = next((k, v) for k, v in by_bucket.items() if len(v) >= 2)
         records = [make_record(permissions=frozenset({a, b}))]
         block = static_feature_block(Corpus.of(records), config)

@@ -4,9 +4,10 @@ Integer options run at 0, 1, their bound, bound + 1 and 10**12. The bound is
 the option's declared maximum, or, for an option that only the data bounds,
 the size the tiny corpus gives it. The integer fields of the config file's
 `hyper` and `generator` sections run the same way, and at 10**30, from a
-`--config` file. Path options name a directory, a file under a missing
-directory, a file under an existing file, or a file that is not UTF-8. Each
-case has a directory of its own, holding those files and its config file.
+`--config` file; `mtry` runs once more above `--top-k`. Path options name a
+directory, a file under a missing directory, a file under an existing file,
+or a file that is not UTF-8. Each case has a directory of its own, holding
+those files and its config file.
 
 Each batch of cases runs in one child process. It caps its own address
 space (RLIMIT_AS), so a case that allocates without bound raises
@@ -139,6 +140,9 @@ def cases():
     for path, bound in SECTION_INTEGERS.items():
         values = [0, 1, bound + 1, 10**12, 10**30] + ([bound] if path != "generator.n_apps" else [])
         out += [section_case(path, v) for v in values]
+    # an `mtry` within every column but above the top-k columns a forest sees
+    argv, doc = section_case("hyper.forest.mtry", 4)
+    out.append((argv + ["--top-k", "3"], doc))
     for name, commands in PATHS.items():
         out += [(BASE[c] + [flag(name), path], None)
                 for c in commands for path in PATH_KINDS.values()]

@@ -3,7 +3,7 @@
 `parse_records` takes whole blocks of canonical lines into its columns and
 parses any other block line by line. `reference_parse` below is the parse
 as it was before the columns: every line through `json.loads` and
-`record_from_dict` into an `AppRecord`. Seeded mutations of a few lines of a
+`record_from_dict` into a row. Seeded mutations of a few lines of a
 small generated corpus must give both the same rows, issues, unknown-field
 counts and raised error, and a digest equal to the hash of the rows'
 canonical lines. The mutations change the lines' text, and, in a second
@@ -47,9 +47,9 @@ N_RECORDS = 24
 
 
 def reference_parse(lines, max_errors=100):
-    """(records, [(line, message)], unknown-field counts) of `lines`, one
+    """(rows, [(line, message)], unknown-field counts) of `lines`, one
     line at a time; raises what the parse raises."""
-    records, issues, unknown_fields, seen, rejected = [], [], Counter(), set(), 0
+    rows, issues, unknown_fields, seen, rejected = [], [], Counter(), set(), 0
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -61,9 +61,9 @@ def reference_parse(lines, max_errors=100):
             obj, problems = None, [f"invalid JSON: {exc}"]
         except RecursionError:
             obj, problems = None, ["invalid JSON: JSON nested too deeply"]
-        record = None
+        row = None
         if not problems:
-            record, problems, unknown = record_from_dict(obj)
+            row, problems, unknown = record_from_dict(obj)
             unknown_fields.update(unknown)
         if problems:
             issues.extend((line_no, p) for p in problems)
@@ -73,11 +73,17 @@ def reference_parse(lines, max_errors=100):
                     f"more than {max_errors} malformed records; last at line {line_no}"
                 )
             continue
-        if record.app_id in seen:
-            raise DuplicateAppIdError(f"duplicate app_id {record.app_id!r} at line {line_no}")
-        seen.add(record.app_id)
-        records.append(record)
-    return records, issues, unknown_fields
+        if row[0] in seen:
+            raise DuplicateAppIdError(f"duplicate app_id {row[0]!r} at line {line_no}")
+        seen.add(row[0])
+        rows.append(row)
+    return rows, issues, unknown_fields
+
+
+def row_to_dict(row: tuple) -> dict:
+    """The `record_to_dict` mapping of a `record_from_dict` row."""
+    *ids, permissions, counts = row
+    return dict(zip(FIELD_ORDER, (*ids, permissions, *counts[:10], counts[10:15], counts[15])))
 
 
 def compact(d: dict, **kwargs) -> str:
@@ -209,13 +215,13 @@ def check_cases(rng, mutations, path, monkeypatch, capsys):
                 if isinstance(want[0], type):
                     assert got == want, name
                     continue
-                records, issues, unknown = want
-                rows = [record_to_dict(r) for r in got.records]
-                assert rows == [record_to_dict(r) for r in records], name
+                rows, issues, unknown = want
+                dicts = [record_to_dict(r) for r in got.records]
+                assert dicts == [row_to_dict(row) for row in rows], name
                 assert all(r.validation_errors() == [] for r in got.records), name
                 assert [(i.line, i.message) for i in got.issues] == issues, name
                 assert got.unknown_fields == unknown, name
-                canonical = "".join(compact(record_to_dict(r)) for r in records).encode()
+                canonical = "".join(compact(row_to_dict(row)) for row in rows).encode()
                 assert corpus_digest(got.records) == hashlib.sha256(canonical).hexdigest(), name
         code = cli.main(["histogram", "--corpus", str(path)])
         assert code in (0, 1, 2), name
@@ -287,18 +293,40 @@ def test_canonical_corpus_constructs_no_record(tmp_path, monkeypatch):
     assert list(corpus) == list(records)
 
 
+def test_per_line_parse_and_csv_write_construct_no_record(tmp_path, monkeypatch):
+    records = generate_synthetic(GeneratorConfig(n_apps=300), seed=4)
+    jsonl, csv_path, written = (tmp_path / n for n in ("c.jsonl", "c.csv", "w.csv"))
+    jsonl.write_text("".join(line[:-1] + " \n" for line in _canonical_lines(records)))
+    write_corpus(records, str(csv_path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the corpus boundary made an AppRecord")
+
+    monkeypatch.setattr(metatriage.corpus, "AppRecord", refuse)
+    loaded = [load_corpus(str(path)).records for path in (jsonl, csv_path)]
+    write_corpus(records, str(written))
+    monkeypatch.undo()
+    assert written.read_bytes() == csv_path.read_bytes()
+    for corpus in loaded:
+        assert corpus.digest is None and list(corpus) == list(records)
+
+
 def test_csv_corpus_gives_the_same_columns(tmp_path):
-    records = generate_synthetic(GeneratorConfig(n_apps=400), seed=8)
-    write_corpus(records, str(tmp_path / "corpus.jsonl"))
-    write_corpus(records, str(tmp_path / "corpus.csv"))
-    a = load_corpus(str(tmp_path / "corpus.jsonl")).records
-    b = load_corpus(str(tmp_path / "corpus.csv")).records
-    assert b.digest is None
+    # canonical JSON Lines, the same lines each with a trailing space (so
+    # parsed line by line), and CSV
+    records = generate_synthetic(GeneratorConfig(n_apps=2000), seed=8)
+    canonical, spaced, csv_path = (tmp_path / n for n in ("c.jsonl", "s.jsonl", "c.csv"))
+    write_corpus(records, str(canonical))
+    spaced.write_text("".join(line[:-1] + " \n" for line in _canonical_lines(records)))
+    write_corpus(records, str(csv_path))
+    a, b, c = (load_corpus(str(path)).records for path in (canonical, spaced, csv_path))
+    assert a.digest is not None and b.digest is None and c.digest is None
     for name in Corpus.__dataclass_fields__:
         if name != "digest":
-            left, right = getattr(a, name), getattr(b, name)
-            assert left.dtype == right.dtype and np.array_equal(left, right), name
-    assert corpus_digest(a) == corpus_digest(b) == corpus_digest(records)
+            for other in (b, c):
+                left, right = getattr(a, name), getattr(other, name)
+                assert left.dtype == right.dtype and np.array_equal(left, right), name
+    assert corpus_digest(a) == corpus_digest(b) == corpus_digest(c) == corpus_digest(records)
 
 
 GOOD = compact(record_to_dict(next(iter(generate_synthetic(GeneratorConfig(n_apps=2), seed=1)))))
