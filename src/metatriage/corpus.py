@@ -129,13 +129,6 @@ def _value_errors(ids, counts, votes) -> list[str]:
     return problems + [f"{name} must be a non-empty string" for name, v in zip(_STR_FIELDS, ids) if not v]
 
 
-def record_to_dict(record: AppRecord) -> dict:
-    """Canonical JSON-safe mapping with stable key order and sorted permissions."""
-    out = {name: getattr(record, name) for name in FIELD_ORDER}
-    out.update(permissions=sorted(record.permissions), star_votes=list(record.star_votes))
-    return out
-
-
 def _integer(value) -> int:
     """`value` as an int: an integer, an integral JSON number or a decimal
     string (CSV). A bool or a non-integral number raises ValueError."""
@@ -567,10 +560,10 @@ def write_corpus(corpus: Corpus, path: str) -> str:
 
 
 def corpus_digest(corpus: Corpus) -> str:
-    """sha256 over the canonical serialization, each record's
-    `record_to_dict` as compact JSON on its own line; stable across
-    processes. A parsed corpus whose lines were all canonical holds it
-    already; otherwise the lines are formatted from the columns."""
+    """sha256 over the canonical serialization, each record's canonical
+    line (see `_canonical_lines`) in record order; stable across processes.
+    A parsed corpus whose lines were all canonical holds it already;
+    otherwise the lines are formatted from the columns."""
     if corpus.digest is not None:
         return corpus.digest
     h = hashlib.sha256()
@@ -601,8 +594,9 @@ def _rows(corpus: Corpus, quote, sep: str) -> Iterator[tuple]:
 
 
 def _canonical_lines(corpus: Corpus) -> Iterator[str]:
-    """Each record's line: `json.dumps(record_to_dict(record),
-    separators=(",", ":"))` plus a newline, formatted from the columns."""
+    """Each record's canonical line, formatted from the columns: `_LINE`,
+    compact JSON with the keys in `FIELD_ORDER`, its permissions sorted and
+    its strings quoted as `json.dumps` quotes them, plus a newline."""
     return map(_LINE.__mod__, _rows(corpus, _quote, ","))
 
 
@@ -841,6 +835,43 @@ def _mix_lognormal(rng, y, strength, base_mu, base_sigma, alt_mu, alt_sigma):
     return np.floor(np.where(affected, alt, base)).astype(np.int64)
 
 
+def _extra_permissions(rng, k_mal, k_good, mal_pool, good_pool) -> np.ndarray:
+    """Each app's extra permissions, app after app: what
+    `rng.choice(mal_pool, k_mal[i], replace=False)` and then
+    `rng.choice(good_pool, k_good[i], replace=False)` pick for app i, each
+    call made only for a nonzero size, and each call's picks in Floyd's
+    order rather than shuffled.
+
+    One array draw takes exactly the bounded integers those calls take, in
+    their order: per call of size k on a pool of size pop, Floyd's k draws
+    in [0, j] for j = pop - k ... pop - 1, then the k - 1 draws of numpy's
+    post-shuffle, in [0, j] for j = k - 1 ... 1, whose values go unused.
+    Floyd's rule then keeps each draw unless an earlier position of the same
+    call picked it, in which case that position picks its bound j."""
+    sizes = np.column_stack([k_mal, k_good]).ravel()
+    pools = np.tile([len(mal_pool), len(good_pool)], len(k_mal))
+    # numpy draws by Floyd's algorithm only for a pool of at most 10,000 or
+    # k <= pool // 50; past that it shuffles the pool, which is not copied here.
+    if ((pools > 10_000) & (sizes > pools // 50)).any():
+        raise GenerationError("a permission sample leaves the range numpy draws by Floyd's algorithm")
+    offsets = np.repeat(np.tile([0, len(mal_pool)], len(k_mal)), sizes)
+    sizes, pools = sizes[sizes > 0], pools[sizes > 0]
+    lens = 2 * sizes - 1  # each call's draws: k by Floyd, k - 1 by the shuffle
+    start = np.cumsum(lens) - lens
+    at = np.arange(lens.sum())
+    floyd = np.repeat(start + sizes, lens) > at
+    bounds = np.where(
+        floyd, np.repeat(pools - sizes - start, lens) + at, np.repeat(lens + start, lens) - at
+    )
+    picked, bounds = rng.integers(0, bounds + 1)[floyd], bounds[floyd]
+    first = np.cumsum(sizes) - sizes  # each call's first position in `picked`
+    for t in range(1, int(sizes.max(initial=0))):
+        pos = first[sizes > t] + t
+        seen = (picked[pos[:, None] - np.arange(1, t + 1)] == picked[pos, None]).any(axis=1)
+        picked[pos[seen]] = bounds[pos[seen]]
+    return np.concatenate([mal_pool, good_pool])[picked + offsets]
+
+
 def generate_synthetic(config: GeneratorConfig, seed: int) -> Corpus:
     """Deterministically generate a corpus with configurable planted signals,
     built from the drawn columns.
@@ -914,10 +945,8 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Corpus:
     stars = np.arange(1, 6, dtype=float)
     weights = np.exp(-0.5 * ((stars[None, :] - quality[:, None]) / 0.9) ** 2)
     weights /= weights.sum(axis=1, keepdims=True)
-    star_votes = np.zeros((n, 5), dtype=np.int64)
-    for i in range(n):
-        if total_votes[i] > 0:
-            star_votes[i] = rng.multinomial(total_votes[i], weights[i])
+    # A row of zero votes draws nothing, as a call per nonzero row would.
+    star_votes = rng.multinomial(total_votes, weights)
 
     # Permissions: a handful of near-universal entries plus extras whose
     # identity (not count) is tilted toward a malware-leaning vocabulary slice.
@@ -936,28 +965,31 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Corpus:
     cap = min(len(mal_pool), len(good_pool)) - 1
     n_extra = np.minimum(rng.poisson(7.0, n), cap)
     k_mal = rng.binomial(n_extra, q)
-    extras = []
-    for km, kg in zip(k_mal.tolist(), (n_extra - k_mal).tolist()):
-        if km:
-            extras.append(rng.choice(mal_pool, km, replace=False))
-        if kg:
-            extras.append(rng.choice(good_pool, kg, replace=False))
-    # Each app's permission names, sorted within the app.
-    vocab = np.array([f"perm.{i:04d}" for i in range(config.permission_vocabulary_size)])
+    # Exact within Floyd's range only: a sample size, at most a Poisson(7)
+    # draw, would have to pass 200 to leave it (probability below 1e-200).
+    extras = _extra_permissions(rng, k_mal, n_extra - k_mal, mal_pool, good_pool)
+    # Each app's permission names in sorted order: the distinct keys (row,
+    # the name's rank among the sorted names), sorted.
+    vocab = np.array([f"perm.{i:04d}" for i in range(config.permission_vocabulary_size)], dtype=object)
+    by_name = np.argsort(vocab)
     base_rows, base_perms = np.nonzero(base_mask)
-    rows = np.concatenate([base_rows, np.repeat(np.arange(n), n_extra)])
-    names = vocab[np.concatenate([base_perms, *extras])]
-    names = names[np.lexsort((names, rows))]
+    keys = np.concatenate([base_rows, np.repeat(np.arange(n), n_extra)]) * len(vocab)
+    keys += np.argsort(by_name)[np.concatenate([base_perms, extras])]
+    keys.sort()
+    names = vocab[by_name][keys % len(vocab)]
 
-    developers = [f"dev.{d:05d}" for d in dev_idx.tolist()]
+    # Each developer and issuer name formatted once.
+    devs, dev_at = np.unique(dev_idx, return_inverse=True)
+    issuers, iss_at = np.unique(iss_idx, return_inverse=True)
+    dev_names = np.array([f"dev.{d:05d}" for d in devs.tolist()], dtype=object)[dev_at]
+    iss_names = np.array([f"iss.{i:05d}" for i in issuers.tolist()], dtype=object)[iss_at]
     builder = _CorpusBuilder()
     builder.add_columns(
         [f"app.{i:07d}" for i in range(n)],
         [f"com.d{d}.app{i}" for i, d in enumerate(dev_idx.tolist())],
-        developers,
-        [dev if own else f"iss.{i:05d}"
-         for dev, own, i in zip(developers, self_signed.tolist(), iss_idx.tolist())],
-        np.bincount(rows, minlength=n),
+        dev_names.tolist(),
+        np.where(self_signed, dev_names, iss_names).tolist(),
+        base_mask.sum(axis=1) + n_extra,
         names.tolist(),
         np.column_stack([
             size_bytes, num_files, num_images, version, age, last_upd, last_sig, creation,

@@ -11,6 +11,7 @@ import pytest
 import metatriage.corpus
 from metatriage.corpus import (
     _INT_FIELDS,
+    _extra_permissions,
     FIELD_ORDER,
     MAX_INT,
     AppRecord,
@@ -27,7 +28,6 @@ from metatriage.corpus import (
     label_dataset,
     parse_records,
     record_from_dict,
-    record_to_dict,
     write_corpus,
     load_corpus,
     _canonical_lines,
@@ -64,6 +64,14 @@ def make_record(**overrides) -> AppRecord:
     )
     base.update(overrides)
     return AppRecord(**base)
+
+
+def record_to_dict(record: AppRecord) -> dict:
+    """A record as its canonical JSON mapping: keys in `FIELD_ORDER`,
+    permissions sorted, star votes as a list."""
+    out = {name: getattr(record, name) for name in FIELD_ORDER}
+    out.update(permissions=sorted(record.permissions), star_votes=list(record.star_votes))
+    return out
 
 
 def row_of(record: AppRecord) -> tuple:
@@ -678,6 +686,19 @@ class TestGenerator:
             assert write_corpus(corpus, str(path)) == jsonl
             assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
+    @pytest.mark.parametrize("n_apps,digest", [
+        (12000, "5b37cec61231867deed04439e17e864dafe43f67192b540a2ab11c608217a163"),
+        (30000, "f09a651b252c83838f51bc0bc9e7f5861f18196273e230bde2c31e393c91f0cf"),
+    ])
+    def test_benchmark_recipe_corpora_are_pinned(self, n_apps, digest):
+        # perfbench's corpora: `generate --seed 1 --n-apps N --n-developers 60
+        # --n-issuers 40 --s-temporal 0.4`.
+        config = GeneratorConfig(
+            n_apps=n_apps, n_developers=60, n_issuers=40,
+            signal_strengths=SignalStrengths(temporal=0.4),
+        )
+        assert corpus_digest(generate_synthetic(config, seed=1)) == digest
+
     def test_generation_makes_no_record(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the generator made an AppRecord")
@@ -805,3 +826,109 @@ class TestGenerator:
     def test_self_signed_apps_share_issuer_and_developer(self, small_corpus):
         shared = sum(1 for r in small_corpus if r.issuer_id == r.developer_id)
         assert 0.25 < shared / len(small_corpus) < 0.45
+
+
+def reference_extras(rng, k_mal, k_good, mal_pool, good_pool) -> np.ndarray:
+    """The generator's permission draw as it was, one `rng.choice` per
+    nonzero pool size, app by app and the malicious pool first; the picks
+    as one array."""
+    extras = [np.zeros(0, dtype=np.int64)]
+    for km, kg in zip(k_mal.tolist(), k_good.tolist()):
+        if km:
+            extras.append(rng.choice(mal_pool, km, replace=False))
+        if kg:
+            extras.append(rng.choice(good_pool, kg, replace=False))
+    return np.concatenate(extras)
+
+
+def reference_star_votes(rng, total_votes, weights) -> np.ndarray:
+    """The generator's star-vote draw as it was, one `rng.multinomial` per
+    row with a vote."""
+    n = len(total_votes)
+    star_votes = np.zeros((n, 5), dtype=np.int64)
+    for i in range(n):
+        if total_votes[i] > 0:
+            star_votes[i] = rng.multinomial(total_votes[i], weights[i])
+    return star_votes
+
+
+def extra_sizes(n_apps: int, vocabulary: int, malware: bool, seed: int = 0):
+    """(k_mal, k_good, mal_pool, good_pool) as the generator makes them, for
+    apps all malicious or all benign at permission strength 0.5."""
+    pool = np.arange(5, vocabulary)
+    n_tilted = max(1, round(0.3 * len(pool)))
+    mal_pool, good_pool = pool[:n_tilted], pool[n_tilted:]
+    q_base = n_tilted / len(pool)
+    rng = np.random.default_rng(seed)
+    n_extra = np.minimum(rng.poisson(7.0, n_apps), min(len(mal_pool), len(good_pool)) - 1)
+    k_mal = rng.binomial(n_extra, q_base + 0.5 * (1 - q_base) if malware else q_base * 0.5)
+    return k_mal, n_extra - k_mal, mal_pool, good_pool
+
+
+def per_app(flat, k_mal, k_good) -> list:
+    """Each app's picks as a set."""
+    return [set(app.tolist()) for app in np.split(flat, np.cumsum(k_mal + k_good)[:-1])]
+
+
+class TestArrayDraws:
+    """The generator's two array draws against the per-app loops they
+    replace: the same picks, and the same random stream consumed."""
+
+    def check_extras(self, rng, k_mal, k_good, mal_pool, good_pool):
+        oracle = np.random.default_rng()
+        oracle.bit_generator.state = rng.bit_generator.state
+        want = reference_extras(oracle, k_mal, k_good, mal_pool, good_pool)
+        got = _extra_permissions(rng, k_mal, k_good, mal_pool, good_pool)
+        assert per_app(got, k_mal, k_good) == per_app(want, k_mal, k_good)
+        # Equal states: the post-shuffle draws, whose values go unused, are taken too.
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("malware", [False, True])
+    @pytest.mark.parametrize("n_apps", [1, 50, 3000])
+    @pytest.mark.parametrize("vocabulary", [10, 40, 800, 12_000, 100_000])
+    def test_extras_match_a_choice_per_app(self, vocabulary, n_apps, malware):
+        # 40 names leave pools of 10 and 25, so many draws repeat within a
+        # call; 100,000 leaves both pools above 10,000.
+        sizes = extra_sizes(n_apps, vocabulary, malware, seed=vocabulary + n_apps)
+        self.check_extras(np.random.default_rng(n_apps), *sizes)
+
+    def test_extras_after_a_buffered_half_word(self):
+        rng = np.random.default_rng(3)
+        rng.integers(0, 5)  # leaves half of a 64-bit draw buffered
+        assert rng.bit_generator.state["has_uint32"]
+        self.check_extras(rng, *extra_sizes(50, 800, True))
+
+    def test_no_extras_draw_nothing(self):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        zeros = np.zeros(20, dtype=np.int64)
+        self.check_extras(rng, zeros, zeros, np.arange(5, 10), np.arange(10, 40))
+        assert rng.bit_generator.state == before
+
+    def test_samples_past_floyds_range_are_refused(self):
+        # numpy shuffles the whole pool for 241 of 12,000, which the array draw does not copy.
+        with pytest.raises(GenerationError, match="Floyd"):
+            _extra_permissions(np.random.default_rng(0), np.array([241]), np.array([1]),
+                               np.arange(12_000), np.arange(12_000, 12_010))
+        _extra_permissions(np.random.default_rng(0), np.array([240]), np.array([1]),
+                           np.arange(12_000), np.arange(12_000, 12_010))
+
+    @pytest.mark.parametrize("n", [1, 50, 3000])
+    def test_star_votes_match_a_multinomial_per_row(self, n):
+        # The generator's `rng.multinomial(total_votes, weights)`: rows of
+        # zero votes (about a tenth here) draw nothing.
+        rng = np.random.default_rng(n)
+        total_votes = np.floor(rng.lognormal(2.8, 1.6, n)).astype(np.int64)
+        total_votes[rng.random(n) < 0.1] = 0
+        weights = rng.dirichlet(np.ones(5), n)
+        oracle = np.random.default_rng()
+        oracle.bit_generator.state = rng.bit_generator.state
+        want = reference_star_votes(oracle, total_votes, weights)
+        np.testing.assert_array_equal(rng.multinomial(total_votes, weights), want)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_generator_matches_the_per_app_loop(self, monkeypatch):
+        configs = [GeneratorConfig(n_apps=400, permission_vocabulary_size=v) for v in (40, 12_000)]
+        want = [corpus_digest(generate_synthetic(c, seed=2)) for c in configs]
+        monkeypatch.setattr(metatriage.corpus, "_extra_permissions", reference_extras)
+        assert [corpus_digest(generate_synthetic(c, seed=2)) for c in configs] == want

@@ -14,7 +14,8 @@ import random
 import pytest
 
 from metatriage.cli import main
-from metatriage.corpus import GeneratorConfig, generate_synthetic, record_to_dict
+from metatriage.corpus import GeneratorConfig, generate_synthetic
+from test_corpus import record_to_dict
 
 CASES = 30
 EDGES = (0, 10**15, 2**53 - 1)

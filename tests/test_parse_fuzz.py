@@ -38,9 +38,9 @@ from metatriage.corpus import (
     load_corpus,
     parse_records,
     record_from_dict,
-    record_to_dict,
     write_corpus,
 )
+from test_corpus import record_to_dict
 
 CASES = 500
 N_RECORDS = 24
