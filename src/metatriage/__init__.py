@@ -1,5 +1,15 @@
 """Metadata-driven app triage: features, models, and benchmark experiments."""
 
+import os
+
+# One BLAS thread per process, set before anything imports numpy: the work
+# is small matrix products, an idle BLAS worker spins on a core, and
+# `--threads` already runs experiments in worker processes. A value the
+# caller has set wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 __version__ = "0.1.0"
 
 from .corpus import (

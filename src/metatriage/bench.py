@@ -208,7 +208,9 @@ def _map_ordered(tasks: Sequence, fn: Callable, threads: int) -> list:
     be a closure and keeps the tasks' data unpickled; where the platform
     has no `fork`, the tasks run serially. An exception raised by `fn`
     reaches the caller; a worker that dies raises `MetatriageError`; and
-    the workers exit if the caller is killed.
+    the workers exit if the caller is killed. Each worker inherits the one
+    BLAS thread that importing the package sets (README, "Threads"), so N
+    workers keep to about N cores.
     """
     if threads <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]

@@ -24,18 +24,19 @@ The forest grows all of its trees together, one depth level per pass, over
 value codes: each value's rank among its column's distinct values, found by
 one sort per column and held as int16 up to 32,767 rows (`_ValueCodes`; a
 caller that already holds them, as ranking does, passes them in). Each
-bootstrap sample is a count per distinct row, and a level's split searches
-are bincounts over (node, tried column, code) keys, a bounded run of nodes
-at a time. Splits stay exact, with thresholds midway between adjacent
-distinct values present in the node. Nodes are numbered breadth-first
-within each tree.
+bootstrap sample is a count per distinct row, the columns a node tries
+come from keys each tree draws ahead (`_ColumnDraws`), and a level's split
+searches are bincounts over (node, tried column, code) keys, a bounded run
+of nodes, or of one node's tried columns, at a time. Splits stay exact,
+with thresholds midway between adjacent distinct values present in the
+node. Nodes are numbered breadth-first within each tree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -393,10 +394,18 @@ class Tree:
 
 
 # At most this many (row, tried column) pairs plus code positions go into one
-# split search; a level with more is searched a run of its nodes at a time.
-# Each search holds a few int64 and float64 arrays of this length.
+# split search. A level with more is searched a run of its nodes at a time,
+# and a node with more a run of its tried columns at a time, so only one
+# tried column of one node (its rows plus its column's distinct values) can
+# pass it. Each search holds a few int64 and float64 arrays of this length.
 _SEARCH_CHUNK = 1 << 18
 _NO_SPLITS = (np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),) * 2
+# A search counts a position's positives in the same bincount as its rows, as
+# multiples of this; the counts stay exact while a fit has fewer rows.
+_LABEL_SHIFT = 1 << 26
+# The tried-column keys drawn ahead for all trees, and each block of a
+# level's keys, take at most this many bytes.
+_DRAW_BYTES = 1 << 18
 # Columns are sorted in contiguous copies of about this many values.
 _CODE_BLOCK = 1 << 17
 
@@ -448,61 +457,74 @@ def _best_splits(
 
     Node s holds `rows[starts[s]:starts[s + 1]]`, each counted `weights`
     times, `n_node[s]` rows in all and `m_node[s]` with y = 1, and tries the
-    columns `tried[s]`. One bincount over (node, tried column, code) keys
-    counts the rows and positives at each value present; prefix sums over
-    them give the left side of every boundary. The cost minimized is
-    sum_child m_c*(n_c-m_c)/n_c, which orders splits identically to
-    weighted Gini decrease; ties break toward the earlier tried column,
-    then the smaller left side.
+    columns `tried[s]`. Each (node, tried column) group spans the codes of
+    its column or, where positions would outnumber (row, tried column)
+    pairs, only the codes from the least to the greatest its rows hold. One
+    bincount over (group, code) keys counts the rows and positives at each
+    position; prefix sums that restart at each group give the left side of
+    every boundary. The cost minimized is sum_child m_c*(n_c-m_c)/n_c, which
+    orders splits identically to weighted Gini decrease; ties break toward
+    the earlier tried column, then the smaller left side.
 
-    Returns, for each node with a valid split: its index, the column, the
-    code of the last value that goes left, the threshold (the midpoint of
-    the two adjacent values present) and the cost.
+    Returns, for each node with a valid split, in node order: its index, the
+    column, the code of the last value that goes left, the threshold (the
+    midpoint of the two adjacent values present) and the cost. Each node's
+    weights must sum to less than `_LABEL_SHIFT`.
     """
     S, mtry = tried.shape
     sizes = np.diff(starts)
-    width = (vc.offsets[tried + 1] - vc.offsets[tried]).ravel()
-    group_start = np.cumsum(width) - width
-    n_keys = int(width.sum())
-    at = np.repeat(tried * vc.codes.shape[1], sizes, axis=0)
-    at += rows[:, None]
-    key = np.repeat(group_start.reshape(S, mtry), sizes, axis=0)
-    key += vc.codes.ravel()[at]
-    del at
-    key += y[rows][:, None] * n_keys  # positives count in a second run of slots
-    counts = np.bincount(key.ravel(), weights=np.repeat(weights, mtry), minlength=2 * n_keys)
+    # A row's pairs are adjacent, so one bincount's adds go to different
+    # groups: a column with few values would otherwise chain its adds.
+    if S == 1:  # a copy of the tried columns, then one gather of its rows
+        code = np.take(vc.codes[tried[0]], rows, axis=1).T
+    else:
+        at = np.repeat(tried * vc.codes.shape[1], sizes, axis=0)
+        at += rows[:, None]
+        code = vc.codes.ravel()[at]
+        del at
+    lo = 0
+    width = vc.offsets[tried + 1] - vc.offsets[tried]
+    if width.sum() > code.size:
+        lo = np.minimum.reduceat(code, starts[:-1]).astype(np.int64)
+        width = np.maximum.reduceat(code, starts[:-1]) - lo + 1
+    group_start = (np.cumsum(width) - width.ravel()).reshape(S, mtry)
+    base = group_start - lo  # key = code + base of its group
+    key = np.repeat(base, sizes, axis=0)
+    key += code
+    del code
+    counts = np.bincount(
+        key.ravel(), weights=np.repeat(weights * (1 + y[rows] * _LABEL_SHIFT), mtry),
+        minlength=int(width.sum()),
+    )
     del key  # the search's largest arrays; what follows is per position
-    n_at = counts[:n_keys] + counts[n_keys:]
-    present = np.flatnonzero(n_at)
-    n_at, m_at = n_at[present], counts[n_keys + present]
-    group = np.searchsorted(group_start, present, side="right") - 1
-    first = np.diff(group, prepend=-1) != 0
-    # Prefix sums that restart at each group's first present value.
-    head = np.maximum.accumulate(np.where(first, np.arange(len(present)), 0))
+    present = np.flatnonzero(counts > 0)  # of a mask: several times faster
+    counts = counts[present]
+    m_at = np.floor(counts / _LABEL_SHIFT)
+    n_at = counts - m_at * _LABEL_SHIFT
+    heads = np.searchsorted(present, group_start.ravel())  # no group is empty
+    size = np.diff(heads, append=len(present))
     nl, ml = np.cumsum(n_at), np.cumsum(m_at)
-    nl -= (nl - n_at)[head]
-    ml -= (ml - m_at)[head]
-    # A boundary follows every present value but the last of its group.
-    b = np.flatnonzero(~first[1:])
-    node = group[b] // mtry
-    nl, ml = nl[b], ml[b]
-    valid = (nl >= min_leaf) & (n_node[node] - nl >= min_leaf)
-    b, node, nl, ml = b[valid], node[valid], nl[valid], ml[valid]
-    if len(b) == 0:
-        return _NO_SPLITS
-    nr = n_node[node] - nl
-    mr = m_node[node] - ml
-    cost = ml * (nl - ml) / nl + mr * (nr - mr) / nr
-    # Boundaries come in node order, so each node's first minimum wins.
-    new_node = np.r_[True, node[1:] != node[:-1]]
-    node_min = np.minimum.reduceat(cost, np.flatnonzero(new_node))
-    at_min = np.flatnonzero(cost == node_min[np.cumsum(new_node) - 1])
-    win = at_min[np.r_[True, node[at_min[1:]] != node[at_min[:-1]]]]
-    b, node = b[win], node[win]
-    feature = tried[node, group[b] % mtry]
-    shift = vc.offsets[feature] - group_start[group[b]]  # position + shift = value index
-    lo, hi = vc.values[present[b] + shift], vc.values[present[b + 1] + shift]
-    return node, feature, present[b] + shift - vc.offsets[feature], (lo + hi) / 2.0, cost[win]
+    nl -= np.repeat((nl - n_at)[heads], size)
+    ml -= np.repeat((ml - m_at)[heads], size)
+    # A group's last position has every row on its left, so it fails min_leaf.
+    node = np.repeat(np.arange(S), size.reshape(S, mtry).sum(axis=1))
+    nr, mr = n_node[node] - nl, m_node[node] - ml
+    b = np.flatnonzero((nl >= min_leaf) & (nr >= min_leaf))
+    nl, ml, nr, mr = nl[b], ml[b], nr[b], mr[b]
+    cost = np.full(len(present), np.inf)
+    cost[b] = ml * (nl - ml) / nl + mr * (nr - mr) / nr
+    group_min = np.minimum.reduceat(cost, heads)
+    slot = np.argmin(group_min.reshape(S, mtry), axis=1)  # the first tried column at the minimum
+    g = np.arange(S) * mtry + slot
+    node = np.flatnonzero(group_min[g] < np.inf)
+    g = g[node]
+    at_min = np.flatnonzero(cost == np.repeat(group_min, size))
+    b = at_min[np.searchsorted(at_min, heads[g])]  # the smallest left side at the minimum
+    feature = tried[node, slot[node]]
+    last = present[b] - base.ravel()[g]
+    value = vc.offsets[feature] + last
+    threshold = (vc.values[value] + vc.values[value + present[b + 1] - present[b]]) / 2.0
+    return node, feature, last, threshold, group_min[g]
 
 
 def best_split(
@@ -526,6 +548,65 @@ def best_split(
     if len(node) == 0:
         return None
     return int(features[local[0]]), float(threshold[0]), float(cost[0])
+
+
+def _runs(load: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive runs [a, b) of items whose loads sum to at most
+    `_SEARCH_CHUNK`, or of one item that alone passes it."""
+    ends = np.cumsum(load)
+    a = 0
+    while a < len(load):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - load[a] + _SEARCH_CHUNK, "right")))
+        yield a, b
+        a = b
+
+
+class _ColumnDraws:
+    """The columns each node of a forest tries.
+
+    The nodes of tree t, in node order, take consecutive rows of p uniform
+    keys from `rngs[t]`, and a node tries the columns of its `mtry` smallest
+    keys, in column order; every column when `mtry` is p. A Generator gives
+    the same doubles however its draws are split, so keys are drawn ahead,
+    `_DRAW_BYTES` at most for all trees: a level calls a tree's generator
+    only when its drawn keys run out.
+    """
+
+    def __init__(self, rngs: list, p: int, mtry: int):
+        self.rngs, self.p, self.mtry = rngs, p, mtry
+        depth = max(1, _DRAW_BYTES // (8 * p * len(rngs)))
+        self.ahead = np.array([rng.random((depth, p)) for rng in rngs]) if mtry < p else None
+        self.used = np.zeros(len(rngs), dtype=np.int64)
+
+    def tried(self, tree: np.ndarray) -> np.ndarray:
+        """The tried columns, shape (len(tree), mtry), of nodes of the given
+        nondecreasing trees: one argpartition per block of nodes."""
+        if self.mtry == self.p:
+            return np.tile(np.arange(self.p), (len(tree), 1))
+        out = np.empty((len(tree), self.mtry), dtype=np.int64)
+        block = max(1, _DRAW_BYTES // (8 * self.p))
+        for lo in range(0, len(tree), block):
+            keys = self._keys(tree[lo : lo + block])
+            out[lo : lo + block] = np.sort(
+                np.argpartition(keys, self.mtry - 1, axis=1)[:, : self.mtry], axis=1
+            )
+        return out
+
+    def _keys(self, tree: np.ndarray) -> np.ndarray:
+        depth = self.ahead.shape[1]
+        take = np.bincount(tree, minlength=len(self.rngs))
+        start = np.cumsum(take) - take
+        at = self.used[tree] + np.arange(len(tree)) - start[tree]
+        keys = self.ahead[tree, np.minimum(at, depth - 1)]
+        # A tree whose drawn keys run out draws the rest, and as many ahead.
+        drawn = self.used + take <= depth
+        for t in np.flatnonzero(~drawn):
+            lo, short = start[t] + depth - self.used[t], self.used[t] + take[t] - depth
+            fresh = self.rngs[t].random((short + depth, self.p))
+            keys[lo : lo + short] = fresh[:short]
+            self.ahead[t] = fresh[short:]
+        self.used = np.where(drawn, self.used + take, 0)
+        return keys
 
 
 @dataclass
@@ -560,6 +641,8 @@ def train_forest(
     n, p = X.n_rows, X.n_columns
     if params.mtry > p:
         raise ContractError(f"mtry {params.mtry} exceeds feature count {p}")
+    if n >= _LABEL_SHIFT:
+        raise ContractError(f"a forest fits fewer than {_LABEL_SHIFT} rows, got {n}")
     mtry = min(params.mtry or math.ceil(math.sqrt(p)), p)
     vc = _ValueCodes.of(X.values) if codes is None else codes
     if vc.codes.shape != (p, n):
@@ -567,13 +650,19 @@ def train_forest(
     seed = params.seed & 0xFFFFFFFFFFFFFFFF
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0xF0BE57, t]))
             for t in range(params.n_trees)]
-    counts = np.array([np.bincount(rng.integers(0, n, n), minlength=n) for rng in rngs])
+    # Tree t's bootstrap sample, as a count per row at t * n + row.
+    counts = np.concatenate([rng.integers(0, n, n) for rng in rngs])
+    counts.reshape(params.n_trees, n)[:] += np.arange(0, params.n_trees * n, n)[:, None]
+    counts = np.bincount(counts, minlength=params.n_trees * n)
+    draws = _ColumnDraws(rngs, p, mtry)
     # The frontier holds one depth's nodes, ordered by tree, then node id.
     # Each distinct row of a node is an entry (front, rows, weights), with
     # entries sorted by their node.
-    front, rows = np.nonzero(counts)
-    weights = counts[front, rows].astype(np.float64)
+    rows = np.flatnonzero(counts > 0)
+    weights = counts[rows].astype(np.float64)
     del counts  # n_trees x n int64; the entries hold what the fit needs
+    front = rows // n
+    rows -= front * n
     f_tree = np.arange(params.n_trees)
     n_nodes = np.ones(params.n_trees, dtype=np.int64)
     importances = np.zeros((params.n_trees, p))
@@ -586,31 +675,31 @@ def train_forest(
         if params.max_depth is not None and len(levels) >= params.max_depth:
             grow[:] = False
         cand = np.flatnonzero(grow)
-        # Each tree draws the columns its growable nodes try, in node order.
-        tried = np.tile(np.arange(mtry), (len(cand), 1))  # every column if mtry == p
-        if mtry < p:
-            bounds = np.searchsorted(f_tree[cand], np.arange(params.n_trees + 1))
-            for t in np.flatnonzero(np.diff(bounds)):
-                keys = rngs[t].random((bounds[t + 1] - bounds[t], p))
-                tried[bounds[t] : bounds[t + 1]] = np.sort(
-                    np.argpartition(keys, mtry - 1, axis=1)[:, :mtry], axis=1
-                )
+        tried = draws.tried(f_tree[cand])
 
         keep = grow[front]
-        rows, weights, front = rows[keep], weights[keep], front[keep]
+        # The entry arrays are replaced one at a time, so one copy is alive at once.
+        rows = rows[keep]
+        weights = weights[keep]
+        front = front[keep]
         starts = np.searchsorted(front, np.append(cand, F))
-        load = np.diff(starts) * mtry + (vc.offsets[tried + 1] - vc.offsets[tried]).sum(axis=1)
-        ends = np.cumsum(load)
-        found, a = [_NO_SPLITS], 0
-        while a < len(cand):
-            b = max(a + 1, int(np.searchsorted(ends, ends[a] - load[a] + _SEARCH_CHUNK, "right")))
+        sizes = np.diff(starts)
+        width = vc.offsets[tried + 1] - vc.offsets[tried]
+        load = sizes * mtry + width.sum(axis=1)
+        found = [_NO_SPLITS]
+        for a, b in _runs(load):
             lo, hi = starts[a], starts[b]
-            node, *split = _best_splits(
-                vc, y01, rows[lo:hi], weights[lo:hi], starts[a : b + 1] - lo,
-                tried[a:b], n_node[cand[a:b]], m_node[cand[a:b]], params.min_leaf,
-            )
+            # A node that alone passes the cap is searched a run of its
+            # tried columns at a time; a tie keeps the earlier column.
+            node, *split = _NO_SPLITS
+            for c, d in _runs(sizes[a] + width[a]) if load[a] > _SEARCH_CHUNK else [(0, mtry)]:
+                got = _best_splits(
+                    vc, y01, rows[lo:hi], weights[lo:hi], starts[a : b + 1] - lo,
+                    tried[a:b, c:d], n_node[cand[a:b]], m_node[cand[a:b]], params.min_leaf,
+                )
+                if len(got[0]) and not (len(node) and split[3][0] <= got[4][0]):
+                    node, *split = got
             found.append((cand[a + node], *split))
-            a = b
         split, feat, last, thr, cost = (np.concatenate(f) for f in zip(*found))
         m, nn = m_node[split], n_node[split]
         decrease = 2.0 * (m * (nn - m) / nn - cost) / n
@@ -631,19 +720,31 @@ def train_forest(
         # its code is past the split's last left code.
         child[split] = 2 * np.arange(len(split))
         routed = child[front] >= 0
-        rows, weights, front = rows[routed], weights[routed], front[routed]
-        front = child[front] + (vc.codes[feature[front], rows] > last_left[front])
+        rows = rows[routed]
+        weights = weights[routed]
+        front = front[routed]
+        at = feature[front]
+        at *= n
+        at += rows
+        goes_right = vc.codes.ravel()[at] > last_left[front]
+        del at
+        front = child[front] + goes_right
+        del goes_right
         order = np.argsort(front, kind="stable")
-        rows, weights, front = rows[order], weights[order], front[order]
+        rows = rows[order]
+        weights = weights[order]
+        front = front[order]
         del order  # entry-sized, like rows; not kept through the next search
         f_tree = np.repeat(st, 2)
 
     # Within a tree, nodes were made in breadth-first id order.
     tree_of, *arrays = (np.concatenate(parts) for parts in zip(*levels))
-    by_tree = np.split(np.argsort(tree_of, kind="stable"), np.cumsum(n_nodes)[:-1])
+    order = np.argsort(tree_of, kind="stable")
+    arrays = [a[order] for a in arrays]
+    ends = np.cumsum(n_nodes).tolist()
     return ForestModel(
         kind="forest",
-        trees=[Tree(*(a[ids] for a in arrays)) for ids in by_tree],
+        trees=[Tree(*(a[e - k : e] for a in arrays)) for k, e in zip(n_nodes.tolist(), ends)],
         column_names=X.column_names,
         importances=importances.sum(axis=0) / params.n_trees,
     )
@@ -653,20 +754,27 @@ def _tree_scores(trees: list[Tree], A: np.ndarray) -> np.ndarray:
     """The leaf value of every row in every tree, shape (trees, rows). The
     trees are stacked with node offsets and all (tree, row) pairs are
     routed together, one depth per step."""
-    offsets = np.cumsum([0] + [t.n_nodes for t in trees[:-1]])
+    sizes = [t.n_nodes for t in trees]
+    offsets = np.cumsum([0] + sizes[:-1])
     feature = np.concatenate([t.feature for t in trees])
     threshold = np.concatenate([t.threshold for t in trees])
-    left = np.concatenate([t.left + o for t, o in zip(trees, offsets)])
-    right = np.concatenate([t.right + o for t, o in zip(trees, offsets)])
-    node = np.repeat(offsets, len(A))
-    row = np.tile(np.arange(len(A)), len(trees))
+    # A row at node k moves to child[k, 0] when A[row, feature[k]] <= threshold[k], else child[k, 1].
+    child = np.empty((len(feature), 2), dtype=np.int64)
+    child[:, 0] = np.concatenate([t.left for t in trees])
+    child[:, 1] = np.concatenate([t.right for t in trees])
+    child += np.repeat(offsets, sizes)[:, None]
+    child = child.ravel()
+    n, p = A.shape
+    node = np.repeat(offsets, n)
+    at = np.tile(np.arange(0, n * p, p), len(trees))  # each pair's row in A.ravel()
+    flat = A.ravel()
     active = np.flatnonzero(feature[node] >= 0)
     while len(active):
         sub = node[active]
-        go_left = A[row[active], feature[sub]] <= threshold[sub]
-        node[active] = np.where(go_left, left[sub], right[sub])
-        active = active[feature[node[active]] >= 0]
-    return np.concatenate([t.value for t in trees])[node].reshape(len(trees), len(A))
+        sub = child[2 * sub + ~(flat[at[active] + feature[sub]] <= threshold[sub])]
+        node[active] = sub
+        active = active[feature[sub] >= 0]
+    return np.concatenate([t.value for t in trees])[node].reshape(len(trees), n)
 
 
 Model = Union[LinearModel, ForestModel]

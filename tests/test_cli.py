@@ -1161,3 +1161,36 @@ class TestFileBoundary:
             reason = "'utf-8' codec can't decode byte 0xff"
         argv = [a.format(path=path, corpus=corpus_path) for a in argv]
         self.refused(capsys, argv, f"cannot read {what} {path}: {reason}")
+
+
+class TestThreadPolicy:
+    """Importing the package pins BLAS to one thread per process, before
+    numpy loads, unless the caller has chosen a count."""
+
+    NAMES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    PROBE = (
+        "import json, os, metatriage; "
+        "print(json.dumps([len(os.listdir('/proc/self/task')), "
+        "[os.environ.get(k) for k in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')]]))"
+    )
+
+    def probe(self, **preset):
+        if not sys.platform.startswith("linux") or not os.path.isdir("/proc/self/task"):
+            pytest.skip("counts threads through /proc/self/task")
+        src = os.path.dirname(os.path.dirname(metatriage.__file__))
+        env = {k: v for k, v in os.environ.items() if k not in self.NAMES}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env.update(preset)
+        child = subprocess.run([sys.executable, "-c", self.PROBE], capture_output=True,
+                               text=True, env=env, timeout=60)
+        assert child.returncode == 0, child.stderr
+        return json.loads(child.stdout)
+
+    def test_import_leaves_one_thread(self):
+        threads, values = self.probe()
+        assert threads == 1
+        assert values == ["1", "1", "1"]
+
+    def test_a_preset_count_is_left_unchanged(self):
+        _, values = self.probe(OPENBLAS_NUM_THREADS="2")
+        assert values == ["2", "1", "1"]

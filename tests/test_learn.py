@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from metatriage.learn import (
     SvmParams,
     Tree,
     _best_splits,
+    _check_training_inputs,
     _ValueCodes,
     best_split,
     logistic_loss_grad,
@@ -452,6 +454,216 @@ class TestTrees:
         assert model.importances.shape == (2,)
         assert (model.importances >= 0).all()
         assert model.importances.sum() > 0
+
+
+# A simpler level-wise forest, kept as the oracle that `train_forest` must
+# match bit for bit: each tree draws its tried columns per level, and each
+# split search takes at least one whole node and all of its tried columns.
+REFERENCE_CHUNK = 1 << 18
+REFERENCE_NO_SPLITS = (np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),) * 2
+
+
+def reference_best_splits(
+    vc: _ValueCodes, y: np.ndarray, rows: np.ndarray, weights: np.ndarray, starts: np.ndarray,
+    tried: np.ndarray, n_node: np.ndarray, m_node: np.ndarray, min_leaf: int,
+) -> tuple[np.ndarray, ...]:
+    """The oracle split search: every group spans its column's codes, and
+    positives count in a second run of slots."""
+    S, mtry = tried.shape
+    sizes = np.diff(starts)
+    width = (vc.offsets[tried + 1] - vc.offsets[tried]).ravel()
+    group_start = np.cumsum(width) - width
+    n_keys = int(width.sum())
+    at = np.repeat(tried * vc.codes.shape[1], sizes, axis=0)
+    at += rows[:, None]
+    key = np.repeat(group_start.reshape(S, mtry), sizes, axis=0)
+    key += vc.codes.ravel()[at]
+    del at
+    key += y[rows][:, None] * n_keys  # positives count in a second run of slots
+    counts = np.bincount(key.ravel(), weights=np.repeat(weights, mtry), minlength=2 * n_keys)
+    del key  # the search's largest arrays; what follows is per position
+    n_at = counts[:n_keys] + counts[n_keys:]
+    present = np.flatnonzero(n_at)
+    n_at, m_at = n_at[present], counts[n_keys + present]
+    group = np.searchsorted(group_start, present, side="right") - 1
+    first = np.diff(group, prepend=-1) != 0
+    # Prefix sums that restart at each group's first present value.
+    head = np.maximum.accumulate(np.where(first, np.arange(len(present)), 0))
+    nl, ml = np.cumsum(n_at), np.cumsum(m_at)
+    nl -= (nl - n_at)[head]
+    ml -= (ml - m_at)[head]
+    # A boundary follows every present value but the last of its group.
+    b = np.flatnonzero(~first[1:])
+    node = group[b] // mtry
+    nl, ml = nl[b], ml[b]
+    valid = (nl >= min_leaf) & (n_node[node] - nl >= min_leaf)
+    b, node, nl, ml = b[valid], node[valid], nl[valid], ml[valid]
+    if len(b) == 0:
+        return REFERENCE_NO_SPLITS
+    nr = n_node[node] - nl
+    mr = m_node[node] - ml
+    cost = ml * (nl - ml) / nl + mr * (nr - mr) / nr
+    # Boundaries come in node order, so each node's first minimum wins.
+    new_node = np.r_[True, node[1:] != node[:-1]]
+    node_min = np.minimum.reduceat(cost, np.flatnonzero(new_node))
+    at_min = np.flatnonzero(cost == node_min[np.cumsum(new_node) - 1])
+    win = at_min[np.r_[True, node[at_min[1:]] != node[at_min[:-1]]]]
+    b, node = b[win], node[win]
+    feature = tried[node, group[b] % mtry]
+    shift = vc.offsets[feature] - group_start[group[b]]  # position + shift = value index
+    lo, hi = vc.values[present[b] + shift], vc.values[present[b + 1] + shift]
+    return node, feature, present[b] + shift - vc.offsets[feature], (lo + hi) / 2.0, cost[win]
+
+
+def reference_train_forest(X, y, params=ForestParams(), codes=None):
+    """The oracle forest: one draw per tree and level, and one search per
+    run of whole nodes."""
+    y01 = _check_training_inputs(X, y).astype(np.int64)
+    n, p = X.n_rows, X.n_columns
+    if params.mtry > p:
+        raise ContractError(f"mtry {params.mtry} exceeds feature count {p}")
+    mtry = min(params.mtry or math.ceil(math.sqrt(p)), p)
+    vc = _ValueCodes.of(X.values) if codes is None else codes
+    if vc.codes.shape != (p, n):
+        raise ContractError(f"value codes of shape {vc.codes.shape} for a {n} x {p} matrix")
+    seed = params.seed & 0xFFFFFFFFFFFFFFFF
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0xF0BE57, t]))
+            for t in range(params.n_trees)]
+    counts = np.array([np.bincount(rng.integers(0, n, n), minlength=n) for rng in rngs])
+    # The frontier holds one depth's nodes, ordered by tree, then node id.
+    # Each distinct row of a node is an entry (front, rows, weights), with
+    # entries sorted by their node.
+    front, rows = np.nonzero(counts)
+    weights = counts[front, rows].astype(np.float64)
+    del counts  # n_trees x n int64; the entries hold what the fit needs
+    f_tree = np.arange(params.n_trees)
+    n_nodes = np.ones(params.n_trees, dtype=np.int64)
+    importances = np.zeros((params.n_trees, p))
+    levels = []
+    while len(f_tree):
+        F = len(f_tree)
+        n_node = np.bincount(front, weights=weights, minlength=F)
+        m_node = np.bincount(front, weights=weights * y01[rows], minlength=F)
+        grow = (m_node > 0) & (m_node < n_node) & (n_node >= 2 * params.min_leaf)
+        if params.max_depth is not None and len(levels) >= params.max_depth:
+            grow[:] = False
+        cand = np.flatnonzero(grow)
+        # Each tree draws the columns its growable nodes try, in node order.
+        tried = np.tile(np.arange(mtry), (len(cand), 1))  # every column if mtry == p
+        if mtry < p:
+            bounds = np.searchsorted(f_tree[cand], np.arange(params.n_trees + 1))
+            for t in np.flatnonzero(np.diff(bounds)):
+                keys = rngs[t].random((bounds[t + 1] - bounds[t], p))
+                tried[bounds[t] : bounds[t + 1]] = np.sort(
+                    np.argpartition(keys, mtry - 1, axis=1)[:, :mtry], axis=1
+                )
+
+        keep = grow[front]
+        rows, weights, front = rows[keep], weights[keep], front[keep]
+        starts = np.searchsorted(front, np.append(cand, F))
+        load = np.diff(starts) * mtry + (vc.offsets[tried + 1] - vc.offsets[tried]).sum(axis=1)
+        ends = np.cumsum(load)
+        found, a = [REFERENCE_NO_SPLITS], 0
+        while a < len(cand):
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - load[a] + REFERENCE_CHUNK, "right")))
+            lo, hi = starts[a], starts[b]
+            node, *split = reference_best_splits(
+                vc, y01, rows[lo:hi], weights[lo:hi], starts[a : b + 1] - lo,
+                tried[a:b], n_node[cand[a:b]], m_node[cand[a:b]], params.min_leaf,
+            )
+            found.append((cand[a + node], *split))
+            a = b
+        split, feat, last, thr, cost = (np.concatenate(f) for f in zip(*found))
+        m, nn = m_node[split], n_node[split]
+        decrease = 2.0 * (m * (nn - m) / nn - cost) / n
+        ok = decrease > 0
+        split, feat, last, thr, decrease = (v[ok] for v in (split, feat, last, thr, decrease))
+
+        st = f_tree[split]
+        np.add.at(importances, (st, feat), decrease)
+        feature, last_left, child = (np.full(F, -1, dtype=np.int64) for _ in range(3))
+        threshold, left, right = np.zeros(F), feature.copy(), feature.copy()
+        feature[split], threshold[split], last_left[split] = feat, thr, last
+        left[split] = n_nodes[st] + 2 * (np.arange(len(st)) - np.searchsorted(st, st))
+        right[split] = left[split] + 1
+        n_nodes += 2 * np.bincount(st, minlength=params.n_trees)
+        levels.append((f_tree, feature, threshold, left, right, m_node / n_node))
+
+        # The next frontier is the children, in order; a row goes right when
+        # its code is past the split's last left code.
+        child[split] = 2 * np.arange(len(split))
+        routed = child[front] >= 0
+        rows, weights, front = rows[routed], weights[routed], front[routed]
+        front = child[front] + (vc.codes[feature[front], rows] > last_left[front])
+        order = np.argsort(front, kind="stable")
+        rows, weights, front = rows[order], weights[order], front[order]
+        del order  # entry-sized, like rows; not kept through the next search
+        f_tree = np.repeat(st, 2)
+
+    # Within a tree, nodes were made in breadth-first id order.
+    tree_of, *arrays = (np.concatenate(parts) for parts in zip(*levels))
+    by_tree = np.split(np.argsort(tree_of, kind="stable"), np.cumsum(n_nodes)[:-1])
+    return ForestModel(
+        kind="forest",
+        trees=[Tree(*(a[ids] for a in arrays)) for ids in by_tree],
+        column_names=X.column_names,
+        importances=importances.sum(axis=0) / params.n_trees,
+    )
+
+
+def oracle_matrix(n, p, seed):
+    """Constant, tied and one-value-per-row columns in turn, and labels
+    with both classes from two rows on."""
+    rng = np.random.default_rng(seed)
+    kinds = (
+        lambda: np.full(n, 2.5),
+        lambda: rng.integers(0, 4, n).astype(np.float64),
+        lambda: rng.permutation(n) / 7.0,
+    )
+    A = np.column_stack([kinds[(j + seed) % 3]() for j in range(p)])
+    y = rng.integers(0, 2, n)
+    y[:2] = [0, 1][:n]
+    return FeatureMatrix(tuple(f"c{j}" for j in range(p)), A), y
+
+
+def assert_same_forest(got, want):
+    assert_same_trees(got.trees, want.trees)
+    assert np.array_equal(got.importances, want.importances)
+
+
+class TestForestOracle:
+    @pytest.mark.parametrize("k,n,p", [
+        (4 * i + j, n, p) for i, n in enumerate((1, 2, 50, 400)) for j, p in enumerate((1, 3, 15, 120))
+    ])
+    def test_trees_and_importances_equal_the_oracle(self, k, n, p):
+        X, y = oracle_matrix(n, p, seed=k)
+        for m, mtry in enumerate((0, 1, p)):
+            params = ForestParams(
+                n_trees=(1, 7, 60)[k % 3], max_depth=(None, 1, 8)[(k + m) % 3],
+                min_leaf=(1, 20)[(k + m) % 2], mtry=mtry, seed=100 + k,
+            )
+            assert_same_forest(train_forest(X, y, params), reference_train_forest(X, y, params))
+
+    def test_search_cap_bounds_memory_and_changes_nothing(self, monkeypatch):
+        # The root holds about 1,900 distinct rows x 7 tried columns plus
+        # 7 x 3,000 code positions, past 2**14: below that cap it is
+        # searched a run of its tried columns at a time, and at 2**10 one
+        # column at a time.
+        X, y = oracle_matrix(3000, 40, seed=9)
+        params = ForestParams(n_trees=1, max_depth=3, seed=4)
+        codes = _ValueCodes.of(X.values)
+        want = reference_train_forest(X, y, params, codes)
+        peaks = []
+        for cap in (1 << 18, 1 << 14, 1 << 10):
+            monkeypatch.setattr(metatriage.learn, "_SEARCH_CHUNK", cap)
+            tracemalloc.start()
+            try:
+                got = train_forest(X, y, params, codes)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert_same_forest(got, want)
+        assert peaks[0] > peaks[1] > peaks[2]
 
 
 class TestValueCodes:
