@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ContractError, check_number_fields
 from .featurize import FeatureMatrix
@@ -472,7 +473,7 @@ def _best_splits(
     weights must sum to less than `_LABEL_SHIFT`.
     """
     S, mtry = tried.shape
-    sizes = np.diff(starts)
+    sizes = starts[1:] - starts[:-1]
     # A row's pairs are adjacent, so one bincount's adds go to different
     # groups: a column with few values would otherwise chain its adds.
     if S == 1:  # a copy of the tried columns, then one gather of its rows
@@ -506,13 +507,14 @@ def _best_splits(
     nl, ml = np.cumsum(n_at), np.cumsum(m_at)
     nl -= np.repeat((nl - n_at)[heads], size)
     ml -= np.repeat((ml - m_at)[heads], size)
-    # A group's last position has every row on its left, so it fails min_leaf.
-    node = np.repeat(np.arange(S), size.reshape(S, mtry).sum(axis=1))
-    nr, mr = n_node[node] - nl, m_node[node] - ml
-    b = np.flatnonzero((nl >= min_leaf) & (nr >= min_leaf))
-    nl, ml, nr, mr = nl[b], ml[b], nr[b], mr[b]
-    cost = np.full(len(present), np.inf)
-    cost[b] = ml * (nl - ml) / nl + mr * (nr - mr) / nr
+    per_node = size.reshape(S, mtry).sum(axis=1)
+    nr = np.repeat(n_node, per_node) - nl
+    mr = np.repeat(m_node, per_node) - ml
+    # A group's last position has every row on its left (0/0 on the right),
+    # so it fails min_leaf like every other invalid boundary.
+    with np.errstate(invalid="ignore"):
+        cost = ml * (nl - ml) / nl + mr * (nr - mr) / nr
+    cost[(nl < min_leaf) | (nr < min_leaf)] = np.inf
     group_min = np.minimum.reduceat(cost, heads)
     slot = np.argmin(group_min.reshape(S, mtry), axis=1)  # the first tried column at the minimum
     g = np.arange(S) * mtry + slot
@@ -550,6 +552,59 @@ def best_split(
     return int(features[local[0]]), float(threshold[0]), float(cost[0])
 
 
+class _Words(ISeedSequence):
+    """Seed words that `SeedSequence.generate_state(4, np.uint64)` gave."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _tree_generators(seed: int, n_trees: int) -> list:
+    """`np.random.default_rng(np.random.SeedSequence([seed, 0xF0BE57, t]))`
+    for each tree t, with the same streams. numpy fixes SeedSequence's
+    algorithm (a pool of four 32-bit words, mixed by two multiplicative
+    hashes); here it runs on every tree's entropy at once, where one
+    SeedSequence per tree cost more than its tree's bootstrap draw."""
+    t = np.arange(n_trees, dtype=np.uint32)
+    words = [seed & 0xFFFFFFFF]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & 0xFFFFFFFF)
+    entropy = [np.full(n_trees, w, dtype=np.uint32) for w in [*words, 0xF0BE57]] + [t]
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * 0x931E8875 & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        value = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return value ^ value >> np.uint32(16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(t)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((n_trees, 8), dtype=np.uint32)
+    const = 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * 0x58F38DED & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        state[:, i] = value ^ value >> np.uint32(16)
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_Words(w))) for w in state]
+
+
 def _runs(load: np.ndarray) -> Iterator[tuple[int, int]]:
     """Consecutive runs [a, b) of items whose loads sum to at most
     `_SEARCH_CHUNK`, or of one item that alone passes it."""
@@ -574,9 +629,10 @@ class _ColumnDraws:
 
     def __init__(self, rngs: list, p: int, mtry: int):
         self.rngs, self.p, self.mtry = rngs, p, mtry
-        depth = max(1, _DRAW_BYTES // (8 * p * len(rngs)))
-        self.ahead = np.array([rng.random((depth, p)) for rng in rngs]) if mtry < p else None
         self.used = np.zeros(len(rngs), dtype=np.int64)
+        if mtry < p:
+            depth = max(1, _DRAW_BYTES // (8 * p * len(rngs)))
+            self.ahead = np.array([rng.random((depth, p)) for rng in rngs])
 
     def tried(self, tree: np.ndarray) -> np.ndarray:
         """The tried columns, shape (len(tree), mtry), of nodes of the given
@@ -647,9 +703,7 @@ def train_forest(
     vc = _ValueCodes.of(X.values) if codes is None else codes
     if vc.codes.shape != (p, n):
         raise ContractError(f"value codes of shape {vc.codes.shape} for a {n} x {p} matrix")
-    seed = params.seed & 0xFFFFFFFFFFFFFFFF
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0xF0BE57, t]))
-            for t in range(params.n_trees)]
+    rngs = _tree_generators(params.seed & 0xFFFFFFFFFFFFFFFF, params.n_trees)
     # Tree t's bootstrap sample, as a count per row at t * n + row.
     counts = np.concatenate([rng.integers(0, n, n) for rng in rngs])
     counts.reshape(params.n_trees, n)[:] += np.arange(0, params.n_trees * n, n)[:, None]
@@ -672,8 +726,8 @@ def train_forest(
         n_node = np.bincount(front, weights=weights, minlength=F)
         m_node = np.bincount(front, weights=weights * y01[rows], minlength=F)
         grow = (m_node > 0) & (m_node < n_node) & (n_node >= 2 * params.min_leaf)
-        if params.max_depth is not None and len(levels) >= params.max_depth:
-            grow[:] = False
+        if mtry == 0 or (params.max_depth is not None and len(levels) >= params.max_depth):
+            grow[:] = False  # no column to split on, or the depth cap
         cand = np.flatnonzero(grow)
         tried = draws.tried(f_tree[cand])
 
@@ -683,7 +737,7 @@ def train_forest(
         weights = weights[keep]
         front = front[keep]
         starts = np.searchsorted(front, np.append(cand, F))
-        sizes = np.diff(starts)
+        sizes = starts[1:] - starts[:-1]
         width = vc.offsets[tried + 1] - vc.offsets[tried]
         load = sizes * mtry + width.sum(axis=1)
         found = [_NO_SPLITS]
@@ -758,7 +812,8 @@ def _tree_scores(trees: list[Tree], A: np.ndarray) -> np.ndarray:
     offsets = np.cumsum([0] + sizes[:-1])
     feature = np.concatenate([t.feature for t in trees])
     threshold = np.concatenate([t.threshold for t in trees])
-    # A row at node k moves to child[k, 0] when A[row, feature[k]] <= threshold[k], else child[k, 1].
+    # A row at node k moves to child[k, 0] when A[row, feature[k]] <=
+    # threshold[k], else to child[k, 1].
     child = np.empty((len(feature), 2), dtype=np.int64)
     child[:, 0] = np.concatenate([t.left for t in trees])
     child[:, 1] = np.concatenate([t.right for t in trees])
@@ -766,7 +821,7 @@ def _tree_scores(trees: list[Tree], A: np.ndarray) -> np.ndarray:
     child = child.ravel()
     n, p = A.shape
     node = np.repeat(offsets, n)
-    at = np.tile(np.arange(0, n * p, p), len(trees))  # each pair's row in A.ravel()
+    at = np.tile(np.arange(n) * p, len(trees))  # where each pair's row starts in A.ravel()
     flat = A.ravel()
     active = np.flatnonzero(feature[node] >= 0)
     while len(active):

@@ -18,6 +18,7 @@ from metatriage.learn import (
     Tree,
     _best_splits,
     _check_training_inputs,
+    _tree_generators,
     _ValueCodes,
     best_split,
     logistic_loss_grad,
@@ -443,10 +444,33 @@ class TestTrees:
         with pytest.raises(ContractError, match="value codes"):
             train_forest(X, y, ForestParams(n_trees=1), codes=_ValueCodes.of(X.values[:, :4]))
 
+    def test_rows_past_the_label_shift_rejected(self, monkeypatch):
+        # positives ride in the row counts' bincount as multiples of the
+        # shift, so a fit with as many rows would merge the two counts
+        X, y = two_clusters(n=20)
+        monkeypatch.setattr(metatriage.learn, "_LABEL_SHIFT", 20)
+        with pytest.raises(ContractError, match="fewer than 20 rows"):
+            train_forest(X, y, ForestParams(n_trees=1))
+
     def test_mtry_exceeding_feature_count_rejected(self):
         X, y = two_clusters(n=20)
         with pytest.raises(ContractError):
             train_forest(X, y, ForestParams(n_trees=1, mtry=3))
+
+    @pytest.mark.parametrize("seed", [0, 1, 0xF0BE57, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1])
+    def test_tree_generators_are_the_seed_sequence_streams(self, seed):
+        for t, rng in enumerate(_tree_generators(seed, 6)):
+            want = np.random.default_rng(np.random.SeedSequence([seed, 0xF0BE57, t]))
+            assert np.array_equal(rng.integers(0, 1000, 8), want.integers(0, 1000, 8))
+            assert np.array_equal(rng.random(8), want.random(8))
+
+    def test_no_columns_give_single_leaves(self):
+        X = FeatureMatrix((), np.zeros((10, 0)))
+        y = np.array([0, 1] * 5)
+        model = train_forest(X, y, ForestParams(n_trees=3, seed=2))
+        assert_same_trees(model.trees, reference_train_forest(X, y, ForestParams(n_trees=3, seed=2)).trees)
+        assert all(t.n_nodes == 1 for t in model.trees)
+        assert predict_score(model, X).shape == (10,)
 
     def test_importances_are_nonnegative_and_named(self):
         X, y = two_clusters(n=120)
