@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ContractError, check_number_fields
 from .featurize import FeatureMatrix
@@ -552,22 +551,25 @@ def best_split(
     return int(features[local[0]]), float(threshold[0]), float(cost[0])
 
 
-class _Words(ISeedSequence):
-    """Seed words that `SeedSequence.generate_state(4, np.uint64)` gave."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words
-
-
 def _tree_generators(seed: int, n_trees: int) -> list:
     """`np.random.default_rng(np.random.SeedSequence([seed, 0xF0BE57, t]))`
     for each tree t, with the same streams. numpy fixes SeedSequence's
     algorithm (a pool of four 32-bit words, mixed by two multiplicative
     hashes); here it runs on every tree's entropy at once, where one
     SeedSequence per tree cost more than its tree's bootstrap draw."""
+    # Imported here, as `np.random` was: it adds about 2.5 MB to a process
+    # that fits no forest.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """Seed words, as `SeedSequence.generate_state(4, np.uint64)` gives them."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
     t = np.arange(n_trees, dtype=np.uint32)
     words = [seed & 0xFFFFFFFF]
     while seed >> 32 * len(words):
@@ -602,7 +604,7 @@ def _tree_generators(seed: int, n_trees: int) -> list:
         value = value * np.uint32(const)
         state[:, i] = value ^ value >> np.uint32(16)
     state = state.astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_Words(w))) for w in state]
+    return [np.random.Generator(np.random.PCG64(Words(w))) for w in state]
 
 
 def _runs(load: np.ndarray) -> Iterator[tuple[int, int]]:
