@@ -1169,9 +1169,8 @@ class TestThreadPolicy:
 
     NAMES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     PROBE = (
-        "import json, os, metatriage; "
-        "print(json.dumps([len(os.listdir('/proc/self/task')), "
-        "[os.environ.get(k) for k in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')]]))"
+        "import json, os, metatriage; print(json.dumps(["
+        f"len(os.listdir('/proc/self/task')), [os.environ.get(k) for k in {NAMES!r}]]))"
     )
 
     def probe(self, **preset):

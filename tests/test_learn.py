@@ -467,8 +467,9 @@ class TestTrees:
     def test_no_columns_give_single_leaves(self):
         X = FeatureMatrix((), np.zeros((10, 0)))
         y = np.array([0, 1] * 5)
-        model = train_forest(X, y, ForestParams(n_trees=3, seed=2))
-        assert_same_trees(model.trees, reference_train_forest(X, y, ForestParams(n_trees=3, seed=2)).trees)
+        params = ForestParams(n_trees=3, seed=2)
+        model = train_forest(X, y, params)
+        assert_same_trees(model.trees, reference_train_forest(X, y, params).trees)
         assert all(t.n_nodes == 1 for t in model.trees)
         assert predict_score(model, X).shape == (10,)
 
@@ -657,7 +658,9 @@ def assert_same_forest(got, want):
 
 class TestForestOracle:
     @pytest.mark.parametrize("k,n,p", [
-        (4 * i + j, n, p) for i, n in enumerate((1, 2, 50, 400)) for j, p in enumerate((1, 3, 15, 120))
+        (4 * i + j, n, p)
+        for i, n in enumerate((1, 2, 50, 400))
+        for j, p in enumerate((1, 3, 15, 120))
     ])
     def test_trees_and_importances_equal_the_oracle(self, k, n, p):
         X, y = oracle_matrix(n, p, seed=k)
@@ -680,12 +683,17 @@ class TestForestOracle:
         peaks = []
         for cap in (1 << 18, 1 << 14, 1 << 10):
             monkeypatch.setattr(metatriage.learn, "_SEARCH_CHUNK", cap)
-            tracemalloc.start()
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
             try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
                 got = train_forest(X, y, params, codes)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
             finally:
-                tracemalloc.stop()
+                if not tracing:
+                    tracemalloc.stop()
             assert_same_forest(got, want)
         assert peaks[0] > peaks[1] > peaks[2]
 
