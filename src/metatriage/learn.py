@@ -459,7 +459,8 @@ def _best_splits(
     times, `n_node[s]` rows in all and `m_node[s]` with y = 1, and tries the
     columns `tried[s]`. Each (node, tried column) group spans the codes of
     its column or, where positions would outnumber (row, tried column)
-    pairs, only the codes from the least to the greatest its rows hold. One
+    pairs 4 to 1, only the codes from the least to the greatest its rows
+    hold. One
     bincount over (group, code) keys counts the rows and positives at each
     position; prefix sums that restart at each group give the left side of
     every boundary. The cost minimized is sum_child m_c*(n_c-m_c)/n_c, which
@@ -484,7 +485,10 @@ def _best_splits(
         del at
     lo = 0
     width = vc.offsets[tried + 1] - vc.offsets[tried]
-    if width.sum() > code.size:
+    # Narrowing costs two passes over the pairs; it saved time only where
+    # positions outnumbered pairs several times over (about 3% slower at
+    # `robustness`'s 1.5x, 6% faster at 20x on continuous columns).
+    if width.sum() > 4 * code.size:
         lo = np.minimum.reduceat(code, starts[:-1]).astype(np.int64)
         width = np.maximum.reduceat(code, starts[:-1]) - lo + 1
     group_start = (np.cumsum(width) - width.ravel()).reshape(S, mtry)
