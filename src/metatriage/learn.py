@@ -24,12 +24,12 @@ The forest grows all of its trees together, one depth level per pass, over
 value codes: each value's rank among its column's distinct values, found by
 one sort per column and held as int16 up to 32,767 rows (`_ValueCodes`; a
 caller that already holds them, as ranking does, passes them in). Each
-bootstrap sample is a count per distinct row, the columns a node tries
-come from keys each tree draws ahead (`_ColumnDraws`), and a level's split
-searches are bincounts over (node, tried column, code) keys, a bounded run
-of nodes, or of one node's tried columns, at a time. Splits stay exact,
-with thresholds midway between adjacent distinct values present in the
-node. Nodes are numbered breadth-first within each tree.
+bootstrap sample is a count per distinct row, the columns a level's
+nodes try come from one argpartition of their keys (`_tried_columns`), and
+its split searches are bincounts over (node, tried column, code) keys, a
+bounded run of nodes, or of one node's tried columns, at a time. Splits
+stay exact, with thresholds midway between adjacent distinct values present
+in the node. Nodes are numbered breadth-first within each tree.
 """
 
 from __future__ import annotations
@@ -403,8 +403,8 @@ _NO_SPLITS = (np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),) * 2
 # A search counts a position's positives in the same bincount as its rows, as
 # multiples of this; the counts stay exact while a fit has fewer rows.
 _LABEL_SHIFT = 1 << 26
-# The tried-column keys drawn ahead for all trees, and each block of a
-# level's keys, take at most this many bytes.
+# Each block of a level's tried-column keys takes at most this many bytes,
+# or one node's keys where they take more.
 _DRAW_BYTES = 1 << 18
 # Columns are sorted in contiguous copies of about this many values.
 _CODE_BLOCK = 1 << 17
@@ -458,14 +458,12 @@ def _best_splits(
     Node s holds `rows[starts[s]:starts[s + 1]]`, each counted `weights`
     times, `n_node[s]` rows in all and `m_node[s]` with y = 1, and tries the
     columns `tried[s]`. Each (node, tried column) group spans the codes of
-    its column or, where positions would outnumber (row, tried column)
-    pairs 4 to 1, only the codes from the least to the greatest its rows
-    hold. One
-    bincount over (group, code) keys counts the rows and positives at each
-    position; prefix sums that restart at each group give the left side of
-    every boundary. The cost minimized is sum_child m_c*(n_c-m_c)/n_c, which
-    orders splits identically to weighted Gini decrease; ties break toward
-    the earlier tried column, then the smaller left side.
+    its column. One bincount over (group, code) keys counts the rows and
+    positives at each position; prefix sums that restart at each group give
+    the left side of every boundary. The cost minimized is
+    sum_child m_c*(n_c-m_c)/n_c, which orders splits identically to weighted
+    Gini decrease; ties break toward the earlier tried column, then the
+    smaller left side.
 
     Returns, for each node with a valid split, in node order: its index, the
     column, the code of the last value that goes left, the threshold (the
@@ -483,17 +481,9 @@ def _best_splits(
         at += rows[:, None]
         code = vc.codes.ravel()[at]
         del at
-    lo = 0
     width = vc.offsets[tried + 1] - vc.offsets[tried]
-    # Narrowing costs two passes over the pairs; it saved time only where
-    # positions outnumbered pairs several times over (about 3% slower at
-    # `robustness`'s 1.5x, 6% faster at 20x on continuous columns).
-    if width.sum() > 4 * code.size:
-        lo = np.minimum.reduceat(code, starts[:-1]).astype(np.int64)
-        width = np.maximum.reduceat(code, starts[:-1]) - lo + 1
     group_start = (np.cumsum(width) - width.ravel()).reshape(S, mtry)
-    base = group_start - lo  # key = code + base of its group
-    key = np.repeat(base, sizes, axis=0)
+    key = np.repeat(group_start, sizes, axis=0)
     key += code
     del code
     counts = np.bincount(
@@ -514,10 +504,10 @@ def _best_splits(
     nr = np.repeat(n_node, per_node) - nl
     mr = np.repeat(m_node, per_node) - ml
     # A group's last position has every row on its left (0/0 on the right),
-    # so it fails min_leaf like every other invalid boundary.
+    # so it is never a boundary, whatever min_leaf.
     with np.errstate(invalid="ignore"):
         cost = ml * (nl - ml) / nl + mr * (nr - mr) / nr
-    cost[(nl < min_leaf) | (nr < min_leaf)] = np.inf
+    cost[(nl < min_leaf) | (nr < max(min_leaf, 1))] = np.inf
     group_min = np.minimum.reduceat(cost, heads)
     slot = np.argmin(group_min.reshape(S, mtry), axis=1)  # the first tried column at the minimum
     g = np.arange(S) * mtry + slot
@@ -526,7 +516,7 @@ def _best_splits(
     at_min = np.flatnonzero(cost == np.repeat(group_min, size))
     b = at_min[np.searchsorted(at_min, heads[g])]  # the smallest left side at the minimum
     feature = tried[node, slot[node]]
-    last = present[b] - base.ravel()[g]
+    last = present[b] - group_start.ravel()[g]
     value = vc.offsets[feature] + last
     threshold = (vc.values[value] + vc.values[value + present[b + 1] - present[b]]) / 2.0
     return node, feature, last, threshold, group_min[g]
@@ -555,62 +545,6 @@ def best_split(
     return int(features[local[0]]), float(threshold[0]), float(cost[0])
 
 
-def _tree_generators(seed: int, n_trees: int) -> list:
-    """`np.random.default_rng(np.random.SeedSequence([seed, 0xF0BE57, t]))`
-    for each tree t, with the same streams. numpy fixes SeedSequence's
-    algorithm (a pool of four 32-bit words, mixed by two multiplicative
-    hashes); here it runs on every tree's entropy at once, where one
-    SeedSequence per tree cost more than its tree's bootstrap draw."""
-    # Imported here, as `np.random` was: it adds about 2.5 MB to a process
-    # that fits no forest.
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Words(ISeedSequence):
-        """Seed words, as `SeedSequence.generate_state(4, np.uint64)` gives them."""
-
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    t = np.arange(n_trees, dtype=np.uint32)
-    words = [seed & 0xFFFFFFFF]
-    while seed >> 32 * len(words):
-        words.append(seed >> 32 * len(words) & 0xFFFFFFFF)
-    entropy = [np.full(n_trees, w, dtype=np.uint32) for w in [*words, 0xF0BE57]] + [t]
-    const = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * 0x931E8875 & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        return value ^ value >> np.uint32(16)
-
-    def mix(x, y):
-        value = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-        return value ^ value >> np.uint32(16)
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(t)) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    state = np.empty((n_trees, 8), dtype=np.uint32)
-    const = 0x8B51F9DD
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(const)
-        const = const * 0x58F38DED & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        state[:, i] = value ^ value >> np.uint32(16)
-    state = state.astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(Words(w))) for w in state]
-
-
 def _runs(load: np.ndarray) -> Iterator[tuple[int, int]]:
     """Consecutive runs [a, b) of items whose loads sum to at most
     `_SEARCH_CHUNK`, or of one item that alone passes it."""
@@ -622,53 +556,29 @@ def _runs(load: np.ndarray) -> Iterator[tuple[int, int]]:
         a = b
 
 
-class _ColumnDraws:
-    """The columns each node of a forest tries.
+def _tried_columns(rngs: list, tree: np.ndarray, p: int, mtry: int) -> np.ndarray:
+    """The columns that nodes of the given nondecreasing trees try, shape
+    (len(tree), mtry).
 
     The nodes of tree t, in node order, take consecutive rows of p uniform
     keys from `rngs[t]`, and a node tries the columns of its `mtry` smallest
-    keys, in column order; every column when `mtry` is p. A Generator gives
-    the same doubles however its draws are split, so keys are drawn ahead,
-    `_DRAW_BYTES` at most for all trees: a level calls a tree's generator
-    only when its drawn keys run out.
+    keys, in column order; every column when `mtry` is p. The keys go into
+    blocks of at most max(`_DRAW_BYTES`, 8 * p) bytes, filled by one draw
+    per tree, and each block takes one argpartition.
     """
-
-    def __init__(self, rngs: list, p: int, mtry: int):
-        self.rngs, self.p, self.mtry = rngs, p, mtry
-        self.used = np.zeros(len(rngs), dtype=np.int64)
-        if mtry < p:
-            depth = max(1, _DRAW_BYTES // (8 * p * len(rngs)))
-            self.ahead = np.array([rng.random((depth, p)) for rng in rngs])
-
-    def tried(self, tree: np.ndarray) -> np.ndarray:
-        """The tried columns, shape (len(tree), mtry), of nodes of the given
-        nondecreasing trees: one argpartition per block of nodes."""
-        if self.mtry == self.p:
-            return np.tile(np.arange(self.p), (len(tree), 1))
-        out = np.empty((len(tree), self.mtry), dtype=np.int64)
-        block = max(1, _DRAW_BYTES // (8 * self.p))
-        for lo in range(0, len(tree), block):
-            keys = self._keys(tree[lo : lo + block])
-            out[lo : lo + block] = np.sort(
-                np.argpartition(keys, self.mtry - 1, axis=1)[:, : self.mtry], axis=1
-            )
-        return out
-
-    def _keys(self, tree: np.ndarray) -> np.ndarray:
-        depth = self.ahead.shape[1]
-        take = np.bincount(tree, minlength=len(self.rngs))
-        start = np.cumsum(take) - take
-        at = self.used[tree] + np.arange(len(tree)) - start[tree]
-        keys = self.ahead[tree, np.minimum(at, depth - 1)]
-        # A tree whose drawn keys run out draws the rest, and as many ahead.
-        drawn = self.used + take <= depth
-        for t in np.flatnonzero(~drawn):
-            lo, short = start[t] + depth - self.used[t], self.used[t] + take[t] - depth
-            fresh = self.rngs[t].random((short + depth, self.p))
-            keys[lo : lo + short] = fresh[:short]
-            self.ahead[t] = fresh[short:]
-        self.used = np.where(drawn, self.used + take, 0)
-        return keys
+    if mtry == p:
+        return np.tile(np.arange(p), (len(tree), 1))
+    out = np.empty((len(tree), mtry), dtype=np.int64)
+    bounds = np.searchsorted(tree, np.arange(len(rngs) + 1)).tolist()
+    block = max(1, _DRAW_BYTES // (8 * p))
+    for lo in range(0, len(tree), block):
+        hi = min(lo + block, len(tree))
+        keys = np.empty((hi - lo, p))
+        for t in range(tree[lo], tree[hi - 1] + 1):
+            a, b = max(bounds[t], lo), min(bounds[t + 1], hi)
+            rngs[t].random(out=keys[a - lo : b - lo])
+        out[lo:hi] = np.sort(np.argpartition(keys, mtry - 1, axis=1)[:, :mtry], axis=1)
+    return out
 
 
 @dataclass
@@ -709,12 +619,13 @@ def train_forest(
     vc = _ValueCodes.of(X.values) if codes is None else codes
     if vc.codes.shape != (p, n):
         raise ContractError(f"value codes of shape {vc.codes.shape} for a {n} x {p} matrix")
-    rngs = _tree_generators(params.seed & 0xFFFFFFFFFFFFFFFF, params.n_trees)
+    seed = params.seed & 0xFFFFFFFFFFFFFFFF
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0xF0BE57, t]))
+            for t in range(params.n_trees)]
     # Tree t's bootstrap sample, as a count per row at t * n + row.
     counts = np.concatenate([rng.integers(0, n, n) for rng in rngs])
     counts.reshape(params.n_trees, n)[:] += np.arange(0, params.n_trees * n, n)[:, None]
     counts = np.bincount(counts, minlength=params.n_trees * n)
-    draws = _ColumnDraws(rngs, p, mtry)
     # The frontier holds one depth's nodes, ordered by tree, then node id.
     # Each distinct row of a node is an entry (front, rows, weights), with
     # entries sorted by their node.
@@ -735,7 +646,7 @@ def train_forest(
         if mtry == 0 or (params.max_depth is not None and len(levels) >= params.max_depth):
             grow[:] = False  # no column to split on, or the depth cap
         cand = np.flatnonzero(grow)
-        tried = draws.tried(f_tree[cand])
+        tried = _tried_columns(rngs, f_tree[cand], p, mtry)
 
         keep = grow[front]
         # The entry arrays are replaced one at a time, so one copy is alive at once.

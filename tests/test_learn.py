@@ -18,7 +18,6 @@ from metatriage.learn import (
     Tree,
     _best_splits,
     _check_training_inputs,
-    _tree_generators,
     _ValueCodes,
     best_split,
     logistic_loss_grad,
@@ -285,6 +284,25 @@ class TestBestSplit:
         y = np.array([0.0, 1.0, 0.0, 1.0])
         assert best_split(A, y, np.array([0]), min_leaf=3) is None
 
+    def test_min_leaf_zero_matches_the_oracle(self):
+        # the last distinct value of a column is never a boundary, so a
+        # right side of no rows is not searched even when min_leaf allows it
+        A = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 6.0], [4.0, 6.0]])
+        y = np.array([0.0, 0.0, 0.0, 1.0])
+        assert best_split(A, y, np.array([0, 1]), min_leaf=0) == (0, 3.5, 0.0)
+        assert best_split(A, y, np.array([1]), min_leaf=0) == (1, 5.5, 0.5)
+        rng = np.random.default_rng(78)
+        for _ in range(30):
+            n, p = int(rng.integers(2, 30)), int(rng.integers(1, 4))
+            A = rng.integers(0, 5, size=(n, p)).astype(np.float64)
+            y = rng.integers(0, 2, n).astype(np.float64)
+            got = best_split(A, y, np.arange(p), 0)
+            want = oracle_best_split(A, y, np.arange(p), 0)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got[:2] == want[:2]
+                assert got[2] == pytest.approx(want[2], abs=1e-12)
+
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(77)
         for _ in range(50):
@@ -456,13 +474,6 @@ class TestTrees:
         X, y = two_clusters(n=20)
         with pytest.raises(ContractError):
             train_forest(X, y, ForestParams(n_trees=1, mtry=3))
-
-    @pytest.mark.parametrize("seed", [0, 1, 0xF0BE57, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1])
-    def test_tree_generators_are_the_seed_sequence_streams(self, seed):
-        for t, rng in enumerate(_tree_generators(seed, 6)):
-            want = np.random.default_rng(np.random.SeedSequence([seed, 0xF0BE57, t]))
-            assert np.array_equal(rng.integers(0, 1000, 8), want.integers(0, 1000, 8))
-            assert np.array_equal(rng.random(8), want.random(8))
 
     def test_no_columns_give_single_leaves(self):
         X = FeatureMatrix((), np.zeros((10, 0)))
@@ -670,6 +681,16 @@ class TestForestOracle:
                 min_leaf=(1, 20)[(k + m) % 2], mtry=mtry, seed=100 + k,
             )
             assert_same_forest(train_forest(X, y, params), reference_train_forest(X, y, params))
+
+    @pytest.mark.parametrize("draw_bytes", [1, 8 * 15 * 3, 8 * 15 * 50])
+    def test_key_block_size_changes_nothing(self, monkeypatch, draw_bytes):
+        # blocks of one node, of three nodes (a tree's nodes spread over
+        # several blocks) and of fifty (several trees in one block)
+        X, y = oracle_matrix(400, 15, seed=3)
+        params = ForestParams(n_trees=7, max_depth=6, seed=11)
+        want = reference_train_forest(X, y, params)
+        monkeypatch.setattr(metatriage.learn, "_DRAW_BYTES", draw_bytes)
+        assert_same_forest(train_forest(X, y, params), want)
 
     def test_search_cap_bounds_memory_and_changes_nothing(self, monkeypatch):
         # The root holds about 1,900 distinct rows x 7 tried columns plus
