@@ -486,8 +486,12 @@ def evaluate(
             norm = model.meta["final_grad_norm"]
             if not norm < linear.tolerance:
                 notes = (f"{model_kind} {_NOT_CONVERGED} (gradient norm {norm:.3g})",)
-        train_scores = predict_score(model, X_train)
-        test_scores = predict_score(model, X_test)
+        if model_kind == "forest":  # one pass of the trees over both row sets
+            both = FeatureMatrix(columns, np.vstack((X_train.values, X_test.values)))
+            train_scores, test_scores = np.split(predict_score(model, both), [X_train.n_rows])
+        else:
+            train_scores = predict_score(model, X_train)
+            test_scores = predict_score(model, X_test)
         pooled[fold.test_idx] = test_scores
 
         threshold = threshold_max_f1(train_scores, y_train)

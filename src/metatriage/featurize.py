@@ -11,17 +11,17 @@ The static block keeps its hash part sparse, as compressed sparse rows: each
 record's nonzero buckets, increasing, with their permission counts. The 22
 intrinsic and social columns sit beside it as one dense array. A gathered
 `FeatureMatrix` holds its nonzero entries in row-major order and makes its
-dense `values` only when they are first read, by the forest or ranking; the
-linear models read the entries alone. `assemble_features`, behind the CLI's
-whole-corpus matrix, writes the same block into one dense matrix, so there
-is one hashing path.
+dense `values` only when they are first read, by forest scoring or the CSV
+export; ranking, the forest fits and the linear models read the entries.
+`assemble_features`, behind the CLI's whole-corpus matrix, is the gather of
+every record, so there is one hashing path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -199,12 +199,6 @@ class StaticBlock:
     def shape(self) -> tuple[int, int]:
         return len(self.dense), self.n_buckets + self.dense.shape[1]
 
-    def write_into(self, out: np.ndarray) -> None:
-        """Write the block into the leading columns of the zeroed `out`."""
-        rows = np.repeat(np.arange(len(self.dense)), np.diff(self.indptr))
-        out[rows, self.buckets] = self.counts
-        out[:, self.n_buckets : self.shape[1]] = self.dense
-
 
 def static_feature_block(records: Corpus, hash_config: HashConfig) -> StaticBlock:
     """Label-free columns: hash buckets + intrinsic + social.
@@ -297,6 +291,11 @@ class FeatureMatrix:
             raise ContractError("feature matrix contains NaN or infinite values")
 
     @property
+    def holds_values(self) -> bool:
+        """Whether the dense `values` are at hand, given or already derived."""
+        return self._values is not None
+
+    @property
     def values(self) -> np.ndarray:
         """The dense n_rows x n_columns array."""
         if self._values is None:
@@ -335,13 +334,12 @@ def _column_positions(hash_config: HashConfig) -> dict[str, int]:
 def assemble_features(
     records: Corpus, hash_config: HashConfig, table: ReputationTable
 ) -> FeatureMatrix:
-    """Full row layout: [hash | intrinsic | social | reputation], as one
-    dense matrix that the static block is written into."""
-    names = feature_names(hash_config)
-    values = np.zeros((len(records), len(names)))
-    static_feature_block(records, hash_config).write_into(values)
-    values[:, len(names) - len(REPUTATION_COLUMNS) :] = reputation_block(records, table)
-    return FeatureMatrix(names, values)
+    """Full row layout: [hash | intrinsic | social | reputation], as the
+    nonzero entries that `gather_features` gives for every record."""
+    return gather_features(
+        records, hash_config, table, static_feature_block(records, hash_config),
+        np.arange(len(records)), feature_names(hash_config),
+    )
 
 
 def gather_features(
@@ -399,10 +397,15 @@ def gather_features(
 # ---------------------------------------------------------------------------
 
 
-def rank_bins(distinct: np.ndarray, counts: np.ndarray, n_bins: int = 10) -> np.ndarray:
+def rank_bins(
+    distinct: np.ndarray, counts: np.ndarray, n_bins: int = 10,
+    offsets: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Rank-based (equal-frequency) discretization of one column, given as
     its distinct values in increasing order and how often each occurs: the
-    bin id of each distinct value.
+    bin id of each distinct value. With `offsets`, `distinct` and `counts`
+    hold several columns of as many rows end to end, column j at
+    offsets[j]:offsets[j + 1], and each column's ids start at 0.
 
     The bin edges are the column's quantiles at 1/n_bins, 2/n_bins, ...,
     interpolated between order statistics exactly as `np.quantile` does by
@@ -410,20 +413,54 @@ def rank_bins(distinct: np.ndarray, counts: np.ndarray, n_bins: int = 10) -> np.
     collapse and the ids are compacted, so heavily tied columns produce
     fewer bins, and a column with a single distinct value maps everything
     to bin 0.
+
+    A value's bin is one past the bin of the value below it exactly when an
+    edge lies in [the value below, the value). So the cost is in the
+    distinct values, not in `n_bins`: an edge between two order statistics
+    of one value is that value, and of the edges interpolated between two
+    adjacent values, which are nondecreasing, only the first and the last
+    are computed.
     """
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
-    # The k-th smallest value of the column is distinct[searchsorted(ends, k, "right")].
-    ends = np.cumsum(counts)
-    last = ends[-1] - 1
+    if len(distinct) == 0:  # no columns
+        return np.zeros(0, dtype=np.int64)
+    if offsets is None:
+        offsets = np.array([0, len(distinct)])
+    width = np.diff(offsets)
+    ends = np.cumsum(counts)  # value a is the order statistics ends[a - 1]..ends[a] - 1
+    ends -= np.repeat(ends[offsets[:-1]] - counts[offsets[:-1]], width)
+    at = _quantile_positions(int(ends[offsets[1] - 1]) - 1, n_bins)
+    # Edges k0[a]..k1[a] - 1 interpolate between values a and a + 1; those
+    # from k1[a - 1] to k0[a] lie between two order statistics of value a.
+    last = ends[:-1] - 1
+    k0, k1 = np.searchsorted(at, last), np.searchsorted(at, ends[:-1])
+    apart = offsets[1:-1] - 1  # the last value of a column and the next column's first
+    k1[apart] = 0
+    lo, hi = distinct[:-1], distinct[1:]
+    crossed = k0 < k1
+    first, final = (_lerp(lo, hi, at[np.minimum(k, len(at) - 1)] - last) for k in (k0, k1 - 1))
+    step = k0 > np.concatenate(([0], k1[:-1]))  # an edge at value a itself
+    step |= crossed & (lo <= first) & (first < hi)
+    step[1:] |= (crossed & (final == hi))[:-1]  # an edge at value a + 1 itself
+    step[apart] = False
+    ids = np.concatenate(([0], np.cumsum(step)))
+    return ids - np.repeat(ids[offsets[:-1]], width)
+
+
+@lru_cache(maxsize=8)
+def _quantile_positions(last: int, n_bins: int) -> np.ndarray:
+    """Where `np.quantile` takes the quantiles at 1/n_bins, 2/n_bins, ...
+    among the order statistics 0..last: a shared, read-only array."""
     at = last * np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-    below = np.minimum(np.floor(at), last)
-    lo, hi = distinct[np.searchsorted(ends, [below, np.minimum(below + 1, last)], "right")]
-    t = at - below
-    # np.quantile's interpolation, which works from the upper end for t >= 0.5.
-    edges = np.where(t >= 0.5, hi - (hi - lo) * (1 - t), lo + (hi - lo) * t)
-    ids = np.searchsorted(np.unique(edges), distinct, side="left")
-    return np.cumsum(np.diff(ids, prepend=ids[0]) != 0)
+    at.flags.writeable = False
+    return at
+
+
+def _lerp(lo: np.ndarray, hi: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """`np.quantile`'s linear interpolation, which works from the upper end
+    for t >= 0.5."""
+    return np.where(t >= 0.5, hi - (hi - lo) * (1 - t), lo + (hi - lo) * t)
 
 
 def bin_column(values: np.ndarray, n_bins: int = 10) -> np.ndarray:

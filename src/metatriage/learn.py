@@ -21,15 +21,19 @@ the bias taken at the training mean, so a `LinearModel` scores raw columns
 through the same operator.
 
 The forest grows all of its trees together, one depth level per pass, over
-value codes: each value's rank among its column's distinct values, found by
-one sort per column and held as int16 up to 32,767 rows (`_ValueCodes`; a
-caller that already holds them, as ranking does, passes them in). Each
-bootstrap sample is a count per distinct row, the columns a level's
-nodes try come from one argpartition of their keys (`_tried_columns`), and
-its split searches are bincounts over (node, tried column, code) keys, a
-bounded run of nodes, or of one node's tried columns, at a time. Splits
-stay exact, with thresholds midway between adjacent distinct values present
-in the node. Nodes are numbered breadth-first within each tree.
+value codes: each value's rank among its column's distinct values, held as
+int16 up to 32,767 rows (`_ValueCodes`; a caller that already holds them,
+as ranking does, passes them in). A column with more than half of its rows
+nonzero is sorted whole; the others sort only their nonzeros and list
+them. Each bootstrap sample is a count per distinct row, the columns a
+level's nodes try come from one argpartition of their keys
+(`_tried_columns`), and its split searches are bincounts over (node, tried
+column, code) keys, a bounded run of nodes, or of one node's tried columns,
+at a time. A (node, tried column) group whose column lists fewer nonzero
+rows than the node has entries counts only those, and its zero counts the
+rest. Splits stay exact, with thresholds midway between adjacent distinct
+values present in the node. Nodes are numbered breadth-first within each
+tree.
 """
 
 from __future__ import annotations
@@ -394,13 +398,15 @@ class Tree:
 
 
 # At most this many (row, tried column) pairs plus code positions go into one
-# split search. A level with more is searched a run of its nodes at a time,
-# and a node with more a run of its tried columns at a time, so only one
-# tried column of one node (its rows plus its column's distinct values) can
-# pass it. Each search holds a few int64 and float64 arrays of this length.
+# split search; a group counted from its column's listed rows brings as many
+# pairs as the column lists. A level with more is searched a run of its nodes
+# at a time, and a node with more a run of its tried columns at a time, so
+# only one tried column of one node (its pairs plus its column's distinct
+# values) can pass it. Each search holds a few int64 and float64 arrays of
+# this length.
 _SEARCH_CHUNK = 1 << 18
 _NO_SPLITS = (np.empty(0, dtype=np.int64),) * 3 + (np.empty(0),) * 2
-# A search counts a position's positives in the same bincount as its rows, as
+# A fit counts a row's positives in the same number as its bootstrap count, as
 # multiples of this; the counts stay exact while a fit has fewer rows.
 _LABEL_SHIFT = 1 << 26
 # Each block of a level's tried-column keys takes at most this many bytes,
@@ -414,50 +420,138 @@ _CODE_BLOCK = 1 << 17
 class _ValueCodes:
     """`codes[j, i]` is the rank of A[i, j] among the distinct values of
     column j, which are `values[offsets[j]:offsets[j + 1]]`, increasing.
-    Codes are int16 up to 32,767 rows and int32 above."""
+    Codes are int16 up to 32,767 rows and int32 above.
+
+    A column with at most half of its rows nonzero is listed: `zero[j]` is
+    the code of its zero, and its nonzero rows and their codes are
+    `nz_rows` and `nz_codes` at `nz_start[j]:nz_start[j + 1]`. Any other
+    column lists none, and its `zero[j]` is -1.
+    """
 
     codes: np.ndarray  # (p, n)
     values: np.ndarray
     offsets: np.ndarray
+    zero: np.ndarray
+    nz_start: np.ndarray
+    nz_rows: np.ndarray
+    nz_codes: np.ndarray
 
     def distinct(self, j: int) -> np.ndarray:
         return self.values[self.offsets[j] : self.offsets[j + 1]]
 
     @staticmethod
-    def of(A: np.ndarray) -> "_ValueCodes":
-        n, p = A.shape
+    def of(X: FeatureMatrix) -> "_ValueCodes":
+        """The codes of `X`, read from its dense values when it holds them
+        and from its nonzero entries otherwise. A column with more than
+        half of its rows nonzero is sorted whole; every other column's
+        nonzeros are sorted together with theirs, and its zeros take the
+        zero's code by a fill."""
+        n, p = X.n_rows, X.n_columns
         codes = np.empty((p, n), dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
-        distinct = [np.empty(0)]
         width = max(1, _CODE_BLOCK // max(n, 1))
-        for lo in range(0, p, width):  # sorting contiguous copies is faster
-            distinct += _code_columns(A[:, lo : lo + width].T.copy(), codes[lo : lo + width])
-        offsets = np.cumsum([len(v) for v in distinct])
-        return _ValueCodes(codes, np.concatenate(distinct), offsets)
+        whole = {}  # column -> its distinct values, for the columns sorted whole
+        # (columns, rows, values) of the other columns' nonzeros
+        listed = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
+        if X.holds_values:
+            for lo in range(0, p, width):  # sorting contiguous copies is faster
+                block = X.values[:, lo : lo + width].T.copy()
+                dense = np.count_nonzero(block, axis=1) * 2 > n
+                whole.update(_code_columns(block[dense], lo + np.flatnonzero(dense), codes))
+                sparse = block[~dense]
+                at, rows = np.divmod(np.flatnonzero(sparse != 0.0), max(n, 1))
+                listed.append(((lo + np.flatnonzero(~dense))[at], rows, sparse[at, rows]))
+        else:
+            rows, cols, vals = X.entries
+            dense = np.bincount(cols, minlength=p) * 2 > n
+            in_block = dense[cols]
+            listed.append((cols[~in_block], rows[~in_block], vals[~in_block]))
+            columns = np.flatnonzero(dense)
+            block = np.zeros((len(columns), n))
+            at = (np.cumsum(dense) - 1)[cols[in_block]]
+            at *= n
+            at += rows[in_block]
+            block.ravel()[at] = vals[in_block]
+            del at, in_block
+            for lo in range(0, len(columns), width):
+                whole.update(_code_columns(block[lo : lo + width], columns[lo : lo + width], codes))
+            del block
+        return _code_listed(codes, whole, listed)
 
 
-def _code_columns(cols: np.ndarray, codes: np.ndarray) -> list[np.ndarray]:
-    """Write the value codes of each row of `cols` to the same row of
-    `codes`, and return each row's distinct values. One sort per row gives
-    its distinct values, and a binary search of each value among them its
+def _code_columns(block: np.ndarray, columns: np.ndarray, codes: np.ndarray) -> dict:
+    """Write the value codes of each row k of `block` to `codes[columns[k]]`,
+    and return each column's distinct values. One sort per row gives its
+    distinct values, and a binary search of each value among them its
     code."""
-    ordered = np.sort(cols, axis=1)
+    ordered = np.sort(block, axis=1)
     first = np.ones(ordered.shape, dtype=bool)
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
     distinct = [s[f] for s, f in zip(ordered, first)]
-    for out, col, values in zip(codes, cols, distinct):
-        out[:] = np.searchsorted(values, col)
-    return distinct
+    for j, column, values in zip(columns.tolist(), block, distinct):
+        codes[j] = np.searchsorted(values, column)
+    return dict(zip(columns.tolist(), distinct))
+
+
+def _code_listed(codes: np.ndarray, whole: dict, parts: list) -> _ValueCodes:
+    """The value codes of a matrix whose columns in `whole` are coded, given
+    their distinct values, and whose other columns have the nonzeros in the
+    (columns, rows, values) `parts`, in any order; the parts are let go
+    once joined. One sort by (column, value) of those nonzeros gives
+    each its code; the zeros of those columns take the zero's code, the
+    count of the column's distinct negatives."""
+    p, n = codes.shape
+    cols, rows, vals = (np.concatenate(part) for part in zip(*parts))
+    parts.clear()
+    # By value, then stably by column: a radix sort where columns fit in 16 bits.
+    order = np.argsort(vals, kind="stable")
+    by_column = cols[order].astype(np.uint16 if p <= 1 << 16 else np.intp)
+    order = order[np.argsort(by_column, kind="stable")]
+    del by_column
+    cols = cols[order]  # one at a time, so one copy is alive at once
+    rows = rows[order]
+    vals = vals[order]
+    del order
+    new = np.ones(len(vals), dtype=bool)  # the first nonzero of each distinct value
+    np.logical_or(cols[1:] != cols[:-1], vals[1:] != vals[:-1], out=new[1:])
+    n_distinct = np.bincount(cols[new], minlength=p)
+    zero = np.bincount(cols[new & (vals < 0.0)], minlength=p)
+    # A nonzero's rank among its column's distinct nonzeros, one up past the zero.
+    code = np.cumsum(new)
+    code -= (np.cumsum(n_distinct) - n_distinct + 1)[cols]
+    code += vals > 0.0
+    listed = np.ones(p, dtype=bool)
+    listed[list(whole)] = False
+    width = np.where(listed, n_distinct + (n > 0), 0)  # with the zero, when there are rows
+    for j, distinct in whole.items():
+        width[j] = len(distinct)
+    offsets = np.concatenate(([0], np.cumsum(width)))
+    values = np.empty(offsets[-1])
+    values[(offsets[:-1] + zero)[listed & (n > 0)]] = 0.0
+    values[offsets[cols[new]] + code[new]] = vals[new]
+    for j, distinct in whole.items():
+        values[offsets[j] : offsets[j + 1]] = distinct
+    codes[listed] = zero[listed, None]
+    codes[cols, rows] = code
+    nz_start = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=p))))
+    return _ValueCodes(
+        codes, values, offsets, np.where(listed, zero, -1), nz_start, rows,
+        code.astype(codes.dtype),
+    )
 
 
 def _best_splits(
-    vc: _ValueCodes, y: np.ndarray, rows: np.ndarray, weights: np.ndarray, starts: np.ndarray,
+    vc: _ValueCodes, rows: np.ndarray, counted: np.ndarray, starts: np.ndarray,
     tried: np.ndarray, n_node: np.ndarray, m_node: np.ndarray, min_leaf: int,
+    listed: Optional[np.ndarray] = None,
+    entry: Optional[tuple[np.ndarray, np.ndarray, int]] = None,
 ) -> tuple[np.ndarray, ...]:
     """Exact Gini split search for several nodes at once.
 
-    Node s holds `rows[starts[s]:starts[s + 1]]`, each counted `weights`
-    times, `n_node[s]` rows in all and `m_node[s]` with y = 1, and tries the
-    columns `tried[s]`. Each (node, tried column) group spans the codes of
+    Node s holds `rows[starts[s]:starts[s + 1]]`, `n_node[s]` rows in all
+    and `m_node[s]` with y = 1, and tries the columns `tried[s]`. A row
+    counted w times with label y has `counted` w * (1 + y * `_LABEL_SHIFT`):
+    a search counts a position's positives in the same bincount as its
+    rows. Each (node, tried column) group spans the codes of
     its column. One bincount over (group, code) keys counts the rows and
     positives at each position; prefix sums that restart at each group give
     the left side of every boundary. The cost minimized is
@@ -465,32 +559,67 @@ def _best_splits(
     Gini decrease; ties break toward the earlier tried column, then the
     smaller left side.
 
+    A group where `listed` is true, whose column must list its nonzero rows,
+    counts only those rows that are in its node, found by `entry` = (slots,
+    base, lo): row r of node s is at `slots[base[s] + r] - lo` in `rows` if
+    that lies in the node. Its zero's position then counts the node's
+    totals minus the rest, exactly, as every count is an integer below
+    2**53. Other groups gather the codes of all of their node's rows.
+
     Returns, for each node with a valid split, in node order: its index, the
     column, the code of the last value that goes left, the threshold (the
-    midpoint of the two adjacent values present) and the cost. Each node's
-    weights must sum to less than `_LABEL_SHIFT`.
+    midpoint of the two adjacent values present) and the cost. Each node
+    must count fewer than `_LABEL_SHIFT` rows.
     """
     S, mtry = tried.shape
     sizes = starts[1:] - starts[:-1]
-    # A row's pairs are adjacent, so one bincount's adds go to different
-    # groups: a column with few values would otherwise chain its adds.
-    if S == 1:  # a copy of the tried columns, then one gather of its rows
-        code = np.take(vc.codes[tried[0]], rows, axis=1).T
-    else:
-        at = np.repeat(tried * vc.codes.shape[1], sizes, axis=0)
-        at += rows[:, None]
-        code = vc.codes.ravel()[at]
-        del at
     width = vc.offsets[tried + 1] - vc.offsets[tried]
     group_start = (np.cumsum(width) - width.ravel()).reshape(S, mtry)
-    key = np.repeat(group_start, sizes, axis=0)
-    key += code
-    del code
-    counts = np.bincount(
-        key.ravel(), weights=np.repeat(weights * (1 + y[rows] * _LABEL_SHIFT), mtry),
-        minlength=int(width.sum()),
-    )
-    del key  # the search's largest arrays; what follows is per position
+    if listed is None or not listed.any():
+        # A row's pairs are adjacent, so one bincount's adds go to different
+        # groups: a column with few values would otherwise chain its adds.
+        if S == 1:  # a copy of the tried columns, then one gather of its rows
+            code = np.take(vc.codes[tried[0]], rows, axis=1).T
+        else:
+            at = np.repeat(tried * vc.codes.shape[1], sizes, axis=0)
+            at += rows[:, None]
+            code = vc.codes.ravel()[at]
+            del at
+        key = np.repeat(group_start, sizes, axis=0)
+        key += code
+        del code
+        counts = np.bincount(
+            key.ravel(), weights=np.repeat(counted, mtry), minlength=int(width.sum())
+        )
+        del key  # the search's largest arrays; what follows is per position
+    else:
+        # The gathered groups' pairs, a group at a time: each row of the node.
+        group = np.flatnonzero(~listed)
+        node, size = group // mtry, sizes[group // mtry]
+        e = _ranges(starts[node], size)
+        key = vc.codes.ravel()[np.repeat(tried.ravel()[group] * vc.codes.shape[1], size) + rows[e]]
+        key = key + np.repeat(group_start.ravel()[group], size)
+        w = counted[e]
+        # The listed groups' pairs: the column's listed rows that are in the node.
+        group = np.flatnonzero(listed)
+        node, column = group // mtry, tried.ravel()[group]
+        size = vc.nz_start[column + 1] - vc.nz_start[column]
+        slots, base, lo = entry
+        at = _ranges(vc.nz_start[column], size)
+        e = vc.nz_rows[at]
+        e += np.repeat(base[node], size)
+        e = slots[e]
+        e -= np.repeat(lo + starts[node], size)
+        inside = np.flatnonzero(e.view(np.uint64) < np.repeat(sizes[node], size))
+        pair = np.repeat(np.arange(len(group)), size)[inside]
+        w_listed = counted[e[inside] + starts[node][pair]]
+        key = np.concatenate((key, group_start.ravel()[group][pair] + vc.nz_codes[at[inside]]))
+        counts = np.bincount(key, weights=np.concatenate((w, w_listed)), minlength=int(width.sum()))
+        del key, w, e, at, inside
+        # A listed group's zero counts the node's totals minus its listed rows.
+        zeros = n_node[node] + m_node[node] * _LABEL_SHIFT
+        zeros -= np.bincount(pair, weights=w_listed, minlength=len(group))
+        counts[group_start.ravel()[group] + vc.zero[column]] = zeros
     present = np.flatnonzero(counts > 0)  # of a mask: several times faster
     counts = counts[present]
     m_at = np.floor(counts / _LABEL_SHIFT)
@@ -522,6 +651,13 @@ def _best_splits(
     return node, feature, last, threshold, group_min[g]
 
 
+def _ranges(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The ranges start[i] .. start[i] + size[i] - 1, one after another."""
+    at = np.repeat(start - np.cumsum(size) + size, size)
+    at += np.arange(len(at))
+    return at
+
+
 def best_split(
     A: np.ndarray, y: np.ndarray, feature_indices: np.ndarray, min_leaf: int
 ) -> Optional[tuple[int, float, float]]:
@@ -537,8 +673,9 @@ def best_split(
         return None
     y01 = np.asarray(y, dtype=np.int64)
     node, local, _, threshold, cost = _best_splits(
-        _ValueCodes.of(A[:, features]), y01, np.arange(n), np.ones(n), np.array([0, n]),
-        np.arange(len(features))[None, :], np.array([n]), np.array([y01.sum()]), min_leaf,
+        _ValueCodes.of(FeatureMatrix([str(j) for j in features], A[:, features])), np.arange(n),
+        1.0 + y01 * _LABEL_SHIFT, np.array([0, n]), np.arange(len(features))[None, :],
+        np.array([n]), np.array([y01.sum()]), min_leaf,
     )
     if len(node) == 0:
         return None
@@ -606,7 +743,7 @@ def train_forest(
     level, over value codes, serves every growable node of every tree; node
     ids are breadth-first per tree. Importances are the weighted Gini
     decreases summed per split feature, with weights n_node/n, averaged
-    over the trees. `codes`, when given, must be `_ValueCodes.of(X.values)`;
+    over the trees. `codes`, when given, must be `_ValueCodes.of(X)`;
     a caller that already holds them saves the sorts.
     """
     y01 = _check_training_inputs(X, y).astype(np.int64)
@@ -616,7 +753,7 @@ def train_forest(
     if n >= _LABEL_SHIFT:
         raise ContractError(f"a forest fits fewer than {_LABEL_SHIFT} rows, got {n}")
     mtry = min(params.mtry or math.ceil(math.sqrt(p)), p)
-    vc = _ValueCodes.of(X.values) if codes is None else codes
+    vc = _ValueCodes.of(X) if codes is None else codes
     if vc.codes.shape != (p, n):
         raise ContractError(f"value codes of shape {vc.codes.shape} for a {n} x {p} matrix")
     seed = params.seed & 0xFFFFFFFFFFFFFFFF
@@ -626,22 +763,31 @@ def train_forest(
     counts = np.concatenate([rng.integers(0, n, n) for rng in rngs])
     counts.reshape(params.n_trees, n)[:] += np.arange(0, params.n_trees * n, n)[:, None]
     counts = np.bincount(counts, minlength=params.n_trees * n)
+    # A (node, tried column) group counts its column's listed nonzero rows
+    # where they are fewer than the node's entries (a column that lists none
+    # counts as n + 1 here); then `slots[t * n + r]` is the level's entry of
+    # row r in tree t, or -1.
+    n_listed = np.where(vc.zero >= 0, np.diff(vc.nz_start), n + 1)
+    slots = None
     # The frontier holds one depth's nodes, ordered by tree, then node id.
-    # Each distinct row of a node is an entry (front, rows, weights), with
-    # entries sorted by their node.
+    # Each distinct row of a node is an entry (front, rows, counted), with
+    # entries sorted by their node and counted its bootstrap count with its
+    # positives shifted in (see `_best_splits`).
     rows = np.flatnonzero(counts > 0)
-    weights = counts[rows].astype(np.float64)
+    counted = counts[rows].astype(np.float64)
     del counts  # n_trees x n int64; the entries hold what the fit needs
     front = rows // n
     rows -= front * n
+    counted *= 1 + y01[rows] * _LABEL_SHIFT
     f_tree = np.arange(params.n_trees)
     n_nodes = np.ones(params.n_trees, dtype=np.int64)
     importances = np.zeros((params.n_trees, p))
     levels = []
     while len(f_tree):
         F = len(f_tree)
-        n_node = np.bincount(front, weights=weights, minlength=F)
-        m_node = np.bincount(front, weights=weights * y01[rows], minlength=F)
+        n_node = np.bincount(front, weights=counted, minlength=F)
+        m_node = np.floor(n_node / _LABEL_SHIFT)
+        n_node -= m_node * _LABEL_SHIFT
         grow = (m_node > 0) & (m_node < n_node) & (n_node >= 2 * params.min_leaf)
         if mtry == 0 or (params.max_depth is not None and len(levels) >= params.max_depth):
             grow[:] = False  # no column to split on, or the depth cap
@@ -651,22 +797,36 @@ def train_forest(
         keep = grow[front]
         # The entry arrays are replaced one at a time, so one copy is alive at once.
         rows = rows[keep]
-        weights = weights[keep]
+        counted = counted[keep]
         front = front[keep]
         starts = np.searchsorted(front, np.append(cand, F))
         sizes = starts[1:] - starts[:-1]
         width = vc.offsets[tried + 1] - vc.offsets[tried]
-        load = sizes * mtry + width.sum(axis=1)
+        listed = n_listed[tried] < sizes[:, None]
+        pairs = np.where(listed, n_listed[tried], sizes[:, None])
+        # A node lists only where that saves three quarters of its pairs:
+        # a listed row costs a few gathers, and gathering all of a node's
+        # tried columns keeps a row's pairs together, fewer passes per pair.
+        listed &= (pairs.sum(axis=1) * 4 < sizes * mtry)[:, None]
+        pairs = np.where(listed, pairs, sizes[:, None])
+        load = pairs.sum(axis=1) + width.sum(axis=1)
+        if listed.any():
+            if slots is None:
+                slots = np.empty(params.n_trees * n, dtype=np.intp)
+            slots.fill(-1)
+            slots[f_tree[front] * n + rows] = np.arange(len(rows))
         found = [_NO_SPLITS]
         for a, b in _runs(load):
             lo, hi = starts[a], starts[b]
+            entry = (slots, f_tree[cand[a:b]] * n, lo)
             # A node that alone passes the cap is searched a run of its
             # tried columns at a time; a tie keeps the earlier column.
             node, *split = _NO_SPLITS
-            for c, d in _runs(sizes[a] + width[a]) if load[a] > _SEARCH_CHUNK else [(0, mtry)]:
+            for c, d in _runs(pairs[a] + width[a]) if load[a] > _SEARCH_CHUNK else [(0, mtry)]:
                 got = _best_splits(
-                    vc, y01, rows[lo:hi], weights[lo:hi], starts[a : b + 1] - lo,
+                    vc, rows[lo:hi], counted[lo:hi], starts[a : b + 1] - lo,
                     tried[a:b, c:d], n_node[cand[a:b]], m_node[cand[a:b]], params.min_leaf,
+                    listed[a:b, c:d], entry,
                 )
                 if len(got[0]) and not (len(node) and split[3][0] <= got[4][0]):
                     node, *split = got
@@ -692,7 +852,7 @@ def train_forest(
         child[split] = 2 * np.arange(len(split))
         routed = child[front] >= 0
         rows = rows[routed]
-        weights = weights[routed]
+        counted = counted[routed]
         front = front[routed]
         at = feature[front]
         at *= n
@@ -703,7 +863,7 @@ def train_forest(
         del goes_right
         order = np.argsort(front, kind="stable")
         rows = rows[order]
-        weights = weights[order]
+        counted = counted[order]
         front = front[order]
         del order  # entry-sized, like rows; not kept through the next search
         f_tree = np.repeat(st, 2)

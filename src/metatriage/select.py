@@ -5,12 +5,13 @@ discretized columns) and forest mean-decrease-in-node-impurity (over raw
 values). Rankings sort descending with ties broken by ascending column
 index so they are reproducible across runs.
 
-`rank_features` sorts each column once, into value codes
-(`learn._ValueCodes`). A column's counts by (code, label) give its rank
-bins (`featurize.rank_bins`) and its one bins-by-labels table, which
-`_table_scores` scores for every filter method; the ranking forest grows
-on the same codes. The per-column `score_*` functions score a table of
-given bins with the same `_table_scores`.
+`rank_features` codes every column once (`learn._ValueCodes`), from the
+matrix's nonzero entries when it holds them so. A column's counts by
+(code, label) give its rank bins (`featurize.rank_bins`) and its one
+bins-by-labels table, which `_table_scores` scores for every filter
+method; the ranking forest grows on the same codes. The per-column
+`score_*` functions score a table of given bins with the same
+`_table_scores`.
 """
 
 from __future__ import annotations
@@ -48,60 +49,64 @@ def _contingency(binned: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return _table(binned, labels, int(binned.max()) + 1).astype(np.float64)
 
 
-def _entropy_bits(counts: np.ndarray) -> float:
-    counts = counts[counts > 0].astype(np.float64)
-    if counts.size <= 1:
-        return 0.0
-    p = counts / counts.sum()
-    return float(-(p * np.log2(p)).sum())
+def _entropy_bits(counts: np.ndarray) -> np.ndarray:
+    """The entropy in bits of the positive counts along the last axis of
+    `counts`; 0 where at most one count is positive."""
+    positive = counts > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / counts.sum(axis=-1, keepdims=True)
+        terms = np.where(positive, p * np.log2(p), 0.0)
+    return np.where(positive.sum(axis=-1) > 1, -terms.sum(axis=-1), 0.0)
 
 
 FILTER_METHODS = ("chi_squared", "info_gain", "gain_ratio")
 
 
-def _table_scores(table: np.ndarray, methods: Sequence[str]) -> list[float]:
-    """The score of each filter method in `methods` on one bins-by-labels
-    table of float counts.
+def _table_scores(tables: np.ndarray, methods: Sequence[str]) -> np.ndarray:
+    """The score of each filter method in `methods` on each of a stack of
+    bins-by-labels tables of float counts, all with the same bins, shape
+    (len(methods), len(tables)). A table's scores are those of the table
+    alone: each sum runs along one table's row of the stack, which numpy
+    adds as it adds that row alone.
 
     chi_squared: the Pearson statistic; cells with zero expected count
     contribute nothing, and a single-bin table scores 0. info_gain: the
     mutual information I(X; y) in bits, H(y) minus the bin-weighted
-    H(y | X). gain_ratio: information gain divided by the bins' own
-    entropy, 0 when that is 0.
+    H(y | X), added bin by bin. gain_ratio: information gain divided by the
+    bins' own entropy, 0 when that is 0.
     """
+    m, k, _ = tables.shape
+    n = tables.reshape(m, 2 * k).sum(axis=1)
+    bins = tables.sum(axis=2)
     scores = {}
     if "chi_squared" in methods:
-        n = table.sum()
-        expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / n
+        expected = bins[:, :, None] * tables.sum(axis=1)[:, None, :] / n[:, None, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(expected > 0, (table - expected) ** 2 / expected, 0.0)
-        scores["chi_squared"] = float(terms.sum())
+            terms = np.where(expected > 0, (tables - expected) ** 2 / expected, 0.0)
+        scores["chi_squared"] = terms.reshape(m, 2 * k).sum(axis=1)
     if "info_gain" in methods or "gain_ratio" in methods:
-        n = table.sum()
-        h_y_given_x = 0.0
-        for row in table:
-            weight = row.sum() / n
-            if weight > 0:
-                h_y_given_x += weight * _entropy_bits(row)
-        scores["info_gain"] = max(_entropy_bits(table.sum(axis=0)) - h_y_given_x, 0.0)
-        h_x = _entropy_bits(table.sum(axis=1))
-        scores["gain_ratio"] = 0.0 if h_x == 0.0 else scores["info_gain"] / h_x
-    return [scores[m] for m in methods]
+        h_y_given_x = np.cumsum(bins / n[:, None] * _entropy_bits(tables), axis=1)[:, -1]
+        info = np.maximum(_entropy_bits(tables.sum(axis=1)) - h_y_given_x, 0.0)
+        h_x = _entropy_bits(bins)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores["gain_ratio"] = np.where(h_x == 0.0, 0.0, info / h_x)
+        scores["info_gain"] = info
+    return np.array([scores[m] for m in methods])
 
 
 def score_chi_squared(binned: np.ndarray, labels: np.ndarray) -> float:
     """Pearson chi-squared statistic of the bins-by-labels table."""
-    return _table_scores(_contingency(binned, labels), ["chi_squared"])[0]
+    return float(_table_scores(_contingency(binned, labels)[None], ["chi_squared"])[0, 0])
 
 
 def score_information_gain(binned: np.ndarray, labels: np.ndarray) -> float:
     """Mutual information I(X; y) in bits: H(y) minus bin-weighted H(y | X)."""
-    return _table_scores(_contingency(binned, labels), ["info_gain"])[0]
+    return float(_table_scores(_contingency(binned, labels)[None], ["info_gain"])[0, 0])
 
 
 def score_gain_ratio(binned: np.ndarray, labels: np.ndarray) -> float:
     """Information gain divided by the feature's own entropy; 0 when H(X)=0."""
-    return _table_scores(_contingency(binned, labels), ["gain_ratio"])[0]
+    return float(_table_scores(_contingency(binned, labels)[None], ["gain_ratio"])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -134,12 +139,13 @@ class RankedFeatures:
     ranking_method: str
 
 
-# The ranking forest of `rank` and of each cross-validation fold, which
-# ranks at most RANK_SUBSAMPLE of its training rows.
+# A cross-validation fold ranks at most this many of its training rows, a
+# seeded sample of them; `rank` ranks every admissible row.
 RANK_SUBSAMPLE = 1500
 
 
 def ranking_forest(seed: int) -> ForestParams:
+    """The ranking forest of `rank` and of each cross-validation fold."""
     return ForestParams(n_trees=20, max_depth=8, min_leaf=20, seed=seed)
 
 
@@ -173,18 +179,36 @@ def _filter_scores(
     """The scores of each filter method in `methods` on the rank-binned
     columns of the matrix whose value codes are `vc`.
 
-    A column's counts by (value, label) come from one bincount of its
-    codes; they give its `rank_bins`, and summed over each bin's run of
-    values, its one bins-by-labels table, which every method scores.
+    The counts by (value, label) of the columns that list their nonzeros
+    come from one bincount over those, and each one's zero counts the label
+    totals minus the rest; every other column takes one bincount of its
+    codes. The counts give every column's `rank_bins` at once and, summed
+    over each bin's run of values, its one bins-by-labels table; the tables
+    with as many bins are scored together, by every method.
     """
     labels = np.asarray(labels, dtype=np.int64)
+    listed = vc.zero >= 0
+    column = np.repeat(np.arange(len(vc.codes)), np.diff(vc.nz_start))
+    key = (vc.offsets[column] + vc.nz_codes) * 2 + labels[vc.nz_rows]
+    by_value = np.bincount(key, minlength=2 * vc.offsets[-1]).reshape(-1, 2)
+    by_value[(vc.offsets[:-1] + vc.zero)[listed]] = (
+        np.bincount(labels, minlength=2) - np.add.reduceat(by_value, vc.offsets[:-1])[listed]
+    )
+    for j in np.flatnonzero(~listed):
+        lo, hi = vc.offsets[j], vc.offsets[j + 1]
+        by_value[lo:hi] = _table(vc.codes[j], labels, hi - lo)
+    bins = rank_bins(vc.values, by_value.sum(axis=1), n_bins, vc.offsets)
+    first = np.zeros(len(bins), dtype=bool)  # each bin's first value
+    first[vc.offsets[:-1]] = True
+    first[1:] |= bins[1:] != bins[:-1]
+    heads = np.flatnonzero(first)
+    tables = np.add.reduceat(by_value, heads).astype(np.float64)
+    start = np.searchsorted(heads, vc.offsets)
+    width = np.diff(start)
     scores = np.empty((len(methods), len(vc.codes)))
-    for j, codes in enumerate(vc.codes):
-        distinct = vc.distinct(j)
-        by_value = _table(codes, labels, len(distinct))
-        bins = rank_bins(distinct, by_value.sum(axis=1), n_bins)
-        table = np.add.reduceat(by_value, np.flatnonzero(np.diff(bins, prepend=-1)))
-        scores[:, j] = _table_scores(table.astype(np.float64), methods)
+    for k in np.unique(width).tolist():
+        columns = np.flatnonzero(width == k)
+        scores[:, columns] = _table_scores(tables[start[columns, None] + np.arange(k)], methods)
     return {m: FeatureScore(m, raw) for m, raw in zip(methods, scores)}
 
 
@@ -223,7 +247,7 @@ def rank_features(
         methods = tuple(methods) + (ranking_method,)
 
     filters = [m for m in methods if m in FILTER_METHODS]
-    vc = _ValueCodes.of(matrix.values)
+    vc = _ValueCodes.of(matrix)
     by_method = _filter_scores(vc, labels, filters, n_bins) if filters else {}
     if "mdni" in methods:
         params = forest_params if forest_params is not None else ranking_forest(13)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import json
 import os
@@ -1193,3 +1194,26 @@ class TestThreadPolicy:
     def test_a_preset_count_is_left_unchanged(self):
         _, values = self.probe(OPENBLAS_NUM_THREADS="2")
         assert values == ["2", "1", "1"]
+
+
+# sha256 of the ranking.csv that `rank --method M --seed S` writes for the
+# generated 2,000-app corpus of seed S.
+RANK_PINS = {
+    (1, "borda"): "78c7a752d776d94a2710c0b21f6049e559fdb71218809fc2d832f9101e0013b4",
+    (1, "mdni"): "4f85ea69efae107a7b0c11f0d374ccf721812b5227f06027e3f4f9d7d30826db",
+    (7, "borda"): "6462b840963696b1ce032180bf9492d092c4163e5c81fb2341bb091d5ebd2b2c",
+    (7, "mdni"): "691c01aafbd3ea3eb39cfd159e6b217a420be1b064bb98c1235e4f9700997394",
+}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_rank_output_bytes_are_pinned(tmp_path, seed):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["generate", "--out", str(corpus), "--n-apps", "2000", "--seed", str(seed)]) == 0
+    for method in ("borda", "mdni"):
+        out = tmp_path / f"{method}.csv"
+        assert main([
+            "rank", "--corpus", str(corpus), "--method", method, "--seed", str(seed),
+            "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RANK_PINS[seed, method]

@@ -40,7 +40,8 @@ def hash_permissions(permissions, config: HashConfig) -> np.ndarray:
 def densify(block) -> np.ndarray:
     """The static block as one dense array in the row layout."""
     out = np.zeros(block.shape)
-    block.write_into(out)
+    out[np.repeat(np.arange(len(block.dense)), np.diff(block.indptr)), block.buckets] = block.counts
+    out[:, block.n_buckets :] = block.dense
     return out
 
 
@@ -429,6 +430,16 @@ class TestBinning:
     def test_matches_quantile_edges_exactly(self, n_bins):
         for values in oracle_columns(300):
             assert np.array_equal(bin_column(values, n_bins), quantile_bins(values, n_bins))
+
+    @pytest.mark.parametrize("n_bins", [2, 3, 7, 10, 2**16])
+    def test_edges_that_round_onto_the_next_value(self, n_bins):
+        # Between adjacent floats, an interpolated edge can round onto the
+        # upper value, and then bins the value above that one apart.
+        rng = np.random.default_rng(n_bins)
+        for n in (7, 40, 300):
+            for _ in range(20):
+                values = np.nextafter(1.0, 2.0) ** rng.integers(0, 4, n)
+                assert np.array_equal(bin_column(values, n_bins), quantile_bins(values, n_bins))
 
     def test_value_counts_give_the_bins_of_the_values(self):
         for values in oracle_columns(300):

@@ -52,6 +52,11 @@ def mixed_columns(n=300, seed=3):
     return FeatureMatrix(tuple(f"c{j}" for j in range(9)), A), y
 
 
+def codes_of(A):
+    """The value codes of the dense matrix `A`."""
+    return _ValueCodes.of(FeatureMatrix(tuple(f"c{j}" for j in range(A.shape[1])), A))
+
+
 def logistic_row_loss(z, y):
     return np.logaddexp(0.0, z) - y * z
 
@@ -329,15 +334,16 @@ class TestBestSplit:
         A = rng.integers(0, 6, size=(n, p)).astype(np.float64)
         A[:, 1] += rng.normal(size=n).round(1)
         y = rng.integers(0, 2, n)
-        vc = _ValueCodes.of(A)
+        vc = codes_of(A)
         for _ in range(40):
             S, mtry = int(rng.integers(1, 5)), int(rng.integers(1, p + 1))
             min_leaf = int(rng.integers(1, 4))
             nodes = [rng.choice(n, int(rng.integers(2, 20)), replace=False) for _ in range(S)]
             counts = [rng.integers(1, 4, len(r)) for r in nodes]
             tried = np.sort([rng.choice(p, mtry, replace=False) for _ in range(S)], axis=1)
+            rows = np.concatenate(nodes)
             found = _best_splits(
-                vc, y, np.concatenate(nodes), np.concatenate(counts).astype(np.float64),
+                vc, rows, np.concatenate(counts) * (1.0 + y[rows] * metatriage.learn._LABEL_SHIFT),
                 np.cumsum([0] + [len(r) for r in nodes]), tried,
                 np.array([c.sum() for c in counts], dtype=np.float64),
                 np.array([(c * y[r]).sum() for c, r in zip(counts, nodes)], dtype=np.float64),
@@ -453,14 +459,14 @@ class TestTrees:
         X, y = mixed_columns()
         params = ForestParams(n_trees=6, seed=5)
         plain = train_forest(X, y, params)
-        given = train_forest(X, y, params, codes=_ValueCodes.of(X.values))
+        given = train_forest(X, y, params, codes=_ValueCodes.of(X))
         assert_same_trees(plain.trees, given.trees)
         assert np.array_equal(plain.importances, given.importances)
 
     def test_value_codes_of_another_matrix_rejected(self):
         X, y = mixed_columns()
         with pytest.raises(ContractError, match="value codes"):
-            train_forest(X, y, ForestParams(n_trees=1), codes=_ValueCodes.of(X.values[:, :4]))
+            train_forest(X, y, ForestParams(n_trees=1), codes=codes_of(X.values[:, :4]))
 
     def test_rows_past_the_label_shift_rejected(self, monkeypatch):
         # positives ride in the row counts' bincount as multiples of the
@@ -559,7 +565,7 @@ def reference_train_forest(X, y, params=ForestParams(), codes=None):
     if params.mtry > p:
         raise ContractError(f"mtry {params.mtry} exceeds feature count {p}")
     mtry = min(params.mtry or math.ceil(math.sqrt(p)), p)
-    vc = _ValueCodes.of(X.values) if codes is None else codes
+    vc = _ValueCodes.of(X) if codes is None else codes
     if vc.codes.shape != (p, n):
         raise ContractError(f"value codes of shape {vc.codes.shape} for a {n} x {p} matrix")
     seed = params.seed & 0xFFFFFFFFFFFFFFFF
@@ -699,7 +705,7 @@ class TestForestOracle:
         # column at a time.
         X, y = oracle_matrix(3000, 40, seed=9)
         params = ForestParams(n_trees=1, max_depth=3, seed=4)
-        codes = _ValueCodes.of(X.values)
+        codes = _ValueCodes.of(X)
         want = reference_train_forest(X, y, params, codes)
         peaks = []
         for cap in (1 << 18, 1 << 14, 1 << 10):
@@ -717,6 +723,81 @@ class TestForestOracle:
                     tracemalloc.stop()
             assert_same_forest(got, want)
         assert peaks[0] > peaks[1] > peaks[2]
+
+    @pytest.mark.parametrize("n,p,seed", [(60, 7, 1), (400, 7, 2), (400, 40, 3), (32767, 7, 4),
+                                          (32768, 7, 5)])
+    def test_sparse_matrices_equal_the_oracle(self, monkeypatch, n, p, seed):
+        # Columns at least 95% zeros are counted from their listed rows in
+        # nodes with more entries than they list, and gathered in the rest.
+        X, y = sparse_matrix(n, p, seed)
+        seen = watch_search_sides(monkeypatch)
+        for params in (
+            ForestParams(n_trees=3, max_depth=None if n < 1000 else 6, min_leaf=1, seed=seed),
+            ForestParams(n_trees=2, max_depth=4, min_leaf=5, mtry=p, seed=seed),
+        ):
+            assert_same_forest(train_forest(X, y, params), reference_train_forest(X, y, params))
+        assert seen == {"listed", "gathered"}
+
+    def test_sparse_search_cap_changes_nothing(self, monkeypatch):
+        # The root passes 2**14 and 2**10: searched a run of its tried
+        # columns at a time, with listed and gathered groups in one search.
+        X, y = sparse_matrix(3000, 40, seed=6)
+        params = ForestParams(n_trees=2, max_depth=5, seed=8)
+        codes = _ValueCodes.of(X)
+        want = reference_train_forest(X, y, params, codes)
+        for cap in (1 << 18, 1 << 14, 1 << 10):
+            monkeypatch.setattr(metatriage.learn, "_SEARCH_CHUNK", cap)
+            seen = watch_search_sides(monkeypatch)
+            assert_same_forest(train_forest(X, y, params, codes), want)
+            assert seen == {"listed", "gathered"}
+
+
+def sparse_columns(n, p, seed):
+    """`p` columns: an all-zero column, a column with no zero, 0.0 beside
+    -0.0, and the rest at least 95% zeros, some with negatives beside them;
+    labels follow one sparse column and the one with no zero."""
+    rng = np.random.default_rng(seed)
+
+    def rare(values):
+        return np.where(rng.random(n) < 0.04, values, 0.0)
+
+    kinds = (
+        lambda: rare(rng.integers(1, 4, n).astype(np.float64)),
+        lambda: rare(rng.integers(-3, 4, n).astype(np.float64)),
+        lambda: rare(rng.normal(size=n).round(2)),
+    )
+    signed_zeros = rng.choice([0.0, -0.0, 2.5], n, p=[0.5, 0.49, 0.01])
+    rest = [kinds[j % 3]() for j in range(p - 3)]
+    A = np.column_stack([np.zeros(n), rng.permutation(n) + 1.0, signed_zeros] + rest)
+    y = ((A[:, 3] > 0) | (A[:, 1] < n / 5) | (rng.random(n) < 0.2)).astype(np.int64)
+    return A, y
+
+
+def from_entries(A):
+    """`A` as a matrix made from its nonzero entries."""
+    twin = FeatureMatrix(tuple(f"s{j}" for j in range(A.shape[1])), A)
+    return FeatureMatrix.from_entries(twin.column_names, len(A), *twin.entries)
+
+
+def sparse_matrix(n, p, seed):
+    """`sparse_columns` as a matrix made from its nonzero entries, and labels."""
+    A, y = sparse_columns(n, p, seed)
+    return from_entries(A), y
+
+
+def watch_search_sides(monkeypatch):
+    """The set that gets "listed" and "gathered" once the forest's split
+    searches have counted a group each way."""
+    seen = set()
+    search = metatriage.learn._best_splits
+
+    def watched(vc, rows, counted, starts, tried, n_node, m_node, min_leaf, listed, entry):
+        seen.update(["listed"] if listed.all() else ["gathered"] if not listed.any()
+                    else ["listed", "gathered"])
+        return search(vc, rows, counted, starts, tried, n_node, m_node, min_leaf, listed, entry)
+
+    monkeypatch.setattr(metatriage.learn, "_best_splits", watched)
+    return seen
 
 
 class TestValueCodes:
@@ -740,20 +821,54 @@ class TestValueCodes:
     @pytest.mark.parametrize("n,dtype", [(32767, np.int16), (32768, np.int32)])
     def test_codes_are_ranks_in_the_narrowest_type(self, n, dtype):
         A = self.columns(n)
-        vc = _ValueCodes.of(A)
+        vc = codes_of(A)
         assert vc.codes.dtype == dtype
         self.assert_ranks(vc, A)
 
     def test_block_size_changes_nothing(self, monkeypatch):
         A = np.hstack([self.columns(200, seed) for seed in range(5)])
         monkeypatch.setattr(metatriage.learn, "_CODE_BLOCK", 1)
-        self.assert_ranks(_ValueCodes.of(A), A)
+        self.assert_ranks(codes_of(A), A)
 
     def test_empty_matrices(self):
         for shape in [(0, 3), (5, 0)]:
-            vc = _ValueCodes.of(np.zeros(shape))
+            vc = codes_of(np.zeros(shape))
             assert vc.codes.shape == shape[::-1]
             assert vc.offsets.tolist() == [0] * (shape[1] + 1)
+
+    @pytest.mark.parametrize("n,dtype", [(32767, np.int16), (32768, np.int32)])
+    def test_from_entries_codes_equal_the_dense_twins(self, n, dtype):
+        A, _ = sparse_columns(n, 9, seed=n)
+        X = from_entries(A)
+        vc, dense = _ValueCodes.of(X), codes_of(A)
+        assert X._values is None
+        assert vc.codes.dtype == dtype
+        self.assert_ranks(vc, A)
+        for field in ("codes", "values", "offsets", "zero"):
+            assert np.array_equal(getattr(vc, field), getattr(dense, field))
+        for got in (vc, dense):
+            self.assert_listed(got, A)
+
+    def test_from_entries_block_size_changes_nothing(self, monkeypatch):
+        A, _ = sparse_columns(500, 12, seed=3)
+        monkeypatch.setattr(metatriage.learn, "_CODE_BLOCK", 1)
+        for vc in (_ValueCodes.of(from_entries(A)), codes_of(A)):
+            self.assert_ranks(vc, A)
+            self.assert_listed(vc, A)
+
+    def assert_listed(self, vc, A):
+        """Columns at most half nonzero list their nonzero rows, with their
+        codes and the zero's code; other columns list none."""
+        n = len(A)
+        for j in range(A.shape[1]):
+            rows = vc.nz_rows[vc.nz_start[j] : vc.nz_start[j + 1]]
+            if np.count_nonzero(A[:, j]) * 2 > n:
+                assert vc.zero[j] == -1 and len(rows) == 0
+                continue
+            assert vc.distinct(j)[vc.zero[j]] == 0.0
+            assert sorted(rows.tolist()) == np.flatnonzero(A[:, j]).tolist()
+            codes = vc.nz_codes[vc.nz_start[j] : vc.nz_start[j + 1]]
+            assert np.array_equal(codes, vc.codes[j, rows])
 
 
 class TestStandardizedOperator:

@@ -10,6 +10,7 @@ from metatriage.errors import ContractError
 from metatriage.featurize import FeatureMatrix, bin_column, rank_bins
 from metatriage.learn import ForestParams, _ValueCodes, train_forest
 from metatriage.select import (
+    METHODS,
     FeatureScore,
     RankedFeatures,
     _borda,
@@ -375,7 +376,7 @@ class TestSharedColumnPass:
     @pytest.mark.parametrize("n_bins", range(2, 21))
     def test_bins_from_codes_match_quantile_bins(self, n_bins):
         matrix, _ = self.matrix()
-        vc = _ValueCodes.of(matrix.values)
+        vc = _ValueCodes.of(matrix)
         for j, codes in enumerate(vc.codes):
             counts = np.bincount(codes, minlength=len(vc.distinct(j)))
             bins = rank_bins(vc.distinct(j), counts, n_bins)[codes]
@@ -394,6 +395,32 @@ class TestSharedColumnPass:
             alone = rank_features(matrix, labels, method, n_bins=n_bins)
             assert alone.by_method[method].raw.tolist() == want
 
+    def sparse_matrix(self, n=2000, p=40, seed=2):
+        """Mostly-zero count columns beside the oracle columns, whose dense
+        twin holds 0.0 beside -0.0."""
+        rng = np.random.default_rng(seed)
+        rare = np.where(rng.random((n, p)) < 0.03, rng.integers(1, 4, (n, p)), 0)
+        values = np.column_stack([np.column_stack(oracle_columns(n)), rare.astype(np.float64)])
+        labels = ((rare[:, 0] > 0) | (values[:, 6] > 0.5)).astype(np.int64)
+        return FeatureMatrix(tuple(f"c{j}" for j in range(values.shape[1])), values), labels
+
+    def test_a_matrix_without_columns_ranks_nothing(self):
+        matrix = FeatureMatrix((), np.zeros((10, 0)))
+        ranked = rank_features(matrix, np.array([0, 1] * 5), "borda")
+        assert sorted(ranked.by_method) == sorted(METHODS)
+        assert all(score.raw.shape == (0,) for score in ranked.by_method.values())
+
+    def test_from_entries_scores_equal_the_dense_twins(self):
+        twin, labels = self.sparse_matrix()
+        matrix = FeatureMatrix.from_entries(twin.column_names, twin.n_rows, *twin.entries)
+        params = ForestParams(n_trees=4, max_depth=6, seed=3)
+        got = rank_features(matrix, labels, "borda", forest_params=params)
+        want = rank_features(twin, labels, "borda", forest_params=params)
+        assert matrix._values is None
+        for method, score in want.by_method.items():
+            assert got.by_method[method].raw.tolist() == score.raw.tolist()
+        assert got.order.tolist() == want.order.tolist()
+
     def test_peak_memory_stays_under_the_matrix_size(self, monkeypatch):
         # Every column's int64 bins held at once would alone take as much
         # memory as the matrix. The pass holds int16 value codes (a quarter
@@ -407,15 +434,38 @@ class TestSharedColumnPass:
         labels = (values[:, 0] + rng.normal(size=n) > 1).astype(np.int64)
         matrix = FeatureMatrix(tuple(f"c{j}" for j in range(p)), values)
         params = ForestParams(n_trees=3, max_depth=4, min_leaf=20, seed=1)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            rank_features(matrix, labels, "borda", forest_params=params)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        peak = traced_peak(lambda: rank_features(matrix, labels, "borda", forest_params=params))
         assert peak < values.nbytes
+
+    def test_from_entries_peak_memory_stays_well_under_the_dense_matrix(self, monkeypatch):
+        # 96 columns, 4 of them dense and the rest 97% zeros, like the
+        # permission hash. The int16 value codes alone take a quarter of the
+        # float64 matrix; the pass peaks at about 0.47 of it, and densifying
+        # the matrix would add all of it.
+        monkeypatch.setattr(metatriage.learn, "_SEARCH_CHUNK", 4096)
+        rng = np.random.default_rng(0)
+        n, p = 20000, 96
+        values = np.where(rng.random((n, p)) < 0.03, rng.integers(1, 4, (n, p)), 0).astype(float)
+        values[:, :4] = rng.normal(size=(n, 4)).round(2)
+        labels = ((values[:, 0] + values[:, 5] + rng.normal(size=n)) > 1).astype(np.int64)
+        names = tuple(f"c{j}" for j in range(p))
+        matrix = FeatureMatrix.from_entries(names, n, *FeatureMatrix(names, values).entries)
+        params = ForestParams(n_trees=3, max_depth=4, min_leaf=20, seed=1)
+        peak = traced_peak(lambda: rank_features(matrix, labels, "borda", forest_params=params))
+        assert matrix._values is None
+        assert peak < 0.6 * values.nbytes
+
+
+def traced_peak(run) -> int:
+    """The traced memory peak of `run()` above what was traced before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
