@@ -385,6 +385,17 @@ class FoldPlan:
         )
 
 
+def _stacked_rows(top: FeatureMatrix, bottom: FeatureMatrix) -> FeatureMatrix:
+    """The rows of `top` then those of `bottom`, which has the same columns,
+    made from their entries so that only the stacked matrix is ever dense."""
+    (r_top, c_top, v_top), (r_bottom, c_bottom, v_bottom) = top.entries, bottom.entries
+    return FeatureMatrix.from_entries(
+        top.column_names, top.n_rows + bottom.n_rows,
+        np.concatenate((r_top, r_bottom + top.n_rows)),
+        np.concatenate((c_top, c_bottom)), np.concatenate((v_top, v_bottom)),
+    )
+
+
 def prepare_folds(
     dataset: LabeledDataset,
     k: int = 10,
@@ -487,8 +498,8 @@ def evaluate(
             if not norm < linear.tolerance:
                 notes = (f"{model_kind} {_NOT_CONVERGED} (gradient norm {norm:.3g})",)
         if model_kind == "forest":  # one pass of the trees over both row sets
-            both = FeatureMatrix(columns, np.vstack((X_train.values, X_test.values)))
-            train_scores, test_scores = np.split(predict_score(model, both), [X_train.n_rows])
+            both = predict_score(model, _stacked_rows(X_train, X_test))
+            train_scores, test_scores = np.split(both, [X_train.n_rows])
         else:
             train_scores = predict_score(model, X_train)
             test_scores = predict_score(model, X_test)

@@ -452,7 +452,7 @@ class _ValueCodes:
         whole = {}  # column -> its distinct values, for the columns sorted whole
         # (columns, rows, values) of the other columns' nonzeros
         listed = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
-        if X.holds_values:
+        if X.holds_values:  # its entries would take up to three times its bytes
             for lo in range(0, p, width):  # sorting contiguous copies is faster
                 block = X.values[:, lo : lo + width].T.copy()
                 dense = np.count_nonzero(block, axis=1) * 2 > n
